@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 from .mock_theta import b_appell, b_eulerian, f3_series, omega_series
 from .oracle import count_c_limit, count_ck
-from .products import eta_quotient
+from .products import eta_quotient, pentagonal_series
 from .series import (
     EXACT,
     MOD64,
@@ -23,13 +23,14 @@ from .series import (
     dissect,
     equal_to_order,
     first_incongruence,
-    monomial,
     mul,
+    mul_sparse,
     mul_sparse_binomial,
     power,
     scalar_mul,
     shift,
     substitute_power,
+    sum_shifted,
     truncate,
     zero_series,
 )
@@ -41,21 +42,7 @@ from .series import (
 def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Generating series of the counts c(n): sum over n >= 0 of
     q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    term = _c_leading_term(order, ring, extra_even_offset=None)
-    total = zero_series(ring, order)
-    n = 0
-    # term n = q^(2n+1) * (unit series), so the sum below order is complete
-    # once 2n+1 >= order
-    while 2 * n + 1 < order:
-        total = total + term
-        term = shift(term, 2)
-        term = mul_sparse_binomial(term, -1, 2 * n + 1)
-        term = mul_sparse_binomial(term, -1, 2 * n + 1)
-        term = mul_sparse_binomial(term, 1, 2 * n + 2, "divide")
-        n += 1
-    return total
+    return _c_sum(order, ring, None)
 
 
 def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -63,36 +50,34 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
     q^(2n+1) * (-q^(2n+2k), -q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _c_sum(order, ring, k)
+
+
+def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     if order < 1:
         raise ValueError("order must be >= 1")
-    term = _c_leading_term(order, ring, extra_even_offset=2 * k)
-    total = zero_series(ring, order)
-    n = 0
-    while 2 * n + 1 < order:
-        total = total + term
-        term = shift(term, 2)
-        term = mul_sparse_binomial(term, -1, 2 * n + 1)
-        term = mul_sparse_binomial(term, -1, 2 * n + 1)
-        term = mul_sparse_binomial(term, 1, 2 * n + 2 * k, "divide")
-        term = mul_sparse_binomial(term, 1, 2 * n + 2, "divide")
-        n += 1
-    return total
+    return sum_shifted(_c_terms(order, ring, k), ring, order)
 
 
-def _c_leading_term(order: int, ring: CoefficientRing,
-                    extra_even_offset: Optional[int]) -> Series:
-    # q * (-q^2; q^2)_inf / (q; q^2)_inf^2, times (-q^(2k); q^2)_inf when the
-    # even-blue threshold parameter k is finite
-    term = monomial(ring, order, 1)
-    for j in range(2, order, 2):
-        term = mul_sparse_binomial(term, 1, j)
-    if extra_even_offset is not None:
-        for j in range(extra_even_offset, order, 2):
-            term = mul_sparse_binomial(term, 1, j)
+def _c_terms(order: int, ring: CoefficientRing, k: Optional[int]):
+    # Term n is q^j * u_n with j = 2n+1, so u_n is only read to order - j
+    # coefficients. (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
+    # u_0 = f2*f4/f1^2 for c and f4^2/f1^2/(-q^2; q^2)_(k-1) for c_k, built
+    # from the sparse pentagonal series of f1, f2, f4.
+    f1, f4 = ({e: x for e, x in enumerate(pentagonal_series(m, order, ring)
+                                           .coefficients()) if x} for m in (1, 4))
+    u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), f4)
+    u = mul_sparse(mul_sparse(u, f1, "divide"), f1, "divide")
+    if k is not None:
+        for j in range(2, min(2 * k, order), 2):
+            u = mul_sparse_binomial(u, 1, j, "divide")
     for j in range(1, order, 2):
-        term = mul_sparse_binomial(term, -1, j, "divide")
-        term = mul_sparse_binomial(term, -1, j, "divide")
-    return term
+        yield j, u
+        # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))]
+        u = mul_sparse(u.truncate(max(0, order - j - 2)), {0: 1, j: -2, 2 * j: 1})
+        u = mul_sparse_binomial(u, 1, j + 1, "divide")
+        if k is not None:
+            u = mul_sparse_binomial(u, 1, j + 2 * k - 1, "divide")
 
 
 # ---------------------------------------------------------------- reports
@@ -289,6 +274,8 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
     seconds spent on the exact-ring series vs the large modular scan."""
     from time import perf_counter
 
+    if k_max < 0:
+        raise ValueError(f"kmax must be >= 0, got {k_max}")
     if n_congruence is None:
         n_congruence = max(2, n_identity // 2)
     n_big = max(n_identity, n_congruence)

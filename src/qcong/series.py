@@ -404,24 +404,91 @@ def _m_div_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> n
     n = len(arr)
     if j >= n:
         return arr.copy()
-    # b[i] = a[i] - c*b[i-j]: along each residue class mod j this is a scan
-    # with weights (-c)^t, so c = +-1 reduces to a (sign-alternating) cumsum.
+    # b[i] = a[i] - c*b[i-j]: for c = -1 this is a cumsum along each residue
+    # class mod j, and 1/(1 + q^j) = (1 - q^j)/(1 - q^(2j)) makes c = 1 one too
     if c == 1 or c == ring.mask:
-        rows = -(-n // j)
-        padded = np.zeros(rows * j, dtype=np.uint64)
+        p = j if c == ring.mask else 2 * j
+        rows = -(-n // p)
+        padded = np.zeros(rows * p, dtype=np.uint64)
         padded[:n] = arr
-        mat = padded.reshape(rows, j)
-        if c == 1:
-            signs = np.where(np.arange(rows) % 2 == 0, _u64(1), _u64(-1))[:, None]
-            out = signs * np.cumsum(signs * mat, axis=0)
-        else:
-            out = np.cumsum(mat, axis=0)
-        return _mask_arr(out.reshape(-1)[:n], ring)
+        if p != j:
+            padded[j:n] -= arr[:n - j]
+        mat = padded.reshape(rows, p)
+        if rows > 16:
+            mat = np.cumsum(mat, axis=0)
+        else:  # cumsum along axis 0 is slow for few long rows
+            for r in range(1, rows):
+                mat[r] += mat[r - 1]
+        return _mask_arr(mat.reshape(-1)[:n], ring)
     b = [int(x) for x in arr]
     mask = ring.mask
     for i in range(j, n):
         b[i] = (b[i] - c * b[i - j]) & mask
     return np.array(b, dtype=np.uint64)
+
+
+def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") -> Series:
+    """Multiply or divide by the polynomial sum of c*q^e over `terms` (e -> c)
+    in O(order * len(terms)) operations; dividing needs a unit constant term."""
+    if direction not in ("multiply", "divide"):
+        raise ValueError(f"direction must be 'multiply' or 'divide', got {direction!r}")
+    if any(e < 0 for e in terms):
+        raise ValueError("sparse factor exponents must be nonnegative")
+    ring, n = a.ring, a.order
+    c0, scale = ring.normalize(terms.get(0, 0)), 1
+    if direction == "divide":
+        # b[i] = (a[i] - sum of c*b[i-e]) / c0, one coefficient at a time;
+        # from here on c0 holds 1/c0 and each c holds c/c0
+        c0 = scale = ring.unit_inverse(c0)
+    rest = sorted((e, ring.normalize(c * scale)) for e, c in terms.items() if 0 < e < n)
+    if ring.kind == "exact":
+        out = [c0 * x for x in a._c]
+        if direction == "multiply":
+            for e, c in rest:
+                out[e:] = [x + c * y for x, y in zip(out[e:], a._c)]
+            return Series._wrap(ring, out)
+        for i in range(n):
+            s = out[i]
+            for e, c in rest:
+                if e > i:
+                    break
+                s -= c * out[i - e]
+            out[i] = s
+        return Series._wrap(ring, out)
+    out = a._c * _u64(c0)
+    if direction == "multiply":
+        for e, c in rest:
+            out[e:] += a._c[:n - e] * _u64(c)
+        return Series._wrap(ring, _mask_arr(out, ring))
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point here
+        exps = [e for e, _ in rest]
+        idx = np.array(exps, dtype=np.intp)
+        coef = np.array([c for _, c in rest], dtype=np.uint64)
+        m = 0
+        for i in range(n):
+            while m < len(exps) and exps[m] <= i:
+                m += 1
+            if m:
+                out[i] -= np.dot(coef[:m], out[i - idx[:m]])
+    return Series._wrap(ring, _mask_arr(out, ring))
+
+
+def sum_shifted(terms, ring: CoefficientRing, order: int) -> Series:
+    """Sum of q^j * a over the (j, a) pairs of `terms`, truncated to `order`
+    and accumulated in one buffer."""
+    exact = ring.kind == "exact"
+    acc = [0] * order if exact else np.zeros(order, dtype=np.uint64)
+    for j, a in terms:
+        if a.ring != ring:
+            raise RingMismatchError(f"ring mismatch: {a.ring} vs {ring}")
+        if j < 0:
+            raise ValueError("shift amount must be nonnegative")
+        m = max(0, min(a.order, order - j))
+        if exact:
+            acc[j:j + m] = [x + y for x, y in zip(acc[j:j + m], a._c)]
+        else:
+            acc[j:j + m] += a._c[:m]
+    return Series._wrap(ring, acc if exact else _mask_arr(acc, ring))
 
 
 def substitute_power(a: Series, m: int, sign: int) -> Series:
@@ -507,6 +574,8 @@ def equal_to_order(a: Series, b: Series, n: int) -> bool:
 
 def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None:
     """First exponent < n where (a - b) is nonzero mod `modulus`, else None."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be a positive integer, got {modulus}")
     _check_rings(a, b)
     if n > a.order or n > b.order:
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")

@@ -61,6 +61,13 @@ class TestVerify:
             main(["verify", "q", "q", "--order", "10", "--ring", "mod64"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("ring", ["exact", "mod64"])
+    @pytest.mark.parametrize("mod", ["0", "-4"])
+    def test_nonpositive_modulus_exits_2(self, capsys, ring, mod):
+        assert main(["verify", "f[1]", "f[1]", "--order", "5", "--mod", mod,
+                     "--ring", ring]) == 2
+        assert "error: modulus" in capsys.readouterr().err
+
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",
                      "--mod", "8", "--ring", "mod64"]) == 0
@@ -163,6 +170,13 @@ class TestSuite:
         assert all(c["status"] == "pass" for c in doc["claims"])
         ids = [c["id"] for c in doc["claims"]]
         assert "eq-2-13-k4-m5" in ids and "eq-2-27" in ids
+
+
+    def test_negative_kmax_exits_2(self, capsys):
+        assert main(["suite", "--order-identity", "40", "--order-scan", "400",
+                     "--kmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "kmax" in captured.err and captured.out == ""
 
 
 class TestUsage:

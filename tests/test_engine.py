@@ -32,13 +32,18 @@ from qcong import (
     equal_to_order,
     eta_quotient,
     euler_fm,
+    mod2pow,
     monomial,
+    mul,
+    mul_sparse_binomial,
     paper_suite,
+    pochhammer_inf,
     power,
     run_catalogue,
     scan_progressions,
     series_c,
     series_ck,
+    shift,
     suite_json,
     truncate,
     verify_congruent,
@@ -90,6 +95,53 @@ class TestSeriesBuilders:
             series_ck(0, 10)
         with pytest.raises(ValueError):
             series_ck(1, 0)
+
+
+def reference_c(order, ring, k=None):
+    """c (k None) or c_k term by term from the product definition: term n is
+    q^(2n+1) (-q^(2n+2); q^2)_inf (-q^(2n+2k); q^2)_inf / (q^(2n+1); q^2)_inf^2
+    at full order, each term got from the last by binomial factors."""
+    term = shift(pochhammer_inf(-1, 2, 2, order, ring), 1)
+    if k is not None:
+        term = mul(term, pochhammer_inf(-1, 2 * k, 2, order, ring))
+    for j in range(1, order, 2):
+        term = mul_sparse_binomial(term, -1, j, "divide")
+        term = mul_sparse_binomial(term, -1, j, "divide")
+    total = zero_series(ring, order)
+    for j in range(1, order, 2):
+        total = total + term
+        term = shift(term, 2)
+        term = mul_sparse_binomial(term, -1, j)
+        term = mul_sparse_binomial(term, -1, j)
+        term = mul_sparse_binomial(term, 1, j + 1, "divide")
+        if k is not None:
+            term = mul_sparse_binomial(term, 1, j + 2 * k - 1, "divide")
+    return total
+
+
+def built_c(order, ring, k=None):
+    return series_c(order, ring) if k is None else series_ck(k, order, ring)
+
+
+class TestBuilderAgainstProductDefinition:
+    @pytest.mark.parametrize("ring", [EXACT, MOD64, mod2pow(5)], ids=str)
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_every_small_order(self, ring, k):
+        # orders 1..40 cover every edge of the shrinking per-term window
+        for order in range(1, 41):
+            assert built_c(order, ring, k) == reference_c(order, ring, k), order
+
+    @pytest.mark.parametrize("ring,order", [(EXACT, 600), (MOD64, 3000)], ids=str)
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_deep_order(self, ring, order, k):
+        assert built_c(order, ring, k) == reference_c(order, ring, k)
+
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    def test_ck_is_c_once_2k_exceeds_order_minus_1(self, ring):
+        for order in range(1, 41):
+            c = series_c(order, ring)
+            for k in ((order + 1) // 2, order + 5):  # smallest k with 2k > order-1
+                assert series_ck(k, order, ring) == c, (order, k)
 
 
 class TestCheckProgression:

@@ -205,9 +205,10 @@ class TestSparseBinomial:
     @pytest.mark.parametrize("w", [2, 3, 64])
     @pytest.mark.parametrize("c", [1, -1, 3])
     def test_mod_divide_matches_exact_route(self, w, c):
-        # covers the cumsum fast paths (c = +-1) and the generic fallback
+        # covers the cumsum fast paths (c = +-1; 11 rows of period 6 for
+        # c = 1, 22 rows of period 3 for c = -1) and the generic fallback
         ring = qc.mod2pow(w)
-        xs = [1, 5, -2, 0, 3, 7, -9, 4, 4, 1, 0, 2, 6]
+        xs = [1, 5, -2, 0, 3, 7, -9, 4, 4, 1, 0, 2, 6] * 5
         exact = qc.mul_sparse_binomial(exact_series(xs), c, 3, "divide")
         modular = qc.mul_sparse_binomial(Series(ring, xs), c, 3, "divide")
         assert qc.change_ring(exact, ring) == modular
@@ -222,6 +223,66 @@ class TestSparseBinomial:
             qc.mul_sparse_binomial(a, 1, 0)
         with pytest.raises(ValueError):
             qc.mul_sparse_binomial(a, 1, 1, "sideways")
+
+
+sparse_factors = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_size=6)
+rings = st.one_of(st.just(EXACT), widths.map(qc.mod2pow))
+
+
+def factor_series(terms: dict, ring, order: int) -> Series:
+    coeffs = [0] * order
+    for e, c in terms.items():
+        if e < order:
+            coeffs[e] = c
+    return Series(ring, coeffs)
+
+
+class TestSparseFactor:
+    @given(coeff_lists, sparse_factors, rings)
+    def test_multiply_matches_dense(self, xs, terms, ring):
+        a = Series(ring, xs)
+        dense = factor_series(terms, ring, a.order)
+        assert qc.mul_sparse(a, terms) == qc.mul(a, dense)
+
+    @given(coeff_lists, sparse_factors, rings, st.sampled_from([1, -1, 3]))
+    def test_divide_matches_inverse(self, xs, terms, ring, c0):
+        terms = dict(terms)
+        terms[0] = 1 if ring == EXACT and c0 == 3 else c0  # exact units are +-1
+        a = Series(ring, xs)
+        dense = factor_series(terms, ring, a.order)
+        got = qc.mul_sparse(a, terms, "divide")
+        assert got == qc.mul(a, qc.invert(dense))
+        assert qc.mul_sparse(got, terms) == a
+
+    def test_bad_arguments(self):
+        a = exact_series([1, 2, 3])
+        with pytest.raises(qc.NonUnitError):
+            qc.mul_sparse(a, {0: 2, 1: 1}, "divide")
+        with pytest.raises(qc.NonUnitError):
+            qc.mul_sparse(Series(qc.MOD64, [1, 2]), {1: 1}, "divide")
+        with pytest.raises(ValueError):
+            qc.mul_sparse(a, {-1: 1})
+        with pytest.raises(ValueError):
+            qc.mul_sparse(a, {0: 1}, "sideways")
+
+
+class TestSumShifted:
+    @given(st.lists(st.tuples(st.integers(0, 30), coeff_lists), max_size=5),
+           rings, st.integers(0, 30))
+    def test_matches_added_shifts(self, pieces, ring, order):
+        want = qc.zero_series(ring, order)
+        for j, xs in pieces:
+            padded = Series(ring, xs + [0] * order)
+            want = want + qc.shift(padded, j).truncate(order)
+        got = qc.sum_shifted(((j, Series(ring, xs)) for j, xs in pieces), ring, order)
+        assert got == want
+
+    def test_bad_arguments(self):
+        a = exact_series([1, 2])
+        with pytest.raises(qc.RingMismatchError):
+            qc.sum_shifted([(0, a)], qc.MOD64, 3)
+        with pytest.raises(ValueError):
+            qc.sum_shifted([(-1, a)], EXACT, 3)
 
 
 class TestReindexing:
