@@ -11,16 +11,13 @@ import json
 import sys
 from typing import Optional
 
+from .catalogue import all_passed, build_suite_context, run_catalogue, suite_json
 from .engine import (
-    all_passed,
-    build_suite_context,
     check_progression,
     check_relation,
-    run_catalogue,
     scan_progressions,
     series_c,
     series_ck,
-    suite_json,
     verify_congruent,
     verify_identity,
 )

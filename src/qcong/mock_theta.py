@@ -19,7 +19,7 @@ from .series import (
     shift,
     zero_series,
 )
-from .products import ProductSpec
+from .products import eta_quotient
 
 
 def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -81,15 +81,8 @@ def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
         term = shift(term, 2 * m * (m + 1))
         total = add(total, term if m % 2 == 0 else -term)
         m += 1
-    prefactor = ProductSpec(factors=((-1, 2, 2, 1), (1, 2, 2, -1))).build(order, ring)
-    return mul(prefactor, total)
-
-
-def a_b(n: int) -> int:
-    """Coefficient of q^n in B(q)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return b_eulerian(n + 1).coefficient(n)
+    # (-q^2; q^2)_inf = f4/f2, so the prefactor is f4/f2^2
+    return mul(eta_quotient({4: 1, 2: -2}, order, ring), total)
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:

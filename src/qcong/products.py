@@ -7,8 +7,6 @@ needed. The pentagonal series is the independent cross-check for f_m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import (
     EXACT,
     CoefficientRing,
@@ -100,27 +98,3 @@ def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Seri
             break
         j += 1
     return Series(ring, coeffs)
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """Symbolic product prod of (sign*q^s; q^m)_inf^e, built on demand."""
-
-    factors: tuple[tuple[int, int, int, int], ...]  # (sign, s, m, e)
-
-    def __post_init__(self) -> None:
-        for sign, s, m, e in self.factors:
-            _check_sign(sign)
-            if s < 1 or m < 1:
-                raise ValueError("every factor needs s >= 1 and m >= 1")
-            if e == 0:
-                raise ValueError("zero exponents must be omitted")
-
-    def build(self, order: int, ring: CoefficientRing = EXACT) -> Series:
-        out = one_series(ring, order)
-        for sign, s, m, e in self.factors:
-            direction = "multiply" if e > 0 else "divide"
-            for _ in range(abs(e)):
-                for j in range(s, order, m):
-                    out = mul_sparse_binomial(out, -sign, j, direction)
-        return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .engine import series_c, series_ck
 from .mock_theta import b_eulerian, f3_series, omega_series
@@ -458,23 +458,36 @@ def to_source(e: QExpr) -> str:
 # ------------------------------------------------------------- evaluator
 
 
-def _composed(series_fn: Callable[[int, CoefficientRing], Series], sign: int,
-              qpow: int, order: int, ring: CoefficientRing) -> Series:
-    # inner order chosen so the substituted series still covers `order`
-    inner = (order + qpow - 2) // qpow + 1
-    outer = substitute_power(series_fn(inner, ring), qpow, sign)
-    return truncate(outer, order)
+_MOCK_THETA = {Omega: omega_series, BFun: b_eulerian, F3: f3_series}
 
 
-def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT) -> Series:
+def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
+             memo: Optional[dict] = None) -> Series:
     """Evaluate bottom-up with every node truncated to `order`.
 
     Dissection children are computed at order m*(order-1)+r+1 so the result
     keeps full length; division and negative powers require the denominator
     to be a unit and raise NonUnitError otherwise.
+
+    `memo` maps nodes to series already computed in `ring`; one memo serves
+    one ring. A node found there with at least `order` coefficients is
+    reused, truncated; any other node is computed and stored. omega, B and
+    f3 at any argument read their argument-q node through the memo, so a
+    caller can seed it (say `BFun(1, 1)` or `CSeries()`) with shared series.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if memo is None:
+        return _evaluate(e, order, ring, None)
+    hit = memo.get(e)
+    if hit is not None and hit.order >= order:
+        return truncate(hit, order)
+    out = memo[e] = _evaluate(e, order, ring, memo)
+    return out
+
+
+def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
+              memo: Optional[dict]) -> Series:
     if isinstance(e, Num):
         return constant_series(ring, order, e.value)
     if isinstance(e, Q):
@@ -485,28 +498,31 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT) -> Series:
         return pochhammer_inf(e.sign, e.s, e.m, order, ring)
     if isinstance(e, PochFin):
         return pochhammer_fin(e.sign, e.s, e.m, e.n, order, ring)
-    if isinstance(e, Omega):
-        return _composed(omega_series, e.sign, e.qpow, order, ring)
-    if isinstance(e, BFun):
-        return _composed(b_eulerian, e.sign, e.qpow, order, ring)
-    if isinstance(e, F3):
-        return _composed(f3_series, e.sign, e.qpow, order, ring)
+    if isinstance(e, (Omega, BFun, F3)):
+        if e.sign == 1 and e.qpow == 1:
+            return _MOCK_THETA[type(e)](order, ring)
+        # the series at argument q, long enough that the substituted series
+        # still covers `order`
+        inner = (order + e.qpow - 2) // e.qpow + 1
+        base = evaluate(type(e)(1, 1), inner, ring, memo)
+        return truncate(substitute_power(base, e.qpow, e.sign), order)
     if isinstance(e, CSeries):
         return series_c(order, ring)
     if isinstance(e, CkSeries):
         return series_ck(e.k, order, ring)
-    if isinstance(e, Add):
-        return evaluate(e.left, order, ring) + evaluate(e.right, order, ring)
-    if isinstance(e, Sub):
-        return evaluate(e.left, order, ring) - evaluate(e.right, order, ring)
-    if isinstance(e, Mul):
-        return mul(evaluate(e.left, order, ring), evaluate(e.right, order, ring))
-    if isinstance(e, Div):
-        return mul(evaluate(e.left, order, ring),
-                   invert(evaluate(e.right, order, ring)))
     if isinstance(e, Pow):
-        return power(evaluate(e.base, order, ring), e.exponent)
+        return power(evaluate(e.base, order, ring, memo), e.exponent)
     if isinstance(e, Dissect):
-        child = evaluate(e.child, e.m * (order - 1) + e.r + 1, ring)
+        child = evaluate(e.child, e.m * (order - 1) + e.r + 1, ring, memo)
         return dissect(child, e.m, e.r)
-    raise TypeError(f"not a QExpr node: {e!r}")
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise TypeError(f"not a QExpr node: {e!r}")
+    left = evaluate(e.left, order, ring, memo)
+    right = evaluate(e.right, order, ring, memo)
+    if isinstance(e, Add):
+        return left + right
+    if isinstance(e, Sub):
+        return left - right
+    if isinstance(e, Mul):
+        return mul(left, right)
+    return mul(left, invert(right))

@@ -533,16 +533,19 @@ def truncate(a: Series, n: int) -> Series:
 
 def reduce_mod(a: Series, modulus: int) -> Series:
     """Reduce every coefficient mod `modulus` (kept in the same ring)."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    check_modulus(a.ring, modulus)
     if a.ring.kind == "exact":
         return Series._wrap(a.ring, [x % modulus for x in a._c])
-    _check_mod_divides(a.ring, modulus)
     return Series._wrap(a.ring, a._c & _u64(modulus - 1))
 
 
-def _check_mod_divides(ring: CoefficientRing, modulus: int) -> None:
-    if modulus & (modulus - 1) or modulus > (1 << ring.width):
+def check_modulus(ring: CoefficientRing, modulus: int) -> None:
+    """Reject a modulus below 2, or one that `ring` cannot resolve: in a
+    mod-2^w ring only powers of two dividing 2^w are meaningful."""
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    if ring.kind == "mod2pow" and (modulus & (modulus - 1)
+                                   or modulus > (1 << ring.width)):
         raise ValueError(
             f"modulus {modulus} must be a power of 2 dividing 2^{ring.width}")
 
@@ -574,9 +577,8 @@ def equal_to_order(a: Series, b: Series, n: int) -> bool:
 
 def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None:
     """First exponent < n where (a - b) is nonzero mod `modulus`, else None."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be a positive integer, got {modulus}")
     _check_rings(a, b)
+    check_modulus(a.ring, modulus)
     if n > a.order or n > b.order:
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
     if a.ring.kind == "exact":
@@ -584,7 +586,6 @@ def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None
             if (a._c[i] - b._c[i]) % modulus:
                 return i
         return None
-    _check_mod_divides(a.ring, modulus)
     diff = (a._c[:n] - b._c[:n]) & _u64(modulus - 1)
     hits = np.nonzero(diff)[0]
     return int(hits[0]) if len(hits) else None

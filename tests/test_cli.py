@@ -4,10 +4,17 @@ import json
 
 import pytest
 
-from qcong import count_ck
+from qcong import CATALOGUE, build_suite_context, count_ck
+from qcong.catalogue import CLAIM_ROWS
 from qcong.cli import main
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
+
+
+@pytest.fixture(scope="module")
+def ctx40():
+    """A suite context whose identity and congruence orders are both 40."""
+    return build_suite_context(40, 10, 0, n_congruence=40)
 
 
 class TestExpand:
@@ -62,8 +69,9 @@ class TestVerify:
         assert err.value.code == 2
 
     @pytest.mark.parametrize("ring", ["exact", "mod64"])
-    @pytest.mark.parametrize("mod", ["0", "-4"])
+    @pytest.mark.parametrize("mod", ["0", "-4", "1"])
     def test_nonpositive_modulus_exits_2(self, capsys, ring, mod):
+        # mod 1 would make any two series "congruent"
         assert main(["verify", "f[1]", "f[1]", "--order", "5", "--mod", mod,
                      "--ring", ring]) == 2
         assert "error: modulus" in capsys.readouterr().err
@@ -71,6 +79,18 @@ class TestVerify:
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",
                      "--mod", "8", "--ring", "mod64"]) == 0
+
+    @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
+    def test_catalogue_row_by_hand(self, capsys, ctx40, row):
+        claim_id, _, lhs, rhs, modulus, _ = row
+        entry = next(e for e in CATALOGUE if e.claim_id == claim_id)
+        want = entry.run(ctx40)[0].status
+        argv = ["verify", "--order", "40"]
+        if modulus is not None:
+            argv += ["--mod", str(modulus)]
+        # "--" keeps a source that starts with "-" from reading as an option
+        assert main(argv + ["--", lhs, rhs]) == (0 if want == "pass" else 1)
+        assert capsys.readouterr().out.split()[0] == want
 
 
 class TestCheck:
@@ -171,6 +191,22 @@ class TestSuite:
         ids = [c["id"] for c in doc["claims"]]
         assert "eq-2-13-k4-m5" in ids and "eq-2-27" in ids
 
+
+    def test_small_orders_run_every_claim(self, capsys):
+        # the oracle reads c(0..25) whatever the identity order; the scan
+        # claims cannot be checked at order 3, hence exit 1
+        assert main(["suite", "--order-identity", "3", "--order-scan", "3",
+                     "--kmax", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = captured.out.splitlines()[-1]
+        assert summary.startswith("55 claims: ") and ", 0 fail, " in summary
+
+    def test_order_too_small_is_not_a_pass(self, capsys):
+        assert main(["suite", "--order-identity", "20",
+                     "--order-scan", "10"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "63 claims: 47 pass, 0 fail, 16 order-too-small"
 
     def test_negative_kmax_exits_2(self, capsys):
         assert main(["suite", "--order-identity", "40", "--order-scan", "400",

@@ -50,6 +50,8 @@ from qcong import (
     verify_identity,
     zero_series,
 )
+from qcong.catalogue import CLAIM_ROWS
+from qcong.qexpr import parse, to_source
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
 
@@ -339,6 +341,26 @@ class TestCatalogue:
                                                    "expected": 38}
         assert by_id["eq-1-2"].status == "pass"
 
+    @pytest.mark.parametrize("field", ["b_exact", "omega_exact", "f3_exact"])
+    def test_mock_theta_mutation_is_detected(self, ctx, field):
+        # the rows read B, omega and f3 from the context, not rebuilt copies
+        s = getattr(ctx, field)
+        bad = dataclasses.replace(ctx, **{field: s + monomial(EXACT, s.order, 3)})
+        rows = {row[0] for row in CLAIM_ROWS}
+        failed = [r.claim_id for e in CATALOGUE if e.claim_id in rows
+                  for r in e.run(bad) if r.status == "fail"]
+        assert failed
+
+    def test_rows_round_trip_and_report_their_sources(self, ctx):
+        entries = {e.claim_id: e for e in CATALOGUE}
+        for claim_id, _, lhs_src, rhs_src, _, _ in CLAIM_ROWS:
+            lhs, rhs = parse(lhs_src), parse(rhs_src)
+            assert parse(to_source(lhs)) == lhs
+            assert parse(to_source(rhs)) == rhs
+            params = entries[claim_id].run(ctx)[0].params
+            assert (params["lhs"], params["rhs"]) == (to_source(lhs),
+                                                      to_source(rhs))
+
     def test_suite_json_schema(self, ctx):
         reports = run_catalogue(ctx)
         doc = suite_json(reports, **{k: SMALL[k] for k in
@@ -355,7 +377,7 @@ class TestCatalogue:
         ok = ClaimReport("a", "", "pass", {})
         short = ClaimReport("b", "", "order-too-small", {})
         bad = ClaimReport("c", "", "fail", {}, {"n": 0})
-        assert all_passed([ok, short])
+        assert not all_passed([ok, short])
         assert not all_passed([ok, bad])
 
     def test_paper_suite_smoke(self):

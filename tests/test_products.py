@@ -3,7 +3,6 @@ import pytest
 import qcong as qc
 from qcong import EXACT
 from qcong.products import (
-    ProductSpec,
     eta_quotient,
     euler_fm,
     pentagonal_series,
@@ -149,20 +148,3 @@ class TestPowerCongruence:
         lhs = qc.power(euler_fm(k, n), 2**m)
         rhs = qc.power(euler_fm(2 * k, n), 2 ** (m - 1))
         assert qc.congruent_to_order(lhs, rhs, 2**m, n)
-
-
-class TestProductSpec:
-    def test_build_matches_direct_products(self):
-        n = 60
-        spec = ProductSpec(factors=((-1, 2, 2, 1), (1, 1, 2, -2)))
-        direct = qc.mul(
-            pochhammer_inf(-1, 2, 2, n),
-            qc.power(pochhammer_inf(1, 1, 2, n), -2),
-        )
-        assert spec.build(n) == direct
-
-    def test_rejects_degenerate_factors(self):
-        with pytest.raises(ValueError):
-            ProductSpec(factors=((1, 0, 2, 1),))
-        with pytest.raises(ValueError):
-            ProductSpec(factors=((1, 1, 2, 0),))

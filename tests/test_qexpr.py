@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcong import MOD64, NonUnitError, count_ck, mul, omega_series
+from qcong import EXACT, MOD64, NonUnitError, count_ck, mul, omega_series
 from qcong import pochhammer_fin, pochhammer_inf, series_c
+from qcong.catalogue import CLAIM_ROWS
 from qcong.qexpr import (
     Add,
     BFun,
@@ -225,3 +226,16 @@ class TestEvaluate:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             evaluate(parse("q"), 0)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    def test_memo_matches_plain_evaluation(self, ring):
+        # order 12 fills the memo, 30 finds only shorter results there and
+        # rebuilds them, and 12 again reuses the longer ones truncated
+        for row in CLAIM_ROWS:
+            for src in row[2:4]:
+                e, memo = parse(src), {}
+                for order in (12, 30, 12):
+                    assert evaluate(e, order, ring, memo) == \
+                        evaluate(e, order, ring), (row[0], src, order)
