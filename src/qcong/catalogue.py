@@ -171,14 +171,22 @@ def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
         n = getattr(ctx, f"n_{order}")
         # a fresh memo per run, so a context built with dataclasses.replace
         # is always read, never a series cached from another context
-        memo = {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
-                Omega(1, 1): ctx.omega_exact, F3(1, 1): ctx.f3_exact}
+        seeded = {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
+                  Omega(1, 1): ctx.omega_exact, F3(1, 1): ctx.f3_exact}
+        memo = dict(seeded)
         lhs, rhs = (evaluate(e, n, EXACT, memo) for e in sides)
         if modulus is None:
             rep = verify_identity(lhs, rhs, n, claim_id, paper_eq)
         else:
             rep = verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq)
-        return [replace(rep, params=dict(rep.params, **sources))]
+        rep = replace(rep, params=dict(rep.params, **sources))
+        # evaluate rebuilds a seeded series that is too short for the row,
+        # and the row would then have checked the rebuilt series instead
+        rebuilt = [to_source(e) for e, s in seeded.items() if memo[e] is not s]
+        if rebuilt:
+            rep = ClaimReport(claim_id, paper_eq, "order-too-small",
+                              dict(rep.params, too_short=rebuilt))
+        return [rep]
     kind = "exact" if modulus is None else f"mod-{modulus}"
     return CatalogueEntry(claim_id, paper_eq, kind, run)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 from .catalogue import all_passed, build_suite_context, run_catalogue, suite_json
@@ -243,9 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the options of `verify` and `expand` that take a value
+_VALUE_OPTIONS = ("--order", "--mod", "--ring")
+
+
+def _sources_last(argv: list[str]) -> list[str]:
+    """Move the expression sources of `verify` and `expand` behind a `--`,
+    so that argparse reads a source such as "-D[2,0](C)" as a source, not
+    as an unknown option. Every token that is not a `--option`, its value,
+    or `-h` is a source; an argv that already has a `--` is left alone."""
+    if not argv or argv[0] not in ("verify", "expand") or "--" in argv:
+        return argv
+    options, sources = [], []
+    rest = iter(argv[1:])
+    for tok in rest:
+        if not (tok.startswith("--") or tok == "-h"):
+            sources.append(tok)
+            continue
+        options.append(tok)
+        # argparse accepts any unambiguous prefix of an option
+        if "=" not in tok and any(o.startswith(tok) for o in _VALUE_OPTIONS):
+            options.extend(islice(rest, 1))  # its value, even "-4"
+    return [argv[0], *options, "--", *sources]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_sources_last(sys.argv[1:] if argv is None
+                                           else argv))
     try:
         return args.func(args)
     except (ParseError, NonUnitError, OrderError, RingMismatchError,

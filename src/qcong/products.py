@@ -1,8 +1,12 @@
 """q-Pochhammer products, Euler functions f_m, and eta quotients.
 
-All builders materialize truncated products by chaining sparse binomial
+The product builders (`pochhammer_inf`, `pochhammer_fin`, `euler_fm`,
+`eta_quotient`) materialize truncated products by chaining sparse binomial
 multiplies/divides, so every factor costs O(N) and no dense inversion is
-needed. The pentagonal series is the independent cross-check for f_m.
+needed; `euler_fm` is the product definition of f_m and the reference for
+the pentagonal series. `pentagonal_series` writes f_m down directly from
+Euler's pentagonal number theorem in O(N) time, and is what `f[m]` in
+`qcong.qexpr` and the leading term of the `c` builder read.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 
 from .engine import series_c, series_ck
 from .mock_theta import b_eulerian, f3_series, omega_series
-from .products import euler_fm, pochhammer_fin, pochhammer_inf
+from .products import pentagonal_series, pochhammer_fin, pochhammer_inf
 from .series import (
     EXACT,
     CoefficientRing,
@@ -493,7 +493,7 @@ def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
     if isinstance(e, Q):
         return monomial(ring, order, 1)
     if isinstance(e, EtaF):
-        return euler_fm(e.m, order, ring)
+        return pentagonal_series(e.m, order, ring)
     if isinstance(e, PochInf):
         return pochhammer_inf(e.sign, e.s, e.m, order, ring)
     if isinstance(e, PochFin):

@@ -269,8 +269,68 @@ def mul(a: Series, b: Series) -> Series:
         return Series._wrap(ring, _x_conv(a._c, b._c, n))
     if n == 0:
         return zero_series(ring, 0)
-    out = np.convolve(a._c[:n], b._c[:n])[:n]
+    out = None
+    if n >= _FFT_MIN_ORDER:
+        out = _fft_mul(a._c[:n], None if b is a else b._c[:n], ring.width)
+    if out is None:
+        out = np.convolve(a._c[:n], b._c[:n])[:n]
     return Series._wrap(ring, _mask_arr(out, ring))
+
+
+# Dense mod-2^w products at or above this order go through the float FFT;
+# below it np.convolve is faster.
+_FFT_MIN_ORDER = 1500
+_LIMB_BITS = 11
+# largest tolerated distance of a limb-product sum from the nearest integer
+_FFT_TOLERANCE = 0.125
+
+
+def _fft_size(m: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= m: a length pocketfft transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | None:
+    """The first len(x) coefficients of x*y mod 2^width (x*x when y is None),
+    or None when float rounding leaves an exact result in doubt.
+
+    Each coefficient is split into 11-bit limbs, so x*y mod 2^width is the sum
+    over s of g_s << 11*s, where g_s sums the products of limb i of x with
+    limb s-i of y. Every g_s is an integer below 6 * len(x) * 2^22, far
+    inside a float's 53 bits, that the real FFT computes up to rounding;
+    groups with 11*s >= width vanish mod 2^width.
+    """
+    n, limbs = len(x), -(-width // _LIMB_BITS)
+    size = _fft_size(2 * n - 1)
+    fft = np.fft  # numpy loads np.fft on first use, so only this branch pays
+
+    def spectra(v: np.ndarray) -> list:
+        low = np.uint64((1 << _LIMB_BITS) - 1)
+        return [fft.rfft((v >> np.uint64(_LIMB_BITS * i)) & low, size)
+                for i in range(limbs)]
+
+    xs = spectra(x)
+    ys = xs if y is None else spectra(y)
+    out = np.zeros(n, dtype=np.uint64)
+    for s in reversed(range(limbs)):
+        g = fft.irfft(sum(xs[i] * ys[s - i] for i in range(s + 1)), size)[:n]
+        r = np.rint(g)
+        if np.abs(g - r).max() > _FFT_TOLERANCE:
+            return None
+        out += r.astype(np.uint64) << np.uint64(_LIMB_BITS * s)
+        xs[s] = ys[s] = None  # no lower group reads limb s
+    return out
 
 
 def _x_conv(a, b, n: int) -> list:

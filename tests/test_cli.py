@@ -41,6 +41,13 @@ class TestExpand:
         assert main(["expand", "1/q", "--order", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_source_starting_with_minus(self, capsys):
+        assert main(["expand", "-f[1]", "--order", "5"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0\t-1", "1\t1", "2\t1", "3\t0", "4\t0"]
+        assert main(["expand", "--order", "3", "--json", "--", "-q"]) == 0
+        assert json.loads(capsys.readouterr().out)["coeffs"] == ["0", "-1", "0"]
+
 
 class TestVerify:
     def test_equal_expressions_pass(self, capsys):
@@ -76,6 +83,22 @@ class TestVerify:
                      "--ring", ring]) == 2
         assert "error: modulus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ring", ["exact", "mod64"])
+    def test_source_starting_with_minus(self, capsys, ring):
+        # eq 2-24 as the paper writes it, with no "--" before the sources
+        assert main(["verify", "q*D[8,7](C)", "-D[2,0](C)", "--order", "40",
+                     "--mod", "4", "--ring", ring]) == 0
+        assert capsys.readouterr().out.strip() == "pass"
+        # options before, between and after the sources, "=" values and an
+        # abbreviated option all parse as before
+        assert main(["verify", "-f[1]", "-f[1] + q^9", "--ring=" + ring,
+                     "--ord", "9", "--mod=2"]) == 0
+        assert main(["verify", "--mod", "2", "-q", "--order", "5", "-q^2",
+                     "--ring", ring]) == 1
+        passed, failed = capsys.readouterr().out.splitlines()
+        assert passed == "pass"
+        assert json.loads(failed.split("witness:", 1)[1])["n"] == 1
+
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",
                      "--mod", "8", "--ring", "mod64"]) == 0
@@ -88,7 +111,7 @@ class TestVerify:
         argv = ["verify", "--order", "40"]
         if modulus is not None:
             argv += ["--mod", str(modulus)]
-        # "--" keeps a source that starts with "-" from reading as an option
+        # the "--" form, which still reads every later token as a source
         assert main(argv + ["--", lhs, rhs]) == (0 if want == "pass" else 1)
         assert capsys.readouterr().out.split()[0] == want
 

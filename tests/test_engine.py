@@ -351,6 +351,19 @@ class TestCatalogue:
                   for r in e.run(bad) if r.status == "fail"]
         assert failed
 
+    def test_short_seeded_series_is_reported_not_rebuilt(self, ctx):
+        # eq-a-1 reads D[8,7](C) to 320 coefficients; a context C of only 300
+        # must not be swapped for a rebuilt one, whatever its q^7 says
+        short = truncate(ctx.c_exact, 300) + monomial(EXACT, 300, 7)
+        bad = dataclasses.replace(ctx, c_exact=short)
+        entries = {e.claim_id: e for e in CATALOGUE}
+        [rep] = entries["eq-a-1"].run(bad)
+        assert rep.status == "order-too-small"
+        assert rep.params["too_short"] == ["C"]
+        assert not all_passed([rep])
+        # rows that read C no deeper than 300 still check it, and fail
+        assert entries["eq-2-2"].run(bad)[0].status == "fail"
+
     def test_rows_round_trip_and_report_their_sources(self, ctx):
         entries = {e.claim_id: e for e in CATALOGUE}
         for claim_id, _, lhs_src, rhs_src, _, _ in CLAIM_ROWS:

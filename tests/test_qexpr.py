@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcong import EXACT, MOD64, NonUnitError, count_ck, mul, omega_series
+from qcong import EXACT, MOD64, NonUnitError, count_ck, euler_fm, mul, omega_series
 from qcong import pochhammer_fin, pochhammer_inf, series_c
 from qcong.catalogue import CLAIM_ROWS
 from qcong.qexpr import (
@@ -226,6 +226,14 @@ class TestEvaluate:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             evaluate(parse("q"), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    def test_eta_matches_product_definition(self, m, ring):
+        # f[m] reads the pentagonal series; euler_fm is the product itself
+        deep = [3000] if ring == MOD64 else []
+        for n in [*range(1, 61), *deep]:
+            assert evaluate(parse(f"f[{m}]"), n, ring) == euler_fm(m, n, ring)
 
 
 class TestMemo:

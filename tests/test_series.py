@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qcong as qc
 from qcong import EXACT, Series
+from qcong.series import _FFT_MIN_ORDER, _fft_size
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -127,6 +128,63 @@ class TestArithmetic:
         a = Series(qc.MOD64, [big, 1])
         assert (a + a).coefficients() == [0, 2]
         assert qc.scalar_mul(-1, a)[0] == big  # -2^63 == 2^63 mod 2^64
+
+
+def random_u64(rng, n: int, ring) -> np.ndarray:
+    return rng.integers(0, 1 << 64, n, dtype=np.uint64) & np.uint64(ring.mask)
+
+
+def convolve_ref(x: np.ndarray, y: np.ndarray, ring) -> Series:
+    """The reference product mod 2^w: np.convolve wraps uint64 exactly."""
+    return Series(ring, np.convolve(x, y)[:len(x)])
+
+
+class TestFFTMul:
+    """mul mod 2^w at and above the FFT crossover against np.convolve."""
+
+    @pytest.mark.parametrize("n", [1, _FFT_MIN_ORDER - 1, _FFT_MIN_ORDER,
+                                   2000, 6000, 40000])
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_matches_convolve(self, n, ring):
+        rng = np.random.default_rng(n)
+        x, y = random_u64(rng, n, ring), random_u64(rng, n, ring)
+        a, b = Series(ring, x), Series(ring, y)
+        assert qc.mul(a, b) == convolve_ref(x, y, ring)
+        assert qc.mul(a, a) == convolve_ref(x, x, ring)  # the square route
+
+    def test_all_ones_operands(self):
+        # every limb at its maximum: the largest limb-product sums there are
+        x = np.full(40000, (1 << 64) - 1, dtype=np.uint64)
+        a, want = Series(qc.MOD64, x), convolve_ref(x, x, qc.MOD64)
+        assert qc.mul(a, Series(qc.MOD64, x)) == want
+        assert qc.mul(a, a) == want
+
+    @pytest.mark.parametrize("noise", [0.3, 0.6])
+    def test_rounding_guard_falls_back_to_convolve(self, monkeypatch, noise):
+        # noise 0.3 still rounds to the right integers and 0.6 does not;
+        # either way the guard must refuse the FFT result
+        n = 2000
+        rng = np.random.default_rng(7)
+        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
+        want = convolve_ref(x, y, qc.MOD64)
+        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args, **kw: irfft(*args, **kw) + noise)
+        monkeypatch.setattr(np, "convolve",
+                            lambda *args: calls.append(1) or convolve(*args))
+        assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
+        assert calls == [1]
+
+    def test_fft_size_is_5_smooth(self):
+        for m in (1, 2, 7, 2999, 3001, 11999, 79999):
+            size = _fft_size(m)
+            assert size >= m
+            rest = size
+            for p in (2, 3, 5):
+                while rest % p == 0:
+                    rest //= p
+            assert rest == 1
+        assert _fft_size(11999) == 12000 and _fft_size(3001) == 3072
 
 
 class TestInvert:
