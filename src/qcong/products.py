@@ -11,6 +11,8 @@ Euler's pentagonal number theorem in O(N) time, and is what `f[m]` in
 
 from __future__ import annotations
 
+import numpy as np
+
 from .series import (
     EXACT,
     CoefficientRing,
@@ -86,19 +88,19 @@ def _fm_apply(a: Series, m: int, reps: int, direction: str) -> Series:
 
 def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
     """f_m by Euler's pentagonal number theorem:
-    sum over all integers j of (-1)^j * q^(m*j*(3j-1)/2)."""
+    sum over all integers j of (-1)^j * q^(m*j*(3j-1)/2).
+
+    Only the O(sqrt(order)) nonzero terms are written, into zeroed storage of
+    the ring's own kind; the exponents are distinct, so each is set once."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = [0] * order
+    coeffs = [0] * order if ring.kind == "exact" else np.zeros(order, dtype=np.uint64)
+    plus, minus = ring.normalize(1), ring.normalize(-1)
     j = 0
-    while True:
-        hit = False
+    while m * j * (3 * j - 1) // 2 < order:
         for jj in (j, -j) if j else (0,):
             e = m * jj * (3 * jj - 1) // 2
             if e < order:
-                coeffs[e] += -1 if j % 2 else 1
-                hit = True
-        if not hit:
-            break
+                coeffs[e] = minus if j % 2 else plus
         j += 1
-    return Series(ring, coeffs)
+    return Series._wrap(ring, coeffs)

@@ -4,6 +4,13 @@ A Series holds the coefficients of q^0 .. q^(order-1) and is immutable.
 Exact coefficients are arbitrary-precision Python ints; modular coefficients
 live in Z/2^w (w <= 64) and are stored as a read-only uint64 numpy array so
 large-order congruence scans stay cheap.
+
+Mod 2^w, `mul` multiplies term by term through `mul_sparse` when one operand
+has few nonzero coefficients (f[m] and its low powers), and otherwise uses
+np.convolve at small orders and a limb-split float FFT at large ones.
+`invert` runs the coefficient recurrence for the first few terms and then
+Newton's iteration, which doubles the known terms with two products a step,
+so an inverse costs a few products. All of it is exact arithmetic mod 2^w.
 """
 
 from __future__ import annotations
@@ -262,24 +269,44 @@ def _mask_arr(arr: np.ndarray, ring: CoefficientRing) -> np.ndarray:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to min(a.order, b.order)."""
+    """Cauchy product truncated to min(a.order, b.order).
+
+    Mod 2^w, an operand with at most order / _SPARSE_RATIO nonzero
+    coefficients (f[m] or a low power of it) multiplies through `mul_sparse`
+    in O(order * terms); a dense product takes the limb-split FFT from
+    _FFT_MIN_ORDER up and np.convolve below it. All three are exact.
+    """
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
     if ring.kind == "exact":
         return Series._wrap(ring, _x_conv(a._c, b._c, n))
     if n == 0:
         return zero_series(ring, 0)
+    x, y = a._c[:n], b._c[:n]
+    if np.count_nonzero(x) > np.count_nonzero(y):
+        x, y = y, x
+    support = np.flatnonzero(x)
+    if len(support) * _SPARSE_RATIO <= n:
+        return mul_sparse(Series._wrap(ring, y),
+                          {int(e): int(x[e]) for e in support})
     out = None
     if n >= _FFT_MIN_ORDER:
-        out = _fft_mul(a._c[:n], None if b is a else b._c[:n], ring.width)
+        out = _fft_mul(x, None if b is a else y, ring.width)
     if out is None:
-        out = np.convolve(a._c[:n], b._c[:n])[:n]
+        out = np.convolve(x, y)[:n]
     return Series._wrap(ring, _mask_arr(out, ring))
 
 
 # Dense mod-2^w products at or above this order go through the float FFT;
 # below it np.convolve is faster.
 _FFT_MIN_ORDER = 1500
+# A mod-2^w operand with at most order / _SPARSE_RATIO nonzero coefficients
+# multiplies term by term; denser, the FFT or np.convolve is faster (the
+# break-even ratio measured 8-40 from order 200 to 40000).
+_SPARSE_RATIO = 16
+# invert mod 2^w runs the coefficient recurrence up to this order and
+# Newton's iteration above it.
+_NEWTON_MIN_ORDER = 64
 _LIMB_BITS = 11
 # largest tolerated distance of a limb-product sum from the nearest integer
 _FFT_TOLERANCE = 0.125
@@ -352,7 +379,12 @@ def _x_conv(a, b, n: int) -> list:
 
 
 def invert(a: Series) -> Series:
-    """Multiplicative inverse, valid to a.order; constant term must be a unit."""
+    """Multiplicative inverse, valid to a.order; constant term must be a unit.
+
+    Exact: the coefficient recurrence over the nonzero terms of a. Mod 2^w:
+    the recurrence up to _NEWTON_MIN_ORDER terms, then Newton's iteration
+    (Brent and Kung 1978), each step two `mul` calls that double the terms.
+    """
     if a.order == 0:
         return a
     ring = a.ring
@@ -377,16 +409,30 @@ def invert(a: Series) -> Series:
     a0 = int(a._c[0])
     if a0 & 1 == 0:
         raise NonUnitError(f"constant term {a0} is not a unit mod 2^{ring.width}")
-    inv0 = _u64(pow(a0, -1, 1 << 64))
+    # the coefficient recurrence b[k] = -(a[1]*b[k-1] + ... + a[k]*b[0]) / a[0]
+    # gives the first few terms; then each step of Newton's iteration doubles
+    # them: if b inverts a to k terms, a*b - 1 = q^k * e and b - q^k * b*e
+    # inverts a to 2k terms
+    sizes = [n]
+    while sizes[-1] > _NEWTON_MIN_ORDER:
+        sizes.append((sizes[-1] + 1) // 2)
     arr = a._c
-    b = np.zeros(n, dtype=np.uint64)
+    inv0 = _u64(pow(a0, -1, 1 << 64))
+    b = np.zeros(sizes.pop(), dtype=np.uint64)
     b[0] = inv0
     zero = np.uint64(0)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point here
-        for k in range(1, n):
+        for k in range(1, len(b)):
             s = np.dot(arr[1:k + 1], b[k - 1::-1])
             b[k] = inv0 * (zero - s)
-    return Series._wrap(ring, _mask_arr(b, ring))
+    b = _mask_arr(b, ring)
+    for m in reversed(sizes):
+        k = len(b)
+        padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=np.uint64)]))
+        e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
+        step = negate(mul(Series._wrap(ring, b[:m - k]), e))
+        b = np.concatenate([b, step._c])
+    return Series._wrap(ring, b)
 
 
 def power(a: Series, e: int) -> Series:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcong as qc
+import qcong.series
 from qcong import EXACT, Series
-from qcong.series import _FFT_MIN_ORDER, _fft_size
+from qcong.series import _FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_size
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -187,6 +188,63 @@ class TestFFTMul:
         assert _fft_size(11999) == 12000 and _fft_size(3001) == 3072
 
 
+def sparse_u64(rng, n: int, terms: int, ring) -> np.ndarray:
+    """n coefficients of which exactly `terms` are nonzero, at random places."""
+    x = np.zeros(n, dtype=np.uint64)
+    x[rng.choice(n, terms, replace=False)] = rng.integers(1, 1 << ring.width, terms,
+                                                           dtype=np.uint64)
+    return x
+
+
+class TestSparseMul:
+    """mul mod 2^w with an operand that has few nonzero coefficients, which
+    goes term by term through mul_sparse, against np.convolve."""
+
+    @pytest.fixture
+    def sparse_calls(self, monkeypatch):
+        calls, mul_sparse = [], qcong.series.mul_sparse
+        monkeypatch.setattr(qcong.series, "mul_sparse",
+                            lambda *args: calls.append(1) or mul_sparse(*args))
+        return calls
+
+    @pytest.mark.parametrize("n", [1000, 6000])
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    @pytest.mark.parametrize("extra, routed", [(-1, True), (0, True), (1, False)])
+    def test_threshold(self, n, ring, extra, routed, sparse_calls):
+        rng = np.random.default_rng(n + extra)
+        x = sparse_u64(rng, n, n // _SPARSE_RATIO + extra, ring)
+        y = random_u64(rng, n, ring)
+        want = Series(ring, np.convolve(x, y)[:n])
+        assert qc.mul(Series(ring, x), Series(ring, y)) == want
+        assert qc.mul(Series(ring, y), Series(ring, x)) == want
+        assert len(sparse_calls) == (2 if routed else 0)
+
+    @pytest.mark.parametrize("n", [700, 6000])
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_sparse_times_sparse_and_unequal_orders(self, n, ring, sparse_calls):
+        rng = np.random.default_rng(n)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
+        y = sparse_u64(rng, n + 57, (n - 300) // _SPARSE_RATIO, ring)  # sparse at n - 300
+        z = random_u64(rng, n - 300, ring)
+        got = qc.mul(Series(ring, x), Series(ring, y))
+        assert got == Series(ring, np.convolve(x, y)[:n])
+        got = qc.mul(Series(ring, z), Series(ring, x))
+        assert got.order == n - 300
+        assert got == Series(ring, np.convolve(x, z)[:n - 300])
+        got = qc.mul(Series(ring, y), Series(ring, z))
+        assert got == Series(ring, np.convolve(y, z)[:n - 300])
+        assert len(sparse_calls) == 3
+
+    @pytest.mark.parametrize("n", [1000, 6000, 40000])
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_square_of_pentagonal_series(self, n, ring, sparse_calls):
+        for m in (1, 3):
+            f = qc.pentagonal_series(m, n, ring)
+            x = np.array(f.coefficients(), dtype=np.uint64)
+            assert qc.mul(f, f) == Series(ring, np.convolve(x, x)[:n])
+        assert len(sparse_calls) == 2
+
+
 class TestInvert:
     def test_geometric_series(self):
         one_minus_q = exact_series([1, -1] + [0] * 10)
@@ -223,6 +281,66 @@ class TestInvert:
         a = exact_series([2, 3, 5, 7])
         b = exact_series([1, 1, 0, 0])
         assert qc.mul(a / b, b) == a
+
+
+def recurrence_inverse(x: np.ndarray, ring) -> Series:
+    """Reference 1/x mod 2^w, one coefficient at a time:
+    b[k] = -(x[1]*b[k-1] + ... + x[k]*b[0]) / x[0]."""
+    b = np.zeros(len(x), dtype=np.uint64)
+    if len(x):
+        inv0 = np.uint64(pow(int(x[0]), -1, 1 << 64))
+        b[0] = inv0
+        with np.errstate(over="ignore"):  # uint64 wraps mod 2^64
+            for k in range(1, len(x)):
+                b[k] = inv0 * (np.uint64(0) - np.dot(x[1:k + 1], b[k - 1::-1]))
+    return Series(ring, b)
+
+
+class TestNewtonInvert:
+    """invert mod 2^w (Newton's iteration above _NEWTON_MIN_ORDER) against
+    the plain coefficient recurrence."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
+                                   _NEWTON_MIN_ORDER + 1, 1499, 1500, 6000])
+    @pytest.mark.parametrize("w", [1, 5, 33, 64])
+    def test_matches_recurrence(self, n, w):
+        ring = qc.mod2pow(w)
+        x = random_u64(np.random.default_rng(n * w), n, ring)
+        for c0 in (1, 3, ring.mask):
+            x[:1] = c0 & ring.mask
+            a = Series(ring, x)
+            got = qc.invert(a)
+            assert got == recurrence_inverse(x, ring)
+            assert qc.mul(a, got) == qc.one_series(ring, n)
+
+    @pytest.mark.parametrize("w", [5, 64])
+    def test_matches_recurrence_at_40000(self, w):
+        ring, n = qc.mod2pow(w), 40000
+        x = random_u64(np.random.default_rng(w), n, ring)
+        x[0] = ring.mask
+        a = Series(ring, x)
+        got = qc.invert(a)
+        assert got == recurrence_inverse(x, ring)
+        assert qc.mul(a, got) == qc.one_series(ring, n)
+
+    @pytest.mark.parametrize("n", [1500, 6000])
+    def test_sparse_operand(self, n):
+        # f[m] takes the sparse mul route inside every Newton step
+        for m in (1, 2):
+            f = qc.pentagonal_series(m, n, qc.MOD64)
+            got = qc.invert(f)
+            assert got == recurrence_inverse(np.array(f.coefficients(), dtype=np.uint64),
+                                             qc.MOD64)
+            assert qc.mul(f, got) == qc.one_series(qc.MOD64, n)
+
+    @pytest.mark.parametrize("n", [1, _NEWTON_MIN_ORDER + 1, 6000])
+    @pytest.mark.parametrize("w", [1, 5, 64])
+    def test_even_constant_term_rejected(self, n, w):
+        ring = qc.mod2pow(w)
+        x = random_u64(np.random.default_rng(n), n, ring)
+        x[0] = 2 & ring.mask
+        with pytest.raises(qc.NonUnitError):
+            qc.invert(Series(ring, x))
 
 
 class TestPower:
