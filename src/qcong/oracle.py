@@ -7,11 +7,17 @@ A counted partition of n (for parameter k) uses blue/red parts and satisfies:
 
 Everything here is pure combinatorial backtracking; no series arithmetic is
 imported, so these counts can referee the generating-function builders.
+
+`enumerate_ck` lists the partitions one by one and is the reference the tests
+compare against. The counts come from one cached walk per n (`_tally`) over
+the same search, which counts leaves rather than listing them and files each
+count under the largest k that allows it, so one walk answers every k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Literal, Union
 
 BLUE = "blue"
@@ -85,8 +91,46 @@ def _extend(v: int, remaining: int, s: int, gap: int,
             yield from _extend(v - 1, left - mr * v, s, gap, here)
 
 
+@lru_cache(maxsize=None)
+def _tally(n: int) -> tuple[int, ...]:
+    """Counted partitions of n under the k = 1 rules, filed by the largest k
+    that still counts them: entry 0 holds those with no even blue part, and
+    entry j >= 1 those whose smallest even blue part g has (g - s + 1) // 2
+    == j. Raising k only strikes partitions, so one walk serves every k."""
+    buckets = [0] * (n // 2 + 1)
+
+    def walk(v: int, remaining: int, s: int, g: int) -> None:
+        # the search of _extend at k = 1; g is the smallest even blue value
+        # chosen so far (0 for none), and leaves are counted, not built
+        if remaining == 0 or v <= s:
+            # only copies of s remain, split freely between blue and red
+            if remaining % s == 0:
+                buckets[(g - s + 1) // 2 if g else 0] += remaining // s + 1
+            return
+        if v % 2:
+            for mb in range(remaining // v + 1):
+                left = remaining - mb * v
+                for mr in range(left // v + 1):
+                    walk(v - 1, left - mr * v, s, g)
+            return
+        for mb in range(2) if v <= remaining else range(1):
+            left = remaining - mb * v
+            for mr in range(min(1, left // v) + 1):
+                walk(v - 1, left - mr * v, s, v if mb else g)
+
+    for s in range(1, n + 1, 2):
+        walk(max(n - s, s), n - s, s, 0)
+    return tuple(buckets)
+
+
 def count_ck(k: int, n: int) -> int:
-    return sum(1 for _ in enumerate_ck(k, n))
+    """The number of partitions `enumerate_ck(k, n)` yields."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    buckets = _tally(n)
+    return buckets[0] + sum(buckets[k:])
 
 
 def count_c_limit(n: int) -> int:
@@ -98,6 +142,8 @@ def count_c_limit(n: int) -> int:
 
 
 def oracle_table(k: Union[int, Literal["limit"]], n_max: int) -> list[OracleCount]:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     counts = []
     for n in range(n_max + 1):
         c = count_c_limit(n) if k == "limit" else count_ck(k, n)

@@ -563,8 +563,15 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
         return Series._wrap(ring, out)
     out = a._c * _u64(c0)
     if direction == "multiply":
+        minus_one = ring.normalize(-1)
         for e, c in rest:
-            out[e:] += a._c[:n - e] * _u64(c)
+            # every term of f[m] is +-1, which needs no multiply pass
+            if c == 1:
+                out[e:] += a._c[:n - e]
+            elif c == minus_one:
+                out[e:] -= a._c[:n - e]
+            else:
+                out[e:] += a._c[:n - e] * _u64(c)
         return Series._wrap(ring, _mask_arr(out, ring))
     with np.errstate(over="ignore"):  # uint64 wraparound is the point here
         exps = [e for e, _ in rest]

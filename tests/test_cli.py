@@ -185,6 +185,12 @@ class TestOracle:
             main(["oracle", "--k", "0", "--nmax", "5"])
         assert err.value.code == 2
 
+    def test_negative_nmax_exits_2(self, capsys):
+        assert main(["oracle", "--k", "2", "--nmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestScan:
     def test_finds_published_progressions(self, capsys):

@@ -50,7 +50,7 @@ from qcong import (
     verify_identity,
     zero_series,
 )
-from qcong.catalogue import CLAIM_ROWS
+from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT
 from qcong.qexpr import parse, to_source
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
@@ -340,6 +340,16 @@ class TestCatalogue:
         assert by_id["oracle-c-limit"].witness == {"n": 7, "value": 39,
                                                    "expected": 38}
         assert by_id["eq-1-2"].status == "pass"
+
+    def test_exact_mutation_at_oracle_window_edge(self, ctx):
+        # q^ORACLE_LIMIT is the last coefficient the oracle entries compare
+        bad = ctx.c_exact + monomial(EXACT, ctx.c_exact.order, ORACLE_LIMIT)
+        [rep] = {e.claim_id: e for e in CATALOGUE}["oracle-c-limit"].run(
+            dataclasses.replace(ctx, c_exact=bad))
+        assert rep.status == "fail"
+        want = count_c_limit(ORACLE_LIMIT)
+        assert rep.witness == {"n": ORACLE_LIMIT, "value": want + 1,
+                               "expected": want}
 
     @pytest.mark.parametrize("field", ["b_exact", "omega_exact", "f3_exact"])
     def test_mock_theta_mutation_is_detected(self, ctx, field):

@@ -5,6 +5,7 @@ from qcong.oracle import (
     RED,
     ColoredPartition,
     OracleCount,
+    _tally,
     count_c_limit,
     count_ck,
     enumerate_ck,
@@ -88,6 +89,23 @@ class TestSmallCounts:
             count_c_limit(-2)
 
 
+class TestCountsMatchEnumeration:
+    """count_ck and count_c_limit read one cached walk per n for every k;
+    asking in either order must give each k its own enumeration count."""
+
+    @pytest.mark.parametrize("order", [["limit", 1, 2, 3, 4],
+                                       [4, 3, 2, 1, "limit"]])
+    def test_cached_counts_match_enumeration(self, order):
+        _tally.cache_clear()
+        for k in order:
+            for n in range(21):
+                if k == "limit":
+                    want = sum(1 for _ in enumerate_ck(max(n, 1), n))
+                    assert count_c_limit(n) == want
+                else:
+                    assert count_ck(k, n) == sum(1 for _ in enumerate_ck(k, n))
+
+
 class TestEnumeratedObjects:
     @pytest.mark.parametrize("k,n", [(1, 12), (2, 14), (3, 11)])
     def test_every_partition_is_valid(self, k, n):
@@ -136,3 +154,6 @@ def test_oracle_table():
     assert [r.count for r in rows] == [count_ck(2, n) for n in range(7)]
     limit_rows = oracle_table("limit", 5)
     assert [r.count for r in limit_rows] == [count_c_limit(n) for n in range(6)]
+    assert oracle_table(2, 0) == [OracleCount(k=2, n=0, count=0)]
+    with pytest.raises(ValueError):
+        oracle_table(2, -1)

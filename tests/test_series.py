@@ -235,6 +235,22 @@ class TestSparseMul:
         assert got == Series(ring, np.convolve(y, z)[:n - 300])
         assert len(sparse_calls) == 3
 
+    @pytest.mark.parametrize("n", [700, 6000])
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    @pytest.mark.parametrize("values", [(1, -1), (2, -2), (1, -1, 2, -2)])
+    def test_small_coefficients(self, n, ring, values, sparse_calls):
+        # +-1 terms take plain adds and subtracts, the rest a multiply pass
+        rng = np.random.default_rng(n)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
+        x[x != 0] = [ring.normalize(c) for c in rng.choice(values, np.count_nonzero(x))]
+        x[0] = ring.normalize(values[-1])
+        y = random_u64(rng, n, ring)
+        want = Series(ring, np.convolve(x, y)[:n])
+        terms = {e: int(c) for e, c in enumerate(x) if c}
+        assert qc.mul_sparse(Series(ring, y), terms) == want
+        assert qc.mul(Series(ring, x), Series(ring, y)) == want
+        assert len(sparse_calls) == 1
+
     @pytest.mark.parametrize("n", [1000, 6000, 40000])
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_square_of_pentagonal_series(self, n, ring, sparse_calls):
