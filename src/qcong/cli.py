@@ -51,6 +51,20 @@ def _pair(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, so a bad value names its flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -208,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--progression", type=_pair, required=True,
                          metavar="A,B")
     p_check.add_argument("--mod", type=int, required=True)
-    p_check.add_argument("--nmax", type=int, required=True)
+    p_check.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_check.set_defaults(func=_cmd_check)
 
     p_rel = sub.add_parser("relation", help="check a two-progression relation")
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--rhs", type=_pair, required=True, metavar="A2,B2")
     p_rel.add_argument("--sign", choices=("+", "-"), required=True)
     p_rel.add_argument("--mod", type=int, required=True)
-    p_rel.add_argument("--nmax", type=int, required=True)
+    p_rel.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_rel.set_defaults(func=_cmd_relation)
 
     p_suite = sub.add_parser("suite", help="run the full claim catalogue")
@@ -235,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_scan = sub.add_parser("scan", help="search for vanishing progressions")
-    p_scan.add_argument("--amax", type=int, required=True)
+    p_scan.add_argument("--amax", type=_int_at_least(1), required=True)
     p_scan.add_argument("--mods", type=_int_list, required=True,
                         metavar="M1,M2,...")
-    p_scan.add_argument("--nmax", type=int, required=True)
+    p_scan.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_scan.set_defaults(func=_cmd_scan)
 
     return parser
@@ -277,6 +291,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, NonUnitError, OrderError, RingMismatchError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parse and evaluate recurse once per nesting level or chained term
+        print("error: expression is nested or chained too deeply to evaluate",
+              file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,8 @@ from .series import (
     first_incongruence,
     mul_sparse,
     mul_sparse_binomial,
+    negate,
+    scalar_mul,
     sum_shifted,
     truncate,
     zero_series,
@@ -134,6 +136,16 @@ class FamilyClaim:
 # ---------------------------------------------------------------- checks
 
 
+def _samples(s: Series, a: int, b: int, count: int, at: int) -> Series:
+    """s[a*n + b] at q^(at + n) for 0 <= n < count, zero below q^at; at must
+    be >= b // a. dissect reads the residue b % a from q^0 on, so the b // a
+    coefficients it puts before the first sample are cancelled."""
+    skip, r = divmod(b, a)
+    piece = truncate(dissect(s, a, r), skip + count)
+    head = negate(truncate(piece, skip))
+    return sum_shifted([(at - skip, piece), (at - skip, head)], s.ring, at + count)
+
+
 def check_progression(s: Series, a: int, b: int, modulus: int,
                       n_max: Optional[int] = None, claim_id: str = "progression",
                       paper_eq: str = "") -> ClaimReport:
@@ -149,13 +161,16 @@ def check_progression(s: Series, a: int, b: int, modulus: int,
               "order": s.order, "ring": str(s.ring)}
     if n_max < 0 or n_max > in_range:
         return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    for n in range(n_max + 1):
-        value = s[a * n + b]
-        if value % modulus:
-            witness = {"n": n, "argument": a * n + b, "value": value,
-                       "residue": value % modulus}
-            return ClaimReport(claim_id, paper_eq, "fail", params, witness)
-    return ClaimReport(claim_id, paper_eq, "pass", params)
+    at, count = b // a, n_max + 1
+    idx = first_incongruence(_samples(s, a, b, count, at),
+                             zero_series(s.ring, at + count), modulus, at + count)
+    if idx is None:
+        return ClaimReport(claim_id, paper_eq, "pass", params)
+    n = idx - at
+    value = s[a * n + b]
+    witness = {"n": n, "argument": a * n + b, "value": value,
+               "residue": value % modulus}
+    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
 
 
 def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
@@ -176,13 +191,17 @@ def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
               "ring": str(s.ring)}
     if n_max < 0 or n_max > in_range:
         return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    for n in range(n_max + 1):
-        lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
-        if (lhs - sign * rhs) % modulus:
-            witness = {"n": n, "argument": a1 * n + b1, "value": lhs,
-                       "other": rhs, "residue": (lhs - sign * rhs) % modulus}
-            return ClaimReport(claim_id, paper_eq, "fail", params, witness)
-    return ClaimReport(claim_id, paper_eq, "pass", params)
+    at, count = max(b1 // a1, b2 // a2), n_max + 1
+    rhs_samples = scalar_mul(sign, _samples(s, a2, b2, count, at))
+    idx = first_incongruence(_samples(s, a1, b1, count, at), rhs_samples,
+                             modulus, at + count)
+    if idx is None:
+        return ClaimReport(claim_id, paper_eq, "pass", params)
+    n = idx - at
+    lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
+    witness = {"n": n, "argument": a1 * n + b1, "value": lhs,
+               "other": rhs, "residue": (lhs - sign * rhs) % modulus}
+    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
 
 
 def check_family(s: Series, fam: FamilyClaim) -> list[ClaimReport]:

@@ -91,10 +91,10 @@ def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Seri
     sum over all integers j of (-1)^j * q^(m*j*(3j-1)/2).
 
     Only the O(sqrt(order)) nonzero terms are written, into zeroed storage of
-    the ring's own kind; the exponents are distinct, so each is set once."""
+    the ring's dtype; the exponents are distinct, so each is set once."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    coeffs = [0] * order if ring.kind == "exact" else np.zeros(order, dtype=np.uint64)
+    coeffs = np.zeros(order, dtype=ring.dtype)
     plus, minus = ring.normalize(1), ring.normalize(-1)
     j = 0
     while m * j * (3 * j - 1) // 2 < order:

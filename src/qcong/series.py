@@ -1,16 +1,21 @@
 """Truncated formal power series in q over exact integers or integers mod 2^w.
 
-A Series holds the coefficients of q^0 .. q^(order-1) and is immutable.
-Exact coefficients are arbitrary-precision Python ints; modular coefficients
-live in Z/2^w (w <= 64) and are stored as a read-only uint64 numpy array so
-large-order congruence scans stay cheap.
+A Series holds the coefficients of q^0 .. q^(order-1) and is immutable. Both
+rings store them in one read-only numpy array of the ring's `dtype`: Python
+ints in an object array for the exact ring, uint64 for Z/2^w (w <= 64), whose
+arithmetic wraps mod 2^64 and is masked down to 2^w. So every operation has
+one body for both rings, and the ring decides only where the arithmetic
+really differs: the masking, the choice of product route, Newton's
+iteration, reduction by a modulus, and changing rings.
 
-Mod 2^w, `mul` multiplies term by term through `mul_sparse` when one operand
-has few nonzero coefficients (f[m] and its low powers), and otherwise uses
-np.convolve at small orders and a limb-split float FFT at large ones.
-`invert` runs the coefficient recurrence for the first few terms and then
+The exact `mul` multiplies term by term through `mul_sparse` over the nonzero
+coefficients of the sparser operand. Mod 2^w, `mul` does so only when that
+operand has few nonzero coefficients (f[m] and its low powers), and otherwise
+uses np.convolve at small orders and a limb-split float FFT at large ones.
+`invert` runs the coefficient recurrence (`mul_sparse` dividing one by the
+series); mod 2^w it does so only for the first few terms and then runs
 Newton's iteration, which doubles the known terms with two products a step,
-so an inverse costs a few products. All of it is exact arithmetic mod 2^w.
+so an inverse costs a few products. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_U64_MASK = (1 << 64) - 1
-
 
 class RingMismatchError(ValueError):
     """Operands belong to different coefficient rings."""
@@ -65,11 +67,21 @@ class CoefficientRing:
         return x & 1 == 1
 
     def unit_inverse(self, x: int) -> int:
-        if not self.is_unit(self.normalize(x) if self.kind == "exact" else x):
-            raise NonUnitError(f"{x} is not a unit in {self}")
-        if self.kind == "exact":
-            return x
-        return pow(x & self.mask, -1, 1 << self.width)  # type: ignore[operator]
+        x = self.normalize(x)
+        if not self.is_unit(x):
+            where = "in the exact ring" if self.kind == "exact" else f"mod 2^{self.width}"
+            raise NonUnitError(f"constant term {x} is not a unit {where}")
+        return x if self.kind == "exact" else pow(x, -1, 1 << self.width)  # type: ignore[operator]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The storage of a coefficient: a Python int or a uint64."""
+        return np.dtype(object) if self.kind == "exact" else np.dtype(np.uint64)
+
+    def scalar(self, c: int):
+        """c as an element of the storage."""
+        x = self.normalize(c)
+        return x if self.kind == "exact" else np.uint64(x)
 
     def __str__(self) -> str:
         return "exact" if self.kind == "exact" else f"mod2pow:{self.width}"
@@ -85,10 +97,6 @@ def mod2pow(width: int) -> CoefficientRing:
 MOD64 = mod2pow(64)
 
 
-def _u64(x: int) -> np.uint64:
-    return np.uint64(x & _U64_MASK)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -101,26 +109,19 @@ class Series:
 
     def __init__(self, ring: CoefficientRing, coeffs) -> None:
         self.ring = ring
-        if ring.kind == "exact":
-            self._c = tuple(int(x) for x in coeffs)
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.uint64:
+            arr = _mask_arr(coeffs.astype(ring.dtype), ring)
         else:
-            mask = ring.mask
-            if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.uint64:
-                arr = coeffs & _u64(mask) if mask != _U64_MASK else coeffs.copy()
-            else:
-                arr = np.array([int(x) & mask for x in coeffs], dtype=np.uint64)
-            self._c = _freeze(arr)
-        self.order = len(self._c)
+            arr = np.array([ring.normalize(x) for x in coeffs], dtype=ring.dtype)
+        self._c = _freeze(arr)
+        self.order = len(arr)
 
     @classmethod
     def _wrap(cls, ring: CoefficientRing, storage) -> "Series":
-        # storage must already be canonical (masked for mod rings)
+        # storage must already be canonical: Python ints, or uint64 masked to 2^w
         s = object.__new__(cls)
         object.__setattr__(s, "ring", ring)
-        if ring.kind == "exact":
-            object.__setattr__(s, "_c", tuple(storage))
-        else:
-            object.__setattr__(s, "_c", _freeze(np.ascontiguousarray(storage, dtype=np.uint64)))
+        object.__setattr__(s, "_c", _freeze(np.ascontiguousarray(storage, dtype=ring.dtype)))
         object.__setattr__(s, "order", len(s._c))
         return s
 
@@ -145,8 +146,6 @@ class Series:
         return Series._wrap(self.ring, self._c[:n])
 
     def is_zero(self) -> bool:
-        if self.ring.kind == "exact":
-            return all(x == 0 for x in self._c)
         return not self._c.any()
 
     def __eq__(self, other) -> bool:
@@ -154,8 +153,6 @@ class Series:
             return NotImplemented
         if self.ring != other.ring or self.order != other.order:
             return False
-        if self.ring.kind == "exact":
-            return self._c == other._c
         return bool(np.array_equal(self._c, other._c))
 
     def __hash__(self):
@@ -196,9 +193,7 @@ class Series:
 
 
 def zero_series(ring: CoefficientRing, order: int) -> Series:
-    if ring.kind == "exact":
-        return Series._wrap(ring, [0] * order)
-    return Series._wrap(ring, np.zeros(order, dtype=np.uint64))
+    return Series._wrap(ring, np.zeros(order, dtype=ring.dtype))
 
 
 def one_series(ring: CoefficientRing, order: int) -> Series:
@@ -213,14 +208,9 @@ def monomial(ring: CoefficientRing, order: int, exponent: int, c: int = 1) -> Se
     """c * q^exponent, truncated to the given order."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    if ring.kind == "exact":
-        coeffs = [0] * order
-        if exponent < order:
-            coeffs[exponent] = c
-        return Series._wrap(ring, coeffs)
-    arr = np.zeros(order, dtype=np.uint64)
+    arr = np.zeros(order, dtype=ring.dtype)
     if exponent < order:
-        arr[exponent] = _u64(ring.normalize(c))
+        arr[exponent] = ring.scalar(c)
     return Series._wrap(ring, arr)
 
 
@@ -233,62 +223,50 @@ def _check_rings(a: Series, b: Series) -> CoefficientRing:
 def add(a: Series, b: Series) -> Series:
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    if ring.kind == "exact":
-        return Series._wrap(ring, [a._c[i] + b._c[i] for i in range(n)])
-    out = a._c[:n] + b._c[:n]
-    return Series._wrap(ring, _mask_arr(out, ring))
+    return Series._wrap(ring, _mask_arr(a._c[:n] + b._c[:n], ring))
 
 
 def sub(a: Series, b: Series) -> Series:
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    if ring.kind == "exact":
-        return Series._wrap(ring, [a._c[i] - b._c[i] for i in range(n)])
-    out = a._c[:n] - b._c[:n]
-    return Series._wrap(ring, _mask_arr(out, ring))
+    return Series._wrap(ring, _mask_arr(a._c[:n] - b._c[:n], ring))
 
 
 def negate(a: Series) -> Series:
-    if a.ring.kind == "exact":
-        return Series._wrap(a.ring, [-x for x in a._c])
-    out = np.zeros_like(a._c) - a._c
-    return Series._wrap(a.ring, _mask_arr(out, a.ring))
+    return Series._wrap(a.ring, _mask_arr(-a._c, a.ring))
 
 
 def scalar_mul(c: int, a: Series) -> Series:
-    if a.ring.kind == "exact":
-        return Series._wrap(a.ring, [c * x for x in a._c])
-    out = a._c * _u64(a.ring.normalize(c))
-    return Series._wrap(a.ring, _mask_arr(out, a.ring))
+    return Series._wrap(a.ring, _mask_arr(a._c * a.ring.scalar(c), a.ring))
 
 
 def _mask_arr(arr: np.ndarray, ring: CoefficientRing) -> np.ndarray:
-    if ring.mask != _U64_MASK:
-        arr = arr & _u64(ring.mask)
+    """arr reduced into the ring: uint64 arithmetic wraps mod 2^64, and a
+    narrower mod-2^w ring masks the rest; exact ints need nothing."""
+    if ring.kind == "mod2pow" and ring.width < 64:
+        arr = arr & ring.mask
     return arr
+
+
+def _terms(arr: np.ndarray) -> dict[int, int]:
+    """The nonzero coefficients of arr as {exponent: coefficient}."""
+    return {int(e): int(arr[e]) for e in np.flatnonzero(arr)}
 
 
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to min(a.order, b.order).
 
-    Mod 2^w, an operand with at most order / _SPARSE_RATIO nonzero
-    coefficients (f[m] or a low power of it) multiplies through `mul_sparse`
-    in O(order * terms); a dense product takes the limb-split FFT from
-    _FFT_MIN_ORDER up and np.convolve below it. All three are exact.
+    The operand with fewer nonzero coefficients multiplies through
+    `mul_sparse` in O(order * terms): always in the exact ring, and mod 2^w
+    when it has at most order / _SPARSE_RATIO of them (f[m] or a low power of
+    it). A dense product mod 2^w takes the limb-split FFT from _FFT_MIN_ORDER
+    up and np.convolve below it. All of them are exact.
     """
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    if ring.kind == "exact":
-        return Series._wrap(ring, _x_conv(a._c, b._c, n))
-    if n == 0:
-        return zero_series(ring, 0)
-    x, y = a._c[:n], b._c[:n]
-    if np.count_nonzero(x) > np.count_nonzero(y):
-        x, y = y, x
-    support = np.flatnonzero(x)
-    if len(support) * _SPARSE_RATIO <= n:
-        return mul_sparse(Series._wrap(ring, y),
-                          {int(e): int(x[e]) for e in support})
+    x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
+    if ring.kind == "exact" or np.count_nonzero(x) * _SPARSE_RATIO <= n:
+        return mul_sparse(Series._wrap(ring, y), _terms(x))
     out = None
     if n >= _FFT_MIN_ORDER:
         out = _fft_mul(x, None if b is a else y, ring.width)
@@ -360,75 +338,30 @@ def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | No
     return out
 
 
-def _x_conv(a, b, n: int) -> list:
-    # skips zero coefficients of the outer operand, so multiplying by a
-    # monomial or a sparse theta-type series costs far less than N^2
-    if sum(1 for x in a[:n] if x) > sum(1 for x in b[:n] if x):
-        a, b = b, a
-    out = [0] * n
-    for i in range(min(len(a), n)):
-        ai = a[i]
-        if not ai:
-            continue
-        lim = n - i
-        for j in range(min(len(b), lim)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def invert(a: Series) -> Series:
     """Multiplicative inverse, valid to a.order; constant term must be a unit.
 
-    Exact: the coefficient recurrence over the nonzero terms of a. Mod 2^w:
-    the recurrence up to _NEWTON_MIN_ORDER terms, then Newton's iteration
-    (Brent and Kung 1978), each step two `mul` calls that double the terms.
+    The coefficient recurrence over the nonzero terms of a (`mul_sparse`
+    dividing one by a) gives every term in the exact ring. Mod 2^w it gives
+    the first _NEWTON_MIN_ORDER terms, then Newton's iteration (Brent and
+    Kung 1978) takes over, each step two `mul` calls that double the terms.
     """
     if a.order == 0:
         return a
     ring = a.ring
-    n = a.order
-    if ring.kind == "exact":
-        a0 = a._c[0]
-        if a0 not in (1, -1):
-            raise NonUnitError(f"constant term {a0} is not a unit in the exact ring")
-        support = [i for i in range(1, n) if a._c[i]]
-        b = [0] * n
-        b[0] = a0
-        for k in range(1, n):
-            s = 0
-            for i in support:
-                if i > k:
-                    break
-                bki = b[k - i]
-                if bki:
-                    s += a._c[i] * bki
-            b[k] = -a0 * s
-        return Series._wrap(ring, b)
-    a0 = int(a._c[0])
-    if a0 & 1 == 0:
-        raise NonUnitError(f"constant term {a0} is not a unit mod 2^{ring.width}")
-    # the coefficient recurrence b[k] = -(a[1]*b[k-1] + ... + a[k]*b[0]) / a[0]
-    # gives the first few terms; then each step of Newton's iteration doubles
-    # them: if b inverts a to k terms, a*b - 1 = q^k * e and b - q^k * b*e
-    # inverts a to 2k terms
-    sizes = [n]
-    while sizes[-1] > _NEWTON_MIN_ORDER:
-        sizes.append((sizes[-1] + 1) // 2)
-    arr = a._c
-    inv0 = _u64(pow(a0, -1, 1 << 64))
-    b = np.zeros(sizes.pop(), dtype=np.uint64)
-    b[0] = inv0
-    zero = np.uint64(0)
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point here
-        for k in range(1, len(b)):
-            s = np.dot(arr[1:k + 1], b[k - 1::-1])
-            b[k] = inv0 * (zero - s)
-    b = _mask_arr(b, ring)
+    sizes = [a.order]
+    if ring.kind == "mod2pow":  # Newton's steps pay only with a fast mul
+        while sizes[-1] > _NEWTON_MIN_ORDER:
+            sizes.append((sizes[-1] + 1) // 2)
+    # the recurrence b[k] = -(a[1]*b[k-1] + ... + a[k]*b[0]) / a[0] gives the
+    # first terms; then each step of Newton's iteration doubles them: if b
+    # inverts a to k terms, a*b - 1 = q^k * e and b - q^k * b*e inverts a to
+    # 2k terms
+    head = a._c[:sizes.pop()]
+    b = mul_sparse(one_series(ring, len(head)), _terms(head), "divide")._c
     for m in reversed(sizes):
         k = len(b)
-        padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=np.uint64)]))
+        padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)]))
         e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
         step = negate(mul(Series._wrap(ring, b[:m - k]), e))
         b = np.concatenate([b, step._c])
@@ -459,78 +392,43 @@ def shift(a: Series, j: int) -> Series:
     if j == 0:
         return a
     n = a.order
-    if a.ring.kind == "exact":
-        return Series._wrap(a.ring, [0] * min(j, n) + list(a._c[:max(0, n - j)]))
-    out = np.zeros(n, dtype=np.uint64)
+    out = np.zeros(n, dtype=a.ring.dtype)
     if j < n:
         out[j:] = a._c[:n - j]
     return Series._wrap(a.ring, out)
 
 
 def mul_sparse_binomial(a: Series, c: int, j: int, direction: str = "multiply") -> Series:
-    """Multiply or divide by (1 + c*q^j) in O(order) operations."""
+    """Multiply or divide by (1 + c*q^j) in O(order) operations: a divide
+    with c = +-1 is a cumsum, the rest goes through `mul_sparse`."""
     if j < 1:
         raise ValueError("binomial exponent j must be >= 1")
-    if direction not in ("multiply", "divide"):
-        raise ValueError(f"direction must be 'multiply' or 'divide', got {direction!r}")
-    ring = a.ring
-    if ring.kind == "exact":
-        fn = _x_mul_binomial if direction == "multiply" else _x_div_binomial
-        return Series._wrap(ring, fn(list(a._c), c, j))
-    fn = _m_mul_binomial if direction == "multiply" else _m_div_binomial
-    return Series._wrap(ring, fn(a._c, ring.normalize(c), j, ring))
+    ring, c = a.ring, a.ring.normalize(c)
+    if direction == "divide" and c in (1, ring.normalize(-1)):
+        return Series._wrap(ring, _div_binomial(a._c, c, j, ring))
+    return mul_sparse(a, {0: 1, j: c}, direction)
 
 
-def _x_mul_binomial(a: list, c: int, j: int) -> list:
-    out = list(a)
-    for i in range(j, len(a)):
-        ai = a[i - j]
-        if ai:
-            out[i] += c * ai
-    return out
-
-
-def _x_div_binomial(a: list, c: int, j: int) -> list:
-    b = list(a)
-    for i in range(j, len(a)):
-        bi = b[i - j]
-        if bi:
-            b[i] -= c * bi
-    return b
-
-
-def _m_mul_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> np.ndarray:
-    out = arr.copy()
-    if j < len(arr):
-        out[j:] += arr[:-j] * _u64(c)
-    return _mask_arr(out, ring)
-
-
-def _m_div_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> np.ndarray:
+def _div_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> np.ndarray:
+    """arr / (1 + c*q^j) for c = 1 or -1."""
     n = len(arr)
     if j >= n:
         return arr.copy()
     # b[i] = a[i] - c*b[i-j]: for c = -1 this is a cumsum along each residue
     # class mod j, and 1/(1 + q^j) = (1 - q^j)/(1 - q^(2j)) makes c = 1 one too
-    if c == 1 or c == ring.mask:
-        p = j if c == ring.mask else 2 * j
-        rows = -(-n // p)
-        padded = np.zeros(rows * p, dtype=np.uint64)
-        padded[:n] = arr
-        if p != j:
-            padded[j:n] -= arr[:n - j]
-        mat = padded.reshape(rows, p)
-        if rows > 16:
-            mat = np.cumsum(mat, axis=0)
-        else:  # cumsum along axis 0 is slow for few long rows
-            for r in range(1, rows):
-                mat[r] += mat[r - 1]
-        return _mask_arr(mat.reshape(-1)[:n], ring)
-    b = [int(x) for x in arr]
-    mask = ring.mask
-    for i in range(j, n):
-        b[i] = (b[i] - c * b[i - j]) & mask
-    return np.array(b, dtype=np.uint64)
+    p = j if c == ring.normalize(-1) else 2 * j
+    rows = -(-n // p)
+    padded = np.zeros(rows * p, dtype=ring.dtype)
+    padded[:n] = arr
+    if p != j:
+        padded[j:n] -= arr[:n - j]
+    mat = padded.reshape(rows, p)
+    if rows > 16:
+        mat = np.cumsum(mat, axis=0)
+    else:  # cumsum along axis 0 is slow for few long rows
+        for r in range(1, rows):
+            mat[r] += mat[r - 1]
+    return _mask_arr(mat.reshape(-1)[:n], ring)
 
 
 def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") -> Series:
@@ -547,21 +445,7 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
         # from here on c0 holds 1/c0 and each c holds c/c0
         c0 = scale = ring.unit_inverse(c0)
     rest = sorted((e, ring.normalize(c * scale)) for e, c in terms.items() if 0 < e < n)
-    if ring.kind == "exact":
-        out = [c0 * x for x in a._c]
-        if direction == "multiply":
-            for e, c in rest:
-                out[e:] = [x + c * y for x, y in zip(out[e:], a._c)]
-            return Series._wrap(ring, out)
-        for i in range(n):
-            s = out[i]
-            for e, c in rest:
-                if e > i:
-                    break
-                s -= c * out[i - e]
-            out[i] = s
-        return Series._wrap(ring, out)
-    out = a._c * _u64(c0)
+    out = a._c * ring.scalar(c0)
     if direction == "multiply":
         minus_one = ring.normalize(-1)
         for e, c in rest:
@@ -571,12 +455,12 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
             elif c == minus_one:
                 out[e:] -= a._c[:n - e]
             else:
-                out[e:] += a._c[:n - e] * _u64(c)
+                out[e:] += a._c[:n - e] * ring.scalar(c)
         return Series._wrap(ring, _mask_arr(out, ring))
     with np.errstate(over="ignore"):  # uint64 wraparound is the point here
         exps = [e for e, _ in rest]
         idx = np.array(exps, dtype=np.intp)
-        coef = np.array([c for _, c in rest], dtype=np.uint64)
+        coef = np.array([c for _, c in rest], dtype=ring.dtype)
         m = 0
         for i in range(n):
             while m < len(exps) and exps[m] <= i:
@@ -589,19 +473,15 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
 def sum_shifted(terms, ring: CoefficientRing, order: int) -> Series:
     """Sum of q^j * a over the (j, a) pairs of `terms`, truncated to `order`
     and accumulated in one buffer."""
-    exact = ring.kind == "exact"
-    acc = [0] * order if exact else np.zeros(order, dtype=np.uint64)
+    acc = np.zeros(order, dtype=ring.dtype)
     for j, a in terms:
         if a.ring != ring:
             raise RingMismatchError(f"ring mismatch: {a.ring} vs {ring}")
         if j < 0:
             raise ValueError("shift amount must be nonnegative")
         m = max(0, min(a.order, order - j))
-        if exact:
-            acc[j:j + m] = [x + y for x, y in zip(acc[j:j + m], a._c)]
-        else:
-            acc[j:j + m] += a._c[:m]
-    return Series._wrap(ring, acc if exact else _mask_arr(acc, ring))
+        acc[j:j + m] += a._c[:m]
+    return Series._wrap(ring, _mask_arr(acc, ring))
 
 
 def substitute_power(a: Series, m: int, sign: int) -> Series:
@@ -610,22 +490,11 @@ def substitute_power(a: Series, m: int, sign: int) -> Series:
         raise ValueError("substitution power m must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n_out = max(0, m * (a.order - 1) + 1)
-    if a.ring.kind == "exact":
-        out = [0] * n_out
-        s = 1
-        for i, x in enumerate(a._c):
-            out[m * i] = s * x
-            s *= sign
-        return Series._wrap(a.ring, out)
-    out = np.zeros(n_out, dtype=np.uint64)
-    if a.order:
-        if sign == 1:
-            out[::m] = a._c
-        else:
-            signs = np.where(np.arange(a.order) % 2 == 0, _u64(1), _u64(-1))
-            out[::m] = _mask_arr(signs * a._c, a.ring)
-    return Series._wrap(a.ring, out)
+    out = np.zeros(max(0, m * (a.order - 1) + 1), dtype=a.ring.dtype)
+    out[::m] = a._c
+    if sign == -1:
+        out[m::2 * m] = -out[m::2 * m]
+    return Series._wrap(a.ring, _mask_arr(out, a.ring))
 
 
 def dissect(a: Series, m: int, r: int) -> Series:
@@ -634,8 +503,6 @@ def dissect(a: Series, m: int, r: int) -> Series:
         raise ValueError("dissection modulus m must be >= 1")
     if not 0 <= r < m:
         raise ValueError(f"dissection residue must satisfy 0 <= r < m, got r={r}, m={m}")
-    if a.ring.kind == "exact":
-        return Series._wrap(a.ring, a._c[r::m])
     return Series._wrap(a.ring, a._c[r::m].copy())
 
 
@@ -647,9 +514,15 @@ def truncate(a: Series, n: int) -> Series:
 def reduce_mod(a: Series, modulus: int) -> Series:
     """Reduce every coefficient mod `modulus` (kept in the same ring)."""
     check_modulus(a.ring, modulus)
-    if a.ring.kind == "exact":
-        return Series._wrap(a.ring, [x % modulus for x in a._c])
-    return Series._wrap(a.ring, a._c & _u64(modulus - 1))
+    return Series._wrap(a.ring, _residues(a._c, modulus, a.ring))
+
+
+def _residues(arr: np.ndarray, modulus: int, ring: CoefficientRing) -> np.ndarray:
+    """arr mod `modulus`, which the exact ring takes as any integer >= 2 and
+    a mod-2^w ring as a power of two up to 2^w (2^64 is no uint64)."""
+    if ring.kind == "exact":
+        return arr % modulus
+    return arr & (modulus - 1)
 
 
 def check_modulus(ring: CoefficientRing, modulus: int) -> None:
@@ -672,10 +545,7 @@ def change_ring(a: Series, ring: CoefficientRing) -> Series:
     if a.ring.kind == "mod2pow" and a.ring.width < ring.width:
         raise RingMismatchError(
             f"no reduction from mod2pow:{a.ring.width} to wider mod2pow:{ring.width}")
-    if a.ring.kind == "exact":
-        mask = ring.mask
-        return Series._wrap(ring, np.array([x & mask for x in a._c], dtype=np.uint64))
-    return Series._wrap(ring, _mask_arr(a._c.copy(), ring))
+    return Series._wrap(ring, (a._c & ring.mask).astype(np.uint64, copy=False))
 
 
 def equal_to_order(a: Series, b: Series, n: int) -> bool:
@@ -683,8 +553,6 @@ def equal_to_order(a: Series, b: Series, n: int) -> bool:
     _check_rings(a, b)
     if n > a.order or n > b.order:
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
-    if a.ring.kind == "exact":
-        return a._c[:n] == b._c[:n]
     return bool(np.array_equal(a._c[:n], b._c[:n]))
 
 
@@ -694,13 +562,7 @@ def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None
     check_modulus(a.ring, modulus)
     if n > a.order or n > b.order:
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
-    if a.ring.kind == "exact":
-        for i in range(n):
-            if (a._c[i] - b._c[i]) % modulus:
-                return i
-        return None
-    diff = (a._c[:n] - b._c[:n]) & _u64(modulus - 1)
-    hits = np.nonzero(diff)[0]
+    hits = np.flatnonzero(_residues(a._c[:n] - b._c[:n], modulus, a.ring))
     return int(hits[0]) if len(hits) else None
 
 

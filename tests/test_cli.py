@@ -41,6 +41,15 @@ class TestExpand:
         assert main(["expand", "1/q", "--order", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["(" * 250 + "q" + ")" * 250,
+                                        "+".join(["q"] * 600)],
+                             ids=["nested", "chained"])
+    def test_too_deep_expression_exits_2(self, capsys, source):
+        assert main(["expand", source, "--order", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expression is nested or chained too deeply to evaluate\n"
+
     def test_source_starting_with_minus(self, capsys):
         assert main(["expand", "-f[1]", "--order", "5"]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -141,6 +150,15 @@ class TestCheck:
                   "--mod", "8", "--nmax", "10"])
         assert err.value.code == 2
 
+    def test_negative_nmax_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--series", "C", "--progression", "8,6",
+                  "--mod", "8", "--nmax", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --nmax: expected an integer >= 0, got '-1'" in captured.err
+
     def test_bad_progression_spec(self):
         with pytest.raises(SystemExit) as err:
             main(["check", "--series", "C", "--progression", "8",
@@ -166,6 +184,16 @@ class TestRelation:
                      "--nmax", "5"]) == 1
         witness = json.loads(capsys.readouterr().out.split("witness:", 1)[1])
         assert witness["n"] == 2 and witness["residue"] == 3
+
+
+    def test_negative_nmax_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["relation", "--series", "C", "--lhs", "8,4", "--rhs", "2,2",
+                  "--sign", "-", "--mod", "4", "--nmax", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --nmax: expected an integer >= 0, got '-1'" in captured.err
 
 
 class TestOracle:
@@ -203,6 +231,17 @@ class TestScan:
 
     def test_non_power_of_two_modulus_uses_exact_ring(self, capsys):
         assert main(["scan", "--amax", "3", "--mods", "3", "--nmax", "20"]) == 0
+
+    @pytest.mark.parametrize("flag, bad, low", [("--amax", "0", 1), ("--amax", "-2", 1),
+                                                ("--nmax", "-1", 0)])
+    def test_out_of_range_bound_exits_2(self, capsys, flag, bad, low):
+        argv = {"--amax": "8", "--mods": "4", "--nmax": "5", flag: bad}
+        with pytest.raises(SystemExit) as err:
+            main(["scan", *(x for item in argv.items() for x in item)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected an integer >= {low}, got '{bad}'" in captured.err
 
 
 class TestSuite:

@@ -21,6 +21,7 @@ from qcong import (
     FamilyClaim,
     OrderError,
     ProgressionClaim,
+    Series,
     all_passed,
     build_suite_context,
     change_ring,
@@ -233,6 +234,64 @@ class TestCheckRelation:
     def test_order_too_small(self, ctx):
         rep = check_relation(ctx.c_exact, 8, 7, -1, 2, 2, 4, n_max=10**6)
         assert rep.status == "order-too-small"
+
+
+def progression_by_loop(s, a, b, modulus, n_max):
+    """Reference witness of check_progression: one coefficient per sample."""
+    for n in range(n_max + 1):
+        value = s[a * n + b]
+        if value % modulus:
+            return {"n": n, "argument": a * n + b, "value": value,
+                    "residue": value % modulus}
+    return None
+
+
+def relation_by_loop(s, a1, b1, sign, a2, b2, modulus, n_max):
+    """Reference witness of check_relation: one pair of coefficients per sample."""
+    for n in range(n_max + 1):
+        lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
+        if (lhs - sign * rhs) % modulus:
+            return {"n": n, "argument": a1 * n + b1, "value": lhs,
+                    "other": rhs, "residue": (lhs - sign * rhs) % modulus}
+    return None
+
+
+class TestSampledChecksMatchLoop:
+    """The progression and relation checks read their samples through
+    dissect and first_incongruence. With every coefficient of 8*C divisible
+    by 8 but one bumped by -4 (negative at q^0 in the exact ring), they give
+    the per-sample loop's verdict and witness, also when B >= A puts
+    coefficients of the residue class before the first sample."""
+
+    BUMPS = [0, 3, 7, 12, 100, 299]
+
+    @staticmethod
+    def bumped(ring, at):
+        coeffs = [8 * x for x in series_c(300).coefficients()]
+        coeffs[at] -= 4
+        return Series(ring, coeffs)
+
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    @pytest.mark.parametrize("at", BUMPS)
+    @pytest.mark.parametrize("a,b", [(1, 0), (4, 3), (4, 7), (3, 10), (8, 4)])
+    def test_progression(self, ring, at, a, b):
+        s = self.bumped(ring, at)
+        rep = check_progression(s, a, b, 8)
+        want = progression_by_loop(s, a, b, 8, (299 - b) // a)
+        assert rep.status == ("pass" if want is None else "fail")
+        assert rep.witness == want
+
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    @pytest.mark.parametrize("at", BUMPS)
+    @pytest.mark.parametrize("a1,b1,sign,a2,b2", [
+        (4, 7, -1, 2, 2), (1, 0, 1, 3, 5), (8, 3, -1, 4, 9), (2, 1, 1, 2, 1)])
+    def test_relation(self, ring, at, a1, b1, sign, a2, b2):
+        s = self.bumped(ring, at)
+        rep = check_relation(s, a1, b1, sign, a2, b2, 8)
+        n_max = min((299 - b1) // a1, (299 - b2) // a2)
+        want = relation_by_loop(s, a1, b1, sign, a2, b2, 8, n_max)
+        assert rep.status == ("pass" if want is None else "fail")
+        assert rep.witness == want
 
 
 class TestCheckFamily:

@@ -18,6 +18,29 @@ def schoolbook_mul(a: list, b: list, n: int) -> list:
     return out
 
 
+def recurrence_divide(xs: list, ys: list, ring) -> list:
+    """Independent reference quotient xs / ys in plain ints, one coefficient
+    at a time: b[k] = (xs[k] - (ys[1]*b[k-1] + ... + ys[k]*b[0])) / ys[0],
+    each reduced into the ring. ys[0] must be a unit (+-1 when exact)."""
+    if not xs:
+        return []
+    inv0 = ys[0] if ring == EXACT else pow(ys[0], -1, 1 << ring.width)
+    b = []
+    for k, x in enumerate(xs):
+        s = x - sum(ys[i] * b[k - i] for i in range(1, min(k, len(ys) - 1) + 1))
+        b.append(ring.normalize(s * inv0))
+    return b
+
+
+def binomial_divide(xs: list, c: int, j: int) -> list:
+    """Independent reference xs / (1 + c*q^j) in exact ints:
+    b[i] = xs[i] - c*b[i-j]."""
+    b = list(xs)
+    for i in range(j, len(b)):
+        b[i] -= c * b[i - j]
+    return b
+
+
 def partition_table(n_max: int) -> list:
     """Number of integer partitions of 0..n_max by the standard DP."""
     table = [1] + [0] * n_max
@@ -313,8 +336,8 @@ def recurrence_inverse(x: np.ndarray, ring) -> Series:
 
 
 class TestNewtonInvert:
-    """invert mod 2^w (Newton's iteration above _NEWTON_MIN_ORDER) against
-    the plain coefficient recurrence."""
+    """invert mod 2^w (Newton's iteration above _NEWTON_MIN_ORDER), and in
+    the exact ring, against the plain coefficient recurrence."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 1499, 1500, 6000])
@@ -348,6 +371,19 @@ class TestNewtonInvert:
             assert got == recurrence_inverse(np.array(f.coefficients(), dtype=np.uint64),
                                              qc.MOD64)
             assert qc.mul(f, got) == qc.one_series(qc.MOD64, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
+                                   _NEWTON_MIN_ORDER + 1, 200])
+    def test_exact_matches_recurrence(self, n):
+        # coefficients beyond +-2^64, negative ones, and a constant term of +-1
+        rng = np.random.default_rng(n)
+        one = ([1] + [0] * n)[:n]
+        for a0 in (1, -1):
+            x = ([a0] + [int(v) << 10 for v in rng.integers(-(1 << 62), 1 << 62, n)])[:n]
+            a = exact_series(x)
+            got = qc.invert(a)
+            assert got.coefficients() == recurrence_divide(one, x, EXACT)
+            assert qc.mul(a, got) == qc.one_series(EXACT, n)
 
     @pytest.mark.parametrize("n", [1, _NEWTON_MIN_ORDER + 1, 6000])
     @pytest.mark.parametrize("w", [1, 5, 64])
@@ -383,10 +419,9 @@ class TestPower:
 class TestSparseBinomial:
     @given(coeff_lists, st.integers(-5, 5), st.integers(1, 8))
     def test_multiply_matches_dense(self, xs, c, j):
-        a = exact_series(xs)
-        dense = qc.zero_series(EXACT, a.order)
-        dense = dense + qc.one_series(EXACT, a.order) + qc.monomial(EXACT, a.order, j, c)
-        assert qc.mul_sparse_binomial(a, c, j) == qc.mul(a, dense)
+        dense = [1] + [0] * (j - 1) + [c]
+        got = qc.mul_sparse_binomial(exact_series(xs), c, j)
+        assert got.coefficients() == schoolbook_mul(xs, dense, len(xs))
 
     @given(coeff_lists, st.integers(-5, 5), st.integers(1, 8))
     def test_divide_undoes_multiply(self, xs, c, j):
@@ -401,9 +436,10 @@ class TestSparseBinomial:
         # c = 1, 22 rows of period 3 for c = -1) and the generic fallback
         ring = qc.mod2pow(w)
         xs = [1, 5, -2, 0, 3, 7, -9, 4, 4, 1, 0, 2, 6] * 5
-        exact = qc.mul_sparse_binomial(exact_series(xs), c, 3, "divide")
+        exact = binomial_divide(xs, c, 3)
+        assert qc.mul_sparse_binomial(exact_series(xs), c, 3, "divide") == exact_series(exact)
         modular = qc.mul_sparse_binomial(Series(ring, xs), c, 3, "divide")
-        assert qc.change_ring(exact, ring) == modular
+        assert modular == Series(ring, exact)
 
     def test_divide_is_geometric(self):
         got = qc.mul_sparse_binomial(qc.one_series(EXACT, 9), -1, 2, "divide")
@@ -421,29 +457,32 @@ sparse_factors = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_siz
 rings = st.one_of(st.just(EXACT), widths.map(qc.mod2pow))
 
 
-def factor_series(terms: dict, ring, order: int) -> Series:
+def factor_series(terms: dict, order: int) -> list:
+    """The sparse factor as a dense list of `order` coefficients."""
     coeffs = [0] * order
     for e, c in terms.items():
         if e < order:
             coeffs[e] = c
-    return Series(ring, coeffs)
+    return coeffs
 
 
 class TestSparseFactor:
     @given(coeff_lists, sparse_factors, rings)
     def test_multiply_matches_dense(self, xs, terms, ring):
-        a = Series(ring, xs)
-        dense = factor_series(terms, ring, a.order)
-        assert qc.mul_sparse(a, terms) == qc.mul(a, dense)
+        dense = factor_series(terms, len(xs))
+        got = qc.mul_sparse(Series(ring, xs), terms)
+        assert got == Series(ring, schoolbook_mul(xs, dense, len(xs)))
 
     @given(coeff_lists, sparse_factors, rings, st.sampled_from([1, -1, 3]))
     def test_divide_matches_inverse(self, xs, terms, ring, c0):
         terms = dict(terms)
         terms[0] = 1 if ring == EXACT and c0 == 3 else c0  # exact units are +-1
         a = Series(ring, xs)
-        dense = factor_series(terms, ring, a.order)
+        dense = factor_series(terms, len(xs))
         got = qc.mul_sparse(a, terms, "divide")
-        assert got == qc.mul(a, qc.invert(dense))
+        inverse = recurrence_divide([1] + [0] * (len(xs) - 1), dense, ring)
+        assert got == Series(ring, schoolbook_mul(xs, inverse, len(xs)))
+        assert got == Series(ring, recurrence_divide(xs, dense, ring))
         assert qc.mul_sparse(got, terms) == a
 
     def test_bad_arguments(self):
