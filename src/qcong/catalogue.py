@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from .engine import (
     ClaimReport,
     FamilyClaim,
+    c_builder,
     check_family,
     check_progression,
     check_relation,
@@ -24,10 +25,10 @@ from .engine import (
     verify_congruent,
     verify_identity,
 )
-from .mock_theta import b_appell, b_eulerian, f3_series, omega_series
+from .mock_theta import b_appell, b_eulerian, f3_series, omega_appell, omega_series
 from .oracle import count_c_limit, count_ck
 from .qexpr import F3, BFun, CSeries, Omega, evaluate, parse, to_source
-from .series import EXACT, MOD64, Series, truncate
+from .series import EXACT, MOD64, Series, change_ring
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -151,11 +152,23 @@ def _oracle_entry(claim_id: str, k: Optional[int]) -> CatalogueEntry:
 
 def _b_bilateral_entry() -> CatalogueEntry:
     # eq 2-3 compares B's Eulerian sum with its bilateral form, which the
-    # expression language cannot write
+    # expression language cannot write. The entry compares omega's two forms
+    # too, and the scan C (eq 2-2 builds it mod 2^w) with the summed exact C.
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        n = ctx.n_identity
-        return [verify_identity(truncate(ctx.b_exact, n), b_appell(n), n,
-                                "eq-2-3", "2-3")]
+        n, ring = ctx.n_identity, ctx.c_scan.ring
+        m = min(ctx.c_exact.order, ctx.c_scan.order)
+        pairs = {"B": (ctx.b_exact, b_appell(n), n),
+                 "omega": (ctx.omega_exact, omega_appell(n), n),
+                 "c_scan": (ctx.c_scan, change_ring(ctx.c_exact, ring), m)}
+        params = {"order": n, "ring": "exact", "c_scan_ring": str(ring),
+                  "compared": {name: p[2] for name, p in pairs.items()},
+                  "c_scan_builder": c_builder(ring)}
+        for name, (lhs, rhs, order) in pairs.items():
+            rep = verify_identity(lhs, rhs, order, "eq-2-3", "2-3")
+            if not rep.passed():
+                return [replace(rep, params=params,
+                                witness=dict(rep.witness, series=name))]
+        return [ClaimReport("eq-2-3", "2-3", "pass", params)]
     return CatalogueEntry("eq-2-3", "2-3", "exact", run)
 
 

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="count partitions by direct "
                                              "enumeration")
     p_oracle.add_argument("--k", type=_k_spec, required=True, metavar="K|limit")
-    p_oracle.add_argument("--nmax", type=int, required=True)
+    p_oracle.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_scan = sub.add_parser("scan", help="search for vanishing progressions")

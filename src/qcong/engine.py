@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .mock_theta import c_appell
 from .products import pentagonal_series
 from .series import (
     EXACT,
@@ -33,8 +34,18 @@ from .series import (
 
 def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Generating series of the counts c(n): sum over n >= 0 of
-    q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2."""
-    return _c_sum(order, ring, None)
+    q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2, built by the
+    route `c_builder` names for the ring."""
+    if c_builder(ring) == "sum":
+        return _c_sum(order, ring, None)
+    return c_appell(order, ring)
+
+
+def c_builder(ring: CoefficientRing) -> str:
+    """The route `series_c` takes in `ring`: eq 2-2 mod 2^w, where `mul` is an
+    FFT; the sum of the definition (the reference) in the exact ring, whose
+    term-by-term `mul` would make eq 2-2 the slower route."""
+    return "sum" if ring.kind == "exact" else "eq-2-2-appell"
 
 
 def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -1,25 +1,32 @@
-"""Truncated Eulerian expansions of the mock theta functions omega(q), B(q),
-and the third-order f(q).
+"""Truncated expansions of the mock theta functions omega(q), B(q), and the
+third-order f(q).
 
-Every sum is materialized through a term recurrence whose ratio is a product
-of sparse binomials, so each additional term costs O(N). B(q) also gets an
-independent bilateral (Appell-style) construction; the two must agree.
+Every Eulerian sum is materialized through a term recurrence whose ratio is a
+product of sparse binomials, so each additional term costs O(N). B and omega
+also have bilateral (Appell-Lerch) forms, f4/f2^2 and 1/f2 times
+`appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that the mod-2^w
+`series_c` also reads through eq 2-2. The two forms of each must agree.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .series import (
     EXACT,
     CoefficientRing,
     Series,
+    _mask_arr,
     add,
+    invert,
     mul,
     mul_sparse_binomial,
     one_series,
     shift,
+    substitute_power,
     zero_series,
 )
-from .products import eta_quotient
+from .products import pentagonal_series
 
 
 def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -62,27 +69,61 @@ def b_eulerian(order: int, ring: CoefficientRing = EXACT) -> Series:
     return total
 
 
-def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
-    """B(q) through its bilateral form: the product (-q^2;q^2)_inf/(q^2;q^2)_inf
-    times the sum over all integers n of (-1)^n q^(2n(n+1)) / (1 - q^(2n+1))."""
+def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Series:
+    """Sum over n >= 0 of (-1)^n q^(quadratic*n(n+1)) (1+q^a)/(1-q^a), a = 2n+1:
+    the bilateral sum over all n of (-1)^n q^(quadratic*n(n+1)) / (1-q^a)
+    with index -n-1 folded onto n. Term n is 1 + 2*(q^a + q^2a + ...) times
+    its monomial, one strided add of order/a terms: O(order log order)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # Negative indices n = -m-1 fold onto m >= 0 via
-    #   1/(1 - q^-(2m+1)) = -q^(2m+1)/(1 - q^(2m+1)),
-    # pairing with index m into (-1)^m q^(2m(m+1)) (1+q^(2m+1))/(1-q^(2m+1)).
-    # The m-th folded term starts at exponent 2m(m+1), so the loop may stop
-    # once that exceeds the window.
-    total = zero_series(ring, order)
-    m = 0
-    while 2 * m * (m + 1) < order:
-        term = one_series(ring, order)
-        term = mul_sparse_binomial(term, 1, 2 * m + 1)
-        term = mul_sparse_binomial(term, -1, 2 * m + 1, "divide")
-        term = shift(term, 2 * m * (m + 1))
-        total = add(total, term if m % 2 == 0 else -term)
-        m += 1
-    # (-q^2; q^2)_inf = f4/f2, so the prefactor is f4/f2^2
-    return mul(eta_quotient({4: 1, 2: -2}, order, ring), total)
+    if quadratic < 1:
+        raise ValueError("quadratic must be >= 1")
+    out = np.zeros(order, dtype=ring.dtype)
+    n = 0
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point here
+        while quadratic * n * (n + 1) < order:
+            start, a, sign = quadratic * n * (n + 1), 2 * n + 1, (-1) ** n
+            out[start] += ring.scalar(sign)
+            out[start + a::a] += ring.scalar(2 * sign)
+            n += 1
+    return Series._wrap(ring, _mask_arr(out, ring))
+
+
+def _at_q2(a: Series, order: int) -> Series:
+    """a(q^2) to `order` coefficients; a must know order // 2 + 1 of them."""
+    return substitute_power(a.truncate(order // 2 + 1), 2, 1).truncate(order)
+
+
+def _inv_f2(order: int, ring: CoefficientRing) -> Series:
+    return _at_q2(invert(pentagonal_series(1, order // 2 + 1, ring)), order)
+
+
+def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
+    """B(q) through its bilateral form (eq 2-3): f4/f2^2 * appell_sum(2)."""
+    total = appell_sum(2, order, ring)
+    inv_f2 = _inv_f2(order, ring)
+    return mul(mul(pentagonal_series(4, order, ring), mul(inv_f2, inv_f2)), total)
+
+
+def omega_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
+    """omega(q) through its bilateral form (Watson 1936): 1/f2 * appell_sum(3)."""
+    total = appell_sum(3, order, ring)
+    return mul(_inv_f2(order, ring), total)
+
+
+def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
+    """The series C of c(n) through eq 2-2, C = 2q*f2*f4/f1^2*B(-q) - q*omega(-q).
+    With the bilateral forms of B and omega, and f2, f4 even in q, that is
+    q/f2 * (2*f4^2/f1^2 * appell_sum(2)(-q) - appell_sum(3)(-q)): one
+    `invert`, three FFT products mod 2^w, and 1/f2 read as 1/f1 at q^2."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    inv_f1 = invert(pentagonal_series(1, order, ring))
+    f4 = pentagonal_series(4, order, ring)
+    b = mul(f4, mul(f4, mul(inv_f1, inv_f1)))
+    b = mul(b, substitute_power(appell_sum(2, order, ring), 1, -1))
+    inner = 2 * b - substitute_power(appell_sum(3, order, ring), 1, -1)
+    return shift(mul(_at_q2(inv_f1, order), inner), 1)
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -101,9 +142,3 @@ def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:
         n += 1
     return total
 
-
-MOCK_THETA = {
-    "omega": omega_series,
-    "B": b_eulerian,
-    "f3": f3_series,
-}

@@ -36,6 +36,7 @@ from qcong import (
     truncate,
     zero_series,
 )
+from qcong.engine import _c_sum
 from qcong.qexpr import (
     Add,
     BFun,
@@ -132,7 +133,7 @@ def test_criterion_3_congruence_suite(flagship_reports, record_criterion):
 
 def test_criterion_4_progressions_at_scan_order(flagship, flagship_reports,
                                                 record_criterion):
-    _, timings = flagship
+    ctx, timings = flagship
     budget = 300.0
     seconds = timings["scan_build"]
     bad, thin = [], []
@@ -141,11 +142,15 @@ def test_criterion_4_progressions_at_scan_order(flagship, flagship_reports,
         seconds += entry_seconds
         bad.extend(r for r in reports if r.status != "pass")
         thin.extend(r for r in reports if r.params["n_max"] < 600)
-    ok = not bad and not thin and seconds < budget
+    # the scan series comes from eq 2-2 mod 2^64; the summation of the
+    # definition, its reference, must give the same coefficients (not timed)
+    same_as_sum = ctx.c_scan == _c_sum(ctx.n_scan, MOD64, None)
+    ok = not bad and not thin and same_as_sum and seconds < budget
     record_criterion(_verdict(4, "progressions at scan order 40000", ok,
                               seconds, budget))
     assert bad == []
     assert thin == []
+    assert same_as_sum
     assert seconds < budget
 
 
@@ -187,7 +192,10 @@ def test_criterion_6_negative_controls(flagship, record_criterion):
     scan_ok = (not all_passed(scan_reports)
                and by_id["eq-1-2"].status == "fail"
                and by_id["eq-1-2"].witness["argument"] == 36
-               and by_id["eq-1-2"].witness["n"] == 4)
+               and by_id["eq-1-2"].witness["n"] == 4
+               and by_id["eq-2-3"].witness == {"n": 36, "lhs": 199989,
+                                               "rhs": 199988,
+                                               "series": "c_scan"})
 
     # same for the exact series, which the identity claims and oracle read
     bumped_exact = ctx.c_exact + monomial(EXACT, ctx.c_exact.order, 7)
@@ -197,14 +205,27 @@ def test_criterion_6_negative_controls(flagship, record_criterion):
                 and by_id["eq-2-2"].status == "fail"
                 and by_id["eq-2-2"].witness["n"] == 7
                 and by_id["oracle-c-limit"].witness == {"n": 7, "value": 39,
-                                                        "expected": 38})
+                                                        "expected": 38}
+                and by_id["eq-2-3"].witness["n"] == 7)
+
+    # omega's two forms are compared to the identity order, so a bump below
+    # it fails eq-2-3 at the bumped index
+    bumped_omega = ctx.omega_exact + monomial(EXACT, ctx.omega_exact.order, 123)
+    omega_reports = run_catalogue(dataclasses.replace(ctx,
+                                                      omega_exact=bumped_omega))
+    by_id = {r.claim_id: r for r in omega_reports}
+    omega_ok = (not all_passed(omega_reports)
+                and by_id["eq-2-3"].status == "fail"
+                and by_id["eq-2-3"].witness["n"] == 123
+                and by_id["eq-2-3"].witness["series"] == "omega")
 
     seconds = time.perf_counter() - start
-    ok = witness_ok and scan_ok and exact_ok
+    ok = witness_ok and scan_ok and exact_ok and omega_ok
     record_criterion(_verdict(6, "negative controls", ok, seconds))
     assert witness_ok
     assert scan_ok
     assert exact_ok
+    assert omega_ok
 
 
 def _random_series(rng, ring, order):

@@ -1,9 +1,14 @@
 """End-to-end command-line tests; every invocation goes through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcong
 from qcong import CATALOGUE, build_suite_context, count_ck
 from qcong.catalogue import CLAIM_ROWS
 from qcong.cli import main
@@ -214,10 +219,15 @@ class TestOracle:
         assert err.value.code == 2
 
     def test_negative_nmax_exits_2(self, capsys):
-        assert main(["oracle", "--k", "2", "--nmax", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        # the flag is named, for a finite k and for the limit alike
+        for k in ("2", "limit"):
+            with pytest.raises(SystemExit) as err:
+                main(["oracle", "--k", k, "--nmax", "-1"])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("argument --nmax: expected an integer >= 0, got '-1'"
+                    in captured.err)
 
 
 class TestScan:
@@ -293,3 +303,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_python_dash_m_runs_the_cli(self):
+        # `python -m qcong` is the console script without installing it
+        src = str(Path(qcong.__file__).resolve().parent.parent)
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-m", "qcong", "oracle", "--k",
+                              "limit", "--nmax", "4"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["0\t0", "1\t1", "2\t2", "3\t5",
+                                           "4\t8"]
+        bad = subprocess.run([sys.executable, "-m", "qcong", "oracle", "--k",
+                              "limit", "--nmax", "-1"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert bad.returncode == 2
+        assert "argument --nmax" in bad.stderr

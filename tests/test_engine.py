@@ -52,6 +52,7 @@ from qcong import (
     zero_series,
 )
 from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT
+from qcong.engine import _c_sum, c_builder
 from qcong.qexpr import parse, to_source
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
@@ -86,6 +87,13 @@ class TestSeriesBuilders:
         ck, c = series_ck(k, order), series_c(order)
         assert equal_to_order(ck, c, 2 * k + 1)
         assert ck[2 * k + 1] == c[2 * k + 1] + 1
+
+    @pytest.mark.parametrize("ring", [MOD64, mod2pow(5)], ids=str)
+    def test_eq_2_2_route_matches_summation(self, ring):
+        # mod 2^w series_c follows eq 2-2; the summation is its reference
+        assert c_builder(ring) == "eq-2-2-appell" and c_builder(EXACT) == "sum"
+        for order in range(1, 65):
+            assert series_c(order, ring) == _c_sum(order, ring, None), order
 
     def test_mod_route_matches_exact_route(self):
         assert series_c(400, MOD64) == change_ring(series_c(400), MOD64)

@@ -1,8 +1,9 @@
 import pytest
 
 import qcong as qc
-from qcong import EXACT
-from qcong.mock_theta import b_appell, b_eulerian, f3_series, omega_series
+from qcong import EXACT, MOD64, mod2pow
+from qcong.mock_theta import (appell_sum, b_appell, b_eulerian, f3_series,
+                              omega_appell, omega_series)
 from qcong.products import eta_quotient
 
 
@@ -131,6 +132,52 @@ class TestB:
             b_eulerian(n), qc.Series(EXACT, theta), 2, n)
 
 
+def appell_by_binomials(quadratic, n, ring):
+    """The Appell-Lerch sum term by term: (1+q^a)/(1-q^a) as one binomial
+    multiply and one binomial divide, shifted and added with its sign."""
+    total = qc.zero_series(ring, n)
+    m = 0
+    while quadratic * m * (m + 1) < n:
+        term = qc.mul_sparse_binomial(qc.one_series(ring, n), 1, 2 * m + 1)
+        term = qc.mul_sparse_binomial(term, -1, 2 * m + 1, "divide")
+        term = qc.shift(term, quadratic * m * (m + 1))
+        total = total + (term if m % 2 == 0 else -term)
+        m += 1
+    return total
+
+
+RINGS = [EXACT, MOD64, mod2pow(5)]
+
+
+class TestAppell:
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("quadratic", [1, 2, 3, 7])
+    def test_kernel_matches_binomial_terms(self, ring, quadratic):
+        for n in list(range(1, 60)) + [257]:
+            assert (appell_sum(quadratic, n, ring)
+                    == appell_by_binomials(quadratic, n, ring)), n
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_omega_forms_agree(self, ring):
+        for n in list(range(1, 40)) + [300]:
+            assert omega_appell(n, ring) == omega_series(n, ring), n
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_b_forms_agree(self, ring):
+        for n in list(range(1, 40)) + [300]:
+            assert b_appell(n, ring) == b_eulerian(n, ring), n
+
+    def test_forms_agree_past_the_fft_crossover(self):
+        n = 4000
+        assert omega_appell(n, MOD64) == omega_series(n, MOD64)
+        assert b_appell(n, MOD64) == b_eulerian(n, MOD64)
+
+    def test_validation(self):
+        for quadratic, n in ((0, 10), (2, 0), (-1, 5)):
+            with pytest.raises(ValueError):
+                appell_sum(quadratic, n)
+
+
 class TestF3:
     def test_constant_term(self):
         assert f3_series(1).coefficients() == [1]
@@ -153,7 +200,8 @@ class TestF3:
         assert lhs == rhs
 
 
-@pytest.mark.parametrize("builder", [omega_series, b_eulerian, b_appell, f3_series])
+@pytest.mark.parametrize("builder", [omega_series, b_eulerian, b_appell, f3_series,
+                                     omega_appell])
 def test_order_validation(builder):
     with pytest.raises(ValueError):
         builder(0)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
-from qcong.series import _FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_size
+from qcong.series import (_FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_mul,
+                          _fft_size)
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -182,6 +183,17 @@ class TestFFTMul:
         a, want = Series(qc.MOD64, x), convolve_ref(x, x, qc.MOD64)
         assert qc.mul(a, Series(qc.MOD64, x)) == want
         assert qc.mul(a, a) == want
+
+    def test_all_ones_guard_holds_at_200000(self):
+        # the FFT route of the mod-2^64 series_c build must not trip the
+        # rounding guard into the quadratic np.convolve fallback; the square
+        # of sum of -q^i is sum of (i+1) q^i
+        n = 200000
+        x = np.full(n, (1 << 64) - 1, dtype=np.uint64)
+        out = _fft_mul(x, None, 64)
+        assert out is not None
+        assert np.array_equal(out, np.arange(1, n + 1, dtype=np.uint64))
+        assert np.array_equal(_fft_mul(x, x.copy(), 64), out)
 
     @pytest.mark.parametrize("noise", [0.3, 0.6])
     def test_rounding_guard_falls_back_to_convolve(self, monkeypatch, noise):
