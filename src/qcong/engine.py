@@ -15,6 +15,7 @@ from .series import (
     CoefficientRing,
     OrderError,
     Series,
+    _mask_arr,
     check_modulus,
     dissect,
     equal_to_order,
@@ -42,9 +43,10 @@ def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
 
 
 def c_builder(ring: CoefficientRing) -> str:
-    """The route `series_c` takes in `ring`: eq 2-2 mod 2^w, where `mul` is an
-    FFT; the sum of the definition (the reference) in the exact ring, whose
-    term-by-term `mul` would make eq 2-2 the slower route."""
+    """The route `series_c` takes in `ring`: eq 2-2 mod 2^w; the sum of the
+    definition in the exact ring, where it is the reference that claim eq-2-2
+    is checked against (built by eq 2-2, C would check itself). Exact eq 2-2
+    is about as fast: 16/70/272 ms against 24/78/232 ms at order 800/1600/2800."""
     return "sum" if ring.kind == "exact" else "eq-2-2-appell"
 
 
@@ -77,8 +79,10 @@ def _c_terms(order: int, ring: CoefficientRing, k: Optional[int]):
     for j in range(1, order, 2):
         yield j, u
         # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))]
-        u = mul_sparse(u.truncate(max(0, order - j - 2)), {0: 1, j: -2, 2 * j: 1})
-        u = mul_sparse_binomial(u, 1, j + 1, "divide")
+        v = u._c[:max(0, order - j - 2)].copy()
+        for _ in range(2):
+            v[j:] -= v[:-j]
+        u = mul_sparse_binomial(Series._wrap(ring, _mask_arr(v, ring)), 1, j + 1, "divide")
         if k is not None:
             u = mul_sparse_binomial(u, 1, j + 2 * k - 1, "divide")
 

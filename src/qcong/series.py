@@ -5,17 +5,16 @@ rings store them in one read-only numpy array of the ring's `dtype`: Python
 ints in an object array for the exact ring, uint64 for Z/2^w (w <= 64), whose
 arithmetic wraps mod 2^64 and is masked down to 2^w. So every operation has
 one body for both rings, and the ring decides only where the arithmetic
-really differs: the masking, the choice of product route, Newton's
-iteration, reduction by a modulus, and changing rings.
+really differs: the masking, the dense product kernel, reduction by a
+modulus, and changing rings.
 
-The exact `mul` multiplies term by term through `mul_sparse` over the nonzero
-coefficients of the sparser operand. Mod 2^w, `mul` does so only when that
-operand has few nonzero coefficients (f[m] and its low powers), and otherwise
-uses np.convolve at small orders and a limb-split float FFT at large ones.
-`invert` runs the coefficient recurrence (`mul_sparse` dividing one by the
-series); mod 2^w it does so only for the first few terms and then runs
-Newton's iteration, which doubles the known terms with two products a step,
-so an inverse costs a few products. All of it is exact arithmetic.
+`mul` goes term by term through `mul_sparse` when the sparser operand has
+few nonzero coefficients (f[m] and its low powers). Otherwise an exact
+product is one big-integer multiply (Kronecker substitution), and a product
+mod 2^w is np.convolve at small orders and a limb-split float FFT at large
+ones. `invert` runs the coefficient recurrence for the first few terms, then
+Newton's iteration, which doubles the known terms with two products a step.
+All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -257,16 +256,17 @@ def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to min(a.order, b.order).
 
     The operand with fewer nonzero coefficients multiplies through
-    `mul_sparse` in O(order * terms): always in the exact ring, and mod 2^w
-    when it has at most order / _SPARSE_RATIO of them (f[m] or a low power of
-    it). A dense product mod 2^w takes the limb-split FFT from _FFT_MIN_ORDER
-    up and np.convolve below it. All of them are exact.
+    `mul_sparse` in O(order * terms) when it has few enough of them (f[m] or
+    a low power of it). A dense exact product is `_kronecker_mul`; mod 2^w it
+    is the limb-split FFT from _FFT_MIN_ORDER up and np.convolve below it.
     """
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
-    if ring.kind == "exact" or np.count_nonzero(x) * _SPARSE_RATIO <= n:
+    if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * _SPARSE_RATIO[ring.kind] <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
+    if ring.kind == "exact":
+        return Series._wrap(ring, _kronecker_mul(x, None if b is a else y))
     out = None
     if n >= _FFT_MIN_ORDER:
         out = _fft_mul(x, None if b is a else y, ring.width)
@@ -278,12 +278,13 @@ def mul(a: Series, b: Series) -> Series:
 # Dense mod-2^w products at or above this order go through the float FFT;
 # below it np.convolve is faster.
 _FFT_MIN_ORDER = 1500
-# A mod-2^w operand with at most order / _SPARSE_RATIO nonzero coefficients
-# multiplies term by term; denser, the FFT or np.convolve is faster (the
-# break-even ratio measured 8-40 from order 200 to 40000).
-_SPARSE_RATIO = 16
-# invert mod 2^w runs the coefficient recurrence up to this order and
-# Newton's iteration above it.
+# mul_sparse takes the sparser operand when its nonzero terms plus a fixed cost of
+# about 4 terms are at most order / _SPARSE_RATIO: break-even ratio about 4 against
+# Kronecker, 8-40 against the FFT or np.convolve (which wins below order ~128 mod 2^w).
+_SPARSE_RATIO = {"exact": 4, "mod2pow": 16}
+_SPARSE_FIXED_TERMS = 4
+# invert runs the coefficient recurrence up to this order and Newton's
+# iteration above it.
 _NEWTON_MIN_ORDER = 64
 _LIMB_BITS = 11
 # largest tolerated distance of a limb-product sum from the nearest integer
@@ -338,21 +339,46 @@ def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | No
     return out
 
 
+def _kronecker_mul(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+    """The first len(x) coefficients of x*y over the integers (x*x when y is
+    None) by one big-integer multiply (Kronecker substitution, Harvey 2009).
+    A product coefficient sums at most n terms, so it lies inside (-2^(B-1),
+    2^(B-1)) for slots of B >= bitlen(max|x|) + bitlen(max|y|) + bitlen(n) + 1
+    bits; raised by 2^(B-1), each slot is in (0, 2^B) and borrows from no other.
+    The cut to n slots is an &: a % would be a long division."""
+    n = len(x)
+    bits = sum(int(abs(v).max()).bit_length() for v in (x, x if y is None else y))
+    size = (bits + n.bit_length() + 8) // 8  # B / 8, rounded up
+    zero = bytes(size)
+
+    def pack(v: np.ndarray) -> int:  # the positive part minus the negative part
+        pos = b"".join(c.to_bytes(size, "little") if c > 0 else zero for c in v)
+        neg = b"".join((-c).to_bytes(size, "little") if c < 0 else zero for c in v)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    px = pack(x)
+    prod = px * (px if y is None else pack(y))  # px * px squares
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    buf = ((prod + offset) & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
+    return np.array([int.from_bytes(buf[i:i + size], "little") - half
+                     for i in range(0, size * n, size)], dtype=object)
+
+
 def invert(a: Series) -> Series:
     """Multiplicative inverse, valid to a.order; constant term must be a unit.
 
-    The coefficient recurrence over the nonzero terms of a (`mul_sparse`
-    dividing one by a) gives every term in the exact ring. Mod 2^w it gives
-    the first _NEWTON_MIN_ORDER terms, then Newton's iteration (Brent and
-    Kung 1978) takes over, each step two `mul` calls that double the terms.
+    In both rings the coefficient recurrence over the nonzero terms of a
+    (`mul_sparse` dividing one by a) gives the first _NEWTON_MIN_ORDER
+    terms, then Newton's iteration (Brent and Kung 1978) takes over, each
+    step two `mul` calls that double the terms.
     """
     if a.order == 0:
         return a
     ring = a.ring
     sizes = [a.order]
-    if ring.kind == "mod2pow":  # Newton's steps pay only with a fast mul
-        while sizes[-1] > _NEWTON_MIN_ORDER:
-            sizes.append((sizes[-1] + 1) // 2)
+    while sizes[-1] > _NEWTON_MIN_ORDER:
+        sizes.append((sizes[-1] + 1) // 2)
     # the recurrence b[k] = -(a[1]*b[k-1] + ... + a[k]*b[0]) / a[0] gives the
     # first terms; then each step of Newton's iteration doubles them: if b
     # inverts a to k terms, a*b - 1 = q^k * e and b - q^k * b*e inverts a to

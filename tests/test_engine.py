@@ -36,8 +36,10 @@ from qcong import (
     mod2pow,
     monomial,
     mul,
+    mul_sparse,
     mul_sparse_binomial,
     paper_suite,
+    pentagonal_series,
     pochhammer_inf,
     power,
     run_catalogue,
@@ -45,6 +47,7 @@ from qcong import (
     series_c,
     series_ck,
     shift,
+    sum_shifted,
     suite_json,
     truncate,
     verify_congruent,
@@ -130,6 +133,26 @@ def reference_c(order, ring, k=None):
     return total
 
 
+def three_term_step_c(order, ring, k=None):
+    """The summation `_c_sum` with its earlier step u -> u * (1 - q^j)^2 as
+    one `mul_sparse` by the three terms 1 - 2q^j + q^(2j)."""
+    f1, f4 = ({e: x for e, x in enumerate(pentagonal_series(m, order, ring)
+                                           .coefficients()) if x} for m in (1, 4))
+    u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), f4)
+    u = mul_sparse(mul_sparse(u, f1, "divide"), f1, "divide")
+    if k is not None:
+        for j in range(2, min(2 * k, order), 2):
+            u = mul_sparse_binomial(u, 1, j, "divide")
+    terms = []
+    for j in range(1, order, 2):
+        terms.append((j, u))
+        u = mul_sparse(u.truncate(max(0, order - j - 2)), {0: 1, j: -2, 2 * j: 1})
+        u = mul_sparse_binomial(u, 1, j + 1, "divide")
+        if k is not None:
+            u = mul_sparse_binomial(u, 1, j + 2 * k - 1, "divide")
+    return sum_shifted(terms, ring, order)
+
+
 def built_c(order, ring, k=None):
     return series_c(order, ring) if k is None else series_ck(k, order, ring)
 
@@ -146,6 +169,13 @@ class TestBuilderAgainstProductDefinition:
     @pytest.mark.parametrize("k", [None, 1, 2, 3])
     def test_deep_order(self, ring, order, k):
         assert built_c(order, ring, k) == reference_c(order, ring, k)
+
+    @pytest.mark.parametrize("ring", [EXACT, MOD64, mod2pow(5)], ids=str)
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_summation_step_matches_three_term_step(self, ring, k):
+        # the two subtract passes against the mul_sparse step they replaced
+        for order in (*range(1, 20), 401, 1200):
+            assert _c_sum(order, ring, k) == three_term_step_c(order, ring, k), order
 
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
     def test_ck_is_c_once_2k_exceeds_order_minus_1(self, ring):

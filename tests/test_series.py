@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,14 @@ from hypothesis import strategies as st
 import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
-from qcong.series import (_FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_mul,
-                          _fft_size)
+from qcong.series import (_FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS,
+                          _SPARSE_RATIO, _fft_mul, _fft_size, _kronecker_mul)
+
+
+def sparse_limit(n: int) -> int:
+    """The most nonzero terms a mod-2^w operand of order n may have and
+    still multiply through mul_sparse."""
+    return n // _SPARSE_RATIO["mod2pow"] - _SPARSE_FIXED_TERMS
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -247,7 +255,7 @@ class TestSparseMul:
     @pytest.mark.parametrize("extra, routed", [(-1, True), (0, True), (1, False)])
     def test_threshold(self, n, ring, extra, routed, sparse_calls):
         rng = np.random.default_rng(n + extra)
-        x = sparse_u64(rng, n, n // _SPARSE_RATIO + extra, ring)
+        x = sparse_u64(rng, n, sparse_limit(n) + extra, ring)
         y = random_u64(rng, n, ring)
         want = Series(ring, np.convolve(x, y)[:n])
         assert qc.mul(Series(ring, x), Series(ring, y)) == want
@@ -258,8 +266,8 @@ class TestSparseMul:
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_sparse_times_sparse_and_unequal_orders(self, n, ring, sparse_calls):
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
-        y = sparse_u64(rng, n + 57, (n - 300) // _SPARSE_RATIO, ring)  # sparse at n - 300
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO["mod2pow"]), ring)
+        y = sparse_u64(rng, n + 57, sparse_limit(n - 300), ring)  # sparse at n - 300
         z = random_u64(rng, n - 300, ring)
         got = qc.mul(Series(ring, x), Series(ring, y))
         assert got == Series(ring, np.convolve(x, y)[:n])
@@ -276,7 +284,7 @@ class TestSparseMul:
     def test_small_coefficients(self, n, ring, values, sparse_calls):
         # +-1 terms take plain adds and subtracts, the rest a multiply pass
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO["mod2pow"]), ring)
         x[x != 0] = [ring.normalize(c) for c in rng.choice(values, np.count_nonzero(x))]
         x[0] = ring.normalize(values[-1])
         y = random_u64(rng, n, ring)
@@ -294,6 +302,61 @@ class TestSparseMul:
             x = np.array(f.coefficients(), dtype=np.uint64)
             assert qc.mul(f, f) == Series(ring, np.convolve(x, x)[:n])
         assert len(sparse_calls) == 2
+
+
+def signed_ints(rng: random.Random, n: int, bits: int, density: float) -> np.ndarray:
+    """n exact coefficients of at most `bits` bits, random signs, each one
+    nonzero with probability `density`."""
+    return np.array([rng.choice((1, -1)) * rng.randrange(1, 1 << bits)
+                     if rng.random() < density else 0 for _ in range(n)], dtype=object)
+
+
+class TestKroneckerMul:
+    """The dense exact product, one big-integer multiply, against mul_sparse,
+    the term-by-term product it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 400), st.integers(1, 400),
+           st.sampled_from([1.0, 0.5, 0.05]), st.booleans(), st.integers(0, 2**32))
+    def test_matches_mul_sparse(self, n, xbits, ybits, density, square, seed):
+        rng = random.Random(seed)
+        x = signed_ints(rng, n, xbits, density)
+        x[rng.randrange(n)] = -((1 << xbits) - 1)  # the bound itself is reached
+        y = x if square else signed_ints(rng, n, ybits, density)
+        want = qc.mul_sparse(Series(EXACT, y), {e: int(x[e]) for e in np.flatnonzero(x)})
+        assert _kronecker_mul(x, None if square else y).tolist() == want.coefficients()
+
+    @pytest.mark.parametrize("n", [100, 700])
+    def test_mul_routes_dense_products_here(self, n, monkeypatch):
+        calls, kronecker = [], qcong.series._kronecker_mul
+        monkeypatch.setattr(qcong.series, "_kronecker_mul",
+                            lambda *args: calls.append(args[1] is None) or kronecker(*args))
+        a = qc.invert(qc.pentagonal_series(1, n, EXACT))  # partition numbers
+        b = qc.mul(a, a)
+        sq = [int(v) for v in a.coefficients()]
+        assert b.coefficients() == schoolbook_mul(sq, sq, n)
+        assert qc.mul(b, a).coefficients() == schoolbook_mul(b.coefficients(), sq, n)
+        assert calls[-2:] == [True, False]  # a square packs one operand
+
+    # Slot width B for 200-bit operands: bits 200 + 200 + bitlen(n) + 1, in
+    # whole bytes. At n = 255 that is 409 bits, so B = 416; one bit less,
+    # exactly 408, leaves 255 * (2^200 - 1)^2 > 2^407 no room for its sign.
+    # The orders around it put the top coefficient at every byte alignment.
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 255, 256, 300])
+    @pytest.mark.parametrize("bits", [200, 201, 204, 207])
+    def test_slot_boundary(self, n, bits):
+        m = (1 << bits) - 1
+        negative = np.array([-m] * n, dtype=object)
+        alternating = np.array([(-1) ** i * m for i in range(n)], dtype=object)
+        positive = -negative
+        for x, y, sign in ((negative, None, 1), (negative, positive, -1),
+                           (alternating, None, None), (alternating, negative, None)):
+            got = _kronecker_mul(x, y)
+            ys = x if y is None else y
+            want = [sum(int(x[i]) * int(ys[k - i]) for i in range(k + 1)) for k in range(n)]
+            assert got.tolist() == want
+            if sign is not None:  # every coefficient k has magnitude (k+1) * m^2
+                assert want[-1] == sign * n * m * m
 
 
 class TestInvert:
@@ -396,6 +459,20 @@ class TestNewtonInvert:
             got = qc.invert(a)
             assert got.coefficients() == recurrence_divide(one, x, EXACT)
             assert qc.mul(a, got) == qc.one_series(EXACT, n)
+
+    @pytest.mark.parametrize("n", [_NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
+                                   _NEWTON_MIN_ORDER + 1, 700, 2800])
+    def test_exact_matches_mul_sparse_divide(self, n):
+        # the exact divide recurrence Newton's iteration replaced above
+        # _NEWTON_MIN_ORDER: on f[1] (sparse; its inverse, the partition
+        # numbers, passes 2^150) and on that inverse at -q (dense, signed)
+        one = qc.one_series(EXACT, n)
+        f1 = qc.pentagonal_series(1, n, EXACT)
+        partitions = qc.mul_sparse(one, {e: c for e, c in enumerate(f1.coefficients()) if c},
+                                   "divide")
+        for a in (f1, qc.substitute_power(partitions, 1, -1)):
+            terms = {e: c for e, c in enumerate(a.coefficients()) if c}
+            assert qc.invert(a) == qc.mul_sparse(one, terms, "divide")
 
     @pytest.mark.parametrize("n", [1, _NEWTON_MIN_ORDER + 1, 6000])
     @pytest.mark.parametrize("w", [1, 5, 64])
