@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="evaluate an expression and dump "
                                              "its coefficients")
     p_expand.add_argument("expr")
-    p_expand.add_argument("--order", type=int, required=True)
+    p_expand.add_argument("--order", type=_int_at_least(1), required=True)
     p_expand.add_argument("--ring", choices=("exact", "mod64"), default="exact")
     p_expand.add_argument("--json", action="store_true")
     p_expand.set_defaults(func=_cmd_expand)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "coefficientwise")
     p_verify.add_argument("lhs")
     p_verify.add_argument("rhs")
-    p_verify.add_argument("--order", type=int, required=True)
+    p_verify.add_argument("--order", type=_int_at_least(1), required=True)
     p_verify.add_argument("--mod", type=int)
     p_verify.add_argument("--ring", choices=("exact", "mod64"), default="exact")
     p_verify.set_defaults(func=lambda args: _cmd_verify(args, p_verify))
@@ -236,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.set_defaults(func=_cmd_relation)
 
     p_suite = sub.add_parser("suite", help="run the full claim catalogue")
-    p_suite.add_argument("--order-identity", type=int, default=400)
-    p_suite.add_argument("--order-scan", type=int, default=40000)
-    p_suite.add_argument("--kmax", type=int, default=2)
+    p_suite.add_argument("--order-identity", type=_int_at_least(1), default=400)
+    p_suite.add_argument("--order-scan", type=_int_at_least(1), default=40000)
+    p_suite.add_argument("--kmax", type=_int_at_least(0), default=2)
     p_suite.add_argument("--json", metavar="PATH")
     p_suite.set_defaults(func=_cmd_suite)
 

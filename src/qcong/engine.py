@@ -6,6 +6,7 @@ checkers lives in `qcong.catalogue`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .mock_theta import c_appell
@@ -15,16 +16,13 @@ from .series import (
     CoefficientRing,
     OrderError,
     Series,
-    _mask_arr,
     check_modulus,
     dissect,
     equal_to_order,
+    eulerian_sum,
     first_incongruence,
     mul_sparse,
-    mul_sparse_binomial,
-    negate,
     scalar_mul,
-    sum_shifted,
     truncate,
     zero_series,
 )
@@ -61,30 +59,18 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     if order < 1:
         raise ValueError("order must be >= 1")
-    return sum_shifted(_c_terms(order, ring, k), ring, order)
-
-
-def _c_terms(order: int, ring: CoefficientRing, k: Optional[int]):
-    # Term n is q^j * u_n with j = 2n+1, so u_n is only read to order - j
-    # coefficients. (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
-    # u_0 = f2*f4/f1^2 for c and f4^2/f1^2/(-q^2; q^2)_(k-1) for c_k, built
+    # Term n is q^(2n+1) * u_n. (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2
+    # give u_0 = f2*f4/f1^2 for c and f4^2/f1^2/(-q^2; q^2)_(k-1) for c_k, built
     # from the sparse pentagonal series of f1, f2, f4.
     f1, f4 = ({e: x for e, x in enumerate(pentagonal_series(m, order, ring)
                                            .coefficients()) if x} for m in (1, 4))
     u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), f4)
     u = mul_sparse(mul_sparse(u, f1, "divide"), f1, "divide")
-    if k is not None:
-        for j in range(2, min(2 * k, order), 2):
-            u = mul_sparse_binomial(u, 1, j, "divide")
-    for j in range(1, order, 2):
-        yield j, u
-        # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))]
-        v = u._c[:max(0, order - j - 2)].copy()
-        for _ in range(2):
-            v[j:] -= v[:-j]
-        u = mul_sparse_binomial(Series._wrap(ring, _mask_arr(v, ring)), 1, j + 1, "divide")
-        if k is not None:
-            u = mul_sparse_binomial(u, 1, j + 2 * k - 1, "divide")
+    first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
+    # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1
+    rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))
+            for j in range(1, order, 2))
+    return eulerian_sum(u, chain([first], rest))
 
 
 # ---------------------------------------------------------------- reports
@@ -151,14 +137,9 @@ class FamilyClaim:
 # ---------------------------------------------------------------- checks
 
 
-def _samples(s: Series, a: int, b: int, count: int, at: int) -> Series:
-    """s[a*n + b] at q^(at + n) for 0 <= n < count, zero below q^at; at must
-    be >= b // a. dissect reads the residue b % a from q^0 on, so the b // a
-    coefficients it puts before the first sample are cancelled."""
-    skip, r = divmod(b, a)
-    piece = truncate(dissect(s, a, r), skip + count)
-    head = negate(truncate(piece, skip))
-    return sum_shifted([(at - skip, piece), (at - skip, head)], s.ring, at + count)
+def _samples(s: Series, a: int, b: int, count: int) -> Series:
+    """s[a*n + b] at q^n for 0 <= n < count."""
+    return Series._wrap(s.ring, s._c[b::a][:count])
 
 
 def check_progression(s: Series, a: int, b: int, modulus: int,
@@ -176,12 +157,11 @@ def check_progression(s: Series, a: int, b: int, modulus: int,
               "order": s.order, "ring": str(s.ring)}
     if n_max < 0 or n_max > in_range:
         return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    at, count = b // a, n_max + 1
-    idx = first_incongruence(_samples(s, a, b, count, at),
-                             zero_series(s.ring, at + count), modulus, at + count)
-    if idx is None:
+    count = n_max + 1
+    n = first_incongruence(_samples(s, a, b, count), zero_series(s.ring, count),
+                           modulus, count)
+    if n is None:
         return ClaimReport(claim_id, paper_eq, "pass", params)
-    n = idx - at
     value = s[a * n + b]
     witness = {"n": n, "argument": a * n + b, "value": value,
                "residue": value % modulus}
@@ -206,13 +186,11 @@ def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
               "ring": str(s.ring)}
     if n_max < 0 or n_max > in_range:
         return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    at, count = max(b1 // a1, b2 // a2), n_max + 1
-    rhs_samples = scalar_mul(sign, _samples(s, a2, b2, count, at))
-    idx = first_incongruence(_samples(s, a1, b1, count, at), rhs_samples,
-                             modulus, at + count)
-    if idx is None:
+    count = n_max + 1
+    rhs_samples = scalar_mul(sign, _samples(s, a2, b2, count))
+    n = first_incongruence(_samples(s, a1, b1, count), rhs_samples, modulus, count)
+    if n is None:
         return ClaimReport(claim_id, paper_eq, "pass", params)
-    n = idx - at
     lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
     witness = {"n": n, "argument": a1 * n + b1, "value": lhs,
                "other": rhs, "residue": (lhs - sign * rhs) % modulus}

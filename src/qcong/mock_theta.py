@@ -1,8 +1,8 @@
 """Truncated expansions of the mock theta functions omega(q), B(q), and the
 third-order f(q).
 
-Every Eulerian sum is materialized through a term recurrence whose ratio is a
-product of sparse binomials, so each additional term costs O(N). B and omega
+Each Eulerian sum is one call to `series.eulerian_sum`: its terms' ratio is a
+product of binomials (1 +- q^j)^(+-1), so each term costs O(N). B and omega
 also have bilateral (Appell-Lerch) forms, f4/f2^2 and 1/f2 times
 `appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that the mod-2^w
 `series_c` also reads through eq 2-2. The two forms of each must agree.
@@ -17,14 +17,12 @@ from .series import (
     CoefficientRing,
     Series,
     _mask_arr,
-    add,
+    eulerian_sum,
     invert,
     mul,
-    mul_sparse_binomial,
     one_series,
     shift,
     substitute_power,
-    zero_series,
 )
 from .products import pentagonal_series
 
@@ -33,40 +31,17 @@ def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """omega(q) = sum over n >= 0 of q^(2n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # n-th term = q^(2n(n+1)) * (unit series), so terms with 2n(n+1) >= order
-    # contribute nothing below the truncation window and are skipped.
-    term = one_series(ring, order)
-    term = mul_sparse_binomial(term, -1, 1, "divide")
-    term = mul_sparse_binomial(term, -1, 1, "divide")  # 1/(1-q)^2
-    total = zero_series(ring, order)
-    n = 0
-    while 2 * n * (n + 1) < order:
-        total = add(total, term)
-        term = shift(term, 4 * n + 4)
-        term = mul_sparse_binomial(term, -1, 2 * n + 3, "divide")
-        term = mul_sparse_binomial(term, -1, 2 * n + 3, "divide")
-        n += 1
-    return total
+    return eulerian_sum(one_series(ring, order),
+                        ((2 * n * (n + 1), [], [(-1, 2 * n + 1)] * 2) for n in range(order)))
 
 
 def b_eulerian(order: int, ring: CoefficientRing = EXACT) -> Series:
     """B(q) = sum over n >= 0 of (-q^2; q^2)_n * q^(n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # n-th term = q^(n(n+1)) * (unit series): stop once n(n+1) >= order.
-    term = one_series(ring, order)
-    term = mul_sparse_binomial(term, -1, 1, "divide")
-    term = mul_sparse_binomial(term, -1, 1, "divide")
-    total = zero_series(ring, order)
-    n = 0
-    while n * (n + 1) < order:
-        total = add(total, term)
-        term = shift(term, 2 * n + 2)
-        term = mul_sparse_binomial(term, 1, 2 * n + 2)
-        term = mul_sparse_binomial(term, -1, 2 * n + 3, "divide")
-        term = mul_sparse_binomial(term, -1, 2 * n + 3, "divide")
-        n += 1
-    return total
+    return eulerian_sum(one_series(ring, order),
+                        ((n * (n + 1), [(1, 2 * n)] if n else [], [(-1, 2 * n + 1)] * 2)
+                         for n in range(order)))
 
 
 def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -130,15 +105,5 @@ def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Third-order f(q) = sum over n >= 0 of q^(n^2) / (-q; q)_n^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # n-th term = q^(n^2) * (unit series): stop once n^2 >= order.
-    term = one_series(ring, order)
-    total = zero_series(ring, order)
-    n = 0
-    while n * n < order:
-        total = add(total, term)
-        term = shift(term, 2 * n + 1)
-        term = mul_sparse_binomial(term, 1, n + 1, "divide")
-        term = mul_sparse_binomial(term, 1, n + 1, "divide")
-        n += 1
-    return total
-
+    return eulerian_sum(one_series(ring, order),
+                        ((n * n, [], [(1, n)] * 2 if n else []) for n in range(order)))

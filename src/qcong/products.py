@@ -1,10 +1,10 @@
 """q-Pochhammer products, Euler functions f_m, and eta quotients.
 
 The product builders (`pochhammer_inf`, `pochhammer_fin`, `euler_fm`,
-`eta_quotient`) materialize truncated products by chaining sparse binomial
-multiplies/divides, so every factor costs O(N) and no dense inversion is
-needed; `euler_fm` is the product definition of f_m and the reference for
-the pentagonal series. `pentagonal_series` writes f_m down directly from
+`eta_quotient`) are one step of `series.eulerian_sum` each: every binomial
+factor is an O(N) multiply or divide, so no dense inversion is needed;
+`euler_fm` is the product definition of f_m and the reference for the
+pentagonal series. `pentagonal_series` writes f_m down directly from
 Euler's pentagonal number theorem in O(N) time, and is what `f[m]` in
 `qcong.qexpr` and the leading term of the `c` builder read.
 """
@@ -17,45 +17,28 @@ from .series import (
     EXACT,
     CoefficientRing,
     Series,
-    mul_sparse_binomial,
+    eulerian_sum,
     one_series,
 )
-
-
-def _check_sign(sign: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
 
 
 def pochhammer_inf(sign: int, s: int, m: int, order: int,
                    ring: CoefficientRing = EXACT) -> Series:
     """(sign*q^s; q^m)_inf = prod over j >= 0 of (1 - sign*q^(s+jm))."""
-    _check_sign(sign)
-    if s < 1:
-        raise ValueError("offset s must be >= 1 so the product is a unit")
-    if m < 1:
-        raise ValueError("step m must be >= 1")
-    out = one_series(ring, order)
-    for j in range(s, order, m):
-        out = mul_sparse_binomial(out, -sign, j)
-    return out
+    return pochhammer_fin(sign, s, m, order, order, ring)
 
 
 def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
                    ring: CoefficientRing = EXACT) -> Series:
     """(sign*q^s; q^m)_n = prod over 0 <= j < n of (1 - sign*q^(s+jm))."""
-    _check_sign(sign)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     if s < 1 or m < 1:
-        raise ValueError("offsets and steps must be >= 1")
+        raise ValueError("offset s and step m must be >= 1, so the product is a unit")
     if n < 0:
         raise ValueError("factor count n must be >= 0")
-    out = one_series(ring, order)
-    for j in range(n):
-        e = s + j * m
-        if e >= order:
-            break
-        out = mul_sparse_binomial(out, -sign, e)
-    return out
+    up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
+    return eulerian_sum(one_series(ring, order), [(0, up, [])])
 
 
 def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -66,24 +49,14 @@ def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 def eta_quotient(exponents: dict[int, int], order: int,
                  ring: CoefficientRing = EXACT) -> Series:
     """prod over m of f_m^(e_m); all multiplies happen before any divide."""
-    out = one_series(ring, order)
-    items = sorted(exponents.items())
-    for m, e in items:
-        if m < 1:
-            raise ValueError(f"eta index must be >= 1, got {m}")
-        if e > 0:
-            out = _fm_apply(out, m, e, "multiply")
-    for m, e in items:
-        if e < 0:
-            out = _fm_apply(out, m, -e, "divide")
-    return out
+    if any(m < 1 for m in exponents):
+        raise ValueError(f"eta index must be >= 1, got {min(exponents)}")
 
+    def factors(sign: int) -> list:  # f_m^|e| for every e of this sign
+        return [(-1, j) for m, e in sorted(exponents.items()) if e * sign > 0
+                for _ in range(abs(e)) for j in range(m, order, m)]
 
-def _fm_apply(a: Series, m: int, reps: int, direction: str) -> Series:
-    for _ in range(reps):
-        for j in range(m, a.order, m):
-            a = mul_sparse_binomial(a, -1, j, direction)
-    return a
+    return eulerian_sum(one_series(ring, order), [(0, factors(1), factors(-1))])
 
 
 def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:

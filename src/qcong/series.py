@@ -14,7 +14,9 @@ product is one big-integer multiply (Kronecker substitution), and a product
 mod 2^w is np.convolve at small orders and a limb-split float FFT at large
 ones. `invert` runs the coefficient recurrence for the first few terms, then
 Newton's iteration, which doubles the known terms with two products a step.
-All of it is exact arithmetic.
+`eulerian_sum` is the one kernel behind every Eulerian sum and every
+Pochhammer or eta product: it sums q^e * u while it steps u by binomial
+factors (1 +- q^j)^(+-1), each an O(N) pass. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -496,17 +498,36 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
     return Series._wrap(ring, _mask_arr(out, ring))
 
 
-def sum_shifted(terms, ring: CoefficientRing, order: int) -> Series:
-    """Sum of q^j * a over the (j, a) pairs of `terms`, truncated to `order`
-    and accumulated in one buffer."""
+def eulerian_sum(head: Series, steps) -> Series:
+    """Sum of q^e * u over the (e, up, down) tuples of `steps`, truncated to
+    head.order: an Eulerian sum whose term ratio is a product of binomials.
+
+    u starts as head. Each step cuts u to its window u[:order - e] (e must
+    not decrease), multiplies it by (1 + c*q^j) for each (c, j) in `up`,
+    divides it by (1 + c*q^j) for each (c, j) in `down`, and adds q^e * u.
+    The sum stops at the first e >= order, so `steps` may be endless. Every
+    c is 1 or -1, so a multiply is one in-place pass and a divide one cumsum,
+    O(window) each; a factor with j at or past the window is a no-op.
+    """
+    ring, order = head.ring, head.order
     acc = np.zeros(order, dtype=ring.dtype)
-    for j, a in terms:
-        if a.ring != ring:
-            raise RingMismatchError(f"ring mismatch: {a.ring} vs {ring}")
-        if j < 0:
-            raise ValueError("shift amount must be nonnegative")
-        m = max(0, min(a.order, order - j))
-        acc[j:j + m] += a._c[:m]
+    u = head._c.copy()
+    for e, up, down in steps:
+        if e >= order:
+            break
+        for c, j in (*up, *down):
+            if c not in (1, -1) or j < 1:
+                raise ValueError(f"binomial factor (1 + {c}*q^{j}) needs c = +-1 and j >= 1")
+        u = u[:order - e]
+        for c, j in up:  # numpy reads the overlapping operands before writing
+            if c == 1:
+                u[j:] += u[:-j]
+            else:
+                u[j:] -= u[:-j]
+        for c, j in down:
+            if j < len(u):
+                u = _div_binomial(u, ring.normalize(c), j, ring)
+        acc[e:] += u
     return Series._wrap(ring, _mask_arr(acc, ring))
 
 

@@ -55,6 +55,14 @@ class TestExpand:
         assert captured.out == ""
         assert captured.err == "error: expression is nested or chained too deeply to evaluate\n"
 
+    def test_zero_order_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["expand", "q", "--order", "0"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --order: expected an integer >= 1, got '0'" in captured.err
+
     def test_source_starting_with_minus(self, capsys):
         assert main(["expand", "-f[1]", "--order", "5"]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -88,6 +96,14 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "q", "q", "--order", "10", "--ring", "mod64"])
         assert err.value.code == 2
+
+    def test_zero_order_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "q", "q", "--order", "0"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --order: expected an integer >= 1, got '0'" in captured.err
 
     @pytest.mark.parametrize("ring", ["exact", "mod64"])
     @pytest.mark.parametrize("mod", ["0", "-4", "1"])
@@ -286,11 +302,26 @@ class TestSuite:
         assert capsys.readouterr().out.splitlines()[-1] == \
             "63 claims: 47 pass, 0 fail, 16 order-too-small"
 
-    def test_negative_kmax_exits_2(self, capsys):
-        assert main(["suite", "--order-identity", "40", "--order-scan", "400",
-                     "--kmax", "-1"]) == 2
+    @pytest.mark.parametrize("flag, bad", [("--order-identity", "0"),
+                                           ("--order-scan", "0"), ("--order-scan", "x")])
+    def test_zero_order_exits_2_naming_the_flag(self, capsys, flag, bad):
+        # rejected while parsing, before any shared series is built
+        argv = {"--order-identity": "40", "--order-scan": "400", flag: bad}
+        with pytest.raises(SystemExit) as err:
+            main(["suite", *(x for item in argv.items() for x in item)])
+        assert err.value.code == 2
         captured = capsys.readouterr()
-        assert "kmax" in captured.err and captured.out == ""
+        assert captured.out == ""
+        assert f"argument {flag}: expected an integer >= 1, got '{bad}'" in captured.err
+
+    def test_negative_kmax_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["suite", "--order-identity", "40", "--order-scan", "400",
+                  "--kmax", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --kmax: expected an integer >= 0, got '-1'" in captured.err
 
 
 class TestUsage:

@@ -47,7 +47,6 @@ from qcong import (
     series_c,
     series_ck,
     shift,
-    sum_shifted,
     suite_json,
     truncate,
     verify_congruent,
@@ -143,14 +142,15 @@ def three_term_step_c(order, ring, k=None):
     if k is not None:
         for j in range(2, min(2 * k, order), 2):
             u = mul_sparse_binomial(u, 1, j, "divide")
-    terms = []
+    total = [0] * order
     for j in range(1, order, 2):
-        terms.append((j, u))
+        for i, x in enumerate(u.coefficients()[:order - j]):
+            total[j + i] += x
         u = mul_sparse(u.truncate(max(0, order - j - 2)), {0: 1, j: -2, 2 * j: 1})
         u = mul_sparse_binomial(u, 1, j + 1, "divide")
         if k is not None:
             u = mul_sparse_binomial(u, 1, j + 2 * k - 1, "divide")
-    return sum_shifted(terms, ring, order)
+    return Series(ring, total)
 
 
 def built_c(order, ring, k=None):
@@ -295,11 +295,12 @@ def relation_by_loop(s, a1, b1, sign, a2, b2, modulus, n_max):
 
 
 class TestSampledChecksMatchLoop:
-    """The progression and relation checks read their samples through
-    dissect and first_incongruence. With every coefficient of 8*C divisible
-    by 8 but one bumped by -4 (negative at q^0 in the exact ring), they give
-    the per-sample loop's verdict and witness, also when B >= A puts
-    coefficients of the residue class before the first sample."""
+    """The progression and relation checks read their samples as one strided
+    slice and compare them through first_incongruence. With every
+    coefficient of 8*C divisible by 8 but one bumped by -4 (negative at q^0
+    in the exact ring), they give the per-sample loop's verdict and witness,
+    also when B >= A puts coefficients of the residue class before the
+    first sample."""
 
     BUMPS = [0, 3, 7, 12, 100, 299]
 

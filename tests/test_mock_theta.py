@@ -200,6 +200,22 @@ class TestF3:
         assert lhs == rhs
 
 
+TERMWISE = [(omega_series, omega_by_termwise_expansion),
+            (b_eulerian, b_by_termwise_expansion),
+            (f3_series, f3_by_termwise_expansion)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("builder, reference", TERMWISE,
+                         ids=[b.__name__ for b, _ in TERMWISE])
+def test_eulerian_builders_match_termwise_oracle(ring, builder, reference):
+    # a coefficient does not depend on the truncation, so one oracle run at
+    # order 48 serves every order 1..48: each edge of the per-term windows
+    want = reference(48)
+    for n in range(1, 49):
+        assert builder(n, ring) == qc.Series(ring, want[:n]), n
+
+
 @pytest.mark.parametrize("builder", [omega_series, b_eulerian, b_appell, f3_series,
                                      omega_appell])
 def test_order_validation(builder):

@@ -59,6 +59,71 @@ class TestPochhammer:
         assert qc.mul(fin, tail) == pochhammer_inf(1, 1, 1, order)
 
 
+def list_mul(a: list, b: list) -> list:
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def list_product(exponents: list, n: int, sign: int = 1) -> list:
+    """prod of (1 - sign*q^e) over `exponents`, as a plain list of n ints."""
+    out = [1] + [0] * (n - 1)
+    for e in exponents:
+        if e < n:
+            out = list_mul(out, [1] + [0] * (e - 1) + [-sign] + [0] * (n - e - 1))
+    return out
+
+
+def list_inverse(a: list) -> list:
+    b = [1] + [0] * (len(a) - 1)
+    for k in range(1, len(a)):
+        b[k] = -sum(a[i] * b[k - i] for i in range(1, k + 1))
+    return b
+
+
+def eta_by_lists(exponents: dict, n: int) -> list:
+    num = list_product([m * j for m, e in exponents.items() if e > 0
+                        for _ in range(e) for j in range(1, n)], n)
+    den = list_product([m * j for m, e in exponents.items() if e < 0
+                        for _ in range(-e) for j in range(1, n)], n)
+    return list_mul(num, list_inverse(den))
+
+
+RINGS = [EXACT, qc.MOD64, qc.mod2pow(5)]
+ORDER = 40
+
+
+class TestProductsAgainstLists:
+    # a coefficient does not depend on the truncation, so one list product at
+    # order 40 serves every order 1..40
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("sign, s, m", [(1, 1, 1), (-1, 1, 2), (1, 3, 5), (-1, 2, 2)])
+    def test_pochhammer_inf(self, ring, sign, s, m):
+        want = list_product(range(s, ORDER, m), ORDER, sign)
+        for n in range(1, ORDER + 1):
+            assert pochhammer_inf(sign, s, m, n, ring) == qc.Series(ring, want[:n]), n
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("sign, s, m, count", [(1, 1, 1, 4), (-1, 1, 2, 7),
+                                                   (1, 3, 5, 2), (-1, 2, 3, 50)])
+    def test_pochhammer_fin(self, ring, sign, s, m, count):
+        want = list_product([s + j * m for j in range(count)], ORDER, sign)
+        for n in range(1, ORDER + 1):
+            assert pochhammer_fin(sign, s, m, count, n, ring) == qc.Series(ring, want[:n]), n
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    @pytest.mark.parametrize("exponents", [{1: -2}, {2: 3, 1: -2, 8: 1},
+                                           {4: 2, 16: 2, 2: -5, 8: -1}, {3: 1}])
+    def test_eta_quotient(self, ring, exponents):
+        want = eta_by_lists(exponents, ORDER)
+        for n in range(1, ORDER + 1):
+            assert eta_quotient(exponents, n, ring) == qc.Series(ring, want[:n]), n
+
+
 class TestEulerFm:
     @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
     def test_matches_pentagonal_series(self, m):

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import numpy as np
 import pytest
@@ -586,23 +587,66 @@ class TestSparseFactor:
             qc.mul_sparse(a, {0: 1}, "sideways")
 
 
-class TestSumShifted:
-    @given(st.lists(st.tuples(st.integers(0, 30), coeff_lists), max_size=5),
-           rings, st.integers(0, 30))
-    def test_matches_added_shifts(self, pieces, ring, order):
-        want = qc.zero_series(ring, order)
-        for j, xs in pieces:
-            padded = Series(ring, xs + [0] * order)
-            want = want + qc.shift(padded, j).truncate(order)
-        got = qc.sum_shifted(((j, Series(ring, xs)) for j, xs in pieces), ring, order)
-        assert got == want
+def eulerian_reference(head: list, steps, order: int) -> list:
+    """Independent reference for eulerian_sum in exact ints: every term is
+    carried at full order, with no window, and each factor is a schoolbook
+    multiply or a coefficient recurrence."""
+    acc, u = [0] * order, list(head)
+    for e, up, down in steps:
+        if e >= order:
+            break
+        for c, j in up:
+            u = schoolbook_mul(u, [1] + [0] * (j - 1) + [c], order)
+        for c, j in down:
+            u = binomial_divide(u, c, j)
+        for i in range(order - e):
+            acc[e + i] += u[i]
+    return acc
 
-    def test_bad_arguments(self):
-        a = exact_series([1, 2])
-        with pytest.raises(qc.RingMismatchError):
-            qc.sum_shifted([(0, a)], qc.MOD64, 3)
+
+binomials = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 30)), max_size=3)
+
+
+class TestEulerianSum:
+    @given(coeff_lists, st.lists(st.tuples(st.integers(0, 6), binomials, binomials),
+                                 max_size=8), rings)
+    def test_matches_full_order_terms(self, head, raw, ring):
+        steps, e = [], 0
+        for de, up, down in raw:
+            e += de
+            steps.append((e, up, down))
+        got = qc.eulerian_sum(Series(ring, head), steps)
+        assert got == Series(ring, eulerian_reference(head, steps, len(head)))
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_factor_at_or_past_the_window_is_a_no_op(self, ring):
+        head = Series(ring, [3, -1, 4, 1, -5, 9, 2, -6, 5, 3])
+        bare = qc.eulerian_sum(head, [(0, [], []), (4, [], [])])
+        # the second step's window is 10 - 4 = 6 coefficients
+        for c, j in ((1, 6), (-1, 6), (1, 7), (-1, 40)):
+            for up, down in (([(c, j)], []), ([], [(c, j)])):
+                assert qc.eulerian_sum(head, [(0, [], []), (4, up, down)]) == bare
+        # one inside the window is not
+        assert qc.eulerian_sum(head, [(0, [], []), (4, [(1, 5)], [])]) != bare
+        assert qc.eulerian_sum(head, [(0, [], []), (4, [], [(1, 5)])]) != bare
+
+    def test_endless_steps_stop_at_the_order(self):
+        # sum over n of q^n / (1 - q)^(n+1) = 1 / (1 - 2q)
+        steps = ((n, [], [(-1, 1)]) for n in count())
+        got = qc.eulerian_sum(qc.one_series(EXACT, 10), steps)
+        assert got.coefficients() == [2**i for i in range(10)]
+
+    def test_head_is_not_modified(self):
+        head = exact_series([1, 2, 3, 4, 5])
+        qc.eulerian_sum(head, [(0, [(-1, 1)], [(1, 2)]), (1, [(1, 1)], [])])
+        assert head.coefficients() == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("up,down", [([(2, 1)], []), ([], [(2, 1)]),
+                                         ([(0, 1)], []), ([], [(-2, 3)]),
+                                         ([(1, 0)], []), ([], [(-1, 0)])])
+    def test_rejects_a_factor_other_than_one_plus_minus_q_j(self, up, down):
         with pytest.raises(ValueError):
-            qc.sum_shifted([(-1, a)], EXACT, 3)
+            qc.eulerian_sum(qc.one_series(qc.MOD64, 5), [(0, up, down)])
 
 
 class TestReindexing:
