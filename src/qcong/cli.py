@@ -46,8 +46,10 @@ def _pair(text: str) -> tuple[int, int]:
     try:
         a, b = (int(x) for x in text.split(","))
     except ValueError:
+        a = b = -1
+    if a < 1 or b < 0:
         raise argparse.ArgumentTypeError(
-            f"expected two comma-separated integers, got {text!r}")
+            f"expected A,B with integers A >= 1 and B >= 0, got {text!r}")
     return a, b
 
 
@@ -65,12 +67,9 @@ def _int_at_least(low: int):
     return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}")
+def _moduli(text: str) -> list[int]:
+    """An argparse type: comma-separated moduli, each an integer >= 2."""
+    return [_int_at_least(2)(x) for x in text.split(",")]
 
 
 def _series_spec(text: str) -> tuple[str, Optional[int]]:
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("lhs")
     p_verify.add_argument("rhs")
     p_verify.add_argument("--order", type=_int_at_least(1), required=True)
-    p_verify.add_argument("--mod", type=int)
+    p_verify.add_argument("--mod", type=_int_at_least(2))
     p_verify.add_argument("--ring", choices=("exact", "mod64"), default="exact")
     p_verify.set_defaults(func=lambda args: _cmd_verify(args, p_verify))
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="C|Ck:K")
     p_check.add_argument("--progression", type=_pair, required=True,
                          metavar="A,B")
-    p_check.add_argument("--mod", type=int, required=True)
+    p_check.add_argument("--mod", type=_int_at_least(2), required=True)
     p_check.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_check.set_defaults(func=_cmd_check)
 
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.add_argument("--lhs", type=_pair, required=True, metavar="A1,B1")
     p_rel.add_argument("--rhs", type=_pair, required=True, metavar="A2,B2")
     p_rel.add_argument("--sign", choices=("+", "-"), required=True)
-    p_rel.add_argument("--mod", type=int, required=True)
+    p_rel.add_argument("--mod", type=_int_at_least(2), required=True)
     p_rel.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_rel.set_defaults(func=_cmd_relation)
 
@@ -250,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="search for vanishing progressions")
     p_scan.add_argument("--amax", type=_int_at_least(1), required=True)
-    p_scan.add_argument("--mods", type=_int_list, required=True,
+    p_scan.add_argument("--mods", type=_moduli, required=True,
                         metavar="M1,M2,...")
     p_scan.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_scan.set_defaults(func=_cmd_scan)

@@ -69,21 +69,17 @@ def _at_q2(a: Series, order: int) -> Series:
     return substitute_power(a.truncate(order // 2 + 1), 2, 1).truncate(order)
 
 
-def _inv_f2(order: int, ring: CoefficientRing) -> Series:
-    return _at_q2(invert(pentagonal_series(1, order // 2 + 1, ring)), order)
-
-
 def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
     """B(q) through its bilateral form (eq 2-3): f4/f2^2 * appell_sum(2)."""
     total = appell_sum(2, order, ring)
-    inv_f2 = _inv_f2(order, ring)
+    inv_f2 = invert(pentagonal_series(2, order, ring))
     return mul(mul(pentagonal_series(4, order, ring), mul(inv_f2, inv_f2)), total)
 
 
 def omega_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
     """omega(q) through its bilateral form (Watson 1936): 1/f2 * appell_sum(3)."""
     total = appell_sum(3, order, ring)
-    return mul(_inv_f2(order, ring), total)
+    return mul(invert(pentagonal_series(2, order, ring)), total)
 
 
 def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -14,6 +14,7 @@ product is one big-integer multiply (Kronecker substitution), and a product
 mod 2^w is np.convolve at small orders and a limb-split float FFT at large
 ones. `invert` runs the coefficient recurrence for the first few terms, then
 Newton's iteration, which doubles the known terms with two products a step.
+Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
 Pochhammer or eta product: it sums q^e * u while it steps u by binomial
 factors (1 +- q^j)^(+-1), each an O(N) pass. All of it is exact arithmetic.
@@ -254,16 +255,35 @@ def _terms(arr: np.ndarray) -> dict[int, int]:
     return {int(e): int(arr[e]) for e in np.flatnonzero(arr)}
 
 
+def _stride(*arrs: np.ndarray) -> int:
+    """The largest d such that every arr is a series in q^d; 0 for constants."""
+    if any(len(x) > 1 and x[1] for x in arrs):
+        return 1
+    return int(np.gcd.reduce([np.gcd.reduce(np.flatnonzero(x[1:]) + 1) for x in arrs]))
+
+
+def _spread(a: Series, d: int, n: int) -> Series:
+    """a(q^d) to n coefficients; a must know ceil(n / d) of them."""
+    out = np.zeros(n, dtype=a.ring.dtype)
+    out[::d] = a._c
+    return Series._wrap(a.ring, out)
+
+
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to min(a.order, b.order).
 
-    The operand with fewer nonzero coefficients multiplies through
-    `mul_sparse` in O(order * terms) when it has few enough of them (f[m] or
-    a low power of it). A dense exact product is `_kronecker_mul`; mod 2^w it
+    Operands that are both series in q^d (d > 1) multiply as a[::d] and
+    b[::d] by this same rule. Otherwise the sparser operand goes through
+    `mul_sparse` in O(order * terms) when it has few enough terms (f[m] or a
+    low power of it). A dense exact product is `_kronecker_mul`; mod 2^w it
     is the limb-split FFT from _FFT_MIN_ORDER up and np.convolve below it.
     """
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
+    d = _stride(a._c[:n], b._c[:n])
+    if d > 1:
+        x = Series._wrap(ring, a._c[:n:d])
+        return _spread(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])), d, n)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
     if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * _SPARSE_RATIO[ring.kind] <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
@@ -331,13 +351,20 @@ def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | No
     xs = spectra(x)
     ys = xs if y is None else spectra(y)
     out = np.zeros(n, dtype=np.uint64)
+    acc = np.empty_like(xs[0]) if y is None else None
     for s in reversed(range(limbs)):
-        g = fft.irfft(sum(xs[i] * ys[s - i] for i in range(s + 1)), size)[:n]
-        r = np.rint(g)
+        # group s sums in place: in acc for a square, else in limb s of y,
+        # which no later term reads
+        acc = np.multiply(xs[0], ys[s], out=acc if y is None else ys[s])
+        tmp = np.empty_like(acc)
+        for i in range(1, s + 1):
+            acc += np.multiply(xs[i], ys[s - i], out=tmp)
+        xs[s] = ys[s] = tmp = None  # no lower group reads limb s
+        g = fft.irfft(acc, size)[:n]
+        r = np.rint(g, out=acc.view(np.float64)[:n])  # acc is spent: reuse it
         if np.abs(g - r).max() > _FFT_TOLERANCE:
             return None
         out += r.astype(np.uint64) << np.uint64(_LIMB_BITS * s)
-        xs[s] = ys[s] = None  # no lower group reads limb s
     return out
 
 
@@ -370,13 +397,16 @@ def _kronecker_mul(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
 def invert(a: Series) -> Series:
     """Multiplicative inverse, valid to a.order; constant term must be a unit.
 
-    In both rings the coefficient recurrence over the nonzero terms of a
-    (`mul_sparse` dividing one by a) gives the first _NEWTON_MIN_ORDER
-    terms, then Newton's iteration (Brent and Kung 1978) takes over, each
-    step two `mul` calls that double the terms.
+    A series in q^d (d > 1) inverts as a[::d]. Else the recurrence over the
+    nonzero terms of a (`mul_sparse` dividing one by a) gives the first
+    _NEWTON_MIN_ORDER terms, then Newton's iteration (Brent and Kung 1978)
+    takes over, each step two `mul` calls that double the terms.
     """
     if a.order == 0:
         return a
+    d = _stride(a._c)
+    if d > 1:
+        return _spread(invert(Series._wrap(a.ring, a._c[::d])), d, a.order)
     ring = a.ring
     sizes = [a.order]
     while sizes[-1] > _NEWTON_MIN_ORDER:

@@ -109,9 +109,13 @@ class TestVerify:
     @pytest.mark.parametrize("mod", ["0", "-4", "1"])
     def test_nonpositive_modulus_exits_2(self, capsys, ring, mod):
         # mod 1 would make any two series "congruent"
-        assert main(["verify", "f[1]", "f[1]", "--order", "5", "--mod", mod,
-                     "--ring", ring]) == 2
-        assert "error: modulus" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "f[1]", "f[1]", "--order", "5", "--mod", mod,
+                  "--ring", ring])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --mod: expected an integer >= 2, got '{mod}'" in captured.err
 
     @pytest.mark.parametrize("ring", ["exact", "mod64"])
     def test_source_starting_with_minus(self, capsys, ring):
@@ -351,3 +355,39 @@ class TestUsage:
                              capture_output=True, text=True, timeout=60)
         assert bad.returncode == 2
         assert "argument --nmax" in bad.stderr
+
+
+class TestBadFlagValues:
+    """A progression, modulus or moduli list out of range exits 2 and names
+    its flag before any series is built."""
+
+    CHECK = ["check", "--series", "C", "--nmax", "10"]
+    RELATION = ["relation", "--series", "C", "--sign", "-", "--nmax", "10"]
+    SCAN = ["scan", "--amax", "8", "--nmax", "10"]
+    PAIR = "expected A,B with integers A >= 1 and B >= 0, got '{}'"
+    MODULUS = "expected an integer >= 2, got '{}'"
+
+    @pytest.fixture(autouse=True)
+    def no_builds(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a series was built")
+        for name in ("series_c", "series_ck", "evaluate"):
+            monkeypatch.setattr(f"qcong.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("argv, flag, bad, want", [
+        (CHECK + ["--mod", "8"], "--progression", "0,4", PAIR.format("0,4")),
+        (CHECK + ["--mod", "8"], "--progression", "8,-1", PAIR.format("8,-1")),
+        (RELATION + ["--rhs", "2,2", "--mod", "4"], "--lhs", "0,7", PAIR.format("0,7")),
+        (RELATION + ["--lhs", "8,7", "--mod", "4"], "--rhs", "2,-2", PAIR.format("2,-2")),
+        (CHECK + ["--progression", "8,6"], "--mod", "1", MODULUS.format("1")),
+        (RELATION + ["--lhs", "8,7", "--rhs", "2,2"], "--mod", "0", MODULUS.format("0")),
+        (SCAN, "--mods", "0,4", MODULUS.format("0")),
+        (SCAN, "--mods", "4,x", MODULUS.format("x")),
+    ])
+    def test_exits_2_naming_the_flag(self, capsys, argv, flag, bad, want):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, flag, bad])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {want}" in captured.err

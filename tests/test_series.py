@@ -298,11 +298,16 @@ class TestSparseMul:
     @pytest.mark.parametrize("n", [1000, 6000, 40000])
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_square_of_pentagonal_series(self, n, ring, sparse_calls):
-        for m in (1, 3):
+        # f[3] is a series in q^3, so its square is f[1]'s at ceil(n / 3)
+        # coefficients, where the route rule applies: f[1] to 334 has 30
+        # terms, too many for mul_sparse
+        routes = {1000: (1, 0), 6000: (1, 1), 40000: (1, 1)}[n]
+        for m, routed in zip((1, 3), routes):
             f = qc.pentagonal_series(m, n, ring)
             x = np.array(f.coefficients(), dtype=np.uint64)
+            sparse_calls.clear()
             assert qc.mul(f, f) == Series(ring, np.convolve(x, x)[:n])
-        assert len(sparse_calls) == 2
+            assert len(sparse_calls) == routed
 
 
 def signed_ints(rng: random.Random, n: int, bits: int, density: float) -> np.ndarray:
@@ -481,6 +486,136 @@ class TestNewtonInvert:
         ring = qc.mod2pow(w)
         x = random_u64(np.random.default_rng(n), n, ring)
         x[0] = 2 & ring.mask
+        with pytest.raises(qc.NonUnitError):
+            qc.invert(Series(ring, x))
+
+
+def q_power_series(rng, ring, n: int, d: int, dense: bool) -> np.ndarray:
+    """n coefficients of a random series in q^d: every d-th one drawn (dense)
+    or about four of them (sparse), the rest zero; exact ones pass 2^64."""
+    x = np.zeros(n, dtype=ring.dtype)
+    slots = np.arange(0, n, d)
+    if not dense:
+        slots = rng.choice(slots, min(4, len(slots)), replace=False)
+    shift = 8 if ring == EXACT else 0
+    x[slots] = [ring.normalize(int(v) << shift)
+                for v in rng.integers(-(1 << 62), 1 << 62, len(slots))]
+    return x
+
+
+def terms_of(x: np.ndarray) -> dict:
+    return {e: int(c) for e, c in enumerate(x) if c}
+
+
+def reference_mul(x: np.ndarray, y: np.ndarray, ring) -> Series:
+    """The uncompressed product to min(len(x), len(y)): np.convolve mod 2^w,
+    mul_sparse over x's terms in the exact ring."""
+    n = min(len(x), len(y))
+    if ring == EXACT:
+        return qc.mul_sparse(Series(ring, y[:n]), terms_of(x[:n]))
+    return Series(ring, np.convolve(x[:n], y[:n])[:n])
+
+
+def reference_invert(x: np.ndarray, ring) -> Series:
+    """The uncompressed inverse: mul_sparse's divide recurrence."""
+    return qc.mul_sparse(qc.one_series(ring, len(x)), terms_of(x), "divide")
+
+
+class TestStrideCompression:
+    """mul and invert of series in q^d run at ceil(n / d) coefficients; they
+    must equal the uncompressed references."""
+
+    rings = st.sampled_from([EXACT, qc.MOD64, qc.mod2pow(5)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(rings, st.integers(2, 8), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]),
+           st.integers(1, 300), st.integers(0, 5), st.booleans(), st.booleans(),
+           st.integers(0, 2**32))
+    def test_mul_matches_uncompressed(self, ring, d, ka, kb, n, extra, dense_a, dense_b,
+                                      seed):
+        # a is a series in q^(d*ka), b in q^(d*kb) and one coefficient longer
+        # or more: the stride is their gcd, at least d
+        rng = np.random.default_rng(seed)
+        x = q_power_series(rng, ring, n, d * ka, dense_a)
+        y = q_power_series(rng, ring, n + extra, d * kb, dense_b)
+        a, b = Series(ring, x), Series(ring, y)
+        want = reference_mul(x, y, ring)
+        assert qc.mul(a, b) == want
+        assert qc.mul(b, a) == want
+        assert qc.mul(a, a) == reference_mul(x, x, ring)  # the square route
+
+    @settings(max_examples=80, deadline=None)
+    @given(rings, st.integers(2, 8), st.integers(1, 300), st.booleans(),
+           st.integers(0, 2**32))
+    def test_invert_matches_uncompressed(self, ring, d, n, dense, seed):
+        rng = np.random.default_rng(seed)
+        x = q_power_series(rng, ring, n, d, dense)
+        x[0] = ring.normalize(int(rng.choice([1, -1])) if ring == EXACT
+                              else 2 * int(rng.integers(0, 1 << 20)) + 1)
+        assert qc.invert(Series(ring, x)) == reference_invert(x, ring)
+
+    @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_fft_route_at_6000(self, ring):
+        # compressed to 3000 coefficients, a dense product is still an FFT one
+        rng = np.random.default_rng(11)
+        x, y = (q_power_series(rng, ring, 6000, 2, True) for _ in range(2))
+        assert qc.mul(Series(ring, x), Series(ring, y)) == reference_mul(x, y, ring)
+        x[0] = 1
+        assert qc.invert(Series(ring, x)) == recurrence_inverse(x, ring)
+
+    def test_product_runs_at_the_compressed_order(self, monkeypatch):
+        orders, kronecker = [], qcong.series._kronecker_mul
+        monkeypatch.setattr(qcong.series, "_kronecker_mul",
+                            lambda x, y: orders.append(len(x)) or kronecker(x, y))
+        x = q_power_series(np.random.default_rng(3), EXACT, 200, 3, True)
+        a = Series(EXACT, x)
+        assert qc.mul(a, a) == reference_mul(x, x, EXACT)
+        assert orders == [67]
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_stride(self, ring):
+        def series(n, terms):
+            x = np.zeros(n, dtype=ring.dtype)
+            for e, c in terms.items():
+                x[e] = ring.scalar(c)
+            return x
+        assert qcong.series._stride(series(0, {})) == 0
+        assert qcong.series._stride(series(9, {}), series(9, {0: 3})) == 0
+        assert qcong.series._stride(series(1, {0: 1})) == 0
+        assert qcong.series._stride(series(30, {0: 1, 8: 1, 24: -1}),
+                                    series(30, {6: 1, 18: 1})) == 2
+        assert qcong.series._stride(series(30, {0: 1, 12: 3}), series(30, {1: 1})) == 1
+        assert qcong.series._stride(series(30, {0: 1, 9: 1, 27: 1})) == 9
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_zero_and_constant_operands(self, ring):
+        rng = np.random.default_rng(5)
+        y = q_power_series(rng, ring, 40, 3, True)
+        b = Series(ring, y)
+        zero, seven = qc.zero_series(ring, 40), qc.constant_series(ring, 40, 7)
+        assert qc.mul(zero, b) == qc.mul(b, zero) == qc.mul(zero, zero) == zero
+        assert qc.mul(seven, b) == qc.mul(b, seven) == qc.scalar_mul(7, b)
+        assert qc.mul(seven, seven) == qc.constant_series(ring, 40, 49)
+        minus_one = qc.constant_series(ring, 40, -1)
+        assert qc.invert(minus_one) == minus_one
+        with pytest.raises(qc.NonUnitError):
+            qc.invert(zero)
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
+    def test_q4_times_q6_and_q_d_times_dense(self, ring):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 5, 47, 300):
+            x4 = q_power_series(rng, ring, n, 4, True)
+            x6 = q_power_series(rng, ring, n + 3, 6, True)
+            dense = q_power_series(rng, ring, n, 1, True)
+            for x, y in ((x4, x6), (x6, x4), (x4, dense), (dense, x6)):
+                assert qc.mul(Series(ring, x), Series(ring, y)) == reference_mul(x, y, ring)
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 7, _NEWTON_MIN_ORDER * 3 + 1])
+    def test_non_unit_constant_term_rejected(self, ring, n):
+        x = q_power_series(np.random.default_rng(n), ring, n, 3, True)
+        x[0] = ring.normalize(2)
         with pytest.raises(qc.NonUnitError):
             qc.invert(Series(ring, x))
 
