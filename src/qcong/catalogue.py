@@ -9,7 +9,7 @@ bottom. The supporting identities and congruences are data: rows of two
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -27,7 +27,7 @@ from .engine import (
 )
 from .mock_theta import b_appell, b_eulerian, f3_series, omega_appell, omega_series
 from .oracle import count_c_limit, count_ck
-from .qexpr import F3, BFun, CSeries, Omega, evaluate, parse, to_source
+from .qexpr import F3, BFun, CSeries, Omega, evaluate, parse, reads, to_source
 from .series import EXACT, MOD64, Series, change_ring
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
@@ -37,10 +37,15 @@ ORACLE_LIMIT = 25
 # ---------------------------------------------------------------- context
 
 
+# the leaves of the catalogue rows that read a shared series, and its field
+_SEEDS = {CSeries(): "c_exact", BFun(1, 1): "b_exact",
+          Omega(1, 1): "omega_exact", F3(1, 1): "f3_exact"}
+
+
 @dataclass(frozen=True)
 class SuiteContext:
-    """Shared series for one catalogue run. Orders are chosen so every
-    catalogued dissection stays inside its operand's window."""
+    """Shared series for one catalogue run, and the rows' one evaluation
+    memo, seeded with them; `dataclasses.replace` gives a fresh memo."""
 
     n_identity: int
     n_congruence: int
@@ -51,45 +56,50 @@ class SuiteContext:
     omega_exact: Series
     f3_exact: Series
     c_scan: Series
+    memo: dict = field(init=False, repr=False, compare=False,
+                       default_factory=dict)
+
+    def __post_init__(self):
+        self.memo.update((leaf, getattr(self, name))
+                         for leaf, name in _SEEDS.items())
+
+
+def _seed_reads(sides, order: int) -> dict:
+    """{seeded leaf: the most coefficients either side reads of it}."""
+    depths = [reads(e, order) for e in sides]
+    return {leaf: max(d.get(leaf, 0) for d in depths) for leaf in _SEEDS}
 
 
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
                         k_max: int = 2, n_congruence: Optional[int] = None,
                         timings: Optional[dict] = None) -> SuiteContext:
-    """Build every shared series; pass a dict as `timings` to get the wall
-    seconds spent on the exact-ring series vs the large modular scan."""
+    """Build every shared series, each as long as the deepest row reads it
+    (`qexpr.reads`); pass a dict as `timings` to get the wall seconds spent
+    on the exact-ring series vs the large modular scan."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     if n_congruence is None:
         n_congruence = max(2, n_identity // 2)
-    n_big = max(n_identity, n_congruence)
-    # deepest extractions: residues mod 8 of C, residues mod 4 of B
-    c_order = max(n_identity, 8 * n_congruence, ORACLE_LIMIT + 1)
-    b_order = 4 * n_big + 2
-    omega_order = max(n_identity, 2 * n_congruence + 2)
-    f3_order = -(-(n_big - 1) // 8) + 1
+    # eq 2-3 reads C, B and omega to n_identity; the oracle C to ORACLE_LIMIT
+    orders = {"c_exact": max(n_identity, ORACLE_LIMIT + 1),
+              "b_exact": n_identity, "omega_exact": n_identity, "f3_exact": 1}
+    depth = {"identity": n_identity, "congruence": n_congruence}
+    for _, _, lhs, rhs, _, order in CLAIM_ROWS:
+        sides = (parse(lhs), parse(rhs))
+        for leaf, n in _seed_reads(sides, depth[order]).items():
+            orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
     t0 = perf_counter()
-    c_exact = series_c(c_order)
-    b_exact = b_eulerian(b_order)
-    omega_exact = omega_series(omega_order)
-    f3_exact = f3_series(f3_order)
+    built = {name: build(orders[name]) for name, build in (
+        ("c_exact", series_c), ("b_exact", b_eulerian),
+        ("omega_exact", omega_series), ("f3_exact", f3_series))}
     t1 = perf_counter()
     c_scan = series_c(n_scan, MOD64)
     t2 = perf_counter()
     if timings is not None:
         timings["exact_build"] = t1 - t0
         timings["scan_build"] = t2 - t1
-    return SuiteContext(
-        n_identity=n_identity,
-        n_congruence=n_congruence,
-        n_scan=n_scan,
-        k_max=k_max,
-        c_exact=c_exact,
-        b_exact=b_exact,
-        omega_exact=omega_exact,
-        f3_exact=f3_exact,
-        c_scan=c_scan,
-    )
+    return SuiteContext(n_identity=n_identity, n_congruence=n_congruence,
+                        n_scan=n_scan, k_max=k_max, c_scan=c_scan, **built)
 
 
 # ---------------------------------------------------------------- entries
@@ -176,30 +186,28 @@ def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
                modulus: Optional[int], order: str) -> CatalogueEntry:
     """lhs == rhs exactly (modulus None) or mod `modulus`, both sides
     evaluated in the exact ring at the context's n_identity or n_congruence
-    (`order` is "identity" or "congruence")."""
+    (`order` is "identity" or "congruence") through the context's memo."""
     sides = (parse(lhs_src), parse(rhs_src))
     sources = {"lhs": to_source(sides[0]), "rhs": to_source(sides[1])}
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
         n = getattr(ctx, f"n_{order}")
-        # a fresh memo per run, so a context built with dataclasses.replace
-        # is always read, never a series cached from another context
-        seeded = {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
-                  Omega(1, 1): ctx.omega_exact, F3(1, 1): ctx.f3_exact}
-        memo = dict(seeded)
-        lhs, rhs = (evaluate(e, n, EXACT, memo) for e in sides)
+        # a seeded series shorter than the row reads it would be rebuilt by
+        # evaluate, and the row would check the rebuilt series instead
+        too_short = [to_source(leaf)
+                     for leaf, depth in _seed_reads(sides, n).items()
+                     if getattr(ctx, _SEEDS[leaf]).order < depth]
+        if too_short:
+            params = {"order": n, **({} if modulus is None else
+                                     {"modulus": modulus}), "ring": str(EXACT)}
+            return [ClaimReport(claim_id, paper_eq, "order-too-small",
+                                dict(params, **sources, too_short=too_short))]
+        lhs, rhs = (evaluate(e, n, EXACT, ctx.memo) for e in sides)
         if modulus is None:
             rep = verify_identity(lhs, rhs, n, claim_id, paper_eq)
         else:
             rep = verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq)
-        rep = replace(rep, params=dict(rep.params, **sources))
-        # evaluate rebuilds a seeded series that is too short for the row,
-        # and the row would then have checked the rebuilt series instead
-        rebuilt = [to_source(e) for e, s in seeded.items() if memo[e] is not s]
-        if rebuilt:
-            rep = ClaimReport(claim_id, paper_eq, "order-too-small",
-                              dict(rep.params, too_short=rebuilt))
-        return [rep]
+        return [replace(rep, params=dict(rep.params, **sources))]
     kind = "exact" if modulus is None else f"mod-{modulus}"
     return CatalogueEntry(claim_id, paper_eq, kind, run)
 
@@ -289,16 +297,7 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
 
 
 def run_catalogue(ctx: SuiteContext) -> list[ClaimReport]:
-    reports: list[ClaimReport] = []
-    for entry in CATALOGUE:
-        reports.extend(entry.run(ctx))
-    return reports
-
-
-def paper_suite(n_identity: int = 400, n_scan: int = 40000, k_max: int = 2,
-                n_congruence: Optional[int] = None) -> list[ClaimReport]:
-    ctx = build_suite_context(n_identity, n_scan, k_max, n_congruence)
-    return run_catalogue(ctx)
+    return [report for entry in CATALOGUE for report in entry.run(ctx)]
 
 
 def suite_json(reports: list[ClaimReport], n_identity: int, n_scan: int,

@@ -38,8 +38,9 @@ from .series import (
 def _ring_for(name: str):
     return MOD64 if name == "mod64" else EXACT
 
-def _is_pow2(m: int) -> bool:
-    return m >= 2 and not (m & (m - 1))
+
+def _divides_2_64(m: int) -> bool:
+    return 2 <= m <= 1 << MOD64.width and not (m & (m - 1))
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -129,7 +130,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _build_series(kind: str, k: Optional[int], order: int, modulus: int):
-    ring = MOD64 if _is_pow2(modulus) else EXACT
+    ring = MOD64 if _divides_2_64(modulus) else EXACT
     if kind == "C":
         return series_c(order, ring)
     return series_ck(k, order, ring)
@@ -183,7 +184,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_scan(args) -> int:
     order = args.amax * (args.nmax + 1)
-    ring = MOD64 if all(_is_pow2(m) for m in args.mods) else EXACT
+    ring = MOD64 if all(_divides_2_64(m) for m in args.mods) else EXACT
     series = series_c(order, ring)
     for claim in scan_progressions(series, args.amax, args.mods, args.nmax):
         print(claim)

@@ -1,8 +1,8 @@
-"""q-Pochhammer products, Euler functions f_m, and eta quotients.
+"""q-Pochhammer products and Euler functions f_m.
 
-The product builders (`pochhammer_inf`, `pochhammer_fin`, `euler_fm`,
-`eta_quotient`) are one step of `series.eulerian_sum` each: every binomial
-factor is an O(N) multiply or divide, so no dense inversion is needed;
+The product builders (`pochhammer_inf`, `pochhammer_fin`, `euler_fm`) are
+one step of `series.eulerian_sum` each: every binomial factor is an O(N)
+multiply or divide, so no dense inversion is needed;
 `euler_fm` is the product definition of f_m and the reference for the
 pentagonal series. `pentagonal_series` writes f_m down directly from
 Euler's pentagonal number theorem in O(N) time, and is what `f[m]` in
@@ -44,19 +44,6 @@ def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
 def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
     """f_m = (q^m; q^m)_inf."""
     return pochhammer_inf(1, m, m, order, ring)
-
-
-def eta_quotient(exponents: dict[int, int], order: int,
-                 ring: CoefficientRing = EXACT) -> Series:
-    """prod over m of f_m^(e_m); all multiplies happen before any divide."""
-    if any(m < 1 for m in exponents):
-        raise ValueError(f"eta index must be >= 1, got {min(exponents)}")
-
-    def factors(sign: int) -> list:  # f_m^|e| for every e of this sign
-        return [(-1, j) for m, e in sorted(exponents.items()) if e * sign > 0
-                for _ in range(abs(e)) for j in range(m, order, m)]
-
-    return eulerian_sum(one_series(ring, order), [(0, factors(1), factors(-1))])
 
 
 def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:

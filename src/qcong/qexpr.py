@@ -461,13 +461,44 @@ def to_source(e: QExpr) -> str:
 _MOCK_THETA = {Omega: omega_series, BFun: b_eulerian, F3: f3_series}
 
 
+def _child(e: QExpr, order: int) -> Optional[tuple[QExpr, int]]:
+    """The (node, order) `evaluate` reads for a dissection, or for omega, B
+    or f3 at an argument other than q; None for any other node."""
+    if isinstance(e, Dissect):  # so the result keeps full length
+        return e.child, e.m * (order - 1) + e.r + 1
+    if isinstance(e, (Omega, BFun, F3)) and (e.sign, e.qpow) != (1, 1):
+        # at argument q, long enough that the substituted series covers order
+        return type(e)(1, 1), (order + e.qpow - 2) // e.qpow + 1
+    return None
+
+
+def reads(e: QExpr, order: int) -> dict:
+    """{leaf: the most coefficients `evaluate(e, order)` reads of it}, by the
+    rule evaluate applies (`_child`). A leaf reads no other node: a number,
+    q, f[m], a Pochhammer product, C, Ck[k], or omega, B or f3 at q."""
+    out: dict = {}
+    stack = [(e, order)]
+    while stack:
+        node, n = stack.pop()
+        child = _child(node, n)
+        if child is not None:
+            stack.append(child)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            stack += [(node.left, n), (node.right, n)]
+        elif isinstance(node, Pow):
+            stack.append((node.base, n))
+        else:
+            out[node] = max(out.get(node, 0), n)
+    return out
+
+
 def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
              memo: Optional[dict] = None) -> Series:
     """Evaluate bottom-up with every node truncated to `order`.
 
-    Dissection children are computed at order m*(order-1)+r+1 so the result
-    keeps full length; division and negative powers require the denominator
-    to be a unit and raise NonUnitError otherwise.
+    A dissection, or omega, B or f3 at an argument other than q, reads its
+    child at the order `reads` reports; division and negative powers
+    require the denominator to be a unit and raise NonUnitError otherwise.
 
     `memo` maps nodes to series already computed in `ring`; one memo serves
     one ring. A node found there with at least `order` coefficients is
@@ -498,13 +529,11 @@ def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
         return pochhammer_inf(e.sign, e.s, e.m, order, ring)
     if isinstance(e, PochFin):
         return pochhammer_fin(e.sign, e.s, e.m, e.n, order, ring)
+    child = _child(e, order)
     if isinstance(e, (Omega, BFun, F3)):
-        if e.sign == 1 and e.qpow == 1:
+        if child is None:
             return _MOCK_THETA[type(e)](order, ring)
-        # the series at argument q, long enough that the substituted series
-        # still covers `order`
-        inner = (order + e.qpow - 2) // e.qpow + 1
-        base = evaluate(type(e)(1, 1), inner, ring, memo)
+        base = evaluate(*child, ring, memo)
         return truncate(substitute_power(base, e.qpow, e.sign), order)
     if isinstance(e, CSeries):
         return series_c(order, ring)
@@ -513,8 +542,7 @@ def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
     if isinstance(e, Pow):
         return power(evaluate(e.base, order, ring, memo), e.exponent)
     if isinstance(e, Dissect):
-        child = evaluate(e.child, e.m * (order - 1) + e.r + 1, ring, memo)
-        return dissect(child, e.m, e.r)
+        return dissect(evaluate(*child, ring, memo), e.m, e.r)
     if not isinstance(e, (Add, Sub, Mul, Div)):
         raise TypeError(f"not a QExpr node: {e!r}")
     left = evaluate(e.left, order, ring, memo)

@@ -588,12 +588,6 @@ def truncate(a: Series, n: int) -> Series:
     return a.truncate(n)
 
 
-def reduce_mod(a: Series, modulus: int) -> Series:
-    """Reduce every coefficient mod `modulus` (kept in the same ring)."""
-    check_modulus(a.ring, modulus)
-    return Series._wrap(a.ring, _residues(a._c, modulus, a.ring))
-
-
 def _residues(arr: np.ndarray, modulus: int, ring: CoefficientRing) -> np.ndarray:
     """arr mod `modulus`, which the exact ring takes as any integer >= 2 and
     a mod-2^w ring as a power of two up to 2^w (2^64 is no uint64)."""
@@ -641,10 +635,6 @@ def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
     hits = np.flatnonzero(_residues(a._c[:n] - b._c[:n], modulus, a.ring))
     return int(hits[0]) if len(hits) else None
-
-
-def congruent_to_order(a: Series, b: Series, modulus: int, n: int) -> bool:
-    return first_incongruence(a, b, modulus, n) is None
 
 
 def dump_text(a: Series) -> str:

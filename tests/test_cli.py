@@ -190,6 +190,19 @@ class TestCheck:
                   "--mod", "8", "--nmax", "10"])
         assert err.value.code == 2
 
+    def test_power_of_two_above_2_64_uses_exact_ring(self, capsys):
+        # MOD64 cannot reduce by 2^65, so the check runs in the exact ring
+        assert main(["check", "--series", "C", "--progression", "8,4",
+                     "--mod", str(2**65), "--nmax", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        witness = json.loads(captured.out.split("witness:", 1)[1])
+        assert witness == {"n": 0, "argument": 4, "value": 8, "residue": 8}
+        assert main(["check", "--series", "C", "--progression", "8,4",
+                     "--mod", str(2**64), "--nmax", "10"]) == 1
+        assert json.loads(capsys.readouterr().out.split("witness:", 1)[1]) \
+            == witness
+
 
 class TestRelation:
     def test_known_relation_passes(self, capsys):
@@ -210,7 +223,15 @@ class TestRelation:
         witness = json.loads(capsys.readouterr().out.split("witness:", 1)[1])
         assert witness["n"] == 2 and witness["residue"] == 3
 
-
+    def test_power_of_two_above_2_64_uses_exact_ring(self, capsys):
+        # c(8n+7) = -c(2n+2) holds mod 4, and c(7) + c(2) = 40 mod 2^65
+        assert main(["relation", "--series", "C", "--lhs", "8,7",
+                     "--rhs", "2,2", "--sign", "-", "--mod", str(2**65),
+                     "--nmax", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        witness = json.loads(captured.out.split("witness:", 1)[1])
+        assert witness["n"] == 0 and witness["residue"] == 40
     def test_negative_nmax_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["relation", "--series", "C", "--lhs", "8,4", "--rhs", "2,2",
@@ -261,6 +282,17 @@ class TestScan:
 
     def test_non_power_of_two_modulus_uses_exact_ring(self, capsys):
         assert main(["scan", "--amax", "3", "--mods", "3", "--nmax", "20"]) == 0
+
+    def test_power_of_two_above_2_64_uses_exact_ring(self, capsys):
+        # 2^65 divides no c(An+B) sampled here; mod 2 the scan finds these
+        assert main(["scan", "--amax", "4", "--mods", f"2,{2**65}",
+                     "--nmax", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "c(2n+0) == 0 mod 2 for n <= 10",
+            "c(4n+0) == 0 mod 2 for n <= 10",
+            "c(4n+2) == 0 mod 2 for n <= 10"]
 
     @pytest.mark.parametrize("flag, bad, low", [("--amax", "0", 1), ("--amax", "-2", 1),
                                                 ("--nmax", "-1", 0)])

@@ -31,14 +31,12 @@ from qcong import (
     count_c_limit,
     count_ck,
     equal_to_order,
-    eta_quotient,
     euler_fm,
     mod2pow,
     monomial,
     mul,
     mul_sparse,
     mul_sparse_binomial,
-    paper_suite,
     pentagonal_series,
     pochhammer_inf,
     power,
@@ -54,8 +52,10 @@ from qcong import (
     zero_series,
 )
 from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT
+from qcong import qexpr
 from qcong.engine import _c_sum, c_builder
-from qcong.qexpr import parse, to_source
+from qcong.qexpr import (F3, BFun, CSeries, EtaF, Omega, evaluate, parse,
+                         reads, to_source)
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
 
@@ -374,14 +374,14 @@ class TestCheckFamily:
 
 class TestVerify:
     def test_identity_pass_and_fail(self):
-        a = eta_quotient({1: -1}, 50)
+        a = evaluate(parse("1/f[1]"), 50)
         assert verify_identity(a, a, 50).status == "pass"
         rep = verify_identity(a, a + monomial(EXACT, 50, 7), 50)
         assert rep.status == "fail"
         assert rep.witness == {"n": 7, "lhs": 15, "rhs": 16}
 
     def test_identity_refuses_unknown_coefficients(self):
-        a = eta_quotient({1: -1}, 50)
+        a = evaluate(parse("1/f[1]"), 50)
         with pytest.raises(OrderError):
             verify_identity(a, a, 51)
 
@@ -502,7 +502,7 @@ class TestCatalogue:
         assert not all_passed([ok, bad])
 
     def test_paper_suite_smoke(self):
-        reports = paper_suite(30, 330, 0, 15)
+        reports = run_catalogue(build_suite_context(30, 330, 0, 15))
         assert all_passed(reports)
         assert all(r.status == "pass" for r in reports)
 
@@ -532,9 +532,20 @@ class TestScan:
 
 class TestSuiteContext:
     def test_orders_cover_every_extraction(self, ctx):
-        assert ctx.c_exact.order == max(80, 8 * 40)
-        assert ctx.b_exact.order == 4 * 80 + 2
-        assert ctx.omega_exact.order == max(80, 2 * 40 + 2)
+        # each seed is as long as the deepest row reads it, or as eq 2-3
+        # (C, B, omega to n_identity) and the oracle (C to ORACLE_LIMIT)
+        n = {"identity": 80, "congruence": 40}
+        want = {CSeries(): max(80, ORACLE_LIMIT + 1), BFun(1, 1): 80,
+                Omega(1, 1): 80, F3(1, 1): 0}
+        for _, _, lhs, rhs, _, order in CLAIM_ROWS:
+            for src in (lhs, rhs):
+                for leaf, depth in reads(parse(src), n[order]).items():
+                    if leaf in want:
+                        want[leaf] = max(want[leaf], depth)
+        assert ctx.c_exact.order == want[CSeries()] == 320
+        assert ctx.b_exact.order == want[BFun(1, 1)] == 318
+        assert ctx.omega_exact.order == want[Omega(1, 1)] == 80
+        assert ctx.f3_exact.order == want[F3(1, 1)] == 11
         assert ctx.c_scan.order == 1200
         assert ctx.c_scan.ring == MOD64
         assert ctx.c_exact.ring == EXACT
@@ -544,6 +555,76 @@ class TestSuiteContext:
         build_suite_context(20, 100, 0, 10, timings=timings)
         assert set(timings) == {"exact_build", "scan_build"}
         assert all(t >= 0 for t in timings.values())
+
+    def test_init_fields_and_seeded_memo(self, ctx):
+        names = [f.name for f in dataclasses.fields(ctx) if f.init]
+        assert names == ["n_identity", "n_congruence", "n_scan", "k_max",
+                         "c_exact", "b_exact", "omega_exact", "f3_exact",
+                         "c_scan"]
+        # built from its fields alone, as the benchmark's child does
+        fresh = type(ctx)(**{name: getattr(ctx, name) for name in names})
+        assert fresh == ctx and fresh.memo is not ctx.memo
+        assert fresh.memo == {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
+                              Omega(1, 1): ctx.omega_exact,
+                              F3(1, 1): ctx.f3_exact}
+
+
+def _b_readers() -> set:
+    """The rows whose sides read B at the SMALL depths."""
+    return {row[0] for row in CLAIM_ROWS
+            if any(BFun(1, 1) in reads(parse(src), SMALL[f"n_{row[5]}"])
+                   for src in row[2:4])}
+
+
+class TestSharedMemo:
+    @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
+    def test_reads_is_exact(self, row):
+        # each leaf seeded at exactly its reads depth serves the evaluation;
+        # one coefficient fewer, and evaluate rebuilds that leaf
+        _, _, lhs, rhs, _, order = row
+        n = SMALL[f"n_{order}"]
+        for e in (parse(lhs), parse(rhs)):
+            depths = reads(e, n)
+            seeds = {leaf: evaluate(leaf, d) for leaf, d in depths.items()}
+            memo = dict(seeds)
+            evaluate(e, n, EXACT, memo)
+            assert all(memo[leaf] is s for leaf, s in seeds.items())
+            for leaf, d in depths.items():
+                short = truncate(seeds[leaf], d - 1)
+                memo = {**seeds, leaf: short}
+                evaluate(e, n, EXACT, memo)
+                assert memo[leaf] is not short, to_source(leaf)
+                assert memo[leaf].order == d, to_source(leaf)
+                assert all(memo[other] is s for other, s in seeds.items()
+                           if other != leaf)
+
+    def test_one_memo_serves_every_row(self):
+        ctx = build_suite_context(**SMALL)
+        calls = []
+        real = qexpr._evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qexpr, "_evaluate", lambda e, order, *args:
+                       calls.append((e, order)) or real(e, order, *args))
+            run_catalogue(ctx)
+            first = len(calls)
+            assert all(r.status == "pass" for r in run_catalogue(ctx))
+        # no node is built twice at one order, though many rows share
+        # f[2], f[4], ..., and a second run finds every side in the memo
+        assert calls.count((EtaF(4), SMALL["n_identity"])) == 1
+        assert len(set(calls)) == len(calls) == first
+
+    def test_replaced_context_gets_a_fresh_memo(self, ctx):
+        # with ctx's memo full, a context whose B is bumped at q^0..q^7 must
+        # fail every row that reads B (and eq-2-3, which compares B's two
+        # forms), never reuse a series cached from ctx
+        run_catalogue(ctx)
+        bump = sum((monomial(EXACT, ctx.b_exact.order, i) for i in range(8)),
+                   zero_series(EXACT, ctx.b_exact.order))
+        bumped = dataclasses.replace(ctx, b_exact=ctx.b_exact + bump)
+        assert len(bumped.memo) == 4 < len(ctx.memo)
+        failed = {r.claim_id for r in run_catalogue(bumped)
+                  if r.status == "fail"}
+        assert failed == _b_readers() | {"eq-2-3"}
 
 
 @st.composite

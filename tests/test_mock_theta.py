@@ -4,7 +4,7 @@ import qcong as qc
 from qcong import EXACT, MOD64, mod2pow
 from qcong.mock_theta import (appell_sum, b_appell, b_eulerian, f3_series,
                               omega_appell, omega_series)
-from qcong.products import eta_quotient
+from qcong.qexpr import evaluate, parse
 
 
 # list-based polynomial helpers so the oracle shares no code with the package
@@ -108,17 +108,17 @@ class TestB:
     def test_even_part_is_eta_quotient(self):
         n = 200
         lhs = qc.dissect(b_eulerian(2 * n), 2, 0).truncate(n)
-        assert lhs == eta_quotient({2: 5, 1: -4}, n)
+        assert lhs == evaluate(parse("f[2]^5/f[1]^4"), n)
 
     def test_4n_plus_1_part_is_doubled_eta_quotient(self):
         n = 200
         lhs = qc.dissect(b_eulerian(4 * n), 4, 1).truncate(n)
-        assert lhs == 2 * eta_quotient({2: 8, 1: -7}, n)
+        assert lhs == 2 * evaluate(parse("f[2]^8/f[1]^7"), n)
 
     def test_odd_part_is_even(self):
         n = 300
         odd = qc.dissect(b_eulerian(2 * n), 2, 1).truncate(n)
-        assert qc.congruent_to_order(odd, qc.zero_series(EXACT, n), 2, n)
+        assert qc.first_incongruence(odd, qc.zero_series(EXACT, n), 2, n) is None
 
     def test_parity_is_lacunary_theta(self):
         # mod 2 the whole of B collapses onto exponents 2n^2+2n
@@ -128,8 +128,8 @@ class TestB:
         while 2 * k * k + 2 * k < n:
             theta[2 * k * k + 2 * k] = 1
             k += 1
-        assert qc.congruent_to_order(
-            b_eulerian(n), qc.Series(EXACT, theta), 2, n)
+        assert qc.first_incongruence(
+            b_eulerian(n), qc.Series(EXACT, theta), 2, n) is None
 
 
 def appell_by_binomials(quadratic, n, ring):
@@ -196,7 +196,7 @@ class TestF3:
                 qc.substitute_power(omega_series(-(-n // 4) + 1), 4, -1), 3
             ).truncate(n)
         )
-        rhs = eta_quotient({1: 2, 4: 8, 2: -5, 8: -4}, n)
+        rhs = evaluate(parse("f[1]^2*f[4]^8/(f[2]^5*f[8]^4)"), n)
         assert lhs == rhs
 
 

@@ -27,6 +27,7 @@ from qcong.qexpr import (
     Sub,
     evaluate,
     parse,
+    reads,
     to_source,
 )
 
@@ -247,3 +248,29 @@ class TestMemo:
                 for order in (12, 30, 12):
                     assert evaluate(e, order, ring, memo) == \
                         evaluate(e, order, ring), (row[0], src, order)
+
+
+class TestReads:
+    def test_leaves_pass_the_order_down(self):
+        assert reads(parse("2*q*f[2]/f[1]^2 - C"), 10) == {
+            Num(2): 10, Q(): 10, EtaF(2): 10, EtaF(1): 10, CSeries(): 10}
+
+    def test_dissection_reads_its_child_deeper(self):
+        # D[m,r] at order n reads m*(n-1)+r+1; nested ones compose
+        assert reads(parse("D[8,7](C)"), 40) == {CSeries(): 320}
+        assert reads(parse("D[2,1](D[4,3](f[1]))"), 5) == {EtaF(1): 40}
+
+    def test_argument_power_reads_the_series_at_q(self):
+        # omega, B and f3 at +-q^k read (n+k-2)//k+1 of the series at q
+        assert reads(parse("omega(-q)"), 80) == {Omega(1, 1): 80}
+        assert reads(parse("f3(q^8)"), 80) == {F3(1, 1): 11}
+        assert reads(parse("B(q) + D[2,0](B(-q^4))"), 9) == {BFun(1, 1): 9}
+
+    def test_a_leaf_read_twice_reports_its_deepest_read(self):
+        assert reads(parse("C + D[4,1](C) - D[2,1](C)"), 10) == {
+            CSeries(): 38}
+
+    def test_ck_and_pochhammer_are_leaves(self):
+        e = parse("Ck[2]*pochinf[-1,1,2]/pochfin[1,1,1,3]")
+        assert reads(e, 7) == {CkSeries(2): 7, PochInf(-1, 1, 2): 7,
+                               PochFin(1, 1, 1, 3): 7}

@@ -853,20 +853,20 @@ class TestComparisonAndReduction:
         with pytest.raises(qc.OrderError):
             qc.equal_to_order(a, b, 3)
 
-    def test_reduce_mod(self):
+    def test_first_incongruence_reduces_in_each_ring(self):
         a = exact_series([8, -3, 5])
-        assert qc.reduce_mod(a, 4).coefficients() == [0, 1, 1]
+        assert qc.first_incongruence(a, exact_series([0, 1, 1]), 4, 3) is None
         m = Series(qc.MOD64, [8, 3, 5])
-        assert qc.reduce_mod(m, 4).coefficients() == [0, 3, 1]
+        assert qc.first_incongruence(m, Series(qc.MOD64, [0, 3, 1]), 4, 3) is None
+        assert qc.first_incongruence(m, Series(qc.MOD64, [0, 1, 1]), 4, 3) == 1
         with pytest.raises(ValueError):
-            qc.reduce_mod(m, 12)  # not a power of two
+            qc.first_incongruence(m, m, 12, 3)  # not a power of two
 
     def test_first_incongruence_finds_index_zero(self):
         # witness at exponent 0 must not be conflated with "no witness"
         a = exact_series([1, 4, 8])
         z = qc.zero_series(EXACT, 3)
         assert qc.first_incongruence(a, z, 4, 3) == 0
-        assert not qc.congruent_to_order(a, z, 4, 3)
 
     def test_congruence_mod_ring(self):
         ring = qc.mod2pow(6)
@@ -880,7 +880,7 @@ class TestComparisonAndReduction:
     def test_congruence_order_limit(self):
         a = exact_series([1, 2])
         with pytest.raises(qc.OrderError):
-            qc.congruent_to_order(a, a, 2, 3)
+            qc.first_incongruence(a, a, 2, 3)
 
     @given(coeff_lists, widths)
     def test_change_ring_reduces(self, xs, w):
