@@ -11,8 +11,9 @@ modulus, and changing rings.
 `mul` goes term by term through `mul_sparse` when the sparser operand has
 few nonzero coefficients (f[m] and its low powers). Otherwise an exact
 product is one big-integer multiply (Kronecker substitution), and a product
-mod 2^w is np.convolve at small orders and a limb-split float FFT at large
-ones. `invert` runs the coefficient recurrence for the first few terms, then
+mod 2^w is np.convolve at small orders and a float FFT at large ones, on as
+few balanced limbs as the order allows (4 of 16 bits mod 2^64 below order
+8192). `invert` runs the coefficient recurrence for the first few terms, then
 Newton's iteration, which doubles the known terms with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
@@ -299,7 +300,7 @@ def mul(a: Series, b: Series) -> Series:
 
 # Dense mod-2^w products at or above this order go through the float FFT;
 # below it np.convolve is faster.
-_FFT_MIN_ORDER = 1500
+_FFT_MIN_ORDER = 800
 # mul_sparse takes the sparser operand when its nonzero terms plus a fixed cost of
 # about 4 terms are at most order / _SPARSE_RATIO: break-even ratio about 4 against
 # Kronecker, 8-40 against the FFT or np.convolve (which wins below order ~128 mod 2^w).
@@ -308,9 +309,16 @@ _SPARSE_FIXED_TERMS = 4
 # invert runs the coefficient recurrence up to this order and Newton's
 # iteration above it.
 _NEWTON_MIN_ORDER = 64
-_LIMB_BITS = 11
+# _fft_mul gives each coefficient the fewest balanced limbs whose largest
+# possible group sum stays below this budget. Measured on worst-case operands at
+# the last order of each limb count: the float FFT then rounds every group sum
+# to within 1/16 of its integer, half of _FFT_TOLERANCE (see README).
+_FFT_BUDGET = 2 ** 45
 # largest tolerated distance of a limb-product sum from the nearest integer
 _FFT_TOLERANCE = 0.125
+# when the rounding guard fails, _fft_mul retries with narrower limbs down to
+# this width before it gives up to np.convolve
+_FFT_RETRY_BITS = 11
 
 
 def _fft_size(m: int) -> int:
@@ -329,42 +337,86 @@ def _fft_size(m: int) -> int:
     return best
 
 
+def _fft_limbs(n: int, width: int) -> tuple[int, int]:
+    """The fewest limbs L, and their bits b = ceil(width / L), for which the
+    largest group sum of an order-n product, L * n * 4^(b-1), is below
+    _FFT_BUDGET."""
+    limbs = 1
+    while limbs < width and limbs * n * 4 ** (-(-width // limbs) - 1) >= _FFT_BUDGET:
+        limbs += 1
+    return limbs, -(-width // limbs)
+
+
 def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | None:
     """The first len(x) coefficients of x*y mod 2^width (x*x when y is None),
     or None when float rounding leaves an exact result in doubt.
 
-    Each coefficient is split into 11-bit limbs, so x*y mod 2^width is the sum
-    over s of g_s << 11*s, where g_s sums the products of limb i of x with
-    limb s-i of y. Every g_s is an integer below 6 * len(x) * 2^22, far
-    inside a float's 53 bits, that the real FFT computes up to rounding;
-    groups with 11*s >= width vanish mod 2^width.
+    The limbs come from `_fft_limbs`. When the rounding guard fails, the
+    product is tried again with one more, narrower limb while the limbs stay
+    at least _FFT_RETRY_BITS wide; None means every try failed.
     """
-    n, limbs = len(x), -(-width // _LIMB_BITS)
+    limbs, bits = _fft_limbs(len(x), width)
+    out = _fft_mul_limbs(x, y, width, bits)
+    while out is None and -(-width // (limbs + 1)) >= _FFT_RETRY_BITS:
+        limbs += 1
+        out = _fft_mul_limbs(x, y, width, -(-width // limbs))
+    return out
+
+
+def _fft_mul_limbs(x: np.ndarray, y: np.ndarray | None, width: int,
+                   bits: int) -> np.ndarray | None:
+    """_fft_mul on limbs of the given bits, or None if the guard fails.
+
+    Each coefficient is split into balanced digits d_i in [-2^(bits-1),
+    2^(bits-1)) with sum of d_i << bits*i equal to it mod 2^64: adding
+    K = sum of 2^(bits-1) << bits*i and cutting the sum into unsigned digits
+    e_i gives d_i = e_i - 2^(bits-1) (Crandall and Fagin 1994). So x*y mod
+    2^width is the sum over s of g_s << bits*s, where g_s sums the products
+    of limb i of x with limb s-i of y: a signed integer of magnitude at most
+    limbs * len(x) * 4^(bits-1), which the real FFT computes up to rounding.
+    Groups with bits*s >= width vanish mod 2^width.
+    """
+    n, limbs = len(x), -(-width // bits)
     size = _fft_size(2 * n - 1)
     fft = np.fft  # numpy loads np.fft on first use, so only this branch pays
+    mask, half = np.uint64((1 << bits) - 1), 1 << (bits - 1)
+    offset = np.uint64(sum(half << (bits * i) for i in range(limbs)) % (1 << 64))
 
-    def spectra(v: np.ndarray) -> list:
-        low = np.uint64((1 << _LIMB_BITS) - 1)
-        return [fft.rfft((v >> np.uint64(_LIMB_BITS * i)) & low, size)
-                for i in range(limbs)]
+    def spectra(v: np.ndarray) -> np.ndarray:
+        # one float digit at a time: all of them at once would take
+        # limbs * n * 8 bytes more
+        w, digit = v + offset, np.empty(n)
+        ints = digit.view(np.int64)
+        out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
+        for row in out:
+            np.bitwise_and(w, mask, out=ints.view(np.uint64))
+            ints -= half
+            np.copyto(digit, ints)  # in place: a ufunc would copy ints first
+            fft.rfft(digit, size, out=row)
+            w >>= np.uint64(bits)
+        return out
 
     xs = spectra(x)
     ys = xs if y is None else spectra(y)
     out = np.zeros(n, dtype=np.uint64)
     acc = np.empty_like(xs[0]) if y is None else None
     for s in reversed(range(limbs)):
-        # group s sums in place: in acc for a square, else in limb s of y,
-        # which no later term reads
-        acc = np.multiply(xs[0], ys[s], out=acc if y is None else ys[s])
-        tmp = np.empty_like(acc)
-        for i in range(1, s + 1):
+        # group s sums in limb s of y (in acc for a square) and takes limb s
+        # of x as scratch: no lower group reads either
+        acc, tmp = acc if y is None else ys[s], xs[s]
+        np.multiply(xs[0], ys[s], out=acc)
+        for i in range(s, 0, -1):  # term s reads limb s of x before tmp overwrites it
             acc += np.multiply(xs[i], ys[s - i], out=tmp)
-        xs[s] = ys[s] = tmp = None  # no lower group reads limb s
-        g = fft.irfft(acc, size)[:n]
-        r = np.rint(g, out=acc.view(np.float64)[:n])  # acc is spent: reuse it
-        if np.abs(g - r).max() > _FFT_TOLERANCE:
+        # the inverse transform lands in tmp and its rounding in acc, both spent
+        g = fft.irfft(acc, size, out=tmp.view(np.float64)[:size])[:n]
+        r = np.rint(g, out=acc.view(np.float64)[:n])
+        if np.abs(np.subtract(g, r, out=g), out=g).max() > _FFT_TOLERANCE:
             return None
-        out += r.astype(np.uint64) << np.uint64(_LIMB_BITS * s)
+        digits = g.view(np.int64)  # r as integers, in the memory of g
+        np.copyto(digits, r, casting="unsafe")
+        digits = digits.view(np.uint64)
+        digits <<= np.uint64(bits * s)
+        out += digits
     return out
 
 

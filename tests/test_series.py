@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from itertools import count
 
 import numpy as np
@@ -9,8 +13,9 @@ from hypothesis import strategies as st
 import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
-from qcong.series import (_FFT_MIN_ORDER, _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS,
-                          _SPARSE_RATIO, _fft_mul, _fft_size, _kronecker_mul)
+from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
+                          _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS, _SPARSE_RATIO,
+                          _fft_limbs, _fft_mul, _fft_size, _kronecker_mul)
 
 
 def sparse_limit(n: int) -> int:
@@ -177,7 +182,7 @@ class TestFFTMul:
     """mul mod 2^w at and above the FFT crossover against np.convolve."""
 
     @pytest.mark.parametrize("n", [1, _FFT_MIN_ORDER - 1, _FFT_MIN_ORDER,
-                                   2000, 6000, 40000])
+                                   1499, 1500, 2000, 6000, 40000])
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_matches_convolve(self, n, ring):
         rng = np.random.default_rng(n)
@@ -219,6 +224,148 @@ class TestFFTMul:
                             lambda *args: calls.append(1) or convolve(*args))
         assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
         assert calls == [1]
+
+    @staticmethod
+    def worst_case(n: int, side: str) -> np.ndarray:
+        """n equal coefficients mod 2^64 whose balanced limbs, as _fft_limbs
+        sizes them for order n, all sit at -2^(b-1) (side "min") or at
+        2^(b-1) - 1 ("max"): the largest group sums there are."""
+        limbs, bits = _fft_limbs(n, 64)
+        digit = -(1 << (bits - 1)) if side == "min" else (1 << (bits - 1)) - 1
+        v = sum(digit << (bits * i) for i in range(limbs)) % (1 << 64)
+        return np.full(n, v, dtype=np.uint64)
+
+    @staticmethod
+    def record_rounding(monkeypatch, n: int) -> list:
+        """[worst distance from an integer of the first n values of every
+        inverse transform], kept up to date."""
+        irfft, worst = np.fft.irfft, [0.0]
+
+        def recorded(*args, **kw):
+            g = irfft(*args, **kw)
+            worst[0] = max(worst[0], float(np.abs(g[:n] - np.rint(g[:n])).max()))
+            return g
+
+        monkeypatch.setattr(np.fft, "irfft", recorded)
+        return worst
+
+    @pytest.mark.parametrize("side", ["min", "max"])
+    def test_worst_case_digits_at_last_four_limb_order(self, side, monkeypatch):
+        # the budget leaves the rounding within half the guard's tolerance
+        n = max(m for m in range(1, 1 << 16) if _fft_limbs(m, 64)[0] == 4)
+        assert _fft_limbs(n + 1, 64)[0] == 5
+        x = self.worst_case(n, side)
+        worst = self.record_rounding(monkeypatch, n)
+        want = np.convolve(x, x)[:n]
+        assert np.array_equal(_fft_mul(x, None, 64), want)
+        assert np.array_equal(_fft_mul(x, x.copy(), 64), want)
+        assert worst[0] <= _FFT_TOLERANCE / 2
+
+    @pytest.mark.parametrize("side", ["min", "max"])
+    def test_worst_case_digits_at_200000(self, side, monkeypatch):
+        # a constant v squares to sum of v^2 * (i+1) q^i
+        n = 200000
+        x = self.worst_case(n, side)
+        worst = self.record_rounding(monkeypatch, n)
+        want = np.uint64(int(x[0]) ** 2 % (1 << 64)) * np.arange(1, n + 1, dtype=np.uint64)
+        assert np.array_equal(_fft_mul(x, None, 64), want)
+        assert np.array_equal(_fft_mul(x, x.copy(), 64), want)
+        assert worst[0] <= _FFT_TOLERANCE / 2
+
+    @staticmethod
+    def limb_edges(width: int, top: int) -> list:
+        """The orders n < top after which _fft_limbs(n, width) changes."""
+        edges, n = [], 1
+        while _fft_limbs(n, width) != _fft_limbs(top, width):
+            lo, hi = n, top  # bisect: lo has the limbs of n, hi does not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _fft_limbs(mid, width) == _fft_limbs(n, width):
+                    lo = mid
+                else:
+                    hi = mid
+            edges.append(lo)
+            n = hi
+        return edges
+
+    @pytest.mark.parametrize("width", [1, 5, 11, 13, 16, 17, 63, 64])
+    def test_widths_across_limb_counts(self, width):
+        # both sides of every change of limb count up to order 2^21 + 1;
+        # past 40000 y is zero beyond q^63, so np.convolve stays cheap
+        ring = qc.mod2pow(width)
+        orders = {_FFT_MIN_ORDER}
+        for edge in self.limb_edges(width, (1 << 21) + 2):
+            orders |= {edge, edge + 1}
+        rng = np.random.default_rng(width)
+        for n in sorted(orders):
+            x, y = random_u64(rng, n, ring), random_u64(rng, n, ring)
+            head = 64 if n > 40000 else n
+            y[head:] = 0
+            want = np.convolve(x, y[:head])[:n] & np.uint64(ring.mask)
+            got = _fft_mul(x, y, width) & np.uint64(ring.mask)
+            assert np.array_equal(got, want), (width, n)
+
+    def test_limb_rule(self):
+        # the fewest limbs b = ceil(width / L) bits wide whose largest group
+        # sum L * n * 4^(b-1) is below the budget, covering every bit
+        for width in range(1, 65):
+            for n in (1, 2, 3, 10, 11, 799, 800, 8191, 8192, 419430, 419431,
+                      10 ** 6, 5592405, 5592406, 10 ** 8):
+                limbs, bits = _fft_limbs(n, width)
+                assert limbs * bits >= width and bits == -(-width // limbs)
+                assert limbs * n * 4 ** (bits - 1) < _FFT_BUDGET
+                fewer = limbs - 1
+                assert not fewer or fewer * n * 4 ** (-(-width // fewer) - 1) >= _FFT_BUDGET
+
+    def test_rounding_guard_retries_narrower_limbs(self, monkeypatch):
+        # noise in the first inverse transform only: the retry with one more
+        # limb is exact, and np.convolve is never called
+        n = 2000
+        rng = np.random.default_rng(11)
+        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
+        want = convolve_ref(x, y, qc.MOD64)
+        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+
+        def noisy_once(*args, **kw):
+            calls.append("irfft")
+            return irfft(*args, **kw) + (0.3 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfft", noisy_once)
+        monkeypatch.setattr(np, "convolve",
+                            lambda *args: calls.append("convolve") or convolve(*args))
+        assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
+        limbs = _fft_limbs(n, 64)[0]
+        assert calls == ["irfft"] * (1 + limbs + 1)
+
+    def test_memory_is_the_spectra_and_two_rows(self):
+        # a product keeps the limb spectra of both operands and a square
+        # those of its operand and one sum; beyond them at most two arrays
+        # of n coefficients (plus change), never a float copy of every limb
+        n = 100000
+        limbs = _fft_limbs(n, 64)[0]
+        spectrum = 16 * (_fft_size(2 * n - 1) // 2 + 1)
+        rng = np.random.default_rng(5)
+        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
+        for other, spectra in ((y, 2 * limbs), (None, limbs + 1)):
+            tracemalloc.start()
+            _fft_mul(x, other, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= spectra * spectrum + 20 * n
+
+    def test_numpy_fft_loads_on_first_use(self):
+        # importing qcong must not pay for np.fft; the first FFT product does
+        code = ("import sys, numpy as np, qcong as qc\n"
+                "assert 'numpy.fft' not in sys.modules\n"
+                "a = qc.Series(qc.MOD64, np.arange(1, 2001, dtype=np.uint64))\n"
+                "qc.mul(a, a)\n"
+                "assert 'numpy.fft' in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qc.__file__)))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
 
     def test_fft_size_is_5_smooth(self):
         for m in (1, 2, 7, 2999, 3001, 11999, 79999):
@@ -421,7 +568,8 @@ class TestNewtonInvert:
     the exact ring, against the plain coefficient recurrence."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
-                                   _NEWTON_MIN_ORDER + 1, 1499, 1500, 6000])
+                                   _NEWTON_MIN_ORDER + 1, _FFT_MIN_ORDER - 1,
+                                   _FFT_MIN_ORDER, 1499, 1500, 6000])
     @pytest.mark.parametrize("w", [1, 5, 33, 64])
     def test_matches_recurrence(self, n, w):
         ring = qc.mod2pow(w)
