@@ -316,9 +316,6 @@ _NEWTON_MIN_ORDER = 64
 _FFT_BUDGET = 2 ** 45
 # largest tolerated distance of a limb-product sum from the nearest integer
 _FFT_TOLERANCE = 0.125
-# when the rounding guard fails, _fft_mul retries with narrower limbs down to
-# this width before it gives up to np.convolve
-_FFT_RETRY_BITS = 11
 
 
 def _fft_size(m: int) -> int:
@@ -351,21 +348,21 @@ def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | No
     """The first len(x) coefficients of x*y mod 2^width (x*x when y is None),
     or None when float rounding leaves an exact result in doubt.
 
-    The limbs come from `_fft_limbs`. When the rounding guard fails, the
-    product is tried again with one more, narrower limb while the limbs stay
-    at least _FFT_RETRY_BITS wide; None means every try failed.
+    The first try takes the limbs of `_fft_limbs`. When the rounding guard
+    fails, the product is tried again on limbs one bit narrower, down to
+    1-bit limbs; None means every try failed.
     """
-    limbs, bits = _fft_limbs(len(x), width)
-    out = _fft_mul_limbs(x, y, width, bits)
-    while out is None and -(-width // (limbs + 1)) >= _FFT_RETRY_BITS:
-        limbs += 1
-        out = _fft_mul_limbs(x, y, width, -(-width // limbs))
-    return out
+    for bits in range(_fft_limbs(len(x), width)[1], 0, -1):
+        out = _fft_mul_bits(x, y, width, bits)
+        if out is not None:
+            return out
+    return None
 
 
-def _fft_mul_limbs(x: np.ndarray, y: np.ndarray | None, width: int,
-                   bits: int) -> np.ndarray | None:
-    """_fft_mul on limbs of the given bits, or None if the guard fails.
+def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int,
+                  bits: int) -> np.ndarray | None:
+    """_fft_mul on ceil(width / bits) limbs of the given bits, or None if the
+    guard fails.
 
     Each coefficient is split into balanced digits d_i in [-2^(bits-1),
     2^(bits-1)) with sum of d_i << bits*i equal to it mod 2^64: adding

@@ -317,25 +317,61 @@ class TestFFTMul:
                 fewer = limbs - 1
                 assert not fewer or fewer * n * 4 ** (-(-width // fewer) - 1) >= _FFT_BUDGET
 
-    def test_rounding_guard_retries_narrower_limbs(self, monkeypatch):
-        # noise in the first inverse transform only: the retry with one more
-        # limb is exact, and np.convolve is never called
-        n = 2000
-        rng = np.random.default_rng(11)
-        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
-        want = convolve_ref(x, y, qc.MOD64)
-        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+    @staticmethod
+    def noisy_first_irfft(monkeypatch) -> list:
+        """Noise of 0.3 in the first inverse transform only, past the guard's
+        tolerance, and np.convolve raising at once; returns the irfft calls."""
+        irfft, calls = np.fft.irfft, []
 
         def noisy_once(*args, **kw):
             calls.append("irfft")
             return irfft(*args, **kw) + (0.3 if len(calls) == 1 else 0.0)
 
+        def convolve(*args):
+            raise AssertionError("the retry fell back to np.convolve")
+
         monkeypatch.setattr(np.fft, "irfft", noisy_once)
+        monkeypatch.setattr(np, "convolve", convolve)
+        return calls
+
+    def test_rounding_guard_retries_narrower_limbs(self, monkeypatch):
+        # the retry on limbs one bit narrower is exact, and np.convolve is
+        # never called
+        n = 2000
+        rng = np.random.default_rng(11)
+        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
+        want = convolve_ref(x, y, qc.MOD64)
+        calls = self.noisy_first_irfft(monkeypatch)
+        assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
+        bits = _fft_limbs(n, 64)[1]
+        assert calls == ["irfft"] * (1 + -(-64 // (bits - 1)))
+
+    def test_rounding_guard_retries_at_eleven_bit_limbs(self, monkeypatch):
+        # from the first order with 6 limbs of 11 bits on, a retry takes 7 of
+        # 10 bits instead of np.convolve; constants u, v multiply to
+        # sum of u*v*(i+1) q^i
+        n = min(m for m in range(419000, 420000) if _fft_limbs(m, 64) == (6, 11))
+        u, v = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
+        want = np.uint64(u * v % (1 << 64)) * np.arange(1, n + 1, dtype=np.uint64)
+        x, y = np.full(n, u, dtype=np.uint64), np.full(n, v, dtype=np.uint64)
+        calls = self.noisy_first_irfft(monkeypatch)
+        assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == Series(qc.MOD64, want)
+        assert calls == ["irfft"] * (1 + 7)
+
+    def test_rounding_guard_retries_down_to_one_bit(self, monkeypatch):
+        # persistent noise: one try for every limb width from the first one
+        # down to 1 bit, then np.convolve once
+        n = _FFT_MIN_ORDER
+        rng = np.random.default_rng(13)
+        x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
+        want = convolve_ref(x, y, qc.MOD64)
+        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw:
+                            calls.append("irfft") or irfft(*args, **kw) + 0.3)
         monkeypatch.setattr(np, "convolve",
                             lambda *args: calls.append("convolve") or convolve(*args))
         assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
-        limbs = _fft_limbs(n, 64)[0]
-        assert calls == ["irfft"] * (1 + limbs + 1)
+        assert calls == ["irfft"] * _fft_limbs(n, 64)[1] + ["convolve"]
 
     def test_memory_is_the_spectra_and_two_rows(self):
         # a product keeps the limb spectra of both operands and a square
