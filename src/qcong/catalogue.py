@@ -20,12 +20,11 @@ from .engine import (
     check_family,
     check_progression,
     check_relation,
-    series_c,
     series_ck,
     verify_congruent,
     verify_identity,
 )
-from .mock_theta import b_appell, b_eulerian, f3_series, omega_appell, omega_series
+from .mock_theta import b_appell, omega_appell
 from .oracle import count_c_limit, count_ck
 from .qexpr import F3, BFun, CSeries, Omega, evaluate, parse, reads, to_source
 from .series import EXACT, MOD64, Series, change_ring
@@ -73,9 +72,9 @@ def _seed_reads(sides, order: int) -> dict:
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
                         k_max: int = 2, n_congruence: Optional[int] = None,
                         timings: Optional[dict] = None) -> SuiteContext:
-    """Build every shared series, each as long as the deepest row reads it
-    (`qexpr.reads`); pass a dict as `timings` to get the wall seconds spent
-    on the exact-ring series vs the large modular scan."""
+    """Build every shared series as `evaluate` of its leaf, each as long as
+    the deepest row reads it (`qexpr.reads`); pass a dict as `timings` to get
+    the wall seconds spent on the exact-ring series vs the large modular scan."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     if n_congruence is None:
@@ -89,11 +88,9 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
         for leaf, n in _seed_reads(sides, depth[order]).items():
             orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
     t0 = perf_counter()
-    built = {name: build(orders[name]) for name, build in (
-        ("c_exact", series_c), ("b_exact", b_eulerian),
-        ("omega_exact", omega_series), ("f3_exact", f3_series))}
+    built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
-    c_scan = series_c(n_scan, MOD64)
+    c_scan = evaluate(CSeries(), n_scan, MOD64)
     t2 = perf_counter()
     if timings is not None:
         timings["exact_build"] = t1 - t0

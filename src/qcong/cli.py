@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 when every requested check passes, 1 when at least one check
-fails, 2 for usage, parse, or evaluation errors.
+fails, 2 for usage, parse, or evaluation errors, an order too large to
+allocate, or output errors (stdout closed early, as by `qcong scan ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from typing import Optional
@@ -287,7 +289,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_sources_last(sys.argv[1:] if argv is None
                                            else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe is caught here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the interpreter flushes stdout again at
+        # exit, so point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except MemoryError as exc:
+        print(f"error: order too large to allocate: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, NonUnitError, OrderError, RingMismatchError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

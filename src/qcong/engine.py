@@ -17,13 +17,11 @@ from .series import (
     OrderError,
     Series,
     check_modulus,
-    dissect,
     equal_to_order,
     eulerian_sum,
     first_incongruence,
     mul_sparse,
     scalar_mul,
-    truncate,
     zero_series,
 )
 
@@ -259,7 +257,7 @@ def scan_progressions(s: Series, a_max: int, moduli: list[int],
     zero = zero_series(s.ring, n_max + 1)
     for a in range(1, a_max + 1):
         for b in range(a):
-            piece = truncate(dissect(s, a, b), n_max + 1)
+            piece = _samples(s, a, b, n_max + 1)
             for m in moduli:
                 if first_incongruence(piece, zero, m, n_max + 1) is None:
                     found.append(ProgressionClaim(a, b, m, n_max))

@@ -19,12 +19,19 @@ two-color counting series, `omega`/`B`/`f3` accept an argument of the form
 sign * q^power, and `D[m,r](...)` extracts the coefficients at exponents
 m*n + r.  Division is literal series division: the denominator must have a
 unit constant term.  Only integer literals exist; there are no rationals.
+
+Every named atom but `D` is one row of `_ATOMS` (its source name, node class
+and argument shape), which the parser, the printer and the parse errors
+read, and one builder: in `_BUILDERS` when it is built from its fields, in
+`_MOCK_THETA` when it takes a `qarg`.  A new atom is a node class, a row in
+`_ATOMS` and a builder; nothing else changes.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Union
 
 from .engine import series_c, series_ck
@@ -105,38 +112,31 @@ class PochFin:
             raise ValueError("pochhammer needs s >= 1, m >= 1, n >= 0")
 
 
-def _check_qarg(sign: int, qpow: int) -> None:
-    if sign not in (1, -1):
-        raise ValueError("argument sign must be 1 or -1")
-    if qpow < 1:
-        raise ValueError("argument power must be >= 1")
-
-
 @dataclass(frozen=True)
-class Omega:
+class _QArg:
+    """A mock theta function at the argument sign * q^qpow; the dataclass
+    equality compares classes, so Omega(1, 1) != BFun(1, 1)."""
+
     sign: int
     qpow: int
 
     def __post_init__(self):
-        _check_qarg(self.sign, self.qpow)
+        if self.sign not in (1, -1):
+            raise ValueError("argument sign must be 1 or -1")
+        if self.qpow < 1:
+            raise ValueError("argument power must be >= 1")
 
 
-@dataclass(frozen=True)
-class BFun:
-    sign: int
-    qpow: int
-
-    def __post_init__(self):
-        _check_qarg(self.sign, self.qpow)
+class Omega(_QArg):
+    pass
 
 
-@dataclass(frozen=True)
-class F3:
-    sign: int
-    qpow: int
+class BFun(_QArg):
+    pass
 
-    def __post_init__(self):
-        _check_qarg(self.sign, self.qpow)
+
+class F3(_QArg):
+    pass
 
 
 @dataclass(frozen=True)
@@ -154,27 +154,25 @@ class CkSeries:
 
 
 @dataclass(frozen=True)
-class Add:
+class _Binary:
     left: "QExpr"
     right: "QExpr"
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "QExpr"
-    right: "QExpr"
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "QExpr"
-    right: "QExpr"
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "QExpr"
-    right: "QExpr"
+class Mul(_Binary):
+    pass
+
+
+class Div(_Binary):
+    pass
 
 
 @dataclass(frozen=True)
@@ -224,8 +222,22 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_ATOM_EXPECTED = ("integer", "q", "C", "Ck", "f", "f3", "omega", "B",
-                  "pochinf", "pochfin", "D", "(", "-")
+# {source name: (node class, argument shape)} for every named atom but D.
+# A shape "[...]" lists the fields in brackets, each an INT or a SINT;
+# "(qarg)" is one parenthesised sign * q^power.
+_ATOMS = {
+    "q": (Q, ""),
+    "C": (CSeries, ""),
+    "Ck": (CkSeries, "[int]"),
+    "f": (EtaF, "[int]"),
+    "f3": (F3, "(qarg)"),
+    "omega": (Omega, "(qarg)"),
+    "B": (BFun, "(qarg)"),
+    "pochinf": (PochInf, "[sint,int,int]"),
+    "pochfin": (PochFin, "[sint,int,int,int]"),
+}
+_ATOM_NAMES = {cls: (name, shape) for name, (cls, shape) in _ATOMS.items()}
+_ATOM_EXPECTED = ("integer", *_ATOMS, "D", "(", "-")
 
 
 class _Parser:
@@ -235,11 +247,6 @@ class _Parser:
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def match_sym(self, *symbols: str) -> str | None:
         kind, text, _ = self.peek()
@@ -325,46 +332,22 @@ class _Parser:
                          expected=_ATOM_EXPECTED)
 
     def named_atom(self, name: str, offset: int) -> QExpr:
-        if name == "q":
-            return Q()
-        if name == "C":
-            return CSeries()
-        if name == "Ck":
-            self.expect_sym("[")
-            k = self.expect_int()
-            self.expect_sym("]")
-            return self.node(offset, CkSeries, k)
-        if name == "f":
-            self.expect_sym("[")
-            m = self.expect_int()
-            self.expect_sym("]")
-            return self.node(offset, EtaF, m)
-        if name in ("omega", "B", "f3"):
-            ctor = {"omega": Omega, "B": BFun, "f3": F3}[name]
-            self.expect_sym("(")
-            sign, qpow = self.qarg()
-            self.expect_sym(")")
-            return self.node(offset, ctor, sign, qpow)
-        if name == "pochinf":
-            self.expect_sym("[")
-            sign = self.signed_int()
-            self.expect_sym(",")
-            s = self.expect_int()
-            self.expect_sym(",")
-            m = self.expect_int()
-            self.expect_sym("]")
-            return self.node(offset, PochInf, sign, s, m)
-        if name == "pochfin":
-            self.expect_sym("[")
-            sign = self.signed_int()
-            self.expect_sym(",")
-            s = self.expect_int()
-            self.expect_sym(",")
-            m = self.expect_int()
-            self.expect_sym(",")
-            n = self.expect_int()
-            self.expect_sym("]")
-            return self.node(offset, PochFin, sign, s, m, n)
+        if name in _ATOMS:
+            ctor, shape = _ATOMS[name]
+            args = []
+            if shape == "(qarg)":
+                self.expect_sym("(")
+                args = self.qarg()
+                self.expect_sym(")")
+            elif shape:
+                self.expect_sym("[")
+                for i, kind in enumerate(shape[1:-1].split(",")):
+                    if i:
+                        self.expect_sym(",")
+                    args.append(self.signed_int() if kind == "sint"
+                                else self.expect_int())
+                self.expect_sym("]")
+            return self.node(offset, ctor, *args)
         if name == "D":
             self.expect_sym("[")
             m = self.expect_int()
@@ -403,33 +386,24 @@ def parse(src: str) -> QExpr:
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
-
-def _qarg_source(sign: int, qpow: int) -> str:
-    text = "-q" if sign < 0 else "q"
-    return text if qpow == 1 else f"{text}^{qpow}"
+# {binary node: (its operator in source, its precedence, its series operation)}
+_BINARY = {Add: (" + ", _PREC_ADD, operator.add),
+           Sub: (" - ", _PREC_ADD, operator.sub),
+           Mul: ("*", _PREC_MUL, mul),
+           Div: ("/", _PREC_MUL, lambda a, b: mul(a, invert(b)))}
 
 
 def _source(e: QExpr, context: int) -> str:
     if isinstance(e, Num):
         mine, text = _PREC_ATOM, str(e.value)
-    elif isinstance(e, Q):
-        mine, text = _PREC_ATOM, "q"
-    elif isinstance(e, CSeries):
-        mine, text = _PREC_ATOM, "C"
-    elif isinstance(e, CkSeries):
-        mine, text = _PREC_ATOM, f"Ck[{e.k}]"
-    elif isinstance(e, EtaF):
-        mine, text = _PREC_ATOM, f"f[{e.m}]"
-    elif isinstance(e, PochInf):
-        mine, text = _PREC_ATOM, f"pochinf[{e.sign},{e.s},{e.m}]"
-    elif isinstance(e, PochFin):
-        mine, text = _PREC_ATOM, f"pochfin[{e.sign},{e.s},{e.m},{e.n}]"
-    elif isinstance(e, Omega):
-        mine, text = _PREC_ATOM, f"omega({_qarg_source(e.sign, e.qpow)})"
-    elif isinstance(e, BFun):
-        mine, text = _PREC_ATOM, f"B({_qarg_source(e.sign, e.qpow)})"
-    elif isinstance(e, F3):
-        mine, text = _PREC_ATOM, f"f3({_qarg_source(e.sign, e.qpow)})"
+    elif type(e) in _ATOM_NAMES:
+        name, shape = _ATOM_NAMES[type(e)]
+        if shape == "(qarg)":
+            arg = "-q" if e.sign < 0 else "q"
+            text = f"{name}({arg})" if e.qpow == 1 else f"{name}({arg}^{e.qpow})"
+        else:
+            text = f"{name}[{','.join(map(str, astuple(e)))}]" if shape else name
+        mine = _PREC_ATOM
     elif isinstance(e, Dissect):
         mine, text = _PREC_ATOM, f"D[{e.m},{e.r}]({_source(e.child, 0)})"
     elif isinstance(e, Pow):
@@ -437,14 +411,9 @@ def _source(e: QExpr, context: int) -> str:
         if isinstance(e.base, Num) and e.base.value < 0:
             base = f"({base})"
         mine, text = _PREC_POW, f"{base}^{e.exponent}"
-    elif isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        mine = _PREC_MUL
-        text = f"{_source(e.left, _PREC_MUL)}{op}{_source(e.right, _PREC_POW)}"
-    elif isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        mine = _PREC_ADD
-        text = f"{_source(e.left, _PREC_ADD)} {op} {_source(e.right, _PREC_MUL)}"
+    elif isinstance(e, _Binary):
+        op, mine, _ = _BINARY[type(e)]
+        text = f"{_source(e.left, mine)}{op}{_source(e.right, mine + 1)}"
     else:
         raise TypeError(f"not a QExpr node: {e!r}")
     return f"({text})" if mine < context else text
@@ -458,6 +427,12 @@ def to_source(e: QExpr) -> str:
 # ------------------------------------------------------------- evaluator
 
 
+# the leaves built from their fields: builder(*fields, order, ring)
+_BUILDERS = {Num: lambda value, order, ring: constant_series(ring, order, value),
+             Q: lambda order, ring: monomial(ring, order, 1),
+             EtaF: pentagonal_series, PochInf: pochhammer_inf,
+             PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck}
+# omega, B and f3 at argument q; at sign * q^k evaluate substitutes into it
 _MOCK_THETA = {Omega: omega_series, BFun: b_eulerian, F3: f3_series}
 
 
@@ -466,7 +441,7 @@ def _child(e: QExpr, order: int) -> Optional[tuple[QExpr, int]]:
     or f3 at an argument other than q; None for any other node."""
     if isinstance(e, Dissect):  # so the result keeps full length
         return e.child, e.m * (order - 1) + e.r + 1
-    if isinstance(e, (Omega, BFun, F3)) and (e.sign, e.qpow) != (1, 1):
+    if isinstance(e, _QArg) and (e.sign, e.qpow) != (1, 1):
         # at argument q, long enough that the substituted series covers order
         return type(e)(1, 1), (order + e.qpow - 2) // e.qpow + 1
     return None
@@ -483,7 +458,7 @@ def reads(e: QExpr, order: int) -> dict:
         child = _child(node, n)
         if child is not None:
             stack.append(child)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
+        elif isinstance(node, _Binary):
             stack += [(node.left, n), (node.right, n)]
         elif isinstance(node, Pow):
             stack.append((node.base, n))
@@ -519,38 +494,20 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
 
 def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
               memo: Optional[dict]) -> Series:
-    if isinstance(e, Num):
-        return constant_series(ring, order, e.value)
-    if isinstance(e, Q):
-        return monomial(ring, order, 1)
-    if isinstance(e, EtaF):
-        return pentagonal_series(e.m, order, ring)
-    if isinstance(e, PochInf):
-        return pochhammer_inf(e.sign, e.s, e.m, order, ring)
-    if isinstance(e, PochFin):
-        return pochhammer_fin(e.sign, e.s, e.m, e.n, order, ring)
+    if type(e) in _BUILDERS:
+        return _BUILDERS[type(e)](*astuple(e), order, ring)
     child = _child(e, order)
-    if isinstance(e, (Omega, BFun, F3)):
+    if isinstance(e, _QArg):
         if child is None:
             return _MOCK_THETA[type(e)](order, ring)
         base = evaluate(*child, ring, memo)
         return truncate(substitute_power(base, e.qpow, e.sign), order)
-    if isinstance(e, CSeries):
-        return series_c(order, ring)
-    if isinstance(e, CkSeries):
-        return series_ck(e.k, order, ring)
     if isinstance(e, Pow):
         return power(evaluate(e.base, order, ring, memo), e.exponent)
     if isinstance(e, Dissect):
         return dissect(evaluate(*child, ring, memo), e.m, e.r)
-    if not isinstance(e, (Add, Sub, Mul, Div)):
+    if not isinstance(e, _Binary):
         raise TypeError(f"not a QExpr node: {e!r}")
-    left = evaluate(e.left, order, ring, memo)
-    right = evaluate(e.right, order, ring, memo)
-    if isinstance(e, Add):
-        return left + right
-    if isinstance(e, Sub):
-        return left - right
-    if isinstance(e, Mul):
-        return mul(left, right)
-    return mul(left, invert(right))
+    _, _, operation = _BINARY[type(e)]
+    return operation(evaluate(e.left, order, ring, memo),
+                     evaluate(e.right, order, ring, memo))

@@ -360,6 +360,13 @@ class TestSuite:
         assert "argument --kmax: expected an integer >= 0, got '-1'" in captured.err
 
 
+def _python_dash_m_env() -> dict:
+    """The environment in which `python -m qcong` imports this checkout."""
+    src = str(Path(qcong.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -373,9 +380,7 @@ class TestUsage:
 
     def test_python_dash_m_runs_the_cli(self):
         # `python -m qcong` is the console script without installing it
-        src = str(Path(qcong.__file__).resolve().parent.parent)
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        env = _python_dash_m_env()
         run = subprocess.run([sys.executable, "-m", "qcong", "oracle", "--k",
                               "limit", "--nmax", "4"], env=env,
                              capture_output=True, text=True, timeout=60)
@@ -387,6 +392,33 @@ class TestUsage:
                              capture_output=True, text=True, timeout=60)
         assert bad.returncode == 2
         assert "argument --nmax" in bad.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "q", "--order", str(10**15)],
+        ["expand", "q", "--order", str(10**15), "--ring", "mod64"],
+        ["check", "--series", "C", "--progression", "8,4", "--mod", "4",
+         "--nmax", str(10**15)],
+        ["scan", "--amax", str(10**8), "--mods", "2", "--nmax", str(10**8)],
+    ])
+    def test_order_too_large_to_allocate_exits_2(self, capsys, argv):
+        # numpy refuses 10^15 coefficients and more at once, before any
+        # memory is touched
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order too large to allocate")
+
+    def test_stdout_closed_early_exits_2_without_traceback(self):
+        # 20000 lines overflow the pipe, so the writer sees the closed end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcong", "expand", "C", "--order", "20000",
+             "--ring", "mod64"], env=_python_dash_m_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "0\t0\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in err
 
 
 class TestBadFlagValues:

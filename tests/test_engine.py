@@ -23,6 +23,7 @@ from qcong import (
     ProgressionClaim,
     Series,
     all_passed,
+    b_eulerian,
     build_suite_context,
     change_ring,
     check_family,
@@ -32,11 +33,13 @@ from qcong import (
     count_ck,
     equal_to_order,
     euler_fm,
+    f3_series,
     mod2pow,
     monomial,
     mul,
     mul_sparse,
     mul_sparse_binomial,
+    omega_series,
     pentagonal_series,
     pochhammer_inf,
     power,
@@ -517,6 +520,14 @@ class TestScan:
         assert {(a, b, 4) for (a, b, m) in triples if m == 8} <= triples
         assert all(c.n_max == 30 for c in claims)
 
+    def test_matches_a_direct_loop(self, ctx):
+        s, n_max = ctx.c_scan, 30
+        want = [(a, b, m) for a in range(1, 17) for b in range(a)
+                for m in (2, 4, 8)
+                if all(s[a * n + b] % m == 0 for n in range(n_max + 1))]
+        got = scan_progressions(s, 16, [2, 4, 8], n_max)
+        assert [(c.a, c.b, c.modulus) for c in got] == want
+
     def test_zero_series_matches_everything(self):
         claims = scan_progressions(zero_series(EXACT, 100), 4, [2], 20)
         assert len(claims) == 1 + 2 + 3 + 4
@@ -549,6 +560,14 @@ class TestSuiteContext:
         assert ctx.c_scan.order == 1200
         assert ctx.c_scan.ring == MOD64
         assert ctx.c_exact.ring == EXACT
+
+    def test_series_equal_their_direct_builders(self, ctx):
+        # the context builds each one through qexpr.evaluate of its leaf
+        assert ctx.c_exact == series_c(ctx.c_exact.order)
+        assert ctx.b_exact == b_eulerian(ctx.b_exact.order)
+        assert ctx.omega_exact == omega_series(ctx.omega_exact.order)
+        assert ctx.f3_exact == f3_series(ctx.f3_exact.order)
+        assert ctx.c_scan == series_c(ctx.n_scan, MOD64)
 
     def test_timings_reported(self):
         timings = {}

@@ -1,11 +1,14 @@
 """Parser, printer, and evaluator tests for the expression language."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcong import EXACT, MOD64, NonUnitError, count_ck, euler_fm, mul, omega_series
-from qcong import pochhammer_fin, pochhammer_inf, series_c
+from qcong import b_eulerian, f3_series, monomial, pentagonal_series
+from qcong import pochhammer_fin, pochhammer_inf, series_c, series_ck
 from qcong.catalogue import CLAIM_ROWS
 from qcong.qexpr import (
     Add,
@@ -151,6 +154,53 @@ def qexprs():
         )
 
     return st.recursive(base, extend, max_leaves=25)
+
+
+# One example of every named atom but D:
+# {source name: (source, node, its builder at (order, ring))}.
+ATOM_EXAMPLES = {
+    "q": ("q", Q(), lambda n, ring: monomial(ring, n, 1)),
+    "C": ("C", CSeries(), series_c),
+    "Ck": ("Ck[2]", CkSeries(2), lambda n, ring: series_ck(2, n, ring)),
+    "f": ("f[3]", EtaF(3), lambda n, ring: pentagonal_series(3, n, ring)),
+    "f3": ("f3(q)", F3(1, 1), f3_series),
+    "omega": ("omega(q)", Omega(1, 1), omega_series),
+    "B": ("B(q)", BFun(1, 1), b_eulerian),
+    "pochinf": ("pochinf[-1,2,3]", PochInf(-1, 2, 3),
+                lambda n, ring: pochhammer_inf(-1, 2, 3, n, ring)),
+    "pochfin": ("pochfin[1,1,2,3]", PochFin(1, 1, 2, 3),
+                lambda n, ring: pochhammer_fin(1, 1, 2, 3, n, ring)),
+}
+
+
+class TestAtomTable:
+    def unknown_name_expects(self) -> tuple:
+        with pytest.raises(ParseError, match="unknown name") as err:
+            parse("nosuchatom")
+        return err.value.expected
+
+    def test_every_named_atom_has_an_example(self):
+        named = set(self.unknown_name_expects()) - {"integer", "D", "(", "-"}
+        assert named == set(ATOM_EXAMPLES)
+
+    @pytest.mark.parametrize("name", ATOM_EXAMPLES)
+    def test_parses_prints_and_evaluates(self, name):
+        src, node, build = ATOM_EXAMPLES[name]
+        assert parse(src) == node
+        assert to_source(node) == src
+        for ring in (EXACT, MOD64):
+            assert evaluate(node, 40, ring) == build(40, ring)
+        assert name in self.unknown_name_expects()
+
+    def test_shared_bases_keep_each_node_distinct(self):
+        assert len({Omega(1, 1), BFun(1, 1), F3(1, 1), Omega(1, 1)}) == 3
+        assert Add(Q(), Q()) != Sub(Q(), Q())
+        assert repr(Omega(-1, 4)) == "Omega(sign=-1, qpow=4)"
+        assert repr(Div(Q(), Num(2))) == "Div(left=Q(), right=Num(value=2))"
+        with pytest.raises(ValueError, match="argument sign"):
+            BFun(2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            F3(1, 1).qpow = 2
 
 
 class TestRoundTrip:
