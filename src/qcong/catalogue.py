@@ -15,9 +15,7 @@ from typing import Callable, Optional
 
 from .engine import (
     ClaimReport,
-    FamilyClaim,
     c_builder,
-    check_family,
     check_progression,
     check_relation,
     series_ck,
@@ -126,13 +124,30 @@ def _relation_entry(claim_id: str, paper_eq: str, a1: int, b1: int, sign: int,
     return CatalogueEntry(claim_id, paper_eq, "relation", run)
 
 
-def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp_base: int,
+def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
                   b_mult: int,
                   relation: Optional[tuple[int, int]] = None) -> CatalogueEntry:
+    """The progressions A(k)*n + B(k) for k <= the context's k_max, with
+    A(k) = 2^(2k + a_exp) and B(k) = (b_mult*4^k + 1)/3: c(A(k)n + B(k)) == 0
+    mod `modulus`, or == (-1)^k * c(A2*n + B2) when `relation` is (A2, B2).
+    One report per k, its id suffixed -k<k> and its params carrying k."""
+    # 4^k == 1 mod 3, so 3 divides every b_mult*4^k + 1 iff it divides b_mult + 1
+    if (b_mult + 1) % 3:
+        raise ValueError(f"({b_mult}*4^k + 1)/3 is not an integer")
+
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        fam = FamilyClaim(claim_id, paper_eq, ctx.k_max, modulus,
-                          a_exp_base, b_mult, relation)
-        return check_family(ctx.c_scan, fam)
+        reports = []
+        for k in range(ctx.k_max + 1):
+            a, b = 2 ** (2 * k + a_exp), (b_mult * 4**k + 1) // 3
+            cid = f"{claim_id}-k{k}"
+            if relation is None:
+                rep = check_progression(ctx.c_scan, a, b, modulus,
+                                        claim_id=cid, paper_eq=paper_eq)
+            else:
+                rep = check_relation(ctx.c_scan, a, b, (-1) ** k, *relation,
+                                     modulus, claim_id=cid, paper_eq=paper_eq)
+            reports.append(replace(rep, params=dict(rep.params, k=k)))
+        return reports
     return CatalogueEntry(claim_id, paper_eq, "family", run)
 
 

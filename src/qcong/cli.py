@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from itertools import islice
 from typing import Optional
 
@@ -19,13 +20,11 @@ from .engine import (
     check_progression,
     check_relation,
     scan_progressions,
-    series_c,
-    series_ck,
     verify_congruent,
     verify_identity,
 )
 from .oracle import oracle_table
-from .qexpr import ParseError, evaluate, parse
+from .qexpr import CkSeries, CSeries, ParseError, evaluate, parse
 from .series import (
     EXACT,
     MOD64,
@@ -75,16 +74,15 @@ def _moduli(text: str) -> list[int]:
     return [_int_at_least(2)(x) for x in text.split(",")]
 
 
-def _series_spec(text: str) -> tuple[str, Optional[int]]:
+def _series_spec(text: str):
+    """An argparse type: C or Ck:K, as the qexpr leaf of its series."""
     if text == "C":
-        return "C", None
+        return CSeries()
     if text.startswith("Ck:"):
         try:
-            k = int(text[3:])
-        except ValueError:
-            k = 0
-        if k >= 1:
-            return "Ck", k
+            return CkSeries(int(text[3:]))
+        except ValueError:  # not an integer, or below 1
+            pass
     raise argparse.ArgumentTypeError(
         f"expected C or Ck:K with K >= 1, got {text!r}")
 
@@ -131,17 +129,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return _print_report(report)
 
 
-def _build_series(kind: str, k: Optional[int], order: int, modulus: int):
-    ring = MOD64 if _divides_2_64(modulus) else EXACT
-    if kind == "C":
-        return series_c(order, ring)
-    return series_ck(k, order, ring)
+def _build_series(leaf, order: int, modulus: int):
+    return evaluate(leaf, order, MOD64 if _divides_2_64(modulus) else EXACT)
 
 
 def _cmd_check(args) -> int:
     a, b = args.progression
     order = a * args.nmax + b + 1
-    series = _build_series(*args.series, order, args.mod)
+    series = _build_series(args.series, order, args.mod)
     report = check_progression(series, a, b, args.mod, n_max=args.nmax)
     return _print_report(report)
 
@@ -151,30 +146,40 @@ def _cmd_relation(args) -> int:
     a2, b2 = args.rhs
     sign = 1 if args.sign == "+" else -1
     order = max(a1 * args.nmax + b1, a2 * args.nmax + b2) + 1
-    series = _build_series(*args.series, order, args.mod)
+    series = _build_series(args.series, order, args.mod)
     report = check_relation(series, a1, b1, sign, a2, b2, args.mod,
                             n_max=args.nmax)
     return _print_report(report)
 
 
 def _cmd_suite(args) -> int:
-    ctx = build_suite_context(args.order_identity, args.order_scan, args.kmax)
-    reports = run_catalogue(ctx)
-    for report in reports:
-        line = f"{report.claim_id:<22} {report.status}"
-        if report.witness is not None:
-            line += f"  witness: {json.dumps(report.witness)}"
-        print(line)
-    counts = {status: sum(r.status == status for r in reports)
-              for status in ("pass", "fail", "order-too-small")}
-    print(f"{len(reports)} claims: {counts['pass']} pass, "
-          f"{counts['fail']} fail, {counts['order-too-small']} order-too-small")
-    if args.json is not None:
-        doc = suite_json(reports, args.order_identity, args.order_scan,
-                         args.kmax)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    # open the report first: a path it cannot write must fail before the
+    # series are built, not after the whole run
+    try:
+        report_file = (None if args.json is None
+                       else open(args.json, "w", encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: cannot write --json {args.json}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
+    with report_file or nullcontext():
+        ctx = build_suite_context(args.order_identity, args.order_scan,
+                                  args.kmax)
+        reports = run_catalogue(ctx)
+        for report in reports:
+            line = f"{report.claim_id:<22} {report.status}"
+            if report.witness is not None:
+                line += f"  witness: {json.dumps(report.witness)}"
+            print(line)
+        counts = {status: sum(r.status == status for r in reports)
+                  for status in ("pass", "fail", "order-too-small")}
+        print(f"{len(reports)} claims: {counts['pass']} pass, "
+              f"{counts['fail']} fail, {counts['order-too-small']} order-too-small")
+        if report_file is not None:
+            doc = suite_json(reports, args.order_identity, args.order_scan,
+                             args.kmax)
+            json.dump(doc, report_file, indent=2)
+            report_file.write("\n")
     return 0 if all_passed(reports) else 1
 
 
@@ -187,7 +192,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_scan(args) -> int:
     order = args.amax * (args.nmax + 1)
     ring = MOD64 if all(_divides_2_64(m) for m in args.mods) else EXACT
-    series = series_c(order, ring)
+    series = evaluate(CSeries(), order, ring)
     for claim in scan_progressions(series, args.amax, args.mods, args.nmax):
         print(claim)
     return 0

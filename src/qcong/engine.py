@@ -14,10 +14,8 @@ from .products import pentagonal_series
 from .series import (
     EXACT,
     CoefficientRing,
-    OrderError,
     Series,
     check_modulus,
-    equal_to_order,
     eulerian_sum,
     first_incongruence,
     mul_sparse,
@@ -108,30 +106,6 @@ class ProgressionClaim:
         return f"c({self.a}n+{self.b}) == 0 mod {self.modulus} for n <= {self.n_max}"
 
 
-@dataclass(frozen=True)
-class FamilyClaim:
-    """Progressions A(k)*n + B(k) with A(k) = 2^(2k + a_exp_base) and
-    B(k) = (b_mult*4^k + 1)/3; `relation` switches to the comparison form
-    c(A(k)n + B(k)) == (-1)^k * c(A2*n + B2) instead of == 0."""
-
-    claim_id: str
-    paper_eq: str
-    k_max: int
-    modulus: int
-    a_exp_base: int
-    b_mult: int
-    relation: Optional[tuple[int, int]] = None
-
-    def a_of(self, k: int) -> int:
-        return 2 ** (2 * k + self.a_exp_base)
-
-    def b_of(self, k: int) -> int:
-        num = self.b_mult * 4**k + 1
-        if num % 3:
-            raise ValueError(f"(({self.b_mult})*4^{k}+1) is not divisible by 3")
-        return num // 3
-
-
 # ---------------------------------------------------------------- checks
 
 
@@ -147,41 +121,38 @@ def check_progression(s: Series, a: int, b: int, modulus: int,
     (default: every in-range n)."""
     if a < 1 or b < 0:
         raise ValueError("progression needs a >= 1, b >= 0")
-    check_modulus(s.ring, modulus)
-    in_range = (s.order - 1 - b) // a
-    if n_max is None:
-        n_max = in_range
-    params = {"A": a, "B": b, "modulus": modulus, "n_max": n_max,
-              "order": s.order, "ring": str(s.ring)}
-    if n_max < 0 or n_max > in_range:
-        return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    count = n_max + 1
-    n = first_incongruence(_samples(s, a, b, count), zero_series(s.ring, count),
-                           modulus, count)
-    if n is None:
-        return ClaimReport(claim_id, paper_eq, "pass", params)
-    value = s[a * n + b]
-    witness = {"n": n, "argument": a * n + b, "value": value,
-               "residue": value % modulus}
-    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
+    return _check_sampled(s, (a, b), 0, (a, b), modulus, n_max, claim_id,
+                          paper_eq, {"A": a, "B": b})
 
 
 def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
                    modulus: int, n_max: Optional[int] = None,
                    claim_id: str = "relation", paper_eq: str = "") -> ClaimReport:
     """Pass iff coefficient(s, a1*n+b1) == sign * coefficient(s, a2*n+b2)
-    mod `modulus` for 0 <= n <= n_max."""
+    mod `modulus` for 0 <= n <= n_max (default: every in-range n)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if a1 < 1 or a2 < 1 or b1 < 0 or b2 < 0:
         raise ValueError("relation needs a1, a2 >= 1 and b1, b2 >= 0")
+    return _check_sampled(s, (a1, b1), sign, (a2, b2), modulus, n_max, claim_id,
+                          paper_eq, {"A1": a1, "B1": b1, "sign": sign, "A2": a2,
+                                     "B2": b2})
+
+
+def _check_sampled(s: Series, lhs: tuple[int, int], sign: int,
+                   rhs: tuple[int, int], modulus: int, n_max: Optional[int],
+                   claim_id: str, paper_eq: str, params: dict) -> ClaimReport:
+    """The body of both sampled checks: s[a1*n + b1] == sign * s[a2*n + b2]
+    mod `modulus` for 0 <= n <= n_max, with (a1, b1) = lhs and (a2, b2) =
+    rhs. Sign 0 makes the right side zero: a progression, whose witness
+    has no `other`. `params` gets the range and ring."""
     check_modulus(s.ring, modulus)
+    (a1, b1), (a2, b2) = lhs, rhs
     in_range = min((s.order - 1 - b1) // a1, (s.order - 1 - b2) // a2)
     if n_max is None:
         n_max = in_range
-    params = {"A1": a1, "B1": b1, "sign": sign, "A2": a2, "B2": b2,
-              "modulus": modulus, "n_max": n_max, "order": s.order,
-              "ring": str(s.ring)}
+    params = dict(params, modulus=modulus, n_max=n_max, order=s.order,
+                  ring=str(s.ring))
     if n_max < 0 or n_max > in_range:
         return ClaimReport(claim_id, paper_eq, "order-too-small", params)
     count = n_max + 1
@@ -189,40 +160,20 @@ def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
     n = first_incongruence(_samples(s, a1, b1, count), rhs_samples, modulus, count)
     if n is None:
         return ClaimReport(claim_id, paper_eq, "pass", params)
-    lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
-    witness = {"n": n, "argument": a1 * n + b1, "value": lhs,
-               "other": rhs, "residue": (lhs - sign * rhs) % modulus}
+    value, other = s[a1 * n + b1], s[a2 * n + b2]
+    witness = {"n": n, "argument": a1 * n + b1, "value": value,
+               **({"other": other} if sign else {}),
+               "residue": (value - sign * other) % modulus}
     return ClaimReport(claim_id, paper_eq, "fail", params, witness)
-
-
-def check_family(s: Series, fam: FamilyClaim) -> list[ClaimReport]:
-    """One report per 0 <= k <= fam.k_max."""
-    reports = []
-    for k in range(fam.k_max + 1):
-        a, b = fam.a_of(k), fam.b_of(k)
-        cid = f"{fam.claim_id}-k{k}"
-        if fam.relation is None:
-            rep = check_progression(s, a, b, fam.modulus,
-                                    claim_id=cid, paper_eq=fam.paper_eq)
-        else:
-            a2, b2 = fam.relation
-            rep = check_relation(s, a, b, (-1) ** k, a2, b2, fam.modulus,
-                                 claim_id=cid, paper_eq=fam.paper_eq)
-        reports.append(ClaimReport(rep.claim_id, rep.paper_eq, rep.status,
-                                   dict(rep.params, k=k), rep.witness))
-    return reports
 
 
 def verify_identity(lhs: Series, rhs: Series, n: int,
                     claim_id: str = "identity", paper_eq: str = "") -> ClaimReport:
     """Pass iff lhs and rhs agree coefficientwise for exponents < n."""
-    if n > lhs.order or n > rhs.order:
-        raise OrderError(
-            f"identity check to {n} exceeds orders {lhs.order}, {rhs.order}")
     params = {"order": n, "ring": str(lhs.ring)}
-    if equal_to_order(lhs, rhs, n):
+    i = first_incongruence(lhs, rhs, None, n)
+    if i is None:
         return ClaimReport(claim_id, paper_eq, "pass", params)
-    i = next(i for i in range(n) if lhs[i] != rhs[i])
     witness = {"n": i, "lhs": lhs[i], "rhs": rhs[i]}
     return ClaimReport(claim_id, paper_eq, "fail", params, witness)
 

@@ -64,11 +64,6 @@ def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Ser
     return Series._wrap(ring, _mask_arr(out, ring))
 
 
-def _at_q2(a: Series, order: int) -> Series:
-    """a(q^2) to `order` coefficients; a must know order // 2 + 1 of them."""
-    return substitute_power(a.truncate(order // 2 + 1), 2, 1).truncate(order)
-
-
 def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
     """B(q) through its bilateral form (eq 2-3): f4/f2^2 * appell_sum(2)."""
     total = appell_sum(2, order, ring)
@@ -94,7 +89,7 @@ def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
     b = mul(f4, mul(f4, mul(inv_f1, inv_f1)))
     b = mul(b, substitute_power(appell_sum(2, order, ring), 1, -1))
     inner = 2 * b - substitute_power(appell_sum(3, order, ring), 1, -1)
-    return shift(mul(_at_q2(inv_f1, order), inner), 1)
+    return shift(mul(substitute_power(inv_f1, 2, 1, order), inner), 1)
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:

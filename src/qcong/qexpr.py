@@ -48,7 +48,6 @@ from .series import (
     mul,
     power,
     substitute_power,
-    truncate,
 )
 
 
@@ -487,7 +486,7 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
         return _evaluate(e, order, ring, None)
     hit = memo.get(e)
     if hit is not None and hit.order >= order:
-        return truncate(hit, order)
+        return hit.truncate(order)
     out = memo[e] = _evaluate(e, order, ring, memo)
     return out
 
@@ -501,7 +500,7 @@ def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
         if child is None:
             return _MOCK_THETA[type(e)](order, ring)
         base = evaluate(*child, ring, memo)
-        return truncate(substitute_power(base, e.qpow, e.sign), order)
+        return substitute_power(base, e.qpow, e.sign, order)
     if isinstance(e, Pow):
         return power(evaluate(e.base, order, ring, memo), e.exponent)
     if isinstance(e, Dissect):

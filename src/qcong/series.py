@@ -263,13 +263,6 @@ def _stride(*arrs: np.ndarray) -> int:
     return int(np.gcd.reduce([np.gcd.reduce(np.flatnonzero(x[1:]) + 1) for x in arrs]))
 
 
-def _spread(a: Series, d: int, n: int) -> Series:
-    """a(q^d) to n coefficients; a must know ceil(n / d) of them."""
-    out = np.zeros(n, dtype=a.ring.dtype)
-    out[::d] = a._c
-    return Series._wrap(a.ring, out)
-
-
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated to min(a.order, b.order).
 
@@ -284,7 +277,8 @@ def mul(a: Series, b: Series) -> Series:
     d = _stride(a._c[:n], b._c[:n])
     if d > 1:
         x = Series._wrap(ring, a._c[:n:d])
-        return _spread(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])), d, n)
+        return substitute_power(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])),
+                                d, 1, n)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
     if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * _SPARSE_RATIO[ring.kind] <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
@@ -455,7 +449,7 @@ def invert(a: Series) -> Series:
         return a
     d = _stride(a._c)
     if d > 1:
-        return _spread(invert(Series._wrap(a.ring, a._c[::d])), d, a.order)
+        return substitute_power(invert(Series._wrap(a.ring, a._c[::d])), d, 1, a.order)
     ring = a.ring
     sizes = [a.order]
     while sizes[-1] > _NEWTON_MIN_ORDER:
@@ -610,14 +604,21 @@ def eulerian_sum(head: Series, steps) -> Series:
     return Series._wrap(ring, _mask_arr(acc, ring))
 
 
-def substitute_power(a: Series, m: int, sign: int) -> Series:
-    """Return a(sign * q^m): coefficient of q^(m*n) is sign^n * a[n]."""
+def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> Series:
+    """a(sign * q^m) to `order` coefficients, by default m*(a.order-1) + 1:
+    the coefficient of q^(m*n) is sign^n * a[n]. a must know ceil(order/m)
+    coefficients."""
     if m < 1:
         raise ValueError("substitution power m must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = np.zeros(max(0, m * (a.order - 1) + 1), dtype=a.ring.dtype)
-    out[::m] = a._c
+    if order is None:
+        order = max(0, m * (a.order - 1) + 1)
+    if order > m * a.order:
+        raise OrderError(f"a(q^{m}) to {order} coefficients needs {-(-order // m)} "
+                         f"coefficients of a, which knows {a.order}")
+    out = np.zeros(order, dtype=a.ring.dtype)
+    out[::m] = a._c[:-(-order // m)]
     if sign == -1:
         out[m::2 * m] = -out[m::2 * m]
     return Series._wrap(a.ring, _mask_arr(out, a.ring))
@@ -668,21 +669,17 @@ def change_ring(a: Series, ring: CoefficientRing) -> Series:
     return Series._wrap(ring, (a._c & ring.mask).astype(np.uint64, copy=False))
 
 
-def equal_to_order(a: Series, b: Series, n: int) -> bool:
-    """Coefficientwise equality for exponents 0..n-1."""
+def first_incongruence(a: Series, b: Series, modulus: int | None, n: int) -> int | None:
+    """First exponent < n where (a - b) is nonzero mod `modulus`, or where a
+    and b differ when `modulus` is None; else None."""
     _check_rings(a, b)
     if n > a.order or n > b.order:
         raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
-    return bool(np.array_equal(a._c[:n], b._c[:n]))
-
-
-def first_incongruence(a: Series, b: Series, modulus: int, n: int) -> int | None:
-    """First exponent < n where (a - b) is nonzero mod `modulus`, else None."""
-    _check_rings(a, b)
-    check_modulus(a.ring, modulus)
-    if n > a.order or n > b.order:
-        raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
-    hits = np.flatnonzero(_residues(a._c[:n] - b._c[:n], modulus, a.ring))
+    diff = a._c[:n] - b._c[:n]
+    if modulus is not None:
+        check_modulus(a.ring, modulus)
+        diff = _residues(diff, modulus, a.ring)
+    hits = np.flatnonzero(diff)
     return int(hits[0]) if len(hits) else None
 
 

@@ -350,6 +350,20 @@ class TestSuite:
         assert captured.out == ""
         assert f"argument {flag}: expected an integer >= 1, got '{bad}'" in captured.err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_json_path_exits_2_before_building(
+            self, tmp_path, capsys, monkeypatch, where):
+        def refuse(*args, **kw):
+            raise AssertionError("a series was built")
+        monkeypatch.setattr("qcong.cli.build_suite_context", refuse)
+        path = str(tmp_path / "nowhere" / "report.json"
+                   if where == "missing-directory" else tmp_path)
+        assert main(["suite", "--order-identity", "40", "--order-scan", "400",
+                     "--json", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --json {path}: ")
+
     def test_negative_kmax_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["suite", "--order-identity", "40", "--order-scan", "400",
@@ -435,8 +449,8 @@ class TestBadFlagValues:
     def no_builds(self, monkeypatch):
         def refuse(*args, **kw):
             raise AssertionError("a series was built")
-        for name in ("series_c", "series_ck", "evaluate"):
-            monkeypatch.setattr(f"qcong.cli.{name}", refuse)
+        # every subcommand builds its series through evaluate
+        monkeypatch.setattr("qcong.cli.evaluate", refuse)
 
     @pytest.mark.parametrize("argv, flag, bad, want", [
         (CHECK + ["--mod", "8"], "--progression", "0,4", PAIR.format("0,4")),

@@ -18,7 +18,6 @@ from qcong import (
     EXACT,
     MOD64,
     ClaimReport,
-    FamilyClaim,
     OrderError,
     ProgressionClaim,
     Series,
@@ -26,14 +25,13 @@ from qcong import (
     b_eulerian,
     build_suite_context,
     change_ring,
-    check_family,
     check_progression,
     check_relation,
     count_c_limit,
     count_ck,
-    equal_to_order,
     euler_fm,
     f3_series,
+    first_incongruence,
     mod2pow,
     monomial,
     mul,
@@ -54,7 +52,7 @@ from qcong import (
     verify_identity,
     zero_series,
 )
-from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT
+from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT, _family_entry
 from qcong import qexpr
 from qcong.engine import _c_sum, c_builder
 from qcong.qexpr import (F3, BFun, CSeries, EtaF, Omega, evaluate, parse,
@@ -90,7 +88,7 @@ class TestSeriesBuilders:
         # where it adds exactly 1
         order = 2 * k + 6
         ck, c = series_ck(k, order), series_c(order)
-        assert equal_to_order(ck, c, 2 * k + 1)
+        assert first_incongruence(ck, c, None, 2 * k + 1) is None
         assert ck[2 * k + 1] == c[2 * k + 1] + 1
 
     @pytest.mark.parametrize("ring", [MOD64, mod2pow(5)], ids=str)
@@ -337,39 +335,42 @@ class TestSampledChecksMatchLoop:
 
 
 class TestCheckFamily:
-    def test_parameter_progressions(self):
-        fam = FamilyClaim("x", "", 3, 4, 3, 11)
-        assert [fam.a_of(k) for k in range(4)] == [8, 32, 128, 512]
-        assert [fam.b_of(k) for k in range(4)] == [4, 15, 59, 235]
-        fam2 = FamilyClaim("y", "", 1, 8, 3, 17)
-        assert (fam2.a_of(0), fam2.b_of(0)) == (8, 6)
-        assert (fam2.a_of(1), fam2.b_of(1)) == (32, 23)
-        fam3 = FamilyClaim("z", "", 1, 4, 4, 38)
-        assert (fam3.a_of(0), fam3.b_of(0)) == (16, 13)
-        assert (fam3.a_of(1), fam3.b_of(1)) == (64, 51)
+    """The catalogue's family entries, eq 1-6 to 1-8 and eq 2-1, each run on
+    the small context with the k_max a case needs."""
+
+    @staticmethod
+    def run(ctx, claim_id, k_max):
+        entry = {e.claim_id: e for e in CATALOGUE}[claim_id]
+        return entry.run(dataclasses.replace(ctx, k_max=k_max))
+
+    def test_parameter_progressions(self, ctx):
+        def ab(claim_id):
+            return [(r.params["A"], r.params["B"])
+                    for r in self.run(ctx, claim_id, 3)]
+        assert ab("eq-1-6") == [(8, 4), (32, 15), (128, 59), (512, 235)]
+        assert ab("eq-1-7") == [(8, 6), (32, 23), (128, 91), (512, 363)]
+        assert ab("eq-1-8") == [(16, 13), (64, 51), (256, 203), (1024, 811)]
 
     def test_bad_multiplier_raises(self):
+        # (12*4^k + 1)/3 is never an integer; the entry refuses to be built
         with pytest.raises(ValueError):
-            FamilyClaim("x", "", 1, 4, 3, 12).b_of(0)
+            _family_entry("x", "", 4, 3, 12)
 
     def test_one_report_per_k(self, ctx):
-        fam = FamilyClaim("fam", "", 1, 4, 3, 11)
-        reports = check_family(ctx.c_scan, fam)
-        assert [r.claim_id for r in reports] == ["fam-k0", "fam-k1"]
+        reports = self.run(ctx, "eq-1-6", 1)
+        assert [r.claim_id for r in reports] == ["eq-1-6-k0", "eq-1-6-k1"]
         assert [r.params["k"] for r in reports] == [0, 1]
         assert all(r.status == "pass" for r in reports)
 
     def test_relation_family_alternates_sign(self, ctx):
-        fam = FamilyClaim("rel", "", 1, 8, 2, 8, relation=(4, 3))
-        reports = check_family(ctx.c_scan, fam)
+        reports = self.run(ctx, "eq-2-1", 1)
         assert [r.params["sign"] for r in reports] == [1, -1]
         assert all(r.status == "pass" for r in reports)
 
     def test_depth_beyond_order_reports_order_too_small(self, ctx):
         # at k=5 the offset (8*4^5+1)/3 = 2731 exceeds the scan order, which
         # must surface as order-too-small, never as a failure
-        fam = FamilyClaim("deep", "", 5, 8, 2, 8, relation=(4, 3))
-        reports = check_family(ctx.c_scan, fam)
+        reports = self.run(ctx, "eq-2-1", 5)
         assert all(r.status in ("pass", "order-too-small") for r in reports)
         assert [r.status for r in reports[:3]] == ["pass"] * 3
         assert reports[5].status == "order-too-small"
@@ -382,6 +383,13 @@ class TestVerify:
         rep = verify_identity(a, a + monomial(EXACT, 50, 7), 50)
         assert rep.status == "fail"
         assert rep.witness == {"n": 7, "lhs": 15, "rhs": 16}
+
+    def test_identity_reports_the_first_difference(self):
+        a = evaluate(parse("1/f[1]"), 50)
+        bumps = monomial(EXACT, 50, 31, 5) + monomial(EXACT, 50, 9, -2)
+        rep = verify_identity(a + monomial(EXACT, 50, 40), a + bumps, 50)
+        assert rep.status == "fail"
+        assert rep.witness == {"n": 9, "lhs": a[9], "rhs": a[9] - 2}
 
     def test_identity_refuses_unknown_coefficients(self):
         a = evaluate(parse("1/f[1]"), 50)

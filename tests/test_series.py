@@ -153,7 +153,7 @@ class TestArithmetic:
         lhs = qc.mul(a, b + c)
         rhs = qc.mul(a, b) + qc.mul(a, c)
         n = min(lhs.order, rhs.order)
-        assert qc.equal_to_order(lhs, rhs, n)
+        assert qc.first_incongruence(lhs, rhs, None, n) is None
 
     @given(coeff_lists, coeff_lists, widths)
     def test_mod_mul_is_homomorphic_image(self, xs, ys, w):
@@ -979,6 +979,19 @@ class TestReindexing:
         nonzero = [i for i, x in enumerate(out.coefficients()) if x]
         assert all(i % m == 0 for i in nonzero)
 
+    @given(coeff_lists, st.integers(1, 5), st.sampled_from([1, -1]),
+           st.integers(0, 30))
+    def test_substitute_power_to_an_order(self, xs, m, sign, order):
+        a = exact_series(xs)
+        if order > m * a.order:
+            with pytest.raises(qc.OrderError):
+                qc.substitute_power(a, m, sign, order)
+            return
+        out = qc.substitute_power(a, m, sign, order)
+        assert out.coefficients() == [
+            sign ** (i // m) * xs[i // m] if i % m == 0 else 0
+            for i in range(order)]
+
     def test_substitute_power_composes(self):
         a = exact_series([1, 2, 3, 4])
         twice = qc.substitute_power(qc.substitute_power(a, 2, 1), 3, 1)
@@ -1006,7 +1019,7 @@ class TestReindexing:
         total = qc.zero_series(EXACT, n)
         for p in pieces:
             total = total + p.truncate(n)
-        assert qc.equal_to_order(total, a, n)
+        assert qc.first_incongruence(total, a, None, n) is None
 
     def test_dissect_bad_residue(self):
         a = exact_series([1, 2, 3])
@@ -1030,12 +1043,30 @@ class TestComparisonAndReduction:
             a.truncate(5)
         assert qc.truncate(a, 4) == a
 
-    def test_equal_to_order_requires_known_coefficients(self):
+    def test_plain_equality_requires_known_coefficients(self):
         a = exact_series([1, 2, 3])
         b = exact_series([1, 2])
-        assert qc.equal_to_order(a, b, 2)
+        assert qc.first_incongruence(a, b, None, 2) is None
         with pytest.raises(qc.OrderError):
-            qc.equal_to_order(a, b, 3)
+            qc.first_incongruence(a, b, None, 3)
+
+    @given(st.lists(st.integers(-9, 9), max_size=12),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(1, 40)), max_size=3),
+           st.integers(0, 12), st.integers(0, 13),
+           st.sampled_from([EXACT, qc.MOD64, qc.mod2pow(5)]))
+    def test_plain_equality_matches_a_loop(self, xs, bumps, cut, n, ring):
+        # b is a cut to `cut` terms with a few bumped, by 32 at times, which
+        # leaves the coefficient alone mod 2^5
+        ys = list(xs)
+        for i, c in bumps:
+            ys[i:i + 1] = [y + c for y in ys[i:i + 1]]
+        a, b = Series(ring, xs), Series(ring, ys[:cut])
+        if n > min(a.order, b.order):
+            with pytest.raises(qc.OrderError):
+                qc.first_incongruence(a, b, None, n)
+            return
+        want = next((i for i in range(n) if a[i] != b[i]), None)
+        assert qc.first_incongruence(a, b, None, n) == want
 
     def test_first_incongruence_reduces_in_each_ring(self):
         a = exact_series([8, -3, 5])
