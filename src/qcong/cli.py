@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--json", metavar="PATH")
     p_suite.set_defaults(func=_cmd_suite)
 
-    p_oracle = sub.add_parser("oracle", help="count partitions by direct "
-                                             "enumeration")
+    p_oracle = sub.add_parser("oracle", help="count partitions by a memoized "
+                                             "search over their definition")
     p_oracle.add_argument("--k", type=_k_spec, required=True, metavar="K|limit")
     p_oracle.add_argument("--nmax", type=_int_at_least(0), required=True)
     p_oracle.set_defaults(func=_cmd_oracle)

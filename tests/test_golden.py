@@ -9,7 +9,12 @@ shows here:
 - one catalogue run per negative control at the engine tests' small
   context, each a context series plus one monomial: `c_scan + 4*q^12`
   (only eq-2-3 sees it), `c_scan + q^12` (a progression, a family member,
-  a relation and eq-2-3 fail) and `c_exact + q^7`.
+  a relation and eq-2-3 fail) and `c_exact + q^7`;
+- `oracle-limit-40.txt`, `oracle-k1-36.txt` and `oracle-k3-36.txt`: the
+  stdout of `qcong oracle --k limit --nmax 40`, `--k 1 --nmax 36` and
+  `--k 3 --nmax 36`, recorded with the leaf-by-leaf count, which walked
+  every counted partition; they reach past n = 25, where the tests compare
+  the counts with `enumerate_ck`.
 
 Regenerate a file only for a change that is meant to alter the reports.
 """
@@ -52,3 +57,13 @@ def test_negative_control_reports(ctx, name, field, ring, exponent, c):
     got = json.dumps([r.to_json_dict() for r in run_catalogue(bad)],
                      indent=2) + "\n"
     assert got == (DATA / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, k, nmax", [
+    ("oracle-limit-40", "limit", 40),
+    ("oracle-k1-36", "1", 36),
+    ("oracle-k3-36", "3", 36),
+])
+def test_oracle_tables(capsys, name, k, nmax):
+    assert main(["oracle", "--k", k, "--nmax", str(nmax)]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.txt").read_text()

@@ -1,11 +1,12 @@
 import pytest
 
+from qcong.catalogue import ORACLE_LIMIT
 from qcong.oracle import (
     BLUE,
     RED,
     ColoredPartition,
     OracleCount,
-    _tally,
+    _leaves,
     count_c_limit,
     count_ck,
     enumerate_ck,
@@ -90,20 +91,25 @@ class TestSmallCounts:
 
 
 class TestCountsMatchEnumeration:
-    """count_ck and count_c_limit read one cached walk per n for every k;
-    asking in either order must give each k its own enumeration count."""
+    """count_ck and count_c_limit read one memoized search for every k and
+    n; asking in either order, from a cold cache, must give each k its own
+    enumeration count at every n the oracle entries read."""
 
-    @pytest.mark.parametrize("order", [["limit", 1, 2, 3, 4],
-                                       [4, 3, 2, 1, "limit"]])
-    def test_cached_counts_match_enumeration(self, order):
-        _tally.cache_clear()
+    KS = ["limit", 1, 2, 3, 4]
+
+    @pytest.fixture(scope="class")
+    def enumerated(self):
+        return {(k, n): sum(1 for _ in enumerate_ck(
+                    max(n, 1) if k == "limit" else k, n))
+                for k in self.KS for n in range(ORACLE_LIMIT + 1)}
+
+    @pytest.mark.parametrize("order", [KS, KS[::-1]])
+    def test_cached_counts_match_enumeration(self, order, enumerated):
+        _leaves.cache_clear()
         for k in order:
-            for n in range(21):
-                if k == "limit":
-                    want = sum(1 for _ in enumerate_ck(max(n, 1), n))
-                    assert count_c_limit(n) == want
-                else:
-                    assert count_ck(k, n) == sum(1 for _ in enumerate_ck(k, n))
+            for n in range(ORACLE_LIMIT + 1):
+                got = count_c_limit(n) if k == "limit" else count_ck(k, n)
+                assert got == enumerated[k, n], (k, n)
 
 
 class TestEnumeratedObjects:
@@ -130,7 +136,7 @@ class TestEnumeratedObjects:
 
 
 class TestStabilization:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_count_stops_changing_once_gap_exceeds_n(self, n):
         k = n // 2 + 1  # 2k > n, so even blue parts can no longer occur
         stable = count_ck(k, n)
@@ -140,7 +146,7 @@ class TestStabilization:
 
     def test_counts_weakly_decrease_in_k(self):
         # raising k only strikes partitions (even blue window shrinks)
-        for n in range(1, 14):
+        for n in range(1, 41):
             prev = count_ck(1, n)
             for k in range(2, 8):
                 cur = count_ck(k, n)
