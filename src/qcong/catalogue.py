@@ -3,29 +3,31 @@ the shared series it reads, and the suite runner.
 
 Each entry names its check type (exact | mod-M | progression | relation |
 family | oracle) so coverage can be audited by reading the table top to
-bottom. The supporting identities and congruences are data: rows of two
-`qcong.qexpr` sources, so any row can be re-checked with `qcong verify`.
+bottom. Every claim but the oracles and eq 2-3 is a row of two `qcong.qexpr`
+sources, checked by `check_row` in the exact ring to the suite's "identity"
+or "congruence" order, or at depth "scan" (`D[A,B](C)` sides) in the
+mod-2^64 scan series' ring, as deep as that series allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable, Optional
 
 from .engine import (
     ClaimReport,
     c_builder,
-    check_progression,
-    check_relation,
     series_ck,
     verify_congruent,
     verify_identity,
 )
 from .mock_theta import b_appell, omega_appell
 from .oracle import count_c_limit, count_ck
-from .qexpr import F3, BFun, CSeries, Omega, evaluate, parse, reads, to_source
-from .series import EXACT, MOD64, Series, change_ring
+from .qexpr import (F3, BFun, CSeries, Omega, QExpr, evaluate, parse, reads,
+                    to_source)
+from .series import MOD64, Series, change_ring
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -41,8 +43,8 @@ _SEEDS = {CSeries(): "c_exact", BFun(1, 1): "b_exact",
 
 @dataclass(frozen=True)
 class SuiteContext:
-    """Shared series for one catalogue run, and the rows' one evaluation
-    memo, seeded with them; `dataclasses.replace` gives a fresh memo."""
+    """Shared series for one catalogue run, and the rows' evaluation memos
+    seeded with them, one per ring; `dataclasses.replace` gives fresh ones."""
 
     n_identity: int
     n_congruence: int
@@ -55,16 +57,18 @@ class SuiteContext:
     c_scan: Series
     memo: dict = field(init=False, repr=False, compare=False,
                        default_factory=dict)
+    scan_memo: dict = field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
-        self.memo.update((leaf, getattr(self, name))
-                         for leaf, name in _SEEDS.items())
+        self.memo.update(self.seeds("identity"))
+        self.scan_memo.update(self.seeds("scan"))
 
-
-def _seed_reads(sides, order: int) -> dict:
-    """{seeded leaf: the most coefficients either side reads of it}."""
-    depths = [reads(e, order) for e in sides]
-    return {leaf: max(d.get(leaf, 0) for d in depths) for leaf in _SEEDS}
+    def seeds(self, depth: str) -> dict:
+        """{leaf: shared series} for the rows of `depth`."""
+        if depth == "scan":
+            return {CSeries(): self.c_scan}
+        return {leaf: getattr(self, name) for leaf, name in _SEEDS.items()}
 
 
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
@@ -82,9 +86,10 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
               "b_exact": n_identity, "omega_exact": n_identity, "f3_exact": 1}
     depth = {"identity": n_identity, "congruence": n_congruence}
     for _, _, lhs, rhs, _, order in CLAIM_ROWS:
-        sides = (parse(lhs), parse(rhs))
-        for leaf, n in _seed_reads(sides, depth[order]).items():
-            orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
+        for e in (parse(lhs), parse(rhs)):
+            for leaf, n in reads(e, depth[order]).items():
+                if leaf in _SEEDS:
+                    orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
     t0 = perf_counter()
     built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
@@ -108,46 +113,27 @@ class CatalogueEntry:
     run: Callable[[SuiteContext], list[ClaimReport]]
 
 
-def _progression_entry(claim_id: str, paper_eq: str, a: int, b: int,
-                       modulus: int) -> CatalogueEntry:
-    def run(ctx: SuiteContext) -> list[ClaimReport]:
-        return [check_progression(ctx.c_scan, a, b, modulus,
-                                  claim_id=claim_id, paper_eq=paper_eq)]
-    return CatalogueEntry(claim_id, paper_eq, "progression", run)
-
-
-def _relation_entry(claim_id: str, paper_eq: str, a1: int, b1: int, sign: int,
-                    a2: int, b2: int, modulus: int) -> CatalogueEntry:
-    def run(ctx: SuiteContext) -> list[ClaimReport]:
-        return [check_relation(ctx.c_scan, a1, b1, sign, a2, b2, modulus,
-                               claim_id=claim_id, paper_eq=paper_eq)]
-    return CatalogueEntry(claim_id, paper_eq, "relation", run)
-
-
 def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
                   b_mult: int,
                   relation: Optional[tuple[int, int]] = None) -> CatalogueEntry:
-    """The progressions A(k)*n + B(k) for k <= the context's k_max, with
-    A(k) = 2^(2k + a_exp) and B(k) = (b_mult*4^k + 1)/3: c(A(k)n + B(k)) == 0
-    mod `modulus`, or == (-1)^k * c(A2*n + B2) when `relation` is (A2, B2).
-    One report per k, its id suffixed -k<k> and its params carrying k."""
+    """One scan row per k <= the context's k_max, with A(k) = 2^(2k + a_exp)
+    and B(k) = (b_mult*4^k + 1)/3: D[A(k),B(k)](C) == 0 mod `modulus`, or
+    == (-1)^k * D[A2,B2](C) when `relation` is (A2, B2). One report per k,
+    its id suffixed -k<k> and its params carrying k."""
     # 4^k == 1 mod 3, so 3 divides every b_mult*4^k + 1 iff it divides b_mult + 1
     if (b_mult + 1) % 3:
         raise ValueError(f"({b_mult}*4^k + 1)/3 is not an integer")
 
+    @lru_cache(maxsize=None)
+    def row(k: int) -> CatalogueEntry:
+        lhs = f"D[{2 ** (2 * k + a_exp)},{(b_mult * 4**k + 1) // 3}](C)"
+        rhs = ("0" if relation is None else
+               "-" * (k % 2) + f"D[{relation[0]},{relation[1]}](C)")
+        return _row_entry(f"{claim_id}-k{k}", paper_eq, lhs, rhs, modulus, "scan")
+
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        reports = []
-        for k in range(ctx.k_max + 1):
-            a, b = 2 ** (2 * k + a_exp), (b_mult * 4**k + 1) // 3
-            cid = f"{claim_id}-k{k}"
-            if relation is None:
-                rep = check_progression(ctx.c_scan, a, b, modulus,
-                                        claim_id=cid, paper_eq=paper_eq)
-            else:
-                rep = check_relation(ctx.c_scan, a, b, (-1) ** k, *relation,
-                                     modulus, claim_id=cid, paper_eq=paper_eq)
-            reports.append(replace(rep, params=dict(rep.params, k=k)))
-        return reports
+        return [replace(rep, params=dict(rep.params, k=k))
+                for k in range(ctx.k_max + 1) for rep in row(k).run(ctx)]
     return CatalogueEntry(claim_id, paper_eq, "family", run)
 
 
@@ -194,33 +180,66 @@ def _b_bilateral_entry() -> CatalogueEntry:
     return CatalogueEntry("eq-2-3", "2-3", "exact", run)
 
 
+def _too_short(sides, seeds: dict, n: int) -> list[QExpr]:
+    """The seeded leaves that a side, evaluated to n, reads past their end."""
+    depths = [reads(e, n) for e in sides]
+    return [leaf for leaf, s in seeds.items()
+            if any(d.get(leaf, 0) > s.order for d in depths)]
+
+
+def _scan_order(sides, seeds: dict) -> int:
+    """The largest n (0 if none) to which no side reads a seed past its end,
+    by bisection: what `reads` reports grows with n."""
+    lo, hi = 0, max(s.order for s in seeds.values())
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (lo, mid - 1) if _too_short(sides, seeds, mid) else (mid, hi)
+    return lo
+
+
+def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
+              n: Optional[int] = None, memo: Optional[dict] = None,
+              claim_id: str = "row", paper_eq: str = "") -> ClaimReport:
+    """lhs == rhs to n coefficients, exactly (modulus None) or mod `modulus`,
+    evaluated in the ring of `seeds` ({leaf: series}) through `memo` (a
+    fresh one if None), which they seed. n None checks as many coefficients
+    as the seeds allow and adds n_max = n - 1 to the params. A seed too short
+    for n, which evaluate would silently rebuild, gives order-too-small."""
+    ring = next(iter(seeds.values())).ring
+    scan = n is None
+    if scan:
+        n = _scan_order(sides, seeds)
+    params = {"order": n, **({} if modulus is None else {"modulus": modulus}),
+              "ring": str(ring), "lhs": to_source(sides[0]),
+              "rhs": to_source(sides[1])}
+    samples = {"n_max": n - 1} if scan else {}
+    too_short = _too_short(sides, seeds, max(n, 1))
+    if too_short:
+        params["too_short"] = list(map(to_source, too_short))
+        return ClaimReport(claim_id, paper_eq, "order-too-small", {**params, **samples})
+    memo = dict(seeds) if memo is None else memo
+    lhs, rhs = (evaluate(e, n, ring, memo) for e in sides)
+    rep = (verify_identity(lhs, rhs, n, claim_id, paper_eq) if modulus is None
+           else verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq))
+    return replace(rep, params={**params, **samples})
+
+
 def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
-               modulus: Optional[int], order: str) -> CatalogueEntry:
-    """lhs == rhs exactly (modulus None) or mod `modulus`, both sides
-    evaluated in the exact ring at the context's n_identity or n_congruence
-    (`order` is "identity" or "congruence") through the context's memo."""
+               modulus: Optional[int], depth: str) -> CatalogueEntry:
+    """`check_row` of the two sources at `depth`: the context's n_identity
+    or n_congruence in the exact ring, or "scan", as deep as c_scan allows
+    in its ring. A scan row is a progression when its right side is 0."""
     sides = (parse(lhs_src), parse(rhs_src))
-    sources = {"lhs": to_source(sides[0]), "rhs": to_source(sides[1])}
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        n = getattr(ctx, f"n_{order}")
-        # a seeded series shorter than the row reads it would be rebuilt by
-        # evaluate, and the row would check the rebuilt series instead
-        too_short = [to_source(leaf)
-                     for leaf, depth in _seed_reads(sides, n).items()
-                     if getattr(ctx, _SEEDS[leaf]).order < depth]
-        if too_short:
-            params = {"order": n, **({} if modulus is None else
-                                     {"modulus": modulus}), "ring": str(EXACT)}
-            return [ClaimReport(claim_id, paper_eq, "order-too-small",
-                                dict(params, **sources, too_short=too_short))]
-        lhs, rhs = (evaluate(e, n, EXACT, ctx.memo) for e in sides)
-        if modulus is None:
-            rep = verify_identity(lhs, rhs, n, claim_id, paper_eq)
-        else:
-            rep = verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq)
-        return [replace(rep, params=dict(rep.params, **sources))]
-    kind = "exact" if modulus is None else f"mod-{modulus}"
+        n, memo = ((None, ctx.scan_memo) if depth == "scan"
+                   else (getattr(ctx, f"n_{depth}"), ctx.memo))
+        return [check_row(sides, modulus, ctx.seeds(depth), n, memo,
+                          claim_id, paper_eq)]
+    if depth == "scan":
+        kind = "progression" if rhs_src == "0" else "relation"
+    else:
+        kind = "exact" if modulus is None else f"mod-{modulus}"
     return CatalogueEntry(claim_id, paper_eq, kind, run)
 
 
@@ -279,24 +298,31 @@ CLAIM_ROWS: tuple[tuple[str, str, str, str, Optional[int], str], ...] = (
 )
 
 
+# The progressions (right side 0) and relations, read from the mod-2^64 scan
+# series; the families between eq 1-5 and eq 2-19 are rows made per k.
+SCAN_ROWS: tuple[tuple[str, str, str, str, int, str], ...] = (
+    ("eq-1-2", "1-2", "D[8,4](C)", "0", 4, "scan"),
+    ("eq-1-3", "1-3", "D[8,6](C)", "0", 8, "scan"),
+    ("eq-1-4", "1-4", "D[16,13](C)", "0", 4, "scan"),
+    ("eq-1-5", "1-5", "D[32,23](C)", "0", 8, "scan"),
+    ("eq-2-19", "2-19", "D[16,11](C)", "-D[4,3](C)", 8, "scan"),
+    ("eq-2-21", "2-21", "D[32,15](C)", "0", 4, "scan"),
+    ("eq-2-22", "2-22", "D[32,23](C)", "0", 8, "scan"),
+    ("eq-2-23", "2-23", "D[64,51](C)", "0", 4, "scan"),
+    ("eq-2-25", "2-25", "D[8,7](C)", "-D[2,2](C)", 4, "scan"),
+    ("eq-2-26", "2-26", "D[16,7](C)", "-D[4,2](C)", 8, "scan"),
+    ("eq-2-27", "2-27", "D[32,19](C)", "-D[8,5](C)", 4, "scan"),
+)
+
+
 CATALOGUE: tuple[CatalogueEntry, ...] = (
-    # the proved progressions, the conjectured families and the relations,
-    # all read from the mod-2^64 scan series
-    _progression_entry("eq-1-2", "1-2", 8, 4, 4),
-    _progression_entry("eq-1-3", "1-3", 8, 6, 8),
-    _progression_entry("eq-1-4", "1-4", 16, 13, 4),
-    _progression_entry("eq-1-5", "1-5", 32, 23, 8),
+    # the proved progressions, the conjectured families and the relations
+    *(_row_entry(*row) for row in SCAN_ROWS[:4]),
     _family_entry("eq-1-6", "1-6", 4, 3, 11),
     _family_entry("eq-1-7", "1-7", 8, 3, 17),
     _family_entry("eq-1-8", "1-8", 4, 4, 38),
     _family_entry("eq-2-1", "2-1", 8, 2, 8, relation=(4, 3)),
-    _relation_entry("eq-2-19", "2-19", 16, 11, -1, 4, 3, 8),
-    _progression_entry("eq-2-21", "2-21", 32, 15, 4),
-    _progression_entry("eq-2-22", "2-22", 32, 23, 8),
-    _progression_entry("eq-2-23", "2-23", 64, 51, 4),
-    _relation_entry("eq-2-25", "2-25", 8, 7, -1, 2, 2, 4),
-    _relation_entry("eq-2-26", "2-26", 16, 7, -1, 4, 2, 8),
-    _relation_entry("eq-2-27", "2-27", 32, 19, -1, 8, 5, 4),
+    *(_row_entry(*row) for row in SCAN_ROWS[4:]),
     # supporting identities and derivation steps, in the exact ring
     *(_row_entry(*row) for row in CLAIM_ROWS),
     _b_bilateral_entry(),

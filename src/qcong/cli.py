@@ -15,16 +15,12 @@ from contextlib import nullcontext
 from itertools import islice
 from typing import Optional
 
-from .catalogue import all_passed, build_suite_context, run_catalogue, suite_json
-from .engine import (
-    check_progression,
-    check_relation,
-    scan_progressions,
-    verify_congruent,
-    verify_identity,
-)
+from .catalogue import (all_passed, build_suite_context, check_row,
+                        run_catalogue, suite_json)
+from .engine import scan_progressions, verify_congruent, verify_identity
 from .oracle import oracle_table
-from .qexpr import CkSeries, CSeries, ParseError, evaluate, parse
+from .qexpr import (CkSeries, CSeries, Dissect, Num, ParseError, Sub, evaluate,
+                    parse, reads)
 from .series import (
     EXACT,
     MOD64,
@@ -129,27 +125,25 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return _print_report(report)
 
 
-def _build_series(leaf, order: int, modulus: int):
-    return evaluate(leaf, order, MOD64 if _divides_2_64(modulus) else EXACT)
+def _check_sides(leaf, lhs, rhs, modulus: int, n_max: int) -> int:
+    """lhs == rhs mod `modulus` to n_max, `leaf` built once as deep as read."""
+    n = n_max + 1
+    ring = MOD64 if _divides_2_64(modulus) else EXACT
+    order = max(reads(e, n).get(leaf, 0) for e in (lhs, rhs))
+    seeds = {leaf: evaluate(leaf, order, ring)}
+    return _print_report(check_row((lhs, rhs), modulus, seeds, n))
 
 
 def _cmd_check(args) -> int:
-    a, b = args.progression
-    order = a * args.nmax + b + 1
-    series = _build_series(args.series, order, args.mod)
-    report = check_progression(series, a, b, args.mod, n_max=args.nmax)
-    return _print_report(report)
+    return _check_sides(args.series, Dissect(*args.progression, args.series),
+                        Num(0), args.mod, args.nmax)
 
 
 def _cmd_relation(args) -> int:
-    a1, b1 = args.lhs
-    a2, b2 = args.rhs
-    sign = 1 if args.sign == "+" else -1
-    order = max(a1 * args.nmax + b1, a2 * args.nmax + b2) + 1
-    series = _build_series(args.series, order, args.mod)
-    report = check_relation(series, a1, b1, sign, a2, b2, args.mod,
-                            n_max=args.nmax)
-    return _print_report(report)
+    rhs = Dissect(*args.rhs, args.series)
+    return _check_sides(args.series, Dissect(*args.lhs, args.series),
+                        rhs if args.sign == "+" else Sub(Num(0), rhs),
+                        args.mod, args.nmax)
 
 
 def _cmd_suite(args) -> int:

@@ -1,6 +1,7 @@
-"""Series builders for the two-color counting functions, claim checkers,
-and the large-order congruence scan. The claim catalogue that drives the
-checkers lives in `qcong.catalogue`.
+"""Series builders for the two-color counting functions, the identity and
+congruence checkers, and the large-order congruence scan. The claim
+catalogue, which reads every claim as two expression sides and checks them
+with these, lives in `qcong.catalogue`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from .series import (
     EXACT,
     CoefficientRing,
     Series,
-    check_modulus,
+    dissect,
     eulerian_sum,
     first_incongruence,
     mul_sparse,
-    scalar_mul,
     zero_series,
 )
 
@@ -109,64 +109,6 @@ class ProgressionClaim:
 # ---------------------------------------------------------------- checks
 
 
-def _samples(s: Series, a: int, b: int, count: int) -> Series:
-    """s[a*n + b] at q^n for 0 <= n < count."""
-    return Series._wrap(s.ring, s._c[b::a][:count])
-
-
-def check_progression(s: Series, a: int, b: int, modulus: int,
-                      n_max: Optional[int] = None, claim_id: str = "progression",
-                      paper_eq: str = "") -> ClaimReport:
-    """Pass iff coefficient(s, a*n + b) == 0 mod `modulus` for 0 <= n <= n_max
-    (default: every in-range n)."""
-    if a < 1 or b < 0:
-        raise ValueError("progression needs a >= 1, b >= 0")
-    return _check_sampled(s, (a, b), 0, (a, b), modulus, n_max, claim_id,
-                          paper_eq, {"A": a, "B": b})
-
-
-def check_relation(s: Series, a1: int, b1: int, sign: int, a2: int, b2: int,
-                   modulus: int, n_max: Optional[int] = None,
-                   claim_id: str = "relation", paper_eq: str = "") -> ClaimReport:
-    """Pass iff coefficient(s, a1*n+b1) == sign * coefficient(s, a2*n+b2)
-    mod `modulus` for 0 <= n <= n_max (default: every in-range n)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if a1 < 1 or a2 < 1 or b1 < 0 or b2 < 0:
-        raise ValueError("relation needs a1, a2 >= 1 and b1, b2 >= 0")
-    return _check_sampled(s, (a1, b1), sign, (a2, b2), modulus, n_max, claim_id,
-                          paper_eq, {"A1": a1, "B1": b1, "sign": sign, "A2": a2,
-                                     "B2": b2})
-
-
-def _check_sampled(s: Series, lhs: tuple[int, int], sign: int,
-                   rhs: tuple[int, int], modulus: int, n_max: Optional[int],
-                   claim_id: str, paper_eq: str, params: dict) -> ClaimReport:
-    """The body of both sampled checks: s[a1*n + b1] == sign * s[a2*n + b2]
-    mod `modulus` for 0 <= n <= n_max, with (a1, b1) = lhs and (a2, b2) =
-    rhs. Sign 0 makes the right side zero: a progression, whose witness
-    has no `other`. `params` gets the range and ring."""
-    check_modulus(s.ring, modulus)
-    (a1, b1), (a2, b2) = lhs, rhs
-    in_range = min((s.order - 1 - b1) // a1, (s.order - 1 - b2) // a2)
-    if n_max is None:
-        n_max = in_range
-    params = dict(params, modulus=modulus, n_max=n_max, order=s.order,
-                  ring=str(s.ring))
-    if n_max < 0 or n_max > in_range:
-        return ClaimReport(claim_id, paper_eq, "order-too-small", params)
-    count = n_max + 1
-    rhs_samples = scalar_mul(sign, _samples(s, a2, b2, count))
-    n = first_incongruence(_samples(s, a1, b1, count), rhs_samples, modulus, count)
-    if n is None:
-        return ClaimReport(claim_id, paper_eq, "pass", params)
-    value, other = s[a1 * n + b1], s[a2 * n + b2]
-    witness = {"n": n, "argument": a1 * n + b1, "value": value,
-               **({"other": other} if sign else {}),
-               "residue": (value - sign * other) % modulus}
-    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
-
-
 def verify_identity(lhs: Series, rhs: Series, n: int,
                     claim_id: str = "identity", paper_eq: str = "") -> ClaimReport:
     """Pass iff lhs and rhs agree coefficientwise for exponents < n."""
@@ -208,7 +150,7 @@ def scan_progressions(s: Series, a_max: int, moduli: list[int],
     zero = zero_series(s.ring, n_max + 1)
     for a in range(1, a_max + 1):
         for b in range(a):
-            piece = _samples(s, a, b, n_max + 1)
+            piece = dissect(s, a, b).truncate(n_max + 1)
             for m in moduli:
                 if first_incongruence(piece, zero, m, n_max + 1) is None:
                     found.append(ProgressionClaim(a, b, m, n_max))

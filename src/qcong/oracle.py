@@ -96,7 +96,8 @@ def _extend(v: int, remaining: int, s: int, gap: int,
 def _leaves(v: int, remaining: int, s: int) -> dict[int, int]:
     """The leaves of `_extend`'s search at k = 1 below part value v, as
     {g: count}, where g is the smallest even blue value chosen at or below v
-    (0 for none). Callers must not mutate the cached dict."""
+    (0 for none). Callers pass v <= remaining, as larger values fit no part,
+    and must not mutate the cached dict."""
     if remaining == 0 or v <= s:
         # only copies of s remain, split freely between blue and red
         return {0: remaining // s + 1} if remaining % s == 0 else {}
@@ -104,13 +105,14 @@ def _leaves(v: int, remaining: int, s: int) -> dict[int, int]:
     if v % 2:
         # t copies of v split between blue and red in t + 1 ways
         for t in range(remaining // v + 1):
-            for g, c in _leaves(v - 1, remaining - t * v, s).items():
+            left = remaining - t * v
+            for g, c in _leaves(min(v - 1, left), left, s).items():
                 out[g] = out.get(g, 0) + (t + 1) * c
         return out
     for mb in range(2) if v <= remaining else range(1):
-        left = remaining - mb * v
-        for mr in range(min(1, left // v) + 1):
-            for g, c in _leaves(v - 1, left - mr * v, s).items():
+        for mr in range(min(1, (remaining - mb * v) // v) + 1):
+            left = remaining - (mb + mr) * v
+            for g, c in _leaves(min(v - 1, left), left, s).items():
                 g = g or (v if mb else 0)
                 out[g] = out.get(g, 0) + c
     return out
@@ -123,7 +125,7 @@ def _tally(n: int) -> list[int]:
     == j. Raising k only strikes partitions, so one search serves every k."""
     buckets = [0] * (n // 2 + 1)
     for s in range(1, n + 1, 2):
-        for g, c in _leaves(max(n - s, s), n - s, s).items():
+        for g, c in _leaves(n - s, n - s, s).items():
             buckets[(g - s + 1) // 2 if g else 0] += c
     return buckets
 

@@ -16,9 +16,9 @@ Grammar (whitespace insignificant, `^` binds tightest, then `*` `/`, then
 
 `f[m]` is the product of (1 - q^(m*j)) over j >= 1, `C` and `Ck[k]` are the
 two-color counting series, `omega`/`B`/`f3` accept an argument of the form
-sign * q^power, and `D[m,r](...)` extracts the coefficients at exponents
-m*n + r.  Division is literal series division: the denominator must have a
-unit constant term.  Only integer literals exist; there are no rationals.
+sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0) is the sum over n of
+e[m*n + r] * q^n.  Division is literal series division: the denominator
+must have a unit constant term.  Only integer literals exist.
 
 Every named atom but `D` is one row of `_ATOMS` (its source name, node class
 and argument shape), which the parser, the printer and the parse errors
@@ -187,9 +187,9 @@ class Dissect:
     child: "QExpr"
 
     def __post_init__(self):
-        if self.m < 1 or not 0 <= self.r < self.m:
+        if self.m < 1 or self.r < 0:
             raise ValueError(
-                f"dissection needs 0 <= r < m, got m={self.m}, r={self.r}")
+                f"dissection needs m >= 1 and r >= 0, got m={self.m}, r={self.r}")
 
 
 QExpr = Union[Num, Q, EtaF, PochInf, PochFin, Omega, BFun, F3, CSeries,

@@ -625,11 +625,9 @@ def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> 
 
 
 def dissect(a: Series, m: int, r: int) -> Series:
-    """Extract sum over n of a[m*n + r] * q^n."""
-    if m < 1:
-        raise ValueError("dissection modulus m must be >= 1")
-    if not 0 <= r < m:
-        raise ValueError(f"dissection residue must satisfy 0 <= r < m, got r={r}, m={m}")
+    """Extract sum over n of a[m*n + r] * q^n, for any m >= 1 and r >= 0."""
+    if m < 1 or r < 0:
+        raise ValueError(f"dissection needs m >= 1 and r >= 0, got m={m}, r={r}")
     return Series._wrap(a.ring, a._c[r::m].copy())
 
 

@@ -16,7 +16,7 @@ from qcong import (
     MOD64,
     all_passed,
     change_ring,
-    check_progression,
+    check_row,
     count_c_limit,
     count_ck,
     dissect,
@@ -178,10 +178,11 @@ def test_criterion_6_negative_controls(flagship, record_criterion):
     start = time.perf_counter()
 
     # pinned counterexample: c(8n+4) vanishes mod 4 but not mod 8
-    witness_report = check_progression(ctx.c_scan, 8, 4, 8)
+    witness_report = check_row((parse("D[8,4](C)"), parse("0")), 8,
+                               {CSeries(): ctx.c_scan})
     witness_ok = (witness_report.status == "fail"
-                  and witness_report.witness == {"n": 1, "argument": 12,
-                                                 "value": 284, "residue": 4}
+                  and witness_report.witness == {"n": 1, "value": 284,
+                                                 "residue": 4}
                   and count_c_limit(12) == 284)
 
     # one bumped coefficient in the scan series must surface as a failing
@@ -191,8 +192,7 @@ def test_criterion_6_negative_controls(flagship, record_criterion):
     by_id = {r.claim_id: r for r in scan_reports}
     scan_ok = (not all_passed(scan_reports)
                and by_id["eq-1-2"].status == "fail"
-               and by_id["eq-1-2"].witness["argument"] == 36
-               and by_id["eq-1-2"].witness["n"] == 4
+               and by_id["eq-1-2"].witness["n"] == 4  # c(8*4 + 4)
                and by_id["eq-2-3"].witness == {"n": 36, "lhs": 199989,
                                                "rhs": 199988,
                                                "series": "c_scan"})

@@ -10,8 +10,10 @@ import pytest
 
 import qcong
 from qcong import CATALOGUE, build_suite_context, count_ck
+from qcong import qexpr
 from qcong.catalogue import CLAIM_ROWS
 from qcong.cli import main
+from qcong.qexpr import CSeries
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 
@@ -161,7 +163,19 @@ class TestCheck:
                      "--mod", "8", "--nmax", "200"]) == 1
         out = capsys.readouterr().out
         witness = json.loads(out.split("witness:", 1)[1])
-        assert witness == {"n": 1, "argument": 12, "value": 284, "residue": 4}
+        assert witness == {"n": 1, "value": 284, "residue": 4}
+
+    def test_offset_past_the_step(self, capsys):
+        # c(8n+12) is c(8(n+1)+4): divisible by 4, and first not by 8 at
+        # n = 0, where c(12) = 284
+        assert main(["check", "--series", "C", "--progression", "8,12",
+                     "--mod", "4", "--nmax", "200"]) == 0
+        assert main(["check", "--series", "C", "--progression", "8,12",
+                     "--mod", "8", "--nmax", "200"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "pass"
+        assert json.loads(out[1].split("witness:", 1)[1]) == {
+            "n": 0, "value": 284, "residue": 4}
 
     def test_ck_series_verdict_matches_enumeration(self, capsys):
         code = main(["check", "--series", "Ck:2", "--progression", "2,0",
@@ -197,7 +211,7 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err == ""
         witness = json.loads(captured.out.split("witness:", 1)[1])
-        assert witness == {"n": 0, "argument": 4, "value": 8, "residue": 8}
+        assert witness == {"n": 0, "value": 8, "residue": 8}
         assert main(["check", "--series", "C", "--progression", "8,4",
                      "--mod", str(2**64), "--nmax", "10"]) == 1
         assert json.loads(capsys.readouterr().out.split("witness:", 1)[1]) \
@@ -232,6 +246,19 @@ class TestRelation:
         assert captured.err == ""
         witness = json.loads(captured.out.split("witness:", 1)[1])
         assert witness["n"] == 0 and witness["residue"] == 40
+
+    def test_series_is_built_once_as_deep_as_either_side_reads(self, capsys):
+        calls = []
+        real = qexpr._evaluate
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qexpr, "_evaluate", lambda e, order, *args:
+                       calls.append((e, order)) or real(e, order, *args))
+            assert main(["relation", "--series", "C", "--lhs", "2,2",
+                         "--rhs", "8,7", "--sign", "-", "--mod", "4",
+                         "--nmax", "30"]) == 0
+        # c(8n+7) at n = 30 is the deepest read: 8*30 + 7 + 1 coefficients
+        assert [c for c in calls if c[0] == CSeries()] == [(CSeries(), 248)]
+
     def test_negative_nmax_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["relation", "--series", "C", "--lhs", "8,4", "--rhs", "2,2",

@@ -25,8 +25,7 @@ from qcong import (
     b_eulerian,
     build_suite_context,
     change_ring,
-    check_progression,
-    check_relation,
+    check_row,
     count_c_limit,
     count_ck,
     euler_fm,
@@ -55,8 +54,8 @@ from qcong import (
 from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT, _family_entry
 from qcong import qexpr
 from qcong.engine import _c_sum, c_builder
-from qcong.qexpr import (F3, BFun, CSeries, EtaF, Omega, evaluate, parse,
-                         reads, to_source)
+from qcong.qexpr import (F3, BFun, CSeries, Dissect, EtaF, Omega, evaluate,
+                         parse, reads, to_source)
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
 
@@ -186,122 +185,130 @@ class TestBuilderAgainstProductDefinition:
                 assert series_ck(k, order, ring) == c, (order, k)
 
 
+def check(s, lhs, rhs, modulus, n=None):
+    """The row checker on two sources over C, with C seeded by s; n None
+    checks as many coefficients as s allows, as a catalogue scan row does."""
+    return check_row((parse(lhs), parse(rhs)), modulus, {CSeries(): s}, n)
+
+
 class TestCheckProgression:
     KNOWN = [(8, 4, 4), (8, 6, 8), (16, 13, 4), (32, 23, 8)]
 
     @pytest.mark.parametrize("a,b,m", KNOWN)
     def test_known_progressions_pass(self, ctx, a, b, m):
-        rep = check_progression(ctx.c_scan, a, b, m)
+        rep = check(ctx.c_scan, f"D[{a},{b}](C)", "0", m)
         assert rep.status == "pass"
         assert rep.witness is None
-        assert rep.params["A"] == a and rep.params["B"] == b
+        assert rep.params["lhs"] == f"D[{a},{b}](C)" and rep.params["rhs"] == "0"
         assert rep.params["n_max"] == (ctx.c_scan.order - 1 - b) // a
+        assert rep.params["order"] == rep.params["n_max"] + 1
 
     @pytest.mark.parametrize("a,b,m", KNOWN)
     def test_known_progressions_pass_exact_ring(self, ctx, a, b, m):
-        assert check_progression(ctx.c_exact, a, b, m).status == "pass"
+        assert check(ctx.c_exact, f"D[{a},{b}](C)", "0", m).status == "pass"
 
     def test_counterexample_witness(self, ctx):
         # c(8n+4) is divisible by 4 but not by 8: first failure is
         # c(12) = 284 = 8*35 + 4
-        rep = check_progression(ctx.c_scan, 8, 4, 8)
+        rep = check(ctx.c_scan, "D[8,4](C)", "0", 8)
         assert rep.status == "fail"
-        assert rep.witness == {"n": 1, "argument": 12, "value": 284, "residue": 4}
+        assert rep.witness == {"n": 1, "value": 284, "residue": 4}
         assert count_c_limit(12) == 284
 
     def test_witness_identical_in_exact_ring(self, ctx):
-        rep = check_progression(ctx.c_exact, 8, 4, 8)
+        rep = check(ctx.c_exact, "D[8,4](C)", "0", 8)
         assert rep.status == "fail"
-        assert rep.witness == {"n": 1, "argument": 12, "value": 284, "residue": 4}
+        assert rep.witness == {"n": 1, "value": 284, "residue": 4}
 
     def test_explicit_n_max_beyond_order(self, ctx):
-        rep = check_progression(ctx.c_exact, 8, 4, 4, n_max=10**6)
+        rep = check(ctx.c_exact, "D[8,4](C)", "0", 4, n=10**6 + 1)
         assert rep.status == "order-too-small"
         assert rep.witness is None
+        assert rep.params["too_short"] == ["C"]
 
     def test_offset_beyond_order(self, ctx):
-        rep = check_progression(ctx.c_exact, 8, ctx.c_exact.order + 5, 4)
+        rep = check(ctx.c_exact, f"D[8,{ctx.c_exact.order + 5}](C)", "0", 4)
         assert rep.status == "order-too-small"
+        assert rep.params["n_max"] == -1
 
     def test_validation(self, ctx):
         with pytest.raises(ValueError):
-            check_progression(ctx.c_exact, 0, 4, 4)
+            check(ctx.c_exact, "D[0,4](C)", "0", 4)
         with pytest.raises(ValueError):
-            check_progression(ctx.c_exact, 8, -1, 4)
+            Dissect(8, -1, CSeries())
         with pytest.raises(ValueError):
-            check_progression(ctx.c_exact, 8, 4, 1)
+            check(ctx.c_exact, "D[8,4](C)", "0", 1)
         # a mod-2^64 series cannot resolve a non-power-of-two modulus
         with pytest.raises(ValueError):
-            check_progression(ctx.c_scan, 8, 4, 3)
-        assert check_progression(ctx.c_exact, 8, 4, 3).status in ("pass", "fail")
+            check(ctx.c_scan, "D[8,4](C)", "0", 3)
+        assert check(ctx.c_exact, "D[8,4](C)", "0", 3).status in ("pass", "fail")
 
     @pytest.mark.parametrize("a,b,m", [(8, 4, 4), (8, 4, 8), (4, 1, 2), (2, 1, 4)])
     def test_verdict_is_ring_independent(self, a, b, m):
         s = series_c(300)
-        rep_exact = check_progression(s, a, b, m)
-        rep_mod = check_progression(change_ring(s, MOD64), a, b, m)
+        rep_exact = check(s, f"D[{a},{b}](C)", "0", m)
+        rep_mod = check(change_ring(s, MOD64), f"D[{a},{b}](C)", "0", m)
         assert rep_exact.status == rep_mod.status
         assert rep_exact.witness == rep_mod.witness
 
 
 class TestCheckRelation:
     def test_self_relation_passes(self, ctx):
-        rep = check_relation(ctx.c_scan, 1, 0, 1, 1, 0, 8)
+        rep = check(ctx.c_scan, "D[1,0](C)", "D[1,0](C)", 8)
         assert rep.status == "pass"
 
     def test_known_relations_pass(self, ctx):
-        assert check_relation(ctx.c_scan, 16, 11, -1, 4, 3, 8).status == "pass"
-        rep = check_relation(ctx.c_scan, 8, 7, -1, 2, 2, 4)
+        assert check(ctx.c_scan, "D[16,11](C)", "-D[4,3](C)", 8).status == "pass"
+        rep = check(ctx.c_scan, "D[8,7](C)", "-D[2,2](C)", 4)
         assert rep.status == "pass"
-        # the range is limited by whichever arm reads deepest
+        # the range is limited by whichever side reads deepest
         assert rep.params["n_max"] == min((1199 - 7) // 8, (1199 - 2) // 2)
 
     def test_fail_witness(self):
         s = series_c(12)
-        rep = check_relation(s, 4, 1, 1, 4, 3, 4)
+        rep = check(s, "D[4,1](C)", "D[4,3](C)", 4)
         assert rep.status == "fail"
         # c(9) = 90, c(11) = 195, difference -105 = 3 mod 4
-        assert rep.witness == {"n": 2, "argument": 9, "value": 90,
-                               "other": 195, "residue": 3}
+        assert rep.witness == {"n": 2, "value": 90, "residue": 3}
 
     def test_validation(self, ctx):
+        # D[0,r] is refused when its side is parsed; a modulus below 2 when
+        # the sides are compared
         with pytest.raises(ValueError):
-            check_relation(ctx.c_exact, 8, 7, 2, 2, 2, 4)
+            check(ctx.c_exact, "D[8,7](C)", "-D[0,2](C)", 4)
         with pytest.raises(ValueError):
-            check_relation(ctx.c_exact, 8, 7, -1, 0, 2, 4)
+            check(ctx.c_exact, "D[8,7](C)", "-D[2,2](C)", 1)
 
     def test_order_too_small(self, ctx):
-        rep = check_relation(ctx.c_exact, 8, 7, -1, 2, 2, 4, n_max=10**6)
+        rep = check(ctx.c_exact, "D[8,7](C)", "-D[2,2](C)", 4, n=10**6 + 1)
         assert rep.status == "order-too-small"
 
 
 def progression_by_loop(s, a, b, modulus, n_max):
-    """Reference witness of check_progression: one coefficient per sample."""
+    """Reference witness of a progression row: one coefficient per sample."""
     for n in range(n_max + 1):
         value = s[a * n + b]
         if value % modulus:
-            return {"n": n, "argument": a * n + b, "value": value,
-                    "residue": value % modulus}
+            return {"n": n, "value": value, "residue": value % modulus}
     return None
 
 
 def relation_by_loop(s, a1, b1, sign, a2, b2, modulus, n_max):
-    """Reference witness of check_relation: one pair of coefficients per sample."""
+    """Reference witness of a relation row: one pair of coefficients per sample."""
     for n in range(n_max + 1):
         lhs, rhs = s[a1 * n + b1], s[a2 * n + b2]
         if (lhs - sign * rhs) % modulus:
-            return {"n": n, "argument": a1 * n + b1, "value": lhs,
-                    "other": rhs, "residue": (lhs - sign * rhs) % modulus}
+            return {"n": n, "value": lhs, "residue": (lhs - sign * rhs) % modulus}
     return None
 
 
 class TestSampledChecksMatchLoop:
-    """The progression and relation checks read their samples as one strided
-    slice and compare them through first_incongruence. With every
-    coefficient of 8*C divisible by 8 but one bumped by -4 (negative at q^0
-    in the exact ring), they give the per-sample loop's verdict and witness,
-    also when B >= A puts coefficients of the residue class before the
-    first sample."""
+    """The row checker reads a progression or relation as two D[A,B](C)
+    sides, through a memo seeded with the series. With every coefficient of
+    8*C divisible by 8 but one bumped by -4 (negative at q^0 in the exact
+    ring), it gives the per-sample loop's verdict, witness and sample
+    count, also when B >= A puts coefficients of the residue class before
+    the first sample."""
 
     BUMPS = [0, 3, 7, 12, 100, 299]
 
@@ -316,10 +323,11 @@ class TestSampledChecksMatchLoop:
     @pytest.mark.parametrize("a,b", [(1, 0), (4, 3), (4, 7), (3, 10), (8, 4)])
     def test_progression(self, ring, at, a, b):
         s = self.bumped(ring, at)
-        rep = check_progression(s, a, b, 8)
+        rep = check(s, f"D[{a},{b}](C)", "0", 8)
         want = progression_by_loop(s, a, b, 8, (299 - b) // a)
         assert rep.status == ("pass" if want is None else "fail")
         assert rep.witness == want
+        assert rep.params["n_max"] == (299 - b) // a
 
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
     @pytest.mark.parametrize("at", BUMPS)
@@ -327,11 +335,13 @@ class TestSampledChecksMatchLoop:
         (4, 7, -1, 2, 2), (1, 0, 1, 3, 5), (8, 3, -1, 4, 9), (2, 1, 1, 2, 1)])
     def test_relation(self, ring, at, a1, b1, sign, a2, b2):
         s = self.bumped(ring, at)
-        rep = check_relation(s, a1, b1, sign, a2, b2, 8)
+        rhs = "-" * (sign < 0) + f"D[{a2},{b2}](C)"
+        rep = check(s, f"D[{a1},{b1}](C)", rhs, 8)
         n_max = min((299 - b1) // a1, (299 - b2) // a2)
         want = relation_by_loop(s, a1, b1, sign, a2, b2, 8, n_max)
         assert rep.status == ("pass" if want is None else "fail")
         assert rep.witness == want
+        assert rep.params["n_max"] == n_max
 
 
 class TestCheckFamily:
@@ -344,12 +354,14 @@ class TestCheckFamily:
         return entry.run(dataclasses.replace(ctx, k_max=k_max))
 
     def test_parameter_progressions(self, ctx):
-        def ab(claim_id):
-            return [(r.params["A"], r.params["B"])
-                    for r in self.run(ctx, claim_id, 3)]
-        assert ab("eq-1-6") == [(8, 4), (32, 15), (128, 59), (512, 235)]
-        assert ab("eq-1-7") == [(8, 6), (32, 23), (128, 91), (512, 363)]
-        assert ab("eq-1-8") == [(16, 13), (64, 51), (256, 203), (1024, 811)]
+        def lhs(claim_id):
+            return [r.params["lhs"] for r in self.run(ctx, claim_id, 3)]
+        assert lhs("eq-1-6") == ["D[8,4](C)", "D[32,15](C)", "D[128,59](C)",
+                                 "D[512,235](C)"]
+        assert lhs("eq-1-7") == ["D[8,6](C)", "D[32,23](C)", "D[128,91](C)",
+                                 "D[512,363](C)"]
+        assert lhs("eq-1-8") == ["D[16,13](C)", "D[64,51](C)", "D[256,203](C)",
+                                 "D[1024,811](C)"]
 
     def test_bad_multiplier_raises(self):
         # (12*4^k + 1)/3 is never an integer; the entry refuses to be built
@@ -364,7 +376,8 @@ class TestCheckFamily:
 
     def test_relation_family_alternates_sign(self, ctx):
         reports = self.run(ctx, "eq-2-1", 1)
-        assert [r.params["sign"] for r in reports] == [1, -1]
+        assert [r.params["rhs"] for r in reports] == ["D[4,3](C)",
+                                                      "0 - D[4,3](C)"]
         assert all(r.status == "pass" for r in reports)
 
     def test_depth_beyond_order_reports_order_too_small(self, ctx):
@@ -433,7 +446,7 @@ class TestCatalogue:
         reports = run_catalogue(dataclasses.replace(ctx, c_scan=bad))
         fails = {r.claim_id: r for r in reports if r.status == "fail"}
         assert "eq-1-2" in fails and "eq-1-6-k0" in fails
-        assert fails["eq-1-2"].witness["argument"] == 12
+        assert fails["eq-1-2"].witness["n"] == 1  # c(8*1 + 4)
         # claims that never read the scan series stay green
         by_id = {r.claim_id: r for r in reports}
         assert by_id["eq-2-2"].status == "pass"
@@ -594,6 +607,8 @@ class TestSuiteContext:
         assert fresh.memo == {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
                               Omega(1, 1): ctx.omega_exact,
                               F3(1, 1): ctx.f3_exact}
+        assert fresh.scan_memo == {CSeries(): ctx.c_scan}
+        assert fresh.scan_memo is not ctx.scan_memo
 
 
 def _b_readers() -> set:
@@ -630,14 +645,16 @@ class TestSharedMemo:
         calls = []
         real = qexpr._evaluate
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qexpr, "_evaluate", lambda e, order, *args:
-                       calls.append((e, order)) or real(e, order, *args))
+            mp.setattr(qexpr, "_evaluate", lambda e, order, ring, memo:
+                       calls.append((e, order, ring)) or real(e, order, ring, memo))
             run_catalogue(ctx)
             first = len(calls)
             assert all(r.status == "pass" for r in run_catalogue(ctx))
-        # no node is built twice at one order, though many rows share
-        # f[2], f[4], ..., and a second run finds every side in the memo
-        assert calls.count((EtaF(4), SMALL["n_identity"])) == 1
+        # no node is built twice at one order in one ring, though many rows
+        # share f[2], f[4], ..., and a second run finds every side in its
+        # ring's memo
+        assert calls.count((EtaF(4), SMALL["n_identity"], EXACT)) == 1
+        assert (parse("D[8,4](C)"), 150, MOD64) in calls
         assert len(set(calls)) == len(calls) == first
 
     def test_replaced_context_gets_a_fresh_memo(self, ctx):
@@ -669,7 +686,7 @@ class TestCheckerAgainstDirectLoop:
            st.integers(2, 9))
     @settings(max_examples=60, deadline=None)
     def test_progression_checker_equals_naive_loop(self, s, a, b, m):
-        rep = check_progression(s, a, b, m)
+        rep = check(s, f"D[{a},{b}](C)", "0", m)
         n_max = (s.order - 1 - b) // a
         naive = [n for n in range(max(n_max + 1, 0)) if s[a * n + b] % m]
         if rep.status == "order-too-small":

@@ -1,0 +1,86 @@
+"""What the benchmark child (`perfbench/child.py`) needs of qcong.
+
+The child is run against every revision of the package, so a refactor that
+drops a name it imports, changes how it builds a SuiteContext, or changes
+the report fields its metrics read must fail here first.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import qcong
+from qcong import (CATALOGUE, EXACT, MOD64, SuiteContext, b_eulerian,
+                   f3_series, omega_series, series_c)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SAMPLED_KINDS = ("progression", "relation", "family")
+
+# the child's (SuiteContext field, build function), as its SUITE_SERIES has
+SUITE_SERIES = {
+    "c_exact": lambda n: series_c(n, EXACT),
+    "b_exact": b_eulerian,
+    "omega_exact": omega_series,
+    "f3_exact": f3_series,
+    "c_scan": lambda n: series_c(n, MOD64),
+}
+
+
+def qcong_imports() -> list[tuple[str, str]]:
+    """(module, name) for every name child.py imports from qcong."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "qcong"
+            for alias in node.names]
+
+
+def test_every_imported_name_exists():
+    imports = qcong_imports()
+    names = {name for _, name in imports}
+    assert {"verify_identity", "verify_congruent", "mul_sparse_binomial",
+            "SuiteContext", "CATALOGUE"} <= names
+    for module, name in imports:
+        mod = __import__(module, fromlist=[name])
+        assert hasattr(mod, name), f"{module}.{name}"
+
+
+@pytest.fixture(scope="module")
+def suite():
+    """The traced child's suite context and its catalogue reports."""
+    with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
+        ref = json.load(fh)
+    context = ref["suite"]
+    built = {field: build(context["series"][field]["order"])
+             for field, build in SUITE_SERIES.items()}
+    ctx = SuiteContext(**context["orders"], **built)
+    reports = {entry.claim_id: entry.run(ctx) for entry in CATALOGUE}
+    return ref, reports
+
+
+def test_catalogue_kinds_are_the_child_spans():
+    for entry in CATALOGUE:
+        assert (entry.kind in ("progression", "relation", "family", "exact",
+                               "oracle") or entry.kind.startswith("mod-")), entry
+
+
+def test_sampled_reports_carry_n_max(suite):
+    _, reports = suite
+    kinds = {entry.claim_id: entry.kind for entry in CATALOGUE}
+    sampled = [r for cid, got in reports.items() if kinds[cid] in SAMPLED_KINDS
+               for r in got]
+    assert len(sampled) == 23
+    for r in sampled:
+        assert isinstance(r.params["n_max"], int) and r.params["n_max"] >= 0
+
+
+def test_verdicts_match_the_reference(suite):
+    ref, reports = suite
+    got = {r.claim_id: (r.status, r.witness)
+           for rs in reports.values() for r in rs}
+    want = {c["id"]: (c["status"], c["witness"])
+            for c in ref["published"]["claims"]}
+    assert got == want
+    assert qcong.all_passed([r for rs in reports.values() for r in rs])

@@ -84,7 +84,7 @@ class TestParse:
         ("2 2", 2),
         ("1.5", 1),
         ("foo", 0),
-        ("D[2,3](C)", 0),
+        ("D[0,3](C)", 0),
         ("f[0]", 0),
         ("omega(3)", 6),
     ])
@@ -98,8 +98,8 @@ class TestParse:
             parse("f[")
         with pytest.raises(ParseError, match="end of input"):
             parse("2 2")
-        with pytest.raises(ParseError, match="0 <= r < m"):
-            parse("D[2,3](C)")
+        with pytest.raises(ParseError, match="m >= 1"):
+            parse("D[0,0](C)")
 
     def test_rationals_rejected(self):
         with pytest.raises(ParseError, match="unexpected character"):
@@ -142,7 +142,7 @@ def qexprs():
 
     def extend(children):
         dissect_mr = st.integers(1, 4).flatmap(
-            lambda m: st.tuples(st.just(m), st.integers(0, m - 1)))
+            lambda m: st.tuples(st.just(m), st.integers(0, 2 * m)))
         return st.one_of(
             st.builds(Add, children, children),
             st.builds(Sub, children, children),
@@ -239,6 +239,16 @@ class TestEvaluate:
         for n in range(30):
             assert out[n] == c[2 * n + 1]
 
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    def test_dissection_offset_past_the_step(self, ring):
+        # r >= m starts the class at its (r // m)-th member: D[2,3](C) is
+        # the sum of c(2n+3) q^n
+        out = evaluate(parse("D[2,3](C)"), 30, ring)
+        assert out.order == 30
+        c = series_c(63, ring)
+        for n in range(30):
+            assert out[n] == c[2 * n + 3]
+
     def test_argument_substitution(self):
         w = omega_series(12)
         out = evaluate(parse("omega(-q^4)"), 45)
@@ -309,6 +319,8 @@ class TestReads:
         # D[m,r] at order n reads m*(n-1)+r+1; nested ones compose
         assert reads(parse("D[8,7](C)"), 40) == {CSeries(): 320}
         assert reads(parse("D[2,1](D[4,3](f[1]))"), 5) == {EtaF(1): 40}
+        # also past the step: D[2,3] at order 30 reads c(2*29 + 3)
+        assert reads(parse("D[2,3](C)"), 30) == {CSeries(): 62}
 
     def test_argument_power_reads_the_series_at_q(self):
         # omega, B and f3 at +-q^k read (n+k-2)//k+1 of the series at q

@@ -1024,9 +1024,16 @@ class TestReindexing:
     def test_dissect_bad_residue(self):
         a = exact_series([1, 2, 3])
         with pytest.raises(ValueError):
-            qc.dissect(a, 3, 3)
+            qc.dissect(a, 3, -1)
         with pytest.raises(ValueError):
             qc.dissect(a, 0, 0)
+
+    def test_dissect_offset_past_the_step(self):
+        # r >= m reads a[m*n + r]: the class r mod m from its (r // m)-th term
+        a = exact_series([1, 2, 3, 4, 5, 6, 7])
+        assert qc.dissect(a, 2, 3).coefficients() == [4, 6]
+        assert qc.dissect(a, 3, 3).coefficients() == [4, 7]
+        assert qc.dissect(a, 3, 9).order == 0
 
     def test_shift(self):
         a = exact_series([1, 2, 3, 4])
