@@ -16,8 +16,8 @@ from itertools import islice
 from typing import Optional
 
 from .catalogue import (all_passed, build_suite_context, check_row,
-                        run_catalogue, suite_json)
-from .engine import scan_progressions, verify_congruent, verify_identity
+                        run_catalogue, scan_progressions, suite_json,
+                        verify_congruent, verify_identity)
 from .oracle import oracle_table
 from .qexpr import (CkSeries, CSeries, Dissect, Num, ParseError, Sub, evaluate,
                     parse, reads)
@@ -36,8 +36,9 @@ def _ring_for(name: str):
     return MOD64 if name == "mod64" else EXACT
 
 
-def _divides_2_64(m: int) -> bool:
-    return 2 <= m <= 1 << MOD64.width and not (m & (m - 1))
+def _ring_resolving(moduli: list[int]):
+    """MOD64 when it resolves every modulus, else the exact ring."""
+    return MOD64 if all(MOD64.resolves(m) for m in moduli) else EXACT
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -128,7 +129,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def _check_sides(leaf, lhs, rhs, modulus: int, n_max: int) -> int:
     """lhs == rhs mod `modulus` to n_max, `leaf` built once as deep as read."""
     n = n_max + 1
-    ring = MOD64 if _divides_2_64(modulus) else EXACT
+    ring = _ring_resolving([modulus])
     order = max(reads(e, n).get(leaf, 0) for e in (lhs, rhs))
     seeds = {leaf: evaluate(leaf, order, ring)}
     return _print_report(check_row((lhs, rhs), modulus, seeds, n))
@@ -178,17 +179,16 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    for row in oracle_table(args.k, args.nmax):
-        print(f"{row.n}\t{row.count}")
+    for n, count in enumerate(oracle_table(args.k, args.nmax)):
+        print(f"{n}\t{count}")
     return 0
 
 
 def _cmd_scan(args) -> int:
     order = args.amax * (args.nmax + 1)
-    ring = MOD64 if all(_divides_2_64(m) for m in args.mods) else EXACT
-    series = evaluate(CSeries(), order, ring)
-    for claim in scan_progressions(series, args.amax, args.mods, args.nmax):
-        print(claim)
+    series = evaluate(CSeries(), order, _ring_resolving(args.mods))
+    for a, b, m in scan_progressions(series, args.amax, args.mods, args.nmax):
+        print(f"c({a}n+{b}) == 0 mod {m} for n <= {args.nmax}")
     return 0
 
 

@@ -39,13 +39,6 @@ class ColoredPartition:
         return self.parts[-1][0]
 
 
-@dataclass(frozen=True)
-class OracleCount:
-    k: Union[int, Literal["limit"]]
-    n: int
-    count: int
-
-
 def enumerate_ck(k: int, n: int) -> Iterator[ColoredPartition]:
     """Yield every counted partition of n for parameter k, by backtracking
     over part values (descending), colors, and multiplicities."""
@@ -148,11 +141,9 @@ def count_c_limit(n: int) -> int:
     return count_ck(max(n, 1), n)
 
 
-def oracle_table(k: Union[int, Literal["limit"]], n_max: int) -> list[OracleCount]:
+def oracle_table(k: Union[int, Literal["limit"]], n_max: int) -> list[int]:
+    """The counts for n = 0..n_max, under parameter k or in the limit."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counts = []
-    for n in range(n_max + 1):
-        c = count_c_limit(n) if k == "limit" else count_ck(k, n)
-        counts.append(OracleCount(k=k, n=n, count=c))
-    return counts
+    return [count_c_limit(n) if k == "limit" else count_ck(k, n)
+            for n in range(n_max + 1)]

@@ -34,8 +34,8 @@ import re
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Union
 
-from .engine import series_c, series_ck
-from .mock_theta import b_eulerian, f3_series, omega_series
+from .mock_theta import (b_eulerian, f3_series, omega_series, series_c,
+                         series_ck)
 from .products import pentagonal_series, pochhammer_fin, pochhammer_inf
 from .series import (
     EXACT,

@@ -86,6 +86,13 @@ class CoefficientRing:
         x = self.normalize(c)
         return x if self.kind == "exact" else np.uint64(x)
 
+    def resolves(self, modulus: int) -> bool:
+        """Whether coefficients in this ring fix their residues mod
+        `modulus` >= 2: every modulus in the exact ring, and in a mod-2^w
+        ring only the powers of two dividing 2^w."""
+        return self.kind == "exact" or (1 < modulus <= 1 << self.width
+                                        and not modulus & (modulus - 1))
+
     def __str__(self) -> str:
         return "exact" if self.kind == "exact" else f"mod2pow:{self.width}"
 
@@ -631,11 +638,6 @@ def dissect(a: Series, m: int, r: int) -> Series:
     return Series._wrap(a.ring, a._c[r::m].copy())
 
 
-def truncate(a: Series, n: int) -> Series:
-    """Drop coefficients at exponents >= n; n may not exceed the known order."""
-    return a.truncate(n)
-
-
 def _residues(arr: np.ndarray, modulus: int, ring: CoefficientRing) -> np.ndarray:
     """arr mod `modulus`, which the exact ring takes as any integer >= 2 and
     a mod-2^w ring as a power of two up to 2^w (2^64 is no uint64)."""
@@ -645,12 +647,10 @@ def _residues(arr: np.ndarray, modulus: int, ring: CoefficientRing) -> np.ndarra
 
 
 def check_modulus(ring: CoefficientRing, modulus: int) -> None:
-    """Reject a modulus below 2, or one that `ring` cannot resolve: in a
-    mod-2^w ring only powers of two dividing 2^w are meaningful."""
+    """Reject a modulus below 2, or one that `ring` cannot resolve."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if ring.kind == "mod2pow" and (modulus & (modulus - 1)
-                                   or modulus > (1 << ring.width)):
+    if not ring.resolves(modulus):
         raise ValueError(
             f"modulus {modulus} must be a power of 2 dividing 2^{ring.width}")
 

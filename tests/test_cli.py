@@ -302,10 +302,12 @@ class TestScan:
     def test_finds_published_progressions(self, capsys):
         assert main(["scan", "--amax", "8", "--mods", "4,8",
                      "--nmax", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "c(8n+4) == 0 mod 4" in out
-        assert "c(8n+6) == 0 mod 8" in out
-        assert "c(8n+4) == 0 mod 8" not in out
+        # every claim whole, one a line; c(8n+4) is not 0 mod 8
+        assert capsys.readouterr().out.splitlines() == [
+            "c(8n+4) == 0 mod 4 for n <= 40",
+            "c(8n+6) == 0 mod 4 for n <= 40",
+            "c(8n+6) == 0 mod 8 for n <= 40",
+        ]
 
     def test_non_power_of_two_modulus_uses_exact_ring(self, capsys):
         assert main(["scan", "--amax", "3", "--mods", "3", "--nmax", "20"]) == 0

@@ -19,7 +19,6 @@ from qcong import (
     MOD64,
     ClaimReport,
     OrderError,
-    ProgressionClaim,
     Series,
     all_passed,
     b_eulerian,
@@ -46,14 +45,13 @@ from qcong import (
     series_ck,
     shift,
     suite_json,
-    truncate,
     verify_congruent,
     verify_identity,
     zero_series,
 )
 from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT, _family_entry
 from qcong import qexpr
-from qcong.engine import _c_sum, c_builder
+from qcong.mock_theta import _c_sum, c_builder
 from qcong.qexpr import (F3, BFun, CSeries, Dissect, EtaF, Omega, evaluate,
                          parse, reads, to_source)
 
@@ -486,7 +484,7 @@ class TestCatalogue:
     def test_short_seeded_series_is_reported_not_rebuilt(self, ctx):
         # eq-a-1 reads D[8,7](C) to 320 coefficients; a context C of only 300
         # must not be swapped for a rebuilt one, whatever its q^7 says
-        short = truncate(ctx.c_exact, 300) + monomial(EXACT, 300, 7)
+        short = ctx.c_exact.truncate(300) + monomial(EXACT, 300, 7)
         bad = dataclasses.replace(ctx, c_exact=short)
         entries = {e.claim_id: e for e in CATALOGUE}
         [rep] = entries["eq-a-1"].run(bad)
@@ -533,21 +531,18 @@ class TestCatalogue:
 
 class TestScan:
     def test_rediscovers_published_progressions(self, ctx):
-        claims = scan_progressions(ctx.c_scan, 32, [4, 8], 30)
-        triples = {(c.a, c.b, c.modulus) for c in claims}
+        triples = set(scan_progressions(ctx.c_scan, 32, [4, 8], 30))
         assert {(8, 4, 4), (8, 6, 8), (16, 13, 4), (32, 23, 8)} <= triples
         assert (8, 4, 8) not in triples
         # anything vanishing mod 8 also vanishes mod 4
         assert {(a, b, 4) for (a, b, m) in triples if m == 8} <= triples
-        assert all(c.n_max == 30 for c in claims)
 
     def test_matches_a_direct_loop(self, ctx):
         s, n_max = ctx.c_scan, 30
         want = [(a, b, m) for a in range(1, 17) for b in range(a)
                 for m in (2, 4, 8)
                 if all(s[a * n + b] % m == 0 for n in range(n_max + 1))]
-        got = scan_progressions(s, 16, [2, 4, 8], n_max)
-        assert [(c.a, c.b, c.modulus) for c in got] == want
+        assert scan_progressions(s, 16, [2, 4, 8], n_max) == want
 
     def test_zero_series_matches_everything(self):
         claims = scan_progressions(zero_series(EXACT, 100), 4, [2], 20)
@@ -556,10 +551,6 @@ class TestScan:
     def test_scan_needs_enough_order(self):
         with pytest.raises(ValueError):
             scan_progressions(series_c(50), 8, [4], 10)
-
-    def test_claim_str_is_readable(self):
-        text = str(ProgressionClaim(8, 4, 4, 100))
-        assert "8n+4" in text and "mod 4" in text
 
 
 class TestSuiteContext:
@@ -632,7 +623,7 @@ class TestSharedMemo:
             evaluate(e, n, EXACT, memo)
             assert all(memo[leaf] is s for leaf, s in seeds.items())
             for leaf, d in depths.items():
-                short = truncate(seeds[leaf], d - 1)
+                short = seeds[leaf].truncate(d - 1)
                 memo = {**seeds, leaf: short}
                 evaluate(e, n, EXACT, memo)
                 assert memo[leaf] is not short, to_source(leaf)

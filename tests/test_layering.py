@@ -1,0 +1,53 @@
+"""The package's import layers, read from the source with `ast`.
+
+Each module imports only from the modules below it, in the order
+series -> products -> mock_theta -> qexpr -> catalogue -> cli; `__init__`
+and `__main__` sit above them all. The enumeration oracle referees the
+series builders, so it imports no other qcong module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qcong"
+LAYERS = ["series", "products", "mock_theta", "qexpr", "catalogue", "cli"]
+EXEMPT = {"__init__", "__main__"}
+
+
+def _qcong_imports(module: str) -> set[str]:
+    """The qcong modules that `module` imports, relatively or by name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [node.module])
+            found.update(name.split(".")[1] for name in names
+                         if name.startswith("qcong."))
+    return found
+
+
+def test_every_module_has_a_place():
+    modules = {p.stem for p in SRC.glob("*.py")}
+    assert modules == set(LAYERS) | EXEMPT | {"oracle"}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_point_only_downward(module):
+    below = set(LAYERS[:LAYERS.index(module)]) | {"oracle"}
+    assert _qcong_imports(module) <= below
+
+
+def test_oracle_imports_no_qcong_module():
+    assert _qcong_imports("oracle") == set()
+
+
+def test_the_reader_sees_relative_imports():
+    # guards the tests above against a reader that finds nothing
+    assert _qcong_imports("catalogue") >= {"mock_theta", "qexpr", "series"}
+    assert _qcong_imports("series") == set()

@@ -1048,7 +1048,7 @@ class TestComparisonAndReduction:
         assert a.truncate(2).coefficients() == [1, 2]
         with pytest.raises(qc.OrderError):
             a.truncate(5)
-        assert qc.truncate(a, 4) == a
+        assert a.truncate(4) == a
 
     def test_plain_equality_requires_known_coefficients(self):
         a = exact_series([1, 2, 3])
@@ -1098,6 +1098,12 @@ class TestComparisonAndReduction:
         assert qc.first_incongruence(a, z, 8, 3) == 1
         with pytest.raises(ValueError):
             qc.first_incongruence(a, z, 128, 3)  # exceeds ring width
+
+    def test_which_moduli_a_ring_resolves(self):
+        assert all(EXACT.resolves(m) for m in (2, 3, 12, 2**65))
+        assert [m for m in range(1, 130) if qc.mod2pow(6).resolves(m)] == [
+            2, 4, 8, 16, 32, 64]
+        assert qc.MOD64.resolves(2**64) and not qc.MOD64.resolves(2**65)
 
     def test_congruence_order_limit(self):
         a = exact_series([1, 2])
