@@ -50,6 +50,7 @@ from qcong import (
     zero_series,
 )
 from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT, _family_entry
+from qcong.cli import main
 from qcong import qexpr
 from qcong.mock_theta import _c_sum, c_builder
 from qcong.qexpr import (F3, BFun, CSeries, Dissect, EtaF, Omega, evaluate,
@@ -551,6 +552,14 @@ class TestScan:
     def test_scan_needs_enough_order(self):
         with pytest.raises(ValueError):
             scan_progressions(series_c(50), 8, [4], 10)
+
+    def test_claim_str_is_readable(self, capsys):
+        # the scan command prints each (A, B, M) triple as one readable line
+        assert main(["scan", "--amax", "8", "--mods", "4",
+                     "--nmax", "100"]) == 0
+        text = capsys.readouterr().out
+        assert "8n+4" in text and "mod 4" in text
+        assert "c(8n+4) == 0 mod 4 for n <= 100" in text.splitlines()
 
 
 class TestSuiteContext:
