@@ -8,8 +8,8 @@ bottom. Every claim but the oracles and eq 2-3 is a row of two `qcong.qexpr`
 sources, checked by `check_row` in the exact ring to the suite's "identity"
 or "congruence" order, or at depth "scan" (`D[A,B](C)` sides) in the
 mod-2^64 scan series' ring, as deep as that series allows. `check_row`
-reads its verdict from `verify_identity` or `verify_congruent`, which
-`qcong verify` calls directly on two evaluated series.
+reads its verdict from `verify_congruent`, the one rule that turns two
+series into a verdict and a witness, which `qcong verify` calls directly.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .mock_theta import b_appell, c_builder, omega_appell, series_ck
-from .oracle import count_c_limit, count_ck
+from .oracle import oracle_table
 from .qexpr import (F3, BFun, CSeries, Omega, QExpr, evaluate, parse, reads,
                     to_source)
-from .series import (MOD64, Series, change_ring, dissect, first_incongruence,
-                     zero_series)
+from .series import (EXACT, MOD64, Series, change_ring, dissect,
+                     first_incongruence, zero_series)
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -95,15 +95,13 @@ class SuiteContext:
 
 
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
-                        k_max: int = 2, n_congruence: Optional[int] = None,
-                        timings: Optional[dict] = None) -> SuiteContext:
+                        k_max: int = 2, timings: Optional[dict] = None) -> SuiteContext:
     """Build every shared series as `evaluate` of its leaf, each as long as
-    the deepest row reads it (`qexpr.reads`); pass a dict as `timings` to get
-    the wall seconds spent on the exact-ring series vs the large modular scan."""
+    the deepest row reads it (`qexpr.reads`) at the identity order or half of
+    it; a dict as `timings` gets the seconds of the exact vs the scan series."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
-    if n_congruence is None:
-        n_congruence = max(2, n_identity // 2)
+    n_congruence = max(2, n_identity // 2)
     # eq 2-3 reads C, B and omega to n_identity; the oracle C to ORACLE_LIMIT
     orders = {"c_exact": max(n_identity, ORACLE_LIMIT + 1),
               "b_exact": n_identity, "omega_exact": n_identity, "f3_exact": 1}
@@ -160,24 +158,16 @@ def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
     return CatalogueEntry(claim_id, paper_eq, "family", run)
 
 
-def _oracle_entry(claim_id: str, k: Optional[int]) -> CatalogueEntry:
-    limit = ORACLE_LIMIT
-
+def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        if k is None:
-            got = [ctx.c_exact[n] for n in range(limit + 1)]
-            want = [count_c_limit(n) for n in range(limit + 1)]
-        else:
-            s = series_ck(k, limit + 1)
-            got = [s[n] for n in range(limit + 1)]
-            want = [count_ck(k, n) for n in range(limit + 1)]
-        params = {"k": "limit" if k is None else k, "n_max": limit}
-        for n in range(limit + 1):
-            if got[n] != want[n]:
-                witness = {"n": n, "value": got[n], "expected": want[n]}
-                return [ClaimReport(claim_id, "definition-1.1", "fail",
-                                    params, witness)]
-        return [ClaimReport(claim_id, "definition-1.1", "pass", params)]
+        got = ctx.c_exact if k == "limit" else series_ck(k, ORACLE_LIMIT + 1)
+        want = Series(EXACT, oracle_table(k, ORACLE_LIMIT))
+        n = first_incongruence(got, want, None, ORACLE_LIMIT + 1)
+        witness = (None if n is None
+                   else {"n": n, "value": got[n], "expected": want[n]})
+        return [ClaimReport(claim_id, "definition-1.1",
+                            "pass" if n is None else "fail",
+                            {"k": k, "n_max": ORACLE_LIMIT}, witness)]
     return CatalogueEntry(claim_id, "definition-1.1", "oracle", run)
 
 
@@ -203,27 +193,29 @@ def _b_bilateral_entry() -> CatalogueEntry:
     return CatalogueEntry("eq-2-3", "2-3", "exact", run)
 
 
+def _params(n: int, modulus: Optional[int], ring) -> dict:
+    """A report's order, its modulus unless exact equality, and its ring."""
+    return {"order": n, **({} if modulus is None else {"modulus": modulus}),
+            "ring": str(ring)}
+
+
+def verify_congruent(lhs: Series, rhs: Series, modulus: Optional[int], n: int,
+                     claim_id: str = "congruence", paper_eq: str = "") -> ClaimReport:
+    """Pass iff lhs == rhs coefficientwise for exponents < n, exactly if
+    `modulus` is None, else mod `modulus`; fail with the first such n."""
+    params = _params(n, modulus, lhs.ring)
+    i = first_incongruence(lhs, rhs, modulus, n)
+    if i is None:
+        return ClaimReport(claim_id, paper_eq, "pass", params)
+    witness = ({"n": i, "lhs": lhs[i], "rhs": rhs[i]} if modulus is None else
+               {"n": i, "value": lhs[i], "residue": (lhs[i] - rhs[i]) % modulus})
+    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
+
+
 def verify_identity(lhs: Series, rhs: Series, n: int,
                     claim_id: str = "identity", paper_eq: str = "") -> ClaimReport:
     """Pass iff lhs and rhs agree coefficientwise for exponents < n."""
-    params = {"order": n, "ring": str(lhs.ring)}
-    i = first_incongruence(lhs, rhs, None, n)
-    if i is None:
-        return ClaimReport(claim_id, paper_eq, "pass", params)
-    witness = {"n": i, "lhs": lhs[i], "rhs": rhs[i]}
-    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
-
-
-def verify_congruent(lhs: Series, rhs: Series, modulus: int, n: int,
-                     claim_id: str = "congruence", paper_eq: str = "") -> ClaimReport:
-    """Pass iff lhs == rhs mod `modulus` coefficientwise for exponents < n."""
-    params = {"order": n, "modulus": modulus, "ring": str(lhs.ring)}
-    idx = first_incongruence(lhs, rhs, modulus, n)
-    if idx is None:
-        return ClaimReport(claim_id, paper_eq, "pass", params)
-    witness = {"n": idx, "value": lhs[idx],
-               "residue": (lhs[idx] - rhs[idx]) % modulus}
-    return ClaimReport(claim_id, paper_eq, "fail", params, witness)
+    return verify_congruent(lhs, rhs, None, n, claim_id, paper_eq)
 
 
 def _too_short(sides, seeds: dict, n: int) -> list[QExpr]:
@@ -255,8 +247,7 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
     scan = n is None
     if scan:
         n = _scan_order(sides, seeds)
-    params = {"order": n, **({} if modulus is None else {"modulus": modulus}),
-              "ring": str(ring), "lhs": to_source(sides[0]),
+    params = {**_params(n, modulus, ring), "lhs": to_source(sides[0]),
               "rhs": to_source(sides[1])}
     samples = {"n_max": n - 1} if scan else {}
     too_short = _too_short(sides, seeds, max(n, 1))
@@ -265,8 +256,7 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
         return ClaimReport(claim_id, paper_eq, "order-too-small", {**params, **samples})
     memo = dict(seeds) if memo is None else memo
     lhs, rhs = (evaluate(e, n, ring, memo) for e in sides)
-    rep = (verify_identity(lhs, rhs, n, claim_id, paper_eq) if modulus is None
-           else verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq))
+    rep = verify_congruent(lhs, rhs, modulus, n, claim_id, paper_eq)
     return replace(rep, params={**params, **samples})
 
 
@@ -399,7 +389,7 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     *(_row_entry(*row) for row in CLAIM_ROWS),
     _b_bilateral_entry(),
     # ground truth: series coefficients against direct enumeration
-    _oracle_entry("oracle-c-limit", None),
+    _oracle_entry("oracle-c-limit", "limit"),
     _oracle_entry("oracle-ck-1", 1),
     _oracle_entry("oracle-ck-2", 2),
     _oracle_entry("oracle-ck-3", 3),

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 when at least one check
 fails, 2 for usage, parse, or evaluation errors, an order too large to
-allocate, or output errors (stdout closed early, as by `qcong scan ... | head`).
+allocate, or a failed write (a full disk, or stdout closed early by `| head`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 from .catalogue import (all_passed, build_suite_context, check_row,
                         run_catalogue, scan_progressions, suite_json,
-                        verify_congruent, verify_identity)
+                        verify_congruent)
 from .oracle import oracle_table
 from .qexpr import (CkSeries, CSeries, Dissect, Num, ParseError, Sub, evaluate,
                     parse, reads)
@@ -27,6 +27,7 @@ from .series import (
     NonUnitError,
     OrderError,
     RingMismatchError,
+    check_modulus,
     dump_json_dict,
     dump_text,
 )
@@ -96,8 +97,8 @@ def _k_spec(text: str):
     return k
 
 
-def _print_report(report) -> int:
-    line = report.status
+def _print_report(report, prefix: str = "") -> int:
+    line = prefix + report.status
     if report.witness is not None:
         line += f"  witness: {json.dumps(report.witness)}"
     print(line)
@@ -117,13 +118,12 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.ring == "mod64" and args.mod is None:
         parser.error("--ring mod64 needs --mod (exact equality needs the exact ring)")
     ring = _ring_for(args.ring)
-    lhs = evaluate(parse(args.lhs), args.order, ring)
-    rhs = evaluate(parse(args.rhs), args.order, ring)
-    if args.mod is None:
-        report = verify_identity(lhs, rhs, args.order)
-    else:
-        report = verify_congruent(lhs, rhs, args.mod, args.order)
-    return _print_report(report)
+    # refuse a bad source or modulus before either side is built
+    sides = [parse(args.lhs), parse(args.rhs)]
+    if args.mod is not None:
+        check_modulus(ring, args.mod)
+    lhs, rhs = (evaluate(e, args.order, ring) for e in sides)
+    return _print_report(verify_congruent(lhs, rhs, args.mod, args.order))
 
 
 def _check_sides(leaf, lhs, rhs, modulus: int, n_max: int) -> int:
@@ -162,10 +162,7 @@ def _cmd_suite(args) -> int:
                                   args.kmax)
         reports = run_catalogue(ctx)
         for report in reports:
-            line = f"{report.claim_id:<22} {report.status}"
-            if report.witness is not None:
-                line += f"  witness: {json.dumps(report.witness)}"
-            print(line)
+            _print_report(report, f"{report.claim_id:<22} ")
         counts = {status: sum(r.status == status for r in reports)
                   for status in ("pass", "fail", "order-too-small")}
         print(f"{len(reports)} claims: {counts['pass']} pass, "
@@ -289,12 +286,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                                            else argv))
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe is caught here, not at exit
+        sys.stdout.flush()  # so a failed write is caught here, not at exit
         return code
-    except BrokenPipeError:
-        # Python's SIGPIPE recipe: the interpreter flushes stdout again at
-        # exit, so point it at devnull first
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # a failed write, on stdout or the --json report
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe goes unreported
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # as the interpreter will again at exit
+        except OSError:  # Python's SIGPIPE recipe: point stdout at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except MemoryError as exc:
         print(f"error: order too large to allocate: {exc}", file=sys.stderr)

@@ -1,5 +1,8 @@
 """End-to-end command-line tests; every invocation goes through main()."""
 
+import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
@@ -21,7 +24,7 @@ EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 @pytest.fixture(scope="module")
 def ctx40():
     """A suite context whose identity and congruence orders are both 40."""
-    return build_suite_context(40, 10, 0, n_congruence=40)
+    return dataclasses.replace(build_suite_context(80, 10, 0), n_identity=40)
 
 
 class TestExpand:
@@ -134,6 +137,19 @@ class TestVerify:
         passed, failed = capsys.readouterr().out.splitlines()
         assert passed == "pass"
         assert json.loads(failed.split("witness:", 1)[1])["n"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["C", "C", "--ring", "mod64", "--mod", "3"],
+        ["C", "f["],
+    ], ids=["unresolvable-modulus", "unparsable-rhs"])
+    def test_bad_input_exits_2_before_building(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kw):
+            raise AssertionError("a side was built")
+        monkeypatch.setattr("qcong.cli.evaluate", refuse)
+        assert main(["verify", "--order", "300000", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",
@@ -462,6 +478,38 @@ class TestUsage:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in err
+
+
+    def test_write_error_exits_2(self, capsys, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert main(["expand", "q", "--order", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["expand", "q", "--order", "3"],
+        ["suite", "--order-identity", "30", "--order-scan", "200", "--kmax",
+         "0", "--json", "/dev/full"],
+    ], ids=["stdout", "json"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_disk_exits_2_without_traceback(self, argv, unbuffered):
+        # only a subprocess sees the interpreter's own flush of stdout at
+        # exit, which a buffered stdout retries with the unwritten output
+        env = dict(_python_dash_m_env(), PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            run = subprocess.run([sys.executable, "-m", "qcong", *argv],
+                                 env=env, stdout=full, stderr=subprocess.PIPE,
+                                 text=True, timeout=60)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert run.stderr == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestBadFlagValues:

@@ -56,7 +56,7 @@ from qcong.mock_theta import _c_sum, c_builder
 from qcong.qexpr import (F3, BFun, CSeries, Dissect, EtaF, Omega, evaluate,
                          parse, reads, to_source)
 
-SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
+SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +417,17 @@ class TestVerify:
         assert rep.witness["n"] == 1
         assert rep.witness["residue"] == 2
 
+    @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
+    def test_congruent_without_modulus_is_identity(self, ring):
+        a = evaluate(parse("1/f[1]"), 50, ring)
+        for b in (a, a + monomial(ring, 50, 7)):
+            want = verify_identity(a, b, 50)
+            got = verify_congruent(a, b, None, 50)
+            assert ((got.status, got.params, got.witness)
+                    == (want.status, want.params, want.witness))
+        assert got.status == "fail"
+        assert got.witness == {"n": 7, "lhs": 15, "rhs": 16}
+
 
 class TestCatalogue:
     def test_every_claim_passes(self, ctx):
@@ -525,7 +536,7 @@ class TestCatalogue:
         assert not all_passed([ok, bad])
 
     def test_paper_suite_smoke(self):
-        reports = run_catalogue(build_suite_context(30, 330, 0, 15))
+        reports = run_catalogue(build_suite_context(30, 330, 0))
         assert all_passed(reports)
         assert all(r.status == "pass" for r in reports)
 
@@ -592,7 +603,7 @@ class TestSuiteContext:
 
     def test_timings_reported(self):
         timings = {}
-        build_suite_context(20, 100, 0, 10, timings=timings)
+        build_suite_context(20, 100, 0, timings=timings)
         assert set(timings) == {"exact_build", "scan_build"}
         assert all(t >= 0 for t in timings.values())
 
@@ -611,20 +622,20 @@ class TestSuiteContext:
         assert fresh.scan_memo is not ctx.scan_memo
 
 
-def _b_readers() -> set:
-    """The rows whose sides read B at the SMALL depths."""
+def _b_readers(ctx) -> set:
+    """The rows whose sides read B at the depths of ctx."""
     return {row[0] for row in CLAIM_ROWS
-            if any(BFun(1, 1) in reads(parse(src), SMALL[f"n_{row[5]}"])
+            if any(BFun(1, 1) in reads(parse(src), getattr(ctx, f"n_{row[5]}"))
                    for src in row[2:4])}
 
 
 class TestSharedMemo:
     @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
-    def test_reads_is_exact(self, row):
+    def test_reads_is_exact(self, ctx, row):
         # each leaf seeded at exactly its reads depth serves the evaluation;
         # one coefficient fewer, and evaluate rebuilds that leaf
         _, _, lhs, rhs, _, order = row
-        n = SMALL[f"n_{order}"]
+        n = getattr(ctx, f"n_{order}")
         for e in (parse(lhs), parse(rhs)):
             depths = reads(e, n)
             seeds = {leaf: evaluate(leaf, d) for leaf, d in depths.items()}
@@ -668,7 +679,7 @@ class TestSharedMemo:
         assert len(bumped.memo) == 4 < len(ctx.memo)
         failed = {r.claim_id for r in run_catalogue(bumped)
                   if r.status == "fail"}
-        assert failed == _b_readers() | {"eq-2-3"}
+        assert failed == _b_readers(ctx) | {"eq-2-3"}
 
 
 @st.composite

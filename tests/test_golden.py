@@ -29,7 +29,7 @@ from qcong import EXACT, MOD64, build_suite_context, monomial, run_catalogue
 from qcong.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
-SMALL = dict(n_identity=80, n_scan=1200, k_max=1, n_congruence=40)
+SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
 
 
 def test_suite_text_and_json(tmp_path, capsys):
