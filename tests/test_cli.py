@@ -313,6 +313,23 @@ class TestOracle:
             assert ("argument --nmax: expected an integer >= 0, got '-1'"
                     in captured.err)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from Linux's /proc")
+    def test_limit_table_to_150_stays_under_64_mb(self):
+        # the child reports its own peak RSS in KiB; its ru_maxrss would not
+        # do, since Linux carries the spawning process's peak across exec
+        code = ("import contextlib, io\n"
+                "from qcong.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['oracle', '--k', 'limit', '--nmax', '150']) == 0\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+                "           if line.startswith('VmHWM:')))\n")
+        run = subprocess.run([sys.executable, "-c", code],
+                             env=_python_dash_m_env(), capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 64 * 1024
+
 
 class TestScan:
     def test_finds_published_progressions(self, capsys):

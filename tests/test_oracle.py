@@ -1,11 +1,12 @@
 import pytest
 
 from qcong.catalogue import ORACLE_LIMIT
+from qcong.mock_theta import series_c, series_ck
+from qcong.series import EXACT
 from qcong.oracle import (
     BLUE,
     RED,
     ColoredPartition,
-    _leaves,
     count_c_limit,
     count_ck,
     enumerate_ck,
@@ -90,9 +91,9 @@ class TestSmallCounts:
 
 
 class TestCountsMatchEnumeration:
-    """count_ck and count_c_limit read one memoized search for every k and
-    n; asking in either order, from a cold cache, must give each k its own
-    enumeration count at every n the oracle entries read."""
+    """count_ck and count_c_limit, asked for every k in either order, must
+    give each k its own enumeration count at every n the oracle entries
+    read."""
 
     KS = ["limit", 1, 2, 3, 4]
 
@@ -104,11 +105,26 @@ class TestCountsMatchEnumeration:
 
     @pytest.mark.parametrize("order", [KS, KS[::-1]])
     def test_cached_counts_match_enumeration(self, order, enumerated):
-        _leaves.cache_clear()
         for k in order:
             for n in range(ORACLE_LIMIT + 1):
                 got = count_c_limit(n) if k == "limit" else count_ck(k, n)
                 assert got == enumerated[k, n], (k, n)
+
+
+class TestCountsMatchBuilders:
+    """Past the enumeration window the counts must equal the exact series
+    builders' coefficients, which share no code with the oracle."""
+
+    N_MAX = 200
+
+    def test_limit(self):
+        assert (oracle_table("limit", self.N_MAX)
+                == series_c(self.N_MAX + 1, EXACT).coefficients())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_finite_k(self, k):
+        assert (oracle_table(k, self.N_MAX)
+                == series_ck(k, self.N_MAX + 1, EXACT).coefficients())
 
 
 class TestEnumeratedObjects:
@@ -159,3 +175,6 @@ def test_oracle_table():
     assert oracle_table(2, 0) == [0]
     with pytest.raises(ValueError):
         oracle_table(2, -1)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            oracle_table(k, 5)
