@@ -34,9 +34,6 @@ class ColoredPartition:
     def total(self) -> int:
         return sum(v * m for v, _, m in self.parts)
 
-    def smallest_part(self) -> int:
-        return self.parts[-1][0]
-
 
 def enumerate_ck(k: int, n: int) -> Iterator[ColoredPartition]:
     """Yield every counted partition of n for parameter k, by backtracking

@@ -1,12 +1,16 @@
 """Truncated formal power series in q over exact integers or integers mod 2^w.
 
-A Series holds the coefficients of q^0 .. q^(order-1) and is immutable. Both
-rings store them in one read-only numpy array of the ring's `dtype`: Python
-ints in an object array for the exact ring, uint64 for Z/2^w (w <= 64), whose
-arithmetic wraps mod 2^64 and is masked down to 2^w. So every operation has
-one body for both rings, and the ring decides only where the arithmetic
-really differs: the masking, the dense product kernel, reduction by a
-modulus, and changing rings.
+A coefficient ring is its modulus: 2^w (1 <= w <= 64), or None for the exact
+integers. Its rules are arithmetic on the modulus: a unit is coprime to it, a
+residue mod m is resolved when m divides it, and a change of ring must go to
+a divisor of it. A Series holds the coefficients of q^0 .. q^(order-1) and is
+immutable, in one read-only numpy array of the ring's `dtype`: Python ints in
+an object array for the exact ring, uint64 mod 2^w, whose arithmetic wraps
+mod 2^64. Every operation has one body for both rings and reduces its result
+through one hook, `_reduce(arr, modulus)`: nothing when exact or mod 2^64, a
+mask mod a smaller 2^w, a % on Python ints. The rings part ways only where
+storage or algorithm does: the dtype, `_reduce`, and the dense product route
+with its sparse-route ratio.
 
 `mul` goes term by term through `mul_sparse` when the sparser operand has
 few nonzero coefficients (f[m] and its low powers). Otherwise an exact
@@ -24,6 +28,7 @@ factors (1 +- q^j)^(+-1), each an O(N) pass. All of it is exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -41,67 +46,62 @@ class OrderError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Either exact integers or integers modulo 2^width (1 <= width <= 64)."""
+    """The integers mod `modulus`: 2^w for 1 <= w <= 64, or None for the
+    exact integers. Every ring rule is arithmetic on the modulus."""
 
-    kind: str
-    width: int | None = None
+    modulus: int | None
 
     def __post_init__(self) -> None:
-        if self.kind == "exact":
-            if self.width is not None:
-                raise ValueError("exact ring takes no width")
-        elif self.kind == "mod2pow":
-            if self.width is None or not 1 <= self.width <= 64:
-                raise ValueError("mod2pow width must be in 1..64")
-        else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+        m = self.modulus
+        if m is not None and not (isinstance(m, int) and 2 <= m <= 1 << 64 and not m & (m - 1)):
+            raise ValueError(f"ring modulus must be None or 2^w with 1 <= w <= 64, got {m!r}")
+
+    @property
+    def width(self) -> int | None:
+        return None if self.modulus is None else self.modulus.bit_length() - 1
 
     @property
     def mask(self) -> int:
-        assert self.width is not None
-        return (1 << self.width) - 1
+        return self.modulus - 1
 
     def normalize(self, x: int) -> int:
-        return int(x) if self.kind == "exact" else int(x) & self.mask
+        return int(x) if self.modulus is None else int(x) % self.modulus
 
     def is_unit(self, x: int) -> bool:
-        if self.kind == "exact":
-            return x in (1, -1)
-        return x & 1 == 1
+        # gcd(x, 0) = |x|: the exact ring's units are +-1
+        return gcd(x, self.modulus or 0) == 1
 
     def unit_inverse(self, x: int) -> int:
         x = self.normalize(x)
         if not self.is_unit(x):
-            where = "in the exact ring" if self.kind == "exact" else f"mod 2^{self.width}"
+            where = "in the exact ring" if self.modulus is None else f"mod 2^{self.width}"
             raise NonUnitError(f"constant term {x} is not a unit {where}")
-        return x if self.kind == "exact" else pow(x, -1, 1 << self.width)  # type: ignore[operator]
+        return x if self.modulus is None else pow(x, -1, self.modulus)
 
     @property
     def dtype(self) -> np.dtype:
         """The storage of a coefficient: a Python int or a uint64."""
-        return np.dtype(object) if self.kind == "exact" else np.dtype(np.uint64)
+        return np.dtype(object) if self.modulus is None else np.dtype(np.uint64)
 
     def scalar(self, c: int):
         """c as an element of the storage."""
-        x = self.normalize(c)
-        return x if self.kind == "exact" else np.uint64(x)
+        return self.dtype.type(self.normalize(c))
 
     def resolves(self, modulus: int) -> bool:
         """Whether coefficients in this ring fix their residues mod
-        `modulus` >= 2: every modulus in the exact ring, and in a mod-2^w
-        ring only the powers of two dividing 2^w."""
-        return self.kind == "exact" or (1 < modulus <= 1 << self.width
-                                        and not modulus & (modulus - 1))
+        `modulus` >= 2: those that divide the ring's modulus, and every
+        one in the exact ring."""
+        return self.modulus is None or (modulus > 1 and self.modulus % modulus == 0)
 
     def __str__(self) -> str:
-        return "exact" if self.kind == "exact" else f"mod2pow:{self.width}"
+        return "exact" if self.modulus is None else f"mod2pow:{self.width}"
 
 
-EXACT = CoefficientRing("exact")
+EXACT = CoefficientRing(None)
 
 
 def mod2pow(width: int) -> CoefficientRing:
-    return CoefficientRing("mod2pow", width)
+    return CoefficientRing(1 << width)
 
 
 MOD64 = mod2pow(64)
@@ -120,7 +120,7 @@ class Series:
     def __init__(self, ring: CoefficientRing, coeffs) -> None:
         self.ring = ring
         if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.uint64:
-            arr = _mask_arr(coeffs.astype(ring.dtype), ring)
+            arr = _reduce(coeffs.astype(ring.dtype), ring.modulus)
         else:
             arr = np.array([ring.normalize(x) for x in coeffs], dtype=ring.dtype)
         self._c = _freeze(arr)
@@ -128,7 +128,7 @@ class Series:
 
     @classmethod
     def _wrap(cls, ring: CoefficientRing, storage) -> "Series":
-        # storage must already be canonical: Python ints, or uint64 masked to 2^w
+        # storage must already be canonical: Python ints, or uint64 reduced mod 2^w
         s = object.__new__(cls)
         object.__setattr__(s, "ring", ring)
         object.__setattr__(s, "_c", _freeze(np.ascontiguousarray(storage, dtype=ring.dtype)))
@@ -154,9 +154,6 @@ class Series:
         if not 0 <= n <= self.order:
             raise OrderError(f"cannot truncate order-{self.order} series to {n}")
         return Series._wrap(self.ring, self._c[:n])
-
-    def is_zero(self) -> bool:
-        return not self._c.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -233,29 +230,33 @@ def _check_rings(a: Series, b: Series) -> CoefficientRing:
 def add(a: Series, b: Series) -> Series:
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    return Series._wrap(ring, _mask_arr(a._c[:n] + b._c[:n], ring))
+    return Series._wrap(ring, _reduce(a._c[:n] + b._c[:n], ring.modulus))
 
 
 def sub(a: Series, b: Series) -> Series:
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    return Series._wrap(ring, _mask_arr(a._c[:n] - b._c[:n], ring))
+    return Series._wrap(ring, _reduce(a._c[:n] - b._c[:n], ring.modulus))
 
 
 def negate(a: Series) -> Series:
-    return Series._wrap(a.ring, _mask_arr(-a._c, a.ring))
+    return Series._wrap(a.ring, _reduce(-a._c, a.ring.modulus))
 
 
 def scalar_mul(c: int, a: Series) -> Series:
-    return Series._wrap(a.ring, _mask_arr(a._c * a.ring.scalar(c), a.ring))
+    return Series._wrap(a.ring, _reduce(a._c * a.ring.scalar(c), a.ring.modulus))
 
 
-def _mask_arr(arr: np.ndarray, ring: CoefficientRing) -> np.ndarray:
-    """arr reduced into the ring: uint64 arithmetic wraps mod 2^64, and a
-    narrower mod-2^w ring masks the rest; exact ints need nothing."""
-    if ring.kind == "mod2pow" and ring.width < 64:
-        arr = arr & ring.mask
-    return arr
+def _reduce(arr: np.ndarray, modulus: int | None) -> np.ndarray:
+    """arr mod `modulus` (None: the exact ring, no reduction), the one hook
+    through which every kernel reduces into its ring. Python ints take a %.
+    uint64 arithmetic wraps mod 2^64 by itself, and a smaller power of two
+    masks the rest."""
+    if modulus is None:
+        return arr
+    if arr.dtype.hasobject:
+        return arr % modulus
+    return arr if modulus == 1 << 64 else arr & (modulus - 1)
 
 
 def _terms(arr: np.ndarray) -> dict[int, int]:
@@ -287,25 +288,29 @@ def mul(a: Series, b: Series) -> Series:
         return substitute_power(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])),
                                 d, 1, n)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
-    if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * _SPARSE_RATIO[ring.kind] <= n:
+    kronecker = ring.modulus is None
+    ratio = _SPARSE_RATIO_KRONECKER if kronecker else _SPARSE_RATIO_FFT
+    if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * ratio <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
-    if ring.kind == "exact":
+    if kronecker:
         return Series._wrap(ring, _kronecker_mul(x, None if b is a else y))
     out = None
     if n >= _FFT_MIN_ORDER:
         out = _fft_mul(x, None if b is a else y, ring.width)
     if out is None:
         out = np.convolve(x, y)[:n]
-    return Series._wrap(ring, _mask_arr(out, ring))
+    return Series._wrap(ring, _reduce(out, ring.modulus))
 
 
 # Dense mod-2^w products at or above this order go through the float FFT;
 # below it np.convolve is faster.
 _FFT_MIN_ORDER = 800
 # mul_sparse takes the sparser operand when its nonzero terms plus a fixed cost of
-# about 4 terms are at most order / _SPARSE_RATIO: break-even ratio about 4 against
-# Kronecker, 8-40 against the FFT or np.convolve (which wins below order ~128 mod 2^w).
-_SPARSE_RATIO = {"exact": 4, "mod2pow": 16}
+# about 4 terms are at most order / ratio, one ratio per dense route: break-even
+# is about 4 against Kronecker, 8-40 against the FFT or np.convolve (which wins
+# below order ~128 mod 2^w).
+_SPARSE_RATIO_KRONECKER = 4
+_SPARSE_RATIO_FFT = 16
 _SPARSE_FIXED_TERMS = 4
 # invert runs the coefficient recurrence up to this order and Newton's
 # iteration above it.
@@ -536,7 +541,7 @@ def _div_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> np.
     else:  # cumsum along axis 0 is slow for few long rows
         for r in range(1, rows):
             mat[r] += mat[r - 1]
-    return _mask_arr(mat.reshape(-1)[:n], ring)
+    return _reduce(mat.reshape(-1)[:n], ring.modulus)
 
 
 def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") -> Series:
@@ -564,7 +569,7 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
                 out[e:] -= a._c[:n - e]
             else:
                 out[e:] += a._c[:n - e] * ring.scalar(c)
-        return Series._wrap(ring, _mask_arr(out, ring))
+        return Series._wrap(ring, _reduce(out, ring.modulus))
     with np.errstate(over="ignore"):  # uint64 wraparound is the point here
         exps = [e for e, _ in rest]
         idx = np.array(exps, dtype=np.intp)
@@ -575,7 +580,7 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
                 m += 1
             if m:
                 out[i] -= np.dot(coef[:m], out[i - idx[:m]])
-    return Series._wrap(ring, _mask_arr(out, ring))
+    return Series._wrap(ring, _reduce(out, ring.modulus))
 
 
 def eulerian_sum(head: Series, steps) -> Series:
@@ -608,7 +613,7 @@ def eulerian_sum(head: Series, steps) -> Series:
             if j < len(u):
                 u = _div_binomial(u, ring.normalize(c), j, ring)
         acc[e:] += u
-    return Series._wrap(ring, _mask_arr(acc, ring))
+    return Series._wrap(ring, _reduce(acc, ring.modulus))
 
 
 def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> Series:
@@ -628,7 +633,7 @@ def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> 
     out[::m] = a._c[:-(-order // m)]
     if sign == -1:
         out[m::2 * m] = -out[m::2 * m]
-    return Series._wrap(a.ring, _mask_arr(out, a.ring))
+    return Series._wrap(a.ring, _reduce(out, a.ring.modulus))
 
 
 def dissect(a: Series, m: int, r: int) -> Series:
@@ -636,14 +641,6 @@ def dissect(a: Series, m: int, r: int) -> Series:
     if m < 1 or r < 0:
         raise ValueError(f"dissection needs m >= 1 and r >= 0, got m={m}, r={r}")
     return Series._wrap(a.ring, a._c[r::m].copy())
-
-
-def _residues(arr: np.ndarray, modulus: int, ring: CoefficientRing) -> np.ndarray:
-    """arr mod `modulus`, which the exact ring takes as any integer >= 2 and
-    a mod-2^w ring as a power of two up to 2^w (2^64 is no uint64)."""
-    if ring.kind == "exact":
-        return arr % modulus
-    return arr & (modulus - 1)
 
 
 def check_modulus(ring: CoefficientRing, modulus: int) -> None:
@@ -656,15 +653,15 @@ def check_modulus(ring: CoefficientRing, modulus: int) -> None:
 
 
 def change_ring(a: Series, ring: CoefficientRing) -> Series:
-    """Apply the reduction homomorphism into `ring` (never a lift)."""
+    """Apply the reduction homomorphism into `ring`: its modulus must divide
+    a's (never a lift to the exact ring)."""
     if ring == a.ring:
         return a
-    if ring.kind == "exact":
+    if ring.modulus is None:
         raise RingMismatchError("cannot lift modular coefficients back to the exact ring")
-    if a.ring.kind == "mod2pow" and a.ring.width < ring.width:
-        raise RingMismatchError(
-            f"no reduction from mod2pow:{a.ring.width} to wider mod2pow:{ring.width}")
-    return Series._wrap(ring, (a._c & ring.mask).astype(np.uint64, copy=False))
+    if a.ring.modulus is not None and a.ring.modulus % ring.modulus:
+        raise RingMismatchError(f"no reduction from {a.ring} to wider {ring}")
+    return Series._wrap(ring, _reduce(a._c, ring.modulus))
 
 
 def first_incongruence(a: Series, b: Series, modulus: int | None, n: int) -> int | None:
@@ -676,7 +673,7 @@ def first_incongruence(a: Series, b: Series, modulus: int | None, n: int) -> int
     diff = a._c[:n] - b._c[:n]
     if modulus is not None:
         check_modulus(a.ring, modulus)
-        diff = _residues(diff, modulus, a.ring)
+        diff = _reduce(diff, modulus)
     hits = np.flatnonzero(diff)
     return int(hits[0]) if len(hits) else None
 

@@ -276,7 +276,7 @@ def _ring_axioms_hold(rng, ring):
             return False
         if mul(a, b + c) != mul(a, b) + mul(a, c):
             return False
-        if mul(a, one) != a or not sub(a, a).is_zero():
+        if mul(a, one) != a or any(sub(a, a).coefficients()):
             return False
     return True
 

@@ -138,11 +138,12 @@ class TestVerify:
         assert passed == "pass"
         assert json.loads(failed.split("witness:", 1)[1])["n"] == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["C", "C", "--ring", "mod64", "--mod", "3"],
-        ["C", "f["],
+    @pytest.mark.parametrize("argv, message", [
+        (["C", "C", "--ring", "mod64", "--mod", "3"],
+         "error: modulus 3 must be a power of 2 dividing 2^64\n"),
+        (["C", "f["], None),
     ], ids=["unresolvable-modulus", "unparsable-rhs"])
-    def test_bad_input_exits_2_before_building(self, capsys, monkeypatch, argv):
+    def test_bad_input_exits_2_before_building(self, capsys, monkeypatch, argv, message):
         def refuse(*args, **kw):
             raise AssertionError("a side was built")
         monkeypatch.setattr("qcong.cli.evaluate", refuse)
@@ -150,6 +151,8 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        if message is not None:
+            assert captured.err == message
 
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",

@@ -139,7 +139,7 @@ class TestEnumeratedObjects:
             values = [v for v, _, _ in p.parts]
             assert values == sorted(values, reverse=True)
             assert satisfies_conditions(p.parts, k)
-            assert p.smallest_part() == min(values)
+            assert p.parts[-1][0] == min(values)
             # one entry per (value, color)
             keys = [(v, c) for v, c, _ in p.parts]
             assert len(keys) == len(set(keys))

@@ -215,12 +215,12 @@ class TestEvaluate:
         assert evaluate(parse("q"), 3).coefficients() == [0, 1, 0]
 
     def test_counting_series_identity(self):
-        assert evaluate(parse(f"C - ({EQ_2_2_RHS})"), 400).is_zero()
+        assert not any(evaluate(parse(f"C - ({EQ_2_2_RHS})"), 400).coefficients())
 
     def test_mock_theta_decomposition(self):
         src = ("f3(q^8) - 2*q*omega(-q) - 2*q^3*omega(-q^4)"
                " - f[1]^2*f[4]^8/(f[2]^5*f[8]^4)")
-        assert evaluate(parse(src), 400).is_zero()
+        assert not any(evaluate(parse(src), 400).coefficients())
 
     def test_whitespace_variants_evaluate_identically(self):
         terse = evaluate(parse(EQ_2_2_RHS), 50)

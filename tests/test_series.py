@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -14,14 +15,14 @@ import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
 from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
-                          _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS, _SPARSE_RATIO,
+                          _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS, _SPARSE_RATIO_FFT,
                           _fft_limbs, _fft_mul, _fft_size, _kronecker_mul)
 
 
 def sparse_limit(n: int) -> int:
     """The most nonzero terms a mod-2^w operand of order n may have and
     still multiply through mul_sparse."""
-    return n // _SPARSE_RATIO["mod2pow"] - _SPARSE_FIXED_TERMS
+    return n // _SPARSE_RATIO_FFT - _SPARSE_FIXED_TERMS
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -109,8 +110,9 @@ class TestConstruction:
             qc.mod2pow(0)
         with pytest.raises(ValueError):
             qc.mod2pow(65)
-        with pytest.raises(ValueError):
-            qc.CoefficientRing("float")
+        for modulus in (0, 1, 3, 12, -4, 2**65, "float"):
+            with pytest.raises(ValueError):
+                qc.CoefficientRing(modulus)
 
 
 class TestArithmetic:
@@ -450,7 +452,7 @@ class TestSparseMul:
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_sparse_times_sparse_and_unequal_orders(self, n, ring, sparse_calls):
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO["mod2pow"]), ring)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO_FFT), ring)
         y = sparse_u64(rng, n + 57, sparse_limit(n - 300), ring)  # sparse at n - 300
         z = random_u64(rng, n - 300, ring)
         got = qc.mul(Series(ring, x), Series(ring, y))
@@ -468,7 +470,7 @@ class TestSparseMul:
     def test_small_coefficients(self, n, ring, values, sparse_calls):
         # +-1 terms take plain adds and subtracts, the rest a multiply pass
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO["mod2pow"]), ring)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO_FFT), ring)
         x[x != 0] = [ring.normalize(c) for c in rng.choice(values, np.count_nonzero(x))]
         x[0] = ring.normalize(values[-1])
         y = random_u64(rng, n, ring)
@@ -561,8 +563,12 @@ class TestInvert:
         assert qc.invert(prod).coefficients() == partition_table(n - 1)
 
     def test_nonunit_constant_rejected(self):
-        with pytest.raises(qc.NonUnitError):
+        with pytest.raises(qc.NonUnitError) as err:
             qc.invert(exact_series([2, 1]))
+        assert str(err.value) == "constant term 2 is not a unit in the exact ring"
+        with pytest.raises(qc.NonUnitError) as err:
+            qc.invert(Series(qc.mod2pow(6), [2, 1]))
+        assert str(err.value) == "constant term 2 is not a unit mod 2^6"
         with pytest.raises(qc.NonUnitError):
             qc.invert(Series(qc.MOD64, [4, 1]))
 
@@ -1124,6 +1130,63 @@ class TestComparisonAndReduction:
             qc.change_ring(narrowed, qc.MOD64)
         with pytest.raises(qc.RingMismatchError):
             qc.change_ring(a, EXACT)
+
+
+ALL_RINGS = [EXACT] + [qc.mod2pow(w) for w in range(1, 65)]
+
+
+class TestRingRules:
+    """Each ring rule, arithmetic on the modulus, against the rule it
+    replaced: written on the width w of Z/2^w, with w None for the exact
+    ring."""
+
+    @staticmethod
+    def width_normalize(w, x):
+        return x if w is None else x & ((1 << w) - 1)
+
+    @staticmethod
+    def width_is_unit(w, x):
+        return x in (1, -1) if w is None else x & 1 == 1
+
+    @staticmethod
+    def width_resolves(w, m):
+        return w is None or (1 < m <= 1 << w and not m & (m - 1))
+
+    @staticmethod
+    def width_reduces(w_from, w_to):
+        return w_from == w_to or w_to is not None and (w_from is None or w_to <= w_from)
+
+    def test_a_ring_is_its_modulus(self):
+        assert [f.name for f in dataclasses.fields(qc.CoefficientRing)] == ["modulus"]
+        assert (EXACT.modulus, qc.MOD64.modulus, qc.mod2pow(6).modulus) == (None, 2**64, 64)
+        assert (str(EXACT), str(qc.MOD64), str(qc.mod2pow(6))) == (
+            "exact", "mod2pow:64", "mod2pow:6")
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_rules_match_width_rules(self, ring):
+        w = ring.width
+        moduli = [*range(1, 131), 2**63, 2**64, 2**65]
+        assert [ring.resolves(m) for m in moduli] == [self.width_resolves(w, m) for m in moduli]
+        xs = [0, 1, -1, 2, -2, 3, -3, 4, -5, 255, -256, 2**63 - 1, -(2**64) - 1, 2**70 + 6]
+        for x in xs:
+            assert ring.normalize(x) == self.width_normalize(w, x)
+            assert ring.is_unit(x) == self.width_is_unit(w, x)
+            x = self.width_normalize(w, x)
+            if self.width_is_unit(w, x):
+                assert ring.unit_inverse(x) == (x if w is None else pow(x, -1, 1 << w))
+            else:
+                with pytest.raises(qc.NonUnitError):
+                    ring.unit_inverse(x)
+        a = Series(ring, xs)
+        for target in ALL_RINGS:
+            if self.width_reduces(w, target.width):
+                got = qc.change_ring(a, target)
+                assert got.ring == target
+                assert got.coefficients() == [self.width_normalize(target.width, x)
+                                              for x in a.coefficients()]
+            else:
+                with pytest.raises(qc.RingMismatchError):
+                    qc.change_ring(a, target)
 
 
 class TestDump:
