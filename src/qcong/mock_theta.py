@@ -5,10 +5,10 @@ from them.
 Each Eulerian sum is one call to `series.eulerian_sum`: its terms' ratio is a
 product of binomials (1 +- q^j)^(+-1), so each term costs O(N). B and omega
 also have bilateral (Appell-Lerch) forms, f4/f2^2 and 1/f2 times
-`appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that the mod-2^w
-`series_c` also reads through eq 2-2 (`c_appell`). The two forms of each
-must agree. In the exact ring `series_c`, and `series_ck` in every ring,
-sum the definition (`_c_sum`), so that eq 2-2 is checked, not assumed.
+`appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that `qexpr` reads
+as `appell[a]` and the mod-2^w `series_c` through eq 2-2 (`c_appell`). In
+the exact ring `series_c`, and `series_ck` in every ring, sum the definition
+(`_c_sum`), so that eq 2-2 is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -69,19 +69,6 @@ def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Ser
             out[start + a::a] += ring.scalar(2 * sign)
             n += 1
     return Series._wrap(ring, _reduce(out, ring.modulus))
-
-
-def b_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
-    """B(q) through its bilateral form (eq 2-3): f4/f2^2 * appell_sum(2)."""
-    total = appell_sum(2, order, ring)
-    inv_f2 = invert(pentagonal_series(2, order, ring))
-    return mul(mul(pentagonal_series(4, order, ring), mul(inv_f2, inv_f2)), total)
-
-
-def omega_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
-    """omega(q) through its bilateral form (Watson 1936): 1/f2 * appell_sum(3)."""
-    total = appell_sum(3, order, ring)
-    return mul(invert(pentagonal_series(2, order, ring)), total)
 
 
 def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:

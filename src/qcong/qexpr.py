@@ -6,7 +6,7 @@ Grammar (whitespace insignificant, `^` binds tightest, then `*` `/`, then
     expr   := ["-"] term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
     factor := atom ("^" ["-"] INT)*
-    atom   := INT | "q" | "C" | "Ck" "[" INT "]" | "f" "[" INT "]"
+    atom   := INT | "q" | "C" | ("Ck" | "f" | "appell") "[" INT "]"
             | "omega" "(" qarg ")" | "B" "(" qarg ")" | "f3" "(" qarg ")"
             | "pochinf" "[" SINT "," INT "," INT "]"
             | "pochfin" "[" SINT "," INT "," INT "," INT "]"
@@ -15,7 +15,8 @@ Grammar (whitespace insignificant, `^` binds tightest, then `*` `/`, then
     qarg   := ["-"] "q" ["^" INT]
 
 `f[m]` is the product of (1 - q^(m*j)) over j >= 1, `C` and `Ck[k]` are the
-two-color counting series, `omega`/`B`/`f3` accept an argument of the form
+two-color counting series, `appell[a]` is the Appell-Lerch sum
+`mock_theta.appell_sum(a)`, `omega`/`B`/`f3` accept an argument of the form
 sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0) is the sum over n of
 e[m*n + r] * q^n.  Division is literal series division: the denominator
 must have a unit constant term.  Only integer literals exist.
@@ -34,8 +35,8 @@ import re
 from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Union
 
-from .mock_theta import (b_eulerian, f3_series, omega_series, series_c,
-                         series_ck)
+from .mock_theta import (appell_sum, b_eulerian, f3_series, omega_series,
+                         series_c, series_ck)
 from .products import pentagonal_series, pochhammer_fin, pochhammer_inf
 from .series import (
     EXACT,
@@ -82,6 +83,15 @@ class EtaF:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("f[m] needs m >= 1")
+
+
+@dataclass(frozen=True)
+class Appell:
+    a: int
+
+    def __post_init__(self):
+        if self.a < 1:
+            raise ValueError("appell[a] needs a >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,8 +202,8 @@ class Dissect:
                 f"dissection needs m >= 1 and r >= 0, got m={self.m}, r={self.r}")
 
 
-QExpr = Union[Num, Q, EtaF, PochInf, PochFin, Omega, BFun, F3, CSeries,
-              CkSeries, Add, Sub, Mul, Div, Pow, Dissect]
+QExpr = Union[Num, Q, EtaF, Appell, PochInf, PochFin, Omega, BFun, F3,
+              CSeries, CkSeries, Add, Sub, Mul, Div, Pow, Dissect]
 
 
 # ------------------------------------------------------------- tokenizer
@@ -229,6 +239,7 @@ _ATOMS = {
     "C": (CSeries, ""),
     "Ck": (CkSeries, "[int]"),
     "f": (EtaF, "[int]"),
+    "appell": (Appell, "[int]"),
     "f3": (F3, "(qarg)"),
     "omega": (Omega, "(qarg)"),
     "B": (BFun, "(qarg)"),
@@ -429,7 +440,7 @@ def to_source(e: QExpr) -> str:
 # the leaves built from their fields: builder(*fields, order, ring)
 _BUILDERS = {Num: lambda value, order, ring: constant_series(ring, order, value),
              Q: lambda order, ring: monomial(ring, order, 1),
-             EtaF: pentagonal_series, PochInf: pochhammer_inf,
+             EtaF: pentagonal_series, Appell: appell_sum, PochInf: pochhammer_inf,
              PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck}
 # omega, B and f3 at argument q; at sign * q^k evaluate substitutes into it
 _MOCK_THETA = {Omega: omega_series, BFun: b_eulerian, F3: f3_series}
@@ -449,7 +460,7 @@ def _child(e: QExpr, order: int) -> Optional[tuple[QExpr, int]]:
 def reads(e: QExpr, order: int) -> dict:
     """{leaf: the most coefficients `evaluate(e, order)` reads of it}, by the
     rule evaluate applies (`_child`). A leaf reads no other node: a number,
-    q, f[m], a Pochhammer product, C, Ck[k], or omega, B or f3 at q."""
+    or a named atom but D, with omega, B and f3 only at argument q."""
     out: dict = {}
     stack = [(e, order)]
     while stack:

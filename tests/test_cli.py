@@ -14,7 +14,7 @@ import pytest
 import qcong
 from qcong import CATALOGUE, build_suite_context, count_ck
 from qcong import qexpr
-from qcong.catalogue import CLAIM_ROWS
+from qcong.catalogue import CLAIM_ROWS, EQ_2_3_ROWS
 from qcong.cli import main
 from qcong.qexpr import CSeries
 
@@ -142,7 +142,9 @@ class TestVerify:
         (["C", "C", "--ring", "mod64", "--mod", "3"],
          "error: modulus 3 must be a power of 2 dividing 2^64\n"),
         (["C", "f["], None),
-    ], ids=["unresolvable-modulus", "unparsable-rhs"])
+        (["omega(q)", "f[4]*appell[0]"],
+         "error: offset 5: appell[a] needs a >= 1\n"),
+    ], ids=["unresolvable-modulus", "unparsable-rhs", "appell-index-0"])
     def test_bad_input_exits_2_before_building(self, capsys, monkeypatch, argv, message):
         def refuse(*args, **kw):
             raise AssertionError("a side was built")
@@ -169,6 +171,25 @@ class TestVerify:
         # the "--" form, which still reads every later token as a source
         assert main(argv + ["--", lhs, rhs]) == (0 if want == "pass" else 1)
         assert capsys.readouterr().out.split()[0] == want
+
+    def test_eq_2_3_by_hand(self, capsys):
+        # eq 2-3's rows, exactly and mod 2^64 past the FFT crossover, and the
+        # textbook forms, which the rows rewrite to share f[2]^-1
+        rows = [row[2:4] for row in EQ_2_3_ROWS.values()]
+        assert rows == [("B(q)", "f[4]*(f[2]^-1)^2*appell[2]"),
+                        ("omega(q)", "appell[3]*f[2]^-1")]
+        for lhs, rhs in rows:
+            assert main(["verify", lhs, rhs, "--order", "400"]) == 0
+            assert main(["verify", lhs, rhs, "--order", "20000", "--ring",
+                         "mod64", "--mod", "18446744073709551616"]) == 0
+        for lhs, rhs in [("B(q)", "f[4]/f[2]^2*appell[2]"),
+                         ("omega(q)", "appell[3]/f[2]")]:
+            assert main(["verify", lhs, rhs, "--order", "400"]) == 0
+        assert capsys.readouterr().out.split() == ["pass"] * 6
+        # omega's form with B's quadratic is wrong from q^4 on
+        assert main(["verify", "omega(q)", "appell[2]/f[2]", "--order", "400"]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out.split("witness:", 1)[1]) == {"n": 4, "lhs": 6, "rhs": 5}
 
 
 class TestCheck:

@@ -49,12 +49,13 @@ from qcong import (
     verify_identity,
     zero_series,
 )
-from qcong.catalogue import CLAIM_ROWS, ORACLE_LIMIT, _family_entry
+from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, ORACLE_LIMIT,
+                             _family_entry)
 from qcong.cli import main
 from qcong import qexpr
-from qcong.mock_theta import _c_sum, c_builder
-from qcong.qexpr import (F3, BFun, CSeries, Dissect, EtaF, Omega, evaluate,
-                         parse, reads, to_source)
+from qcong.mock_theta import _c_sum, appell_sum, c_builder
+from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
+                         evaluate, parse, reads, to_source)
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
 
@@ -575,12 +576,12 @@ class TestScan:
 
 class TestSuiteContext:
     def test_orders_cover_every_extraction(self, ctx):
-        # each seed is as long as the deepest row reads it, or as eq 2-3
-        # (C, B, omega to n_identity) and the oracle (C to ORACLE_LIMIT)
+        # each seed is as long as the deepest row reads it, eq 2-3's two rows
+        # among them; only the oracle sets a floor (C to ORACLE_LIMIT)
         n = {"identity": 80, "congruence": 40}
-        want = {CSeries(): max(80, ORACLE_LIMIT + 1), BFun(1, 1): 80,
-                Omega(1, 1): 80, F3(1, 1): 0}
-        for _, _, lhs, rhs, _, order in CLAIM_ROWS:
+        want = {CSeries(): ORACLE_LIMIT + 1, BFun(1, 1): 0, Omega(1, 1): 0,
+                F3(1, 1): 0}
+        for _, _, lhs, rhs, _, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
             for src in (lhs, rhs):
                 for leaf, depth in reads(parse(src), n[order]).items():
                     if leaf in want:
@@ -665,6 +666,7 @@ class TestSharedMemo:
         # share f[2], f[4], ..., and a second run finds every side in its
         # ring's memo
         assert calls.count((EtaF(4), SMALL["n_identity"], EXACT)) == 1
+        assert calls.count((Appell(2), SMALL["n_identity"], EXACT)) == 1
         assert (parse("D[8,4](C)"), 150, MOD64) in calls
         assert len(set(calls)) == len(calls) == first
 
@@ -680,6 +682,32 @@ class TestSharedMemo:
         failed = {r.claim_id for r in run_catalogue(bumped)
                   if r.status == "fail"}
         assert failed == _b_readers(ctx) | {"eq-2-3"}
+
+
+class TestEq23:
+    def test_sign_flipped_appell_fails_only_eq_2_3(self, ctx):
+        # the rows read appell[a] through qexpr's builder, while c_appell
+        # calls appell_sum itself: the flip reaches eq 2-3 alone, whose first
+        # pair, B, is the series its witness names
+        before = {r.claim_id: r for r in run_catalogue(ctx)}
+        flipped = lambda a, order, ring: -appell_sum(a, order, ring)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(qexpr._BUILDERS, Appell, flipped)
+            after = {r.claim_id: r for r in run_catalogue(dataclasses.replace(ctx))}
+        assert before["eq-2-3"].status == "pass"
+        assert {k: r.status for k, r in after.items()} == {
+            k: "fail" if k == "eq-2-3" else r.status for k, r in before.items()}
+        assert after["eq-2-3"].witness == {"n": 0, "lhs": 1, "rhs": -1,
+                                           "series": "B"}
+        assert after["eq-2-3"].params == before["eq-2-3"].params
+
+    def test_short_seed_is_order_too_small(self, ctx):
+        # omega cut below the identity order: its row cannot be checked, and
+        # the report says which series, never pass
+        short = dataclasses.replace(ctx, omega_exact=ctx.omega_exact.truncate(40))
+        eq_2_3 = next(r for r in run_catalogue(short) if r.claim_id == "eq-2-3")
+        assert eq_2_3.status == "order-too-small"
+        assert eq_2_3.witness == {"series": "omega"}
 
 
 @st.composite

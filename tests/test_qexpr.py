@@ -10,8 +10,10 @@ from qcong import EXACT, MOD64, NonUnitError, count_ck, euler_fm, mul, omega_ser
 from qcong import b_eulerian, f3_series, monomial, pentagonal_series
 from qcong import pochhammer_fin, pochhammer_inf, series_c, series_ck
 from qcong.catalogue import CLAIM_ROWS
+from qcong.mock_theta import appell_sum
 from qcong.qexpr import (
     Add,
+    Appell,
     BFun,
     CkSeries,
     CSeries,
@@ -86,6 +88,7 @@ class TestParse:
         ("foo", 0),
         ("D[0,3](C)", 0),
         ("f[0]", 0),
+        ("2*appell[0]", 2),
         ("omega(3)", 6),
     ])
     def test_error_offsets(self, src, offset):
@@ -131,6 +134,7 @@ def qexprs():
         st.just(CSeries()),
         st.integers(1, 4).map(CkSeries),
         st.integers(1, 6).map(EtaF),
+        st.integers(1, 4).map(Appell),
         st.builds(PochInf, st.sampled_from([1, -1]), st.integers(1, 5),
                   st.integers(1, 4)),
         st.builds(PochFin, st.sampled_from([1, -1]), st.integers(1, 5),
@@ -163,6 +167,7 @@ ATOM_EXAMPLES = {
     "C": ("C", CSeries(), series_c),
     "Ck": ("Ck[2]", CkSeries(2), lambda n, ring: series_ck(2, n, ring)),
     "f": ("f[3]", EtaF(3), lambda n, ring: pentagonal_series(3, n, ring)),
+    "appell": ("appell[2]", Appell(2), lambda n, ring: appell_sum(2, n, ring)),
     "f3": ("f3(q)", F3(1, 1), f3_series),
     "omega": ("omega(q)", Omega(1, 1), omega_series),
     "B": ("B(q)", BFun(1, 1), b_eulerian),
