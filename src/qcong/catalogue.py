@@ -7,9 +7,12 @@ family | oracle) so coverage can be audited by reading the table top to
 bottom. Every claim but the oracles is a row of two `qcong.qexpr` sources
 (eq 2-3 is two), checked by `check_row` in the exact ring to the suite's
 "identity" or "congruence" order, or at depth "scan" (`D[A,B](C)` sides) in
-the mod-2^64 scan series' ring, as deep as that series allows. `check_row`
-reads its verdict from `verify_congruent`, the one rule that turns two
-series into a verdict and a witness, which `qcong verify` calls directly.
+the scan series' ring, as deep as that series allows. That series is built
+mod 2^8, the narrowest ring that resolves every scan modulus
+(`series.narrowest_ring`), so a scan witness's value is c(n) mod 2^8.
+`check_row` reads its verdict from `verify_congruent`, the one rule that
+turns two series into a verdict and a witness, which `qcong verify` calls
+directly.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Callable, Optional
 
 from .mock_theta import c_builder, series_ck
 from .oracle import oracle_table
-from .qexpr import (F3, BFun, CSeries, Omega, QExpr, evaluate, parse, reads,
-                    to_source)
-from .series import (EXACT, MOD64, Series, change_ring, dissect,
-                     first_incongruence, zero_series)
+from .qexpr import (F3, BFun, CSeries, Dissect, Num, Omega, QExpr, Sub,
+                    evaluate, parse, reads, to_source)
+from .series import (EXACT, Series, change_ring, dissect, first_incongruence,
+                     narrowest_ring, zero_series)
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -98,7 +101,10 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
                         k_max: int = 2, timings: Optional[dict] = None) -> SuiteContext:
     """Build every shared series as `evaluate` of its leaf, each as long as
     the deepest row reads it (`qexpr.reads`) at the identity order or half of
-    it; a dict as `timings` gets the seconds of the exact vs the scan series."""
+    it, and the scan series C to n_scan in the narrowest ring that resolves
+    every scan modulus (`series.narrowest_ring`: mod 2^8 for the catalogue's
+    4 and 8); a dict as `timings` gets the seconds of the exact vs the scan
+    series."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     n_congruence = max(2, n_identity // 2)
@@ -113,7 +119,8 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
     t0 = perf_counter()
     built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
-    c_scan = evaluate(CSeries(), n_scan, MOD64)
+    moduli = [row[4] for row in SCAN_ROWS] + [row[2] for row in FAMILY_ROWS]
+    c_scan = evaluate(CSeries(), n_scan, narrowest_ring(moduli))
     t2 = perf_counter()
     if timings is not None:
         timings["exact_build"] = t1 - t0
@@ -223,13 +230,21 @@ def _too_short(sides, seeds: dict, n: int) -> list[QExpr]:
 
 
 def _scan_order(sides, seeds: dict) -> int:
-    """The largest n (0 if none) to which no side reads a seed past its end,
-    by bisection: what `reads` reports grows with n."""
-    lo, hi = 0, max(s.order for s in seeds.values())
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (lo, mid - 1) if _too_short(sides, seeds, mid) else (mid, hi)
-    return lo
+    """The largest n (0 if none) to which no side reads a seed past its end.
+    A scan side is 0, D[m,r](seed) or its negation, and D[m,r] reads a seed
+    of order N to n as long as m*(n-1) + r < N; any other side, or none
+    that reads a seed, raises ValueError."""
+    depths = []
+    for e in sides:
+        d = e.right if isinstance(e, Sub) and e.left == Num(0) else e
+        if isinstance(d, Dissect) and d.child in seeds:
+            depths.append((seeds[d.child].order - d.r - 1) // d.m + 1)
+        elif e != Num(0):
+            raise ValueError(f"a scan side must be 0, D[m,r](seed) or its "
+                             f"negation, got {to_source(e)}")
+    if not depths:
+        raise ValueError("no side of a scan row reads a seed")
+    return max(0, min(depths))
 
 
 def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
@@ -238,8 +253,10 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
     """lhs == rhs to n coefficients, exactly (modulus None) or mod `modulus`,
     evaluated in the ring of `seeds` ({leaf: series}) through `memo` (a
     fresh one if None), which they seed. n None checks as many coefficients
-    as the seeds allow and adds n_max = n - 1 to the params. A seed too short
-    for n, which evaluate would silently rebuild, gives order-too-small."""
+    as the seeds allow and adds n_max = n - 1 to the params; it takes only
+    the scan shape, each side 0, D[m,r](seed) or its negation, and raises
+    ValueError for any other side (pass n for those). A seed too short for
+    n, which evaluate would silently rebuild, gives order-too-small."""
     ring = next(iter(seeds.values())).ring
     scan = n is None
     if scan:
@@ -363,8 +380,9 @@ EQ_2_3_ROWS = {
 }
 
 
-# The progressions (right side 0) and relations, read from the mod-2^64 scan
-# series; the families between eq 1-5 and eq 2-19 are rows made per k.
+# The progressions (right side 0) and relations, read from the scan series,
+# mod 2^8 (`build_suite_context`); the families between eq 1-5 and eq 2-19
+# are rows made per k.
 SCAN_ROWS: tuple[tuple[str, str, str, str, int, str], ...] = (
     ("eq-1-2", "1-2", "D[8,4](C)", "0", 4, "scan"),
     ("eq-1-3", "1-3", "D[8,6](C)", "0", 8, "scan"),
@@ -379,14 +397,20 @@ SCAN_ROWS: tuple[tuple[str, str, str, str, int, str], ...] = (
     ("eq-2-27", "2-27", "D[32,19](C)", "-D[8,5](C)", 4, "scan"),
 )
 
+# (id, paper eq, modulus, a_exp, b_mult, relation): the families of
+# `_family_entry`, one scan row per k
+FAMILY_ROWS: tuple[tuple[str, str, int, int, int, Optional[tuple[int, int]]], ...] = (
+    ("eq-1-6", "1-6", 4, 3, 11, None),
+    ("eq-1-7", "1-7", 8, 3, 17, None),
+    ("eq-1-8", "1-8", 4, 4, 38, None),
+    ("eq-2-1", "2-1", 8, 2, 8, (4, 3)),
+)
+
 
 CATALOGUE: tuple[CatalogueEntry, ...] = (
     # the proved progressions, the conjectured families and the relations
     *(_row_entry(*row) for row in SCAN_ROWS[:4]),
-    _family_entry("eq-1-6", "1-6", 4, 3, 11),
-    _family_entry("eq-1-7", "1-7", 8, 3, 17),
-    _family_entry("eq-1-8", "1-8", 4, 4, 38),
-    _family_entry("eq-2-1", "2-1", 8, 2, 8, relation=(4, 3)),
+    *(_family_entry(*row) for row in FAMILY_ROWS),
     *(_row_entry(*row) for row in SCAN_ROWS[4:]),
     # supporting identities and derivation steps, in the exact ring
     *(_row_entry(*row) for row in CLAIM_ROWS),

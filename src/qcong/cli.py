@@ -1,5 +1,10 @@
 """Command-line interface.
 
+`check`, `relation` and `scan` build their series in the narrowest ring
+that resolves every modulus they check (`series.narrowest_ring`): mod 2^8
+up to modulus 2^8, mod the largest modulus up to 2^64, else exact. So a
+witness's `value` is c(n) mod 2^w, and its residue is exact.
+
 Exit codes: 0 when every requested check passes, 1 when at least one check
 fails, 2 for usage, parse, or evaluation errors, an order too large to
 allocate, or a failed write (a full disk, or stdout closed early by `| head`).
@@ -20,16 +25,12 @@ from .catalogue import (all_passed, build_suite_context, check_row,
                         verify_congruent)
 from .oracle import oracle_table
 from .qexpr import CkSeries, CSeries, Dissect, Num, Sub, evaluate, parse, reads
-from .series import EXACT, MOD64, check_modulus, dump_json_dict, dump_text
+from .series import (EXACT, MOD64, check_modulus, dump_json_dict, dump_text,
+                     narrowest_ring)
 
 
 def _ring_for(name: str):
     return MOD64 if name == "mod64" else EXACT
-
-
-def _ring_resolving(moduli: list[int]):
-    """MOD64 when it resolves every modulus, else the exact ring."""
-    return MOD64 if all(MOD64.resolves(m) for m in moduli) else EXACT
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -119,7 +120,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def _check_sides(leaf, lhs, rhs, modulus: int, n_max: int) -> int:
     """lhs == rhs mod `modulus` to n_max, `leaf` built once as deep as read."""
     n = n_max + 1
-    ring = _ring_resolving([modulus])
+    ring = narrowest_ring([modulus])
     order = max(reads(e, n).get(leaf, 0) for e in (lhs, rhs))
     seeds = {leaf: evaluate(leaf, order, ring)}
     return _print_report(check_row((lhs, rhs), modulus, seeds, n))
@@ -173,7 +174,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_scan(args) -> int:
     order = args.amax * (args.nmax + 1)
-    series = evaluate(CSeries(), order, _ring_resolving(args.mods))
+    series = evaluate(CSeries(), order, narrowest_ring(args.mods))
     for a, b, m in scan_progressions(series, args.amax, args.mods, args.nmax):
         print(f"c({a}n+{b}) == 0 mod {m} for n <= {args.nmax}")
     return 0

@@ -44,7 +44,6 @@ from .series import (
     Series,
     constant_series,
     dissect,
-    invert,
     monomial,
     mul,
     power,
@@ -400,7 +399,7 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 _BINARY = {Add: (" + ", _PREC_ADD, operator.add),
            Sub: (" - ", _PREC_ADD, operator.sub),
            Mul: ("*", _PREC_MUL, mul),
-           Div: ("/", _PREC_MUL, lambda a, b: mul(a, invert(b)))}
+           Div: ("/", _PREC_MUL, mul)}
 
 
 def _source(e: QExpr, context: int) -> str:
@@ -519,5 +518,7 @@ def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
     if not isinstance(e, _Binary):
         raise TypeError(f"not a QExpr node: {e!r}")
     _, _, operation = _BINARY[type(e)]
+    # a/b is a * b^-1, a node the memo keeps: each denominator inverts once
+    right = Pow(e.right, -1) if isinstance(e, Div) else e.right
     return operation(evaluate(e.left, order, ring, memo),
-                     evaluate(e.right, order, ring, memo))
+                     evaluate(right, order, ring, memo))

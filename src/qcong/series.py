@@ -16,9 +16,11 @@ with its sparse-route ratio.
 few nonzero coefficients (f[m] and its low powers). Otherwise an exact
 product is one big-integer multiply (Kronecker substitution), and a product
 mod 2^w is np.convolve at small orders and a float FFT at large ones, on as
-few balanced limbs as the order allows (4 of 16 bits mod 2^64 below order
-8192). `invert` runs the coefficient recurrence for the first few terms, then
-Newton's iteration, which doubles the known terms with two products a step.
+few balanced limbs as the order and width allow (4 of 16 bits mod 2^64 below
+order 8192, one of 8 bits mod 2^8). So a check mod M builds its series in
+`narrowest_ring([M, ...])`: mod 2^8, or mod M if wider. `invert` runs the
+coefficient recurrence for the first few terms, then Newton's iteration,
+which doubles the known terms with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
 Pochhammer or eta product: it sums q^e * u while it steps u by binomial
@@ -105,6 +107,20 @@ def mod2pow(width: int) -> CoefficientRing:
 
 
 MOD64 = mod2pow(64)
+
+# narrowest_ring never goes below 2^8, so a witness's value keeps eight bits of
+# c(n) beside its residue; a narrower ring would cost the same (one FFT limb,
+# one uint64 a coefficient, one mask).
+_NARROW_MIN_WIDTH = 8
+
+
+def narrowest_ring(moduli) -> CoefficientRing:
+    """The ring in which to check congruences mod every one of `moduli`:
+    mod 2^max(8, w) when each is a power of two and 2^w, the largest, is at
+    most 2^64; else the exact ring."""
+    if not all(1 < m <= 1 << 64 and not m & (m - 1) for m in moduli):
+        return EXACT
+    return mod2pow(max(_NARROW_MIN_WIDTH, max(moduli, default=1).bit_length() - 1))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -203,11 +203,12 @@ class TestCheck:
                      "--mod", "8", "--nmax", "200"]) == 1
         out = capsys.readouterr().out
         witness = json.loads(out.split("witness:", 1)[1])
-        assert witness == {"n": 1, "value": 284, "residue": 4}
+        # the value is c(12) = 284 in the ring of the check, mod 2^8
+        assert witness == {"n": 1, "value": 284 % 256, "residue": 4}
 
     def test_offset_past_the_step(self, capsys):
         # c(8n+12) is c(8(n+1)+4): divisible by 4, and first not by 8 at
-        # n = 0, where c(12) = 284
+        # n = 0, where c(12) = 284 (28 mod 2^8, the ring of the check)
         assert main(["check", "--series", "C", "--progression", "8,12",
                      "--mod", "4", "--nmax", "200"]) == 0
         assert main(["check", "--series", "C", "--progression", "8,12",
@@ -215,7 +216,7 @@ class TestCheck:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "pass"
         assert json.loads(out[1].split("witness:", 1)[1]) == {
-            "n": 0, "value": 284, "residue": 4}
+            "n": 0, "value": 284 % 256, "residue": 4}
 
     def test_ck_series_verdict_matches_enumeration(self, capsys):
         code = main(["check", "--series", "Ck:2", "--progression", "2,0",

@@ -49,11 +49,14 @@ from qcong import (
     verify_identity,
     zero_series,
 )
-from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, ORACLE_LIMIT,
-                             _family_entry)
+from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
+                             ORACLE_LIMIT, SCAN_ROWS, _family_entry,
+                             _scan_order)
 from qcong.cli import main
 from qcong import qexpr
-from qcong.mock_theta import _c_sum, appell_sum, c_builder
+import qcong.series
+from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
+from qcong.series import _FFT_MIN_ORDER
 from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
                          evaluate, parse, reads, to_source)
 
@@ -96,6 +99,14 @@ class TestSeriesBuilders:
         assert c_builder(ring) == "eq-2-2-appell" and c_builder(EXACT) == "sum"
         for order in range(1, 65):
             assert series_c(order, ring) == _c_sum(order, ring, None), order
+
+    # c_appell mod 2^8 takes one FFT limb where mod 2^64 takes 4 to 5
+    @pytest.mark.parametrize("order", [1, _FFT_MIN_ORDER - 1, _FFT_MIN_ORDER,
+                                       8191, 8192, 40000])
+    def test_narrow_scan_series_is_mod64_reduced(self, order):
+        narrow = c_appell(order, mod2pow(8))
+        assert narrow.ring == mod2pow(8)
+        assert narrow == change_ring(c_appell(order, MOD64), mod2pow(8))
 
     def test_mod_route_matches_exact_route(self):
         assert series_c(400, MOD64) == change_ring(series_c(400), MOD64)
@@ -209,10 +220,10 @@ class TestCheckProgression:
 
     def test_counterexample_witness(self, ctx):
         # c(8n+4) is divisible by 4 but not by 8: first failure is
-        # c(12) = 284 = 8*35 + 4
+        # c(12) = 284 = 8*35 + 4, read mod 2^8 in the scan ring
         rep = check(ctx.c_scan, "D[8,4](C)", "0", 8)
         assert rep.status == "fail"
-        assert rep.witness == {"n": 1, "value": 284, "residue": 4}
+        assert rep.witness == {"n": 1, "value": 284 % 256, "residue": 4}
         assert count_c_limit(12) == 284
 
     def test_witness_identical_in_exact_ring(self, ctx):
@@ -238,7 +249,7 @@ class TestCheckProgression:
             Dissect(8, -1, CSeries())
         with pytest.raises(ValueError):
             check(ctx.c_exact, "D[8,4](C)", "0", 1)
-        # a mod-2^64 series cannot resolve a non-power-of-two modulus
+        # a mod-2^w scan series cannot resolve a non-power-of-two modulus
         with pytest.raises(ValueError):
             check(ctx.c_scan, "D[8,4](C)", "0", 3)
         assert check(ctx.c_exact, "D[8,4](C)", "0", 3).status in ("pass", "fail")
@@ -389,6 +400,55 @@ class TestCheckFamily:
         assert reports[5].status == "order-too-small"
 
 
+def family_sides(k_max):
+    """(lhs, rhs) of every family member k <= k_max, by the rule that
+    `_family_entry` documents."""
+    out = []
+    for _, _, _, a_exp, b_mult, relation in FAMILY_ROWS:
+        for k in range(k_max + 1):
+            lhs = f"D[{2 ** (2 * k + a_exp)},{(b_mult * 4**k + 1) // 3}](C)"
+            rhs = ("0" if relation is None else
+                   "-" * (k % 2) + f"D[{relation[0]},{relation[1]}](C)")
+            out.append((lhs, rhs))
+    return out
+
+
+def bisected_scan_order(sides, seeds):
+    """The largest n to which no side reads a seed past its end, by
+    bisection over `reads`, which grows with n."""
+    lo, hi = 0, max(s.order for s in seeds.values())
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        fits = all(reads(e, mid).get(leaf, 0) <= s.order
+                   for e in sides for leaf, s in seeds.items())
+        lo, hi = (mid, hi) if fits else (lo, mid - 1)
+    return lo
+
+
+class TestScanOrder:
+    SIDES = [(lhs, rhs) for _, _, lhs, rhs, _, _ in SCAN_ROWS] + family_sides(6)
+
+    @pytest.mark.parametrize("order", [1, 2, 63, 1200, 10000, 40000])
+    def test_closed_form_matches_bisection(self, order):
+        seeds = {CSeries(): zero_series(mod2pow(8), order)}
+        for lhs, rhs in self.SIDES:
+            sides = (parse(lhs), parse(rhs))
+            assert _scan_order(sides, seeds) == bisected_scan_order(sides, seeds), \
+                (lhs, rhs, order)
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("D[2,1](B(q))", "0"),          # not a seed
+        ("2*D[8,4](C)", "0"),           # not a bare dissection
+        ("D[8,4](C)", "q"),
+        ("D[2,0](D[4,1](C))", "0"),     # nested
+        ("0", "0"),                     # reads no seed
+    ])
+    def test_other_shapes_raise(self, lhs, rhs):
+        seeds = {CSeries(): zero_series(mod2pow(8), 100)}
+        with pytest.raises(ValueError):
+            check_row((parse(lhs), parse(rhs)), 4, seeds)
+
+
 class TestVerify:
     def test_identity_pass_and_fail(self):
         a = evaluate(parse("1/f[1]"), 50)
@@ -453,7 +513,7 @@ class TestCatalogue:
                             "oracle") or kind.startswith("mod-")
 
     def test_scan_mutation_is_detected(self, ctx):
-        bad = ctx.c_scan + monomial(MOD64, ctx.c_scan.order, 12)
+        bad = ctx.c_scan + monomial(ctx.c_scan.ring, ctx.c_scan.order, 12)
         reports = run_catalogue(dataclasses.replace(ctx, c_scan=bad))
         fails = {r.claim_id: r for r in reports if r.status == "fail"}
         assert "eq-1-2" in fails and "eq-1-6-k0" in fails
@@ -591,7 +651,7 @@ class TestSuiteContext:
         assert ctx.omega_exact.order == want[Omega(1, 1)] == 80
         assert ctx.f3_exact.order == want[F3(1, 1)] == 11
         assert ctx.c_scan.order == 1200
-        assert ctx.c_scan.ring == MOD64
+        assert ctx.c_scan.ring == mod2pow(8)
         assert ctx.c_exact.ring == EXACT
 
     def test_series_equal_their_direct_builders(self, ctx):
@@ -600,7 +660,8 @@ class TestSuiteContext:
         assert ctx.b_exact == b_eulerian(ctx.b_exact.order)
         assert ctx.omega_exact == omega_series(ctx.omega_exact.order)
         assert ctx.f3_exact == f3_series(ctx.f3_exact.order)
-        assert ctx.c_scan == series_c(ctx.n_scan, MOD64)
+        assert ctx.c_scan == change_ring(series_c(ctx.n_scan, MOD64),
+                                         ctx.c_scan.ring)
 
     def test_timings_reported(self):
         timings = {}
@@ -667,8 +728,28 @@ class TestSharedMemo:
         # ring's memo
         assert calls.count((EtaF(4), SMALL["n_identity"], EXACT)) == 1
         assert calls.count((Appell(2), SMALL["n_identity"], EXACT)) == 1
-        assert (parse("D[8,4](C)"), 150, MOD64) in calls
+        assert (parse("D[8,4](C)"), 150, mod2pow(8)) in calls
         assert len(set(calls)) == len(calls) == first
+
+    def test_each_denominator_inverts_once(self, monkeypatch):
+        # a/b evaluates b^-1 through the memo, so one catalogue run inverts
+        # each distinct series once: 18 calls from the rows, 30 with those
+        # that invert makes itself on series in q^d (39 when a/b inverted b
+        # outside the memo)
+        ctx = build_suite_context(200, 10000, 2)
+        top, inner, open_calls, real = [], [], [], qcong.series.invert
+
+        def counting(a):
+            (inner if open_calls else top).append(a)
+            open_calls.append(a)
+            try:
+                return real(a)
+            finally:
+                open_calls.pop()
+        monkeypatch.setattr(qcong.series, "invert", counting)
+        assert all_passed(run_catalogue(ctx))
+        assert len(top) == len(set(top)) == 18
+        assert len(top) + len(inner) == 30
 
     def test_replaced_context_gets_a_fresh_memo(self, ctx):
         # with ctx's memo full, a context whose B is bumped at q^0..q^7 must

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from qcong import EXACT, MOD64, build_suite_context, monomial, run_catalogue
+from qcong import EXACT, build_suite_context, mod2pow, monomial, run_catalogue
 from qcong.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -46,14 +46,15 @@ def ctx():
 
 
 @pytest.mark.parametrize("name, field, ring, exponent, c", [
-    ("c_scan-plus-4q12", "c_scan", MOD64, 12, 4),
-    ("c_scan-plus-q12", "c_scan", MOD64, 12, 1),
+    ("c_scan-plus-4q12", "c_scan", mod2pow(8), 12, 4),
+    ("c_scan-plus-q12", "c_scan", mod2pow(8), 12, 1),
     ("c_exact-plus-q7", "c_exact", EXACT, 7, 1),
 ])
 def test_negative_control_reports(ctx, name, field, ring, exponent, c):
     s = getattr(ctx, field)
+    assert s.ring == ring  # the files hold witness values in this ring
     bad = dataclasses.replace(
-        ctx, **{field: s + monomial(ring, s.order, exponent, c)})
+        ctx, **{field: s + monomial(s.ring, s.order, exponent, c)})
     got = json.dumps([r.to_json_dict() for r in run_catalogue(bad)],
                      indent=2) + "\n"
     assert got == (DATA / f"{name}.json").read_text(encoding="utf-8")

@@ -1189,6 +1189,21 @@ class TestRingRules:
                     qc.change_ring(a, target)
 
 
+class TestNarrowestRing:
+    @pytest.mark.parametrize("moduli, width", [
+        ([4, 8], 8), ([2], 8), ([256], 8), ([4, 512], 9), ([2**20, 2], 20),
+        ([2**64], 64), ([], 8),
+    ])
+    def test_power_of_two_moduli(self, moduli, width):
+        ring = qc.narrowest_ring(moduli)
+        assert ring == qc.mod2pow(width)
+        assert all(ring.resolves(m) for m in moduli)
+
+    @pytest.mark.parametrize("moduli", [[3], [4, 12], [2**65], [8, 2**65]])
+    def test_anything_else_is_exact(self, moduli):
+        assert qc.narrowest_ring(moduli) == EXACT
+
+
 class TestDump:
     def test_text_lines(self):
         a = exact_series([1, 0, -2])
