@@ -1,6 +1,6 @@
 """The static claim catalogue: one entry per checked statement of the paper,
 the shared series it reads, the claim reports and the checkers that give
-them, the progression scan, and the suite runner.
+them, and the suite runner.
 
 Each entry names its check type (exact | mod-M | progression | relation |
 family | oracle) so coverage can be audited by reading the table top to
@@ -26,8 +26,7 @@ from .mock_theta import c_builder, series_ck
 from .oracle import oracle_table
 from .qexpr import (F3, BFun, CSeries, Dissect, Num, Omega, QExpr, Sub,
                     evaluate, parse, reads, to_source)
-from .series import (EXACT, Series, change_ring, dissect, first_incongruence,
-                     narrowest_ring, zero_series)
+from .series import EXACT, Series, change_ring, first_incongruence, narrowest_ring
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -291,32 +290,6 @@ def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
     else:
         kind = "exact" if modulus is None else f"mod-{modulus}"
     return CatalogueEntry(claim_id, paper_eq, kind, run)
-
-
-# ------------------------------------------------------------------ scan
-
-
-def scan_progressions(s: Series, a_max: int, moduli: list[int],
-                      n_max: int) -> list[tuple[int, int, int]]:
-    """Every (A, B, M) with A <= a_max, B < A and M in moduli whose residues
-    vanish for all sampled n <= n_max. Empirical only: holding on a sample
-    proves nothing."""
-    if a_max < 1 or n_max < 0:
-        raise ValueError("a_max must be >= 1 and n_max >= 0")
-    # deepest read: exponent a*n_max + b with b < a <= a_max
-    if a_max * (n_max + 1) > s.order:
-        raise ValueError(
-            f"scan reads up to exponent {a_max * (n_max + 1) - 1}, "
-            f"series order is {s.order}")
-    found = []
-    zero = zero_series(s.ring, n_max + 1)
-    for a in range(1, a_max + 1):
-        for b in range(a):
-            piece = dissect(s, a, b).truncate(n_max + 1)
-            for m in moduli:
-                if first_incongruence(piece, zero, m, n_max + 1) is None:
-                    found.append((a, b, m))
-    return found
 
 
 # Shared right-hand sides: the 2-dissections of 1/f1^2 (eq 2-6) and f1^2

@@ -21,12 +21,11 @@ from itertools import islice
 from typing import Optional
 
 from .catalogue import (all_passed, build_suite_context, check_row,
-                        run_catalogue, scan_progressions, suite_json,
-                        verify_congruent)
+                        run_catalogue, suite_json, verify_congruent)
 from .oracle import oracle_table
 from .qexpr import CkSeries, CSeries, Dissect, Num, Sub, evaluate, parse, reads
 from .series import (EXACT, MOD64, check_modulus, dump_json_dict, dump_text,
-                     narrowest_ring)
+                     narrowest_ring, scan_progressions)
 
 
 def _ring_for(name: str):

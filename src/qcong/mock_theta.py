@@ -23,6 +23,7 @@ from .series import (
     CoefficientRing,
     Series,
     _reduce,
+    _terms,
     eulerian_sum,
     invert,
     mul,
@@ -117,8 +118,7 @@ def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     # Term n is q^(2n+1) * u_n. (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2
     # give u_0 = f2*f4/f1^2 for c and f4^2/f1^2/(-q^2; q^2)_(k-1) for c_k, built
     # from the sparse pentagonal series of f1, f2, f4.
-    f1, f4 = ({e: x for e, x in enumerate(pentagonal_series(m, order, ring)
-                                           .coefficients()) if x} for m in (1, 4))
+    f1, f4 = (_terms(pentagonal_series(m, order, ring)._c) for m in (1, 4))
     u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), f4)
     u = mul_sparse(mul_sparse(u, f1, "divide"), f1, "divide")
     first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])

@@ -107,19 +107,12 @@ def _table(k: int, n_max: int) -> list[int]:
 
 def count_ck(k: int, n: int) -> int:
     """The number of partitions `enumerate_ck(k, n)` yields."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _table(k, n)[n]
+    return oracle_table(k, n)[n]
 
 
 def count_c_limit(n: int) -> int:
-    # for k with s + 2k - 1 > n no even blue part fits in any partition of n,
-    # so the count has stabilized; k = max(n, 1) is safely past that point
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return count_ck(max(n, 1), n)
+    """The count of n in the limit of large k."""
+    return oracle_table("limit", n)[n]
 
 
 def oracle_table(k: Union[int, Literal["limit"]], n_max: int) -> list[int]:
@@ -127,7 +120,10 @@ def oracle_table(k: Union[int, Literal["limit"]], n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if k == "limit":
-        k = max(n_max, 1)  # stabilized at every n <= n_max, as in count_c_limit
+        # for k with s + 2k - 1 > n no even blue part fits in any partition of
+        # n, so the count has stabilized; k = max(n_max, 1) is safely past that
+        # point for every n <= n_max
+        k = max(n_max, 1)
     elif k < 1:
         raise ValueError("k must be >= 1")
     return _table(k, n_max)

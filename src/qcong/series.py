@@ -62,10 +62,6 @@ class CoefficientRing:
     def width(self) -> int | None:
         return None if self.modulus is None else self.modulus.bit_length() - 1
 
-    @property
-    def mask(self) -> int:
-        return self.modulus - 1
-
     def normalize(self, x: int) -> int:
         return int(x) if self.modulus is None else int(x) % self.modulus
 
@@ -692,6 +688,33 @@ def first_incongruence(a: Series, b: Series, modulus: int | None, n: int) -> int
         diff = _reduce(diff, modulus)
     hits = np.flatnonzero(diff)
     return int(hits[0]) if len(hits) else None
+
+
+def scan_progressions(s: Series, a_max: int, moduli: list[int],
+                      n_max: int) -> list[tuple[int, int, int]]:
+    """Every (A, B, M) with A <= a_max, B < A and M in moduli such that
+    s[A*n + B] vanishes mod M for every n <= n_max, ordered by A, then B,
+    then the moduli as given. Empirical only: holding on a sample proves
+    nothing.
+
+    Each A reads the first A*(n_max+1) coefficients once, as an
+    (n_max+1) x A block whose column B holds s[A*n + B]; class B vanishes
+    mod M when `_reduce` of the block mod M is zero down column B."""
+    if a_max < 1 or n_max < 0:
+        raise ValueError("a_max must be >= 1 and n_max >= 0")
+    # deepest read: exponent a*n_max + b with b < a <= a_max
+    if a_max * (n_max + 1) > s.order:
+        raise ValueError(
+            f"scan reads up to exponent {a_max * (n_max + 1) - 1}, "
+            f"series order is {s.order}")
+    for m in moduli:
+        check_modulus(s.ring, m)
+    found = []
+    for a in range(1, a_max + 1):
+        block = s._c[:a * (n_max + 1)].reshape(n_max + 1, a)
+        vanish = [(_reduce(block, m) == 0).all(axis=0) for m in moduli]
+        found += [(a, b, m) for b in range(a) for m, v in zip(moduli, vanish) if v[b]]
+    return found
 
 
 def dump_text(a: Series) -> str:

@@ -8,6 +8,7 @@ against the series route in TestSeriesBuilders.
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -610,12 +611,37 @@ class TestScan:
         # anything vanishing mod 8 also vanishes mod 4
         assert {(a, b, 4) for (a, b, m) in triples if m == 8} <= triples
 
+    @staticmethod
+    def direct_scan(s, a_max, moduli, n_max):
+        """scan_progressions' output, one coefficient at a time."""
+        c = s.coefficients()
+        return [(a, b, m) for a in range(1, a_max + 1) for b in range(a)
+                for m in moduli
+                if all(c[a * n + b] % m == 0 for n in range(n_max + 1))]
+
     def test_matches_a_direct_loop(self, ctx):
         s, n_max = ctx.c_scan, 30
-        want = [(a, b, m) for a in range(1, 17) for b in range(a)
-                for m in (2, 4, 8)
-                if all(s[a * n + b] % m == 0 for n in range(n_max + 1))]
-        assert scan_progressions(s, 16, [2, 4, 8], n_max) == want
+        assert scan_progressions(s, 16, [2, 4, 8], n_max) == \
+            self.direct_scan(s, 16, [2, 4, 8], n_max)
+
+    @pytest.mark.parametrize("ring, moduli", [
+        (EXACT, [2, 3, 6, 4]),                  # % on Python ints
+        (mod2pow(8), [2, 4, 8, 16, 4]),         # a mask; a repeat repeats
+        (MOD64, [2 ** 64, 2]),                  # 2^64: no reduction at all
+    ])
+    @pytest.mark.parametrize("a_max, n_max", [(12, 30), (32, 200), (7, 0)])
+    def test_each_ring_matches_a_direct_loop(self, ring, moduli, a_max, n_max):
+        order = a_max * (n_max + 1)
+        s = series_c(order, ring)
+        if ring == MOD64:  # C mod 2^64 has no class that vanishes outright
+            s = Series(ring, [x * (1 << 63) if n % 3 == 1 else x * (n % 3)
+                              for n, x in enumerate(s.coefficients())])
+        got = scan_progressions(s, a_max, moduli, n_max)
+        assert got == self.direct_scan(s, a_max, moduli, n_max)
+        assert any(m == moduli[0] for _, _, m in got)
+
+    def test_no_moduli_finds_nothing(self, ctx):
+        assert scan_progressions(ctx.c_scan, 8, [], 30) == []
 
     def test_zero_series_matches_everything(self):
         claims = scan_progressions(zero_series(EXACT, 100), 4, [2], 20)
@@ -624,6 +650,23 @@ class TestScan:
     def test_scan_needs_enough_order(self):
         with pytest.raises(ValueError):
             scan_progressions(series_c(50), 8, [4], 10)
+        s = series_c(88)  # exactly the 8 * 11 coefficients it reads
+        assert scan_progressions(s, 8, [4], 10) == self.direct_scan(s, 8, [4], 10)
+        with pytest.raises(ValueError, match="exponent 87, series order is 87"):
+            scan_progressions(s.truncate(87), 8, [4], 10)
+        with pytest.raises(ValueError, match="a_max must be >= 1"):
+            scan_progressions(s, 0, [4], 10)
+
+    @pytest.mark.parametrize("ring, modulus, message", [
+        (EXACT, 1, "modulus must be >= 2, got 1"),
+        (mod2pow(8), 1, "modulus must be >= 2, got 1"),
+        (mod2pow(8), 3, "modulus 3 must be a power of 2 dividing 2^8"),
+        (mod2pow(8), 512, "modulus 512 must be a power of 2 dividing 2^8"),
+    ])
+    def test_bad_modulus_raises_check_modulus_message(self, ring, modulus, message):
+        s = series_c(100, ring)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan_progressions(s, 4, [4, modulus], 20)
 
     def test_claim_str_is_readable(self, capsys):
         # the scan command prints each (A, B, M) triple as one readable line

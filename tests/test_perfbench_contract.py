@@ -7,6 +7,7 @@ the report fields its metrics read must fail here first.
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,10 @@ from qcong import (CATALOGUE, EXACT, MOD64, SuiteContext, b_eulerian,
                    f3_series, omega_series, series_c)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from check import series_sha256  # noqa: E402
+
 SAMPLED_KINDS = ("progression", "relation", "family")
 
 # the child's (SuiteContext field, build function), as its SUITE_SERIES has
@@ -49,7 +54,8 @@ def test_every_imported_name_exists():
 
 @pytest.fixture(scope="module")
 def suite():
-    """The traced child's suite context and its catalogue reports."""
+    """The traced child's suite series, its suite context and its catalogue
+    reports."""
     with open(PERFBENCH / "reference.json", encoding="utf-8") as fh:
         ref = json.load(fh)
     context = ref["suite"]
@@ -57,7 +63,7 @@ def suite():
              for field, build in SUITE_SERIES.items()}
     ctx = SuiteContext(**context["orders"], **built)
     reports = {entry.claim_id: entry.run(ctx) for entry in CATALOGUE}
-    return ref, reports
+    return ref, built, reports
 
 
 def test_catalogue_kinds_are_the_child_spans():
@@ -67,7 +73,7 @@ def test_catalogue_kinds_are_the_child_spans():
 
 
 def test_sampled_reports_carry_n_max(suite):
-    _, reports = suite
+    _, _, reports = suite
     kinds = {entry.claim_id: entry.kind for entry in CATALOGUE}
     sampled = [r for cid, got in reports.items() if kinds[cid] in SAMPLED_KINDS
                for r in got]
@@ -77,10 +83,18 @@ def test_sampled_reports_carry_n_max(suite):
 
 
 def test_verdicts_match_the_reference(suite):
-    ref, reports = suite
+    ref, _, reports = suite
     got = {r.claim_id: (r.status, r.witness)
            for rs in reports.values() for r in rs}
     want = {c["id"]: (c["status"], c["witness"])
             for c in ref["published"]["claims"]}
     assert got == want
     assert qcong.all_passed([r for rs in reports.values() for r in rs])
+
+
+def test_series_match_the_reference_hashes(suite):
+    # the benchmark gate hashes these five series; a change to str(ring), to
+    # the storage or to a builder must fail here too
+    ref, built, _ = suite
+    for field, series in built.items():
+        assert series_sha256(series) == ref["suite"]["series"][field]["sha256"], field

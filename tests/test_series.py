@@ -172,7 +172,7 @@ class TestArithmetic:
 
 
 def random_u64(rng, n: int, ring) -> np.ndarray:
-    return rng.integers(0, 1 << 64, n, dtype=np.uint64) & np.uint64(ring.mask)
+    return rng.integers(0, 1 << 64, n, dtype=np.uint64) & np.uint64(ring.modulus - 1)
 
 
 def convolve_ref(x: np.ndarray, y: np.ndarray, ring) -> Series:
@@ -303,8 +303,8 @@ class TestFFTMul:
             x, y = random_u64(rng, n, ring), random_u64(rng, n, ring)
             head = 64 if n > 40000 else n
             y[head:] = 0
-            want = np.convolve(x, y[:head])[:n] & np.uint64(ring.mask)
-            got = _fft_mul(x, y, width) & np.uint64(ring.mask)
+            want = np.convolve(x, y[:head])[:n] & np.uint64(ring.modulus - 1)
+            got = _fft_mul(x, y, width) & np.uint64(ring.modulus - 1)
             assert np.array_equal(got, want), (width, n)
 
     def test_limb_rule(self):
@@ -616,8 +616,8 @@ class TestNewtonInvert:
     def test_matches_recurrence(self, n, w):
         ring = qc.mod2pow(w)
         x = random_u64(np.random.default_rng(n * w), n, ring)
-        for c0 in (1, 3, ring.mask):
-            x[:1] = c0 & ring.mask
+        for c0 in (1, 3, ring.modulus - 1):
+            x[:1] = c0 & (ring.modulus - 1)
             a = Series(ring, x)
             got = qc.invert(a)
             assert got == recurrence_inverse(x, ring)
@@ -627,7 +627,7 @@ class TestNewtonInvert:
     def test_matches_recurrence_at_40000(self, w):
         ring, n = qc.mod2pow(w), 40000
         x = random_u64(np.random.default_rng(w), n, ring)
-        x[0] = ring.mask
+        x[0] = ring.modulus - 1
         a = Series(ring, x)
         got = qc.invert(a)
         assert got == recurrence_inverse(x, ring)
@@ -675,7 +675,7 @@ class TestNewtonInvert:
     def test_even_constant_term_rejected(self, n, w):
         ring = qc.mod2pow(w)
         x = random_u64(np.random.default_rng(n), n, ring)
-        x[0] = 2 & ring.mask
+        x[0] = 2 & (ring.modulus - 1)
         with pytest.raises(qc.NonUnitError):
             qc.invert(Series(ring, x))
 
@@ -1120,7 +1120,7 @@ class TestComparisonAndReduction:
     def test_change_ring_reduces(self, xs, w):
         ring = qc.mod2pow(w)
         got = qc.change_ring(exact_series(xs), ring)
-        assert got.coefficients() == [x & ring.mask for x in xs]
+        assert got.coefficients() == [x & (ring.modulus - 1) for x in xs]
 
     def test_change_ring_narrowing_only(self):
         a = Series(qc.MOD64, [300, 5])
