@@ -29,6 +29,7 @@ from .series import (
     mul,
     mul_sparse,
     one_series,
+    power,
     shift,
     substitute_power,
 )
@@ -113,14 +114,20 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 
 
 def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
+    """C (k None) or C_k as the sum of its definition: term n is
+    q^(2n+1) * u_n, and (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
+    u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k, from the
+    sparse pentagonal f1, f2, f4. Exact, u_0 divides by f1 twice term by term
+    (`mul_sparse`), which beats Newton's Kronecker products; mod 2^w it takes
+    Newton's invert(f1)^2, which beats the divides' Python-int recurrence."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # Term n is q^(2n+1) * u_n. (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2
-    # give u_0 = f2*f4/f1^2 for c and f4^2/f1^2/(-q^2; q^2)_(k-1) for c_k, built
-    # from the sparse pentagonal series of f1, f2, f4.
-    f1, f4 = (_terms(pentagonal_series(m, order, ring)._c) for m in (1, 4))
-    u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), f4)
-    u = mul_sparse(mul_sparse(u, f1, "divide"), f1, "divide")
+    f1, f4 = (pentagonal_series(m, order, ring) for m in (1, 4))
+    u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), _terms(f4._c))
+    if ring.modulus is None:
+        u = mul_sparse(mul_sparse(u, _terms(f1._c), "divide"), _terms(f1._c), "divide")
+    else:
+        u = mul(u, power(invert(f1), 2))
     first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
     # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1
     rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))

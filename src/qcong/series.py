@@ -13,14 +13,14 @@ storage or algorithm does: the dtype, `_reduce`, and the dense product route
 with its sparse-route ratio.
 
 `mul` goes term by term through `mul_sparse` when the sparser operand has
-few nonzero coefficients (f[m] and its low powers). Otherwise an exact
-product is one big-integer multiply (Kronecker substitution), and a product
-mod 2^w is np.convolve at small orders and a float FFT at large ones, on as
-few balanced limbs as the order and width allow (4 of 16 bits mod 2^64 below
-order 8192, one of 8 bits mod 2^8). So a check mod M builds its series in
-`narrowest_ring([M, ...])`: mod 2^8, or mod M if wider. `invert` runs the
-coefficient recurrence for the first few terms, then Newton's iteration,
-which doubles the known terms with two products a step.
+few nonzero coefficients (f[m] and its low powers). Otherwise a product is
+np.convolve at small orders (exact ones only when every sum fits an int64),
+else one big-integer multiply (Kronecker substitution) when exact, and mod
+2^w a float FFT on as few balanced limbs as the order and width allow (4 of
+16 bits mod 2^64 below order 8192, one of 8 bits mod 2^8). So a check mod M
+builds its series in `narrowest_ring([M, ...])`: mod 2^8, or mod M if wider.
+`invert` runs the coefficient recurrence in Python ints for the first few
+terms, then Newton's iteration, which doubles them with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
 Pochhammer or eta product: it sums q^e * u while it steps u by binomial
@@ -29,6 +29,7 @@ factors (1 +- q^j)^(+-1), each an O(N) pass. All of it is exact arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -289,9 +290,9 @@ def mul(a: Series, b: Series) -> Series:
     Operands that are both series in q^d (d > 1) multiply as a[::d] and
     b[::d] by this same rule. Otherwise the sparser operand goes through
     `mul_sparse` in O(order * terms) when it has few enough terms (f[m] or a
-    low power of it). A dense exact product is `_kronecker_mul`; mod 2^w it
-    is the limb-split FFT from _FFT_MIN_ORDER up and np.convolve below it.
-    """
+    low power of it). Below _FFT_MIN_ORDER a dense product is np.convolve,
+    in int64 if exact and bits(max|x|) + bits(max|y|) + bitlen(order) <= 63
+    (no sum then passes 2^63). Else it is `_kronecker_mul` or the FFT."""
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
     d = _stride(a._c[:n], b._c[:n])
@@ -304,13 +305,12 @@ def mul(a: Series, b: Series) -> Series:
     ratio = _SPARSE_RATIO_KRONECKER if kronecker else _SPARSE_RATIO_FFT
     if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * ratio <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
-    if kronecker:
+    if kronecker and (n >= _FFT_MIN_ORDER or n.bit_length() + sum(
+            int(abs(v).max()).bit_length() for v in (x, y)) > 63):
         return Series._wrap(ring, _kronecker_mul(x, None if b is a else y))
-    out = None
-    if n >= _FFT_MIN_ORDER:
-        out = _fft_mul(x, None if b is a else y, ring.width)
+    out = _fft_mul(x, None if b is a else y, ring.width) if n >= _FFT_MIN_ORDER else None
     if out is None:
-        out = np.convolve(x, y)[:n]
+        out = np.convolve(*(v.astype(np.int64) if kronecker else v for v in (x, y)))[:n]
     return Series._wrap(ring, _reduce(out, ring.modulus))
 
 
@@ -441,21 +441,20 @@ def _kronecker_mul(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
     A product coefficient sums at most n terms, so it lies inside (-2^(B-1),
     2^(B-1)) for slots of B >= bitlen(max|x|) + bitlen(max|y|) + bitlen(n) + 1
     bits; raised by 2^(B-1), each slot is in (0, 2^B) and borrows from no other.
+    An operand packs the same way, its raised slots less the raise of all n.
     The cut to n slots is an &: a % would be a long division."""
     n = len(x)
     bits = sum(int(abs(v).max()).bit_length() for v in (x, x if y is None else y))
     size = (bits + n.bit_length() + 8) // 8  # B / 8, rounded up
-    zero = bytes(size)
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
 
-    def pack(v: np.ndarray) -> int:  # the positive part minus the negative part
-        pos = b"".join(c.to_bytes(size, "little") if c > 0 else zero for c in v)
-        neg = b"".join((-c).to_bytes(size, "little") if c < 0 else zero for c in v)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    def pack(v: np.ndarray) -> int:
+        return int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in v),
+                              "little") - offset
 
     px = pack(x)
     prod = px * (px if y is None else pack(y))  # px * px squares
-    half = 1 << (8 * size - 1)
-    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
     buf = ((prod + offset) & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
     return np.array([int.from_bytes(buf[i:i + size], "little") - half
                      for i in range(0, size * n, size)], dtype=object)
@@ -525,54 +524,53 @@ def shift(a: Series, j: int) -> Series:
 
 def mul_sparse_binomial(a: Series, c: int, j: int, direction: str = "multiply") -> Series:
     """Multiply or divide by (1 + c*q^j) in O(order) operations: a divide
-    with c = +-1 is a cumsum, the rest goes through `mul_sparse`."""
+    with c = +-1 is `_div_binomial`, the rest goes through `mul_sparse`."""
     if j < 1:
         raise ValueError("binomial exponent j must be >= 1")
     ring, c = a.ring, a.ring.normalize(c)
     if direction == "divide" and c in (1, ring.normalize(-1)):
-        return Series._wrap(ring, _div_binomial(a._c, c, j, ring))
+        return Series._wrap(ring, _reduce(_div_binomial(a._c.copy(), c, j), ring.modulus))
     return mul_sparse(a, {0: 1, j: c}, direction)
 
 
-def _div_binomial(arr: np.ndarray, c: int, j: int, ring: CoefficientRing) -> np.ndarray:
-    """arr / (1 + c*q^j) for c = 1 or -1."""
-    n = len(arr)
-    if j >= n:
-        return arr.copy()
-    # b[i] = a[i] - c*b[i-j]: for c = -1 this is a cumsum along each residue
-    # class mod j, and 1/(1 + q^j) = (1 - q^j)/(1 - q^(2j)) makes c = 1 one too
-    p = j if c == ring.normalize(-1) else 2 * j
-    rows = -(-n // p)
-    padded = np.zeros(rows * p, dtype=ring.dtype)
-    padded[:n] = arr
+def _div_binomial(u: np.ndarray, c: int, j: int) -> np.ndarray:
+    """u / (1 + c*q^j) for c = 1 or -1 (or its residue), in place and
+    unreduced; returns u."""
+    n = len(u)
+    # b[i] = a[i] - c*b[i-j]: one slice op a block of j up to 16 blocks, else a cumsum
+    # along each residue class mod j, with 1/(1 + q^j) = (1 - q^j)/(1 - q^(2j)) if c = 1
+    if n <= 16 * j:
+        op = np.subtract if c == 1 else np.add
+        for r in range(j, n, j):
+            op(u[r:r + j], u[r - j:min(r, n - j)], out=u[r:r + j])
+        return u
+    p = 2 * j if c == 1 else j
     if p != j:
-        padded[j:n] -= arr[:n - j]
-    mat = padded.reshape(rows, p)
-    if rows > 16:
-        mat = np.cumsum(mat, axis=0)
-    else:  # cumsum along axis 0 is slow for few long rows
-        for r in range(1, rows):
-            mat[r] += mat[r - 1]
-    return _reduce(mat.reshape(-1)[:n], ring.modulus)
+        u[j:] -= u[:-j]  # numpy reads the overlapping operands before writing
+    mat = u[:n - n % p].reshape(-1, p)
+    np.cumsum(mat, axis=0, out=mat)
+    u[n - n % p:] += mat[-1, :n % p]
+    return u
 
 
 def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") -> Series:
     """Multiply or divide by the polynomial sum of c*q^e over `terms` (e -> c)
-    in O(order * len(terms)) operations; dividing needs a unit constant term."""
+    in O(order * len(terms)) operations; dividing needs a unit constant term.
+
+    A multiply is one numpy pass a term. A divide is the recurrence
+    b[i] = (a[i] - sum of c*b[i-e]) / c0 in Python ints, one coefficient at
+    a time with one reduction each; a +-1 term is an add or a subtract."""
     if direction not in ("multiply", "divide"):
         raise ValueError(f"direction must be 'multiply' or 'divide', got {direction!r}")
     if any(e < 0 for e in terms):
         raise ValueError("sparse factor exponents must be nonnegative")
     ring, n = a.ring, a.order
     c0, scale = ring.normalize(terms.get(0, 0)), 1
-    if direction == "divide":
-        # b[i] = (a[i] - sum of c*b[i-e]) / c0, one coefficient at a time;
-        # from here on c0 holds 1/c0 and each c holds c/c0
+    if direction == "divide":  # from here on c0 holds 1/c0 and each c holds c/c0
         c0 = scale = ring.unit_inverse(c0)
-    rest = sorted((e, ring.normalize(c * scale)) for e, c in terms.items() if 0 < e < n)
-    out = a._c * ring.scalar(c0)
+    rest = [(e, ring.normalize(c * scale)) for e, c in terms.items() if 0 < e < n]
+    out, minus_one = a._c * ring.scalar(c0), ring.normalize(-1)
     if direction == "multiply":
-        minus_one = ring.normalize(-1)
         for e, c in rest:
             # every term of f[m] is +-1, which needs no multiply pass
             if c == 1:
@@ -582,17 +580,19 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
             else:
                 out[e:] += a._c[:n - e] * ring.scalar(c)
         return Series._wrap(ring, _reduce(out, ring.modulus))
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point here
-        exps = [e for e, _ in rest]
-        idx = np.array(exps, dtype=np.intp)
-        coef = np.array([c for _, c in rest], dtype=ring.dtype)
-        m = 0
-        for i in range(n):
-            while m < len(exps) and exps[m] <= i:
-                m += 1
-            if m:
-                out[i] -= np.dot(coef[:m], out[i - idx[:m]])
-    return Series._wrap(ring, _reduce(out, ring.modulus))
+    # the term of q^e joins the sums once b holds e coefficients: b[-e] is then
+    # b[i-e] for the b[i] being summed (mod 2, -1 is 1 and counts once, as 1)
+    m, b, joins = ring.modulus, [], dict(rest)
+    at, plus, minus, cs, es = b.__getitem__, [], [], [], []
+    for i, v in enumerate(out.tolist()):
+        if (c := joins.get(i)) is not None:
+            if c == 1 or c == minus_one:
+                (plus if c == 1 else minus).append(-i)
+            else:
+                cs.append(c), es.append(-i)
+        v += sum(map(at, minus)) - sum(map(at, plus)) - sum(map(operator.mul, cs, map(at, es)))
+        b.append(v % m if m else v)
+    return Series._wrap(ring, np.array(b, dtype=ring.dtype))
 
 
 def eulerian_sum(head: Series, steps) -> Series:
@@ -603,8 +603,8 @@ def eulerian_sum(head: Series, steps) -> Series:
     not decrease), multiplies it by (1 + c*q^j) for each (c, j) in `up`,
     divides it by (1 + c*q^j) for each (c, j) in `down`, and adds q^e * u.
     The sum stops at the first e >= order, so `steps` may be endless. Every
-    c is 1 or -1, so a multiply is one in-place pass and a divide one cumsum,
-    O(window) each; a factor with j at or past the window is a no-op.
+    c is 1 or -1, so a multiply and a divide (`_div_binomial`) each work in
+    place in O(window); a factor with j at or past the window is a no-op.
     """
     ring, order = head.ring, head.order
     acc = np.zeros(order, dtype=ring.dtype)
@@ -622,8 +622,7 @@ def eulerian_sum(head: Series, steps) -> Series:
             else:
                 u[j:] -= u[:-j]
         for c, j in down:
-            if j < len(u):
-                u = _div_binomial(u, ring.normalize(c), j, ring)
+            _div_binomial(u, c, j)
         acc[e:] += u
     return Series._wrap(ring, _reduce(acc, ring.modulus))
 

@@ -189,6 +189,17 @@ class TestBuilderAgainstProductDefinition:
         for order in (*range(1, 20), 401, 1200):
             assert _c_sum(order, ring, k) == three_term_step_c(order, ring, k), order
 
+    @pytest.mark.parametrize("ring", [mod2pow(8), MOD64], ids=str)
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_modular_head_matches_exact_build(self, ring, k):
+        # mod 2^w u_0 is f2*f4 (or f4^2) times Newton's invert(f1)^2, where the
+        # exact ring divides by f1 twice, term by term
+        for order in (1, 2, 64, 65, 600):
+            exact = _c_sum(order, EXACT, k)
+            assert _c_sum(order, ring, k) == change_ring(exact, ring), order
+            if k is not None:
+                assert series_ck(k, order, ring) == change_ring(series_ck(k, order), ring)
+
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
     def test_ck_is_c_once_2k_exceeds_order_minus_1(self, ring):
         for order in range(1, 41):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import count
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ def recurrence_divide(xs: list, ys: list, ring) -> list:
     if not xs:
         return []
     inv0 = ys[0] if ring == EXACT else pow(ys[0], -1, 1 << ring.width)
+    terms = [(i, y) for i, y in enumerate(ys) if i and y]  # the zero ys[i] add nothing
     b = []
     for k, x in enumerate(xs):
-        s = x - sum(ys[i] * b[k - i] for i in range(1, min(k, len(ys) - 1) + 1))
+        s = x - sum(y * b[k - i] for i, y in terms if i <= k)
         b.append(ring.normalize(s * inv0))
     return b
 
@@ -502,6 +504,18 @@ def signed_ints(rng: random.Random, n: int, bits: int, density: float) -> np.nda
                      if rng.random() < density else 0 for _ in range(n)], dtype=object)
 
 
+def record_dense_routes(monkeypatch) -> list:
+    """Patch the two dense exact routes of mul to log ("int64", False) for
+    an np.convolve of int64 operands and ("kronecker", square) for a
+    _kronecker_mul, and return the log."""
+    calls, kronecker, convolve = [], qcong.series._kronecker_mul, np.convolve
+    monkeypatch.setattr(qcong.series, "_kronecker_mul",
+                        lambda x, y: calls.append(("kronecker", y is None)) or kronecker(x, y))
+    monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(
+        ("int64" if x.dtype == y.dtype == np.int64 else str(x.dtype), False)) or convolve(x, y))
+    return calls
+
+
 class TestKroneckerMul:
     """The dense exact product, one big-integer multiply, against mul_sparse,
     the term-by-term product it replaces."""
@@ -519,15 +533,18 @@ class TestKroneckerMul:
 
     @pytest.mark.parametrize("n", [100, 700])
     def test_mul_routes_dense_products_here(self, n, monkeypatch):
-        calls, kronecker = [], qcong.series._kronecker_mul
-        monkeypatch.setattr(qcong.series, "_kronecker_mul",
-                            lambda *args: calls.append(args[1] is None) or kronecker(*args))
+        # the partition numbers to 99 have 28 bits, so their square at order 100
+        # fits an int64 (28 + 28 + 7 = 63 bits); the next product does not
+        routes = {100: [("int64", False), ("kronecker", False)],
+                  700: [("kronecker", True), ("kronecker", False)]}[n]
+        calls = record_dense_routes(monkeypatch)
         a = qc.invert(qc.pentagonal_series(1, n, EXACT))  # partition numbers
+        calls.clear()
         b = qc.mul(a, a)
         sq = [int(v) for v in a.coefficients()]
         assert b.coefficients() == schoolbook_mul(sq, sq, n)
         assert qc.mul(b, a).coefficients() == schoolbook_mul(b.coefficients(), sq, n)
-        assert calls[-2:] == [True, False]  # a square packs one operand
+        assert calls == routes  # a square packs one operand
 
     # Slot width B for 200-bit operands: bits 200 + 200 + bitlen(n) + 1, in
     # whole bytes. At n = 255 that is 409 bits, so B = 416; one bit less,
@@ -548,6 +565,62 @@ class TestKroneckerMul:
             assert got.tolist() == want
             if sign is not None:  # every coefficient k has magnitude (k+1) * m^2
                 assert want[-1] == sign * n * m * m
+
+
+class TestInt64Mul:
+    """A dense exact product below _FFT_MIN_ORDER with bits(max|x|) +
+    bits(max|y|) + bitlen(n) <= 63 is one np.convolve in int64; at 64 it is
+    _kronecker_mul. Operands at the largest magnitude put the top sum at
+    n * (2^bx - 1) * (2^by - 1), below 2^63 at 63 bits, and at 64 bits past
+    it for n = 127, 128, 255, 300 and 799, where an int64 would wrap."""
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 255, 256, 300, _FFT_MIN_ORDER - 1])
+    @pytest.mark.parametrize("total", [63, 64])
+    @pytest.mark.parametrize("xbits", [1, 27])
+    def test_bound(self, n, total, xbits, monkeypatch):
+        ybits = total - n.bit_length() - xbits
+        mx, my = (1 << xbits) - 1, (1 << ybits) - 1
+        rng = random.Random(n * total + xbits)
+        def operands(m):
+            return {"negative": [-m] * n, "positive": [m] * n,
+                    "alternating": [(-1) ** i * m for i in range(n)],
+                    "mixed": [rng.choice((1, -1)) * m for _ in range(n)]}
+        xs, ys = operands(mx), operands(my)
+        calls = record_dense_routes(monkeypatch)
+        route = ("int64", False) if total == 63 else ("kronecker", False)
+        for kx, ky in (("negative", "negative"), ("negative", "positive"),
+                       ("alternating", "alternating"), ("alternating", "negative"),
+                       ("mixed", "mixed")):
+            x, y = xs[kx], ys[ky]
+            calls.clear()
+            got = qc.mul(Series(EXACT, x), Series(EXACT, y))
+            assert got.coefficients() == schoolbook_mul(x, y, n), (kx, ky)
+            assert calls == [route]
+            if (kx, ky) == ("negative", "positive"):
+                assert got[n - 1] == -n * mx * my
+
+    @pytest.mark.parametrize("n", [127, 128, 255, 256])
+    @pytest.mark.parametrize("total", [63, 64])
+    def test_square(self, n, total, monkeypatch):
+        # a square's 2 * bits + bitlen(n) is 63 at n = 127 and 256 for both
+        # totals, and 62 or 64 at n = 128 and 255
+        bits = (total - n.bit_length()) // 2
+        m = (1 << bits) - 1
+        calls = record_dense_routes(monkeypatch)
+        for x in ([-m] * n, [(-1) ** i * m for i in range(n)]):
+            a = Series(EXACT, x)
+            calls.clear()
+            assert qc.mul(a, a).coefficients() == schoolbook_mul(x, x, n)
+            fits = 2 * bits + n.bit_length() <= 63
+            assert calls == [("int64", False) if fits else ("kronecker", True)]
+
+    def test_at_fft_min_order_takes_kronecker(self, monkeypatch):
+        n = _FFT_MIN_ORDER
+        x = [(-1) ** i * 3 for i in range(n)]
+        calls = record_dense_routes(monkeypatch)
+        got = qc.mul(Series(EXACT, x), Series(EXACT, x[::-1]))
+        assert got.coefficients() == schoolbook_mul(x, x[::-1], n)
+        assert calls == [("kronecker", False)]
 
 
 class TestInvert:
@@ -856,6 +929,18 @@ class TestSparseBinomial:
         modular = qc.mul_sparse_binomial(Series(ring, xs), c, 3, "divide")
         assert modular == Series(ring, exact)
 
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(5), qc.MOD64], ids=str)
+    @pytest.mark.parametrize("c", [1, -1])
+    @pytest.mark.parametrize("j", [1, 2, 7, 100])
+    def test_divide_at_the_block_count_boundary(self, ring, c, j):
+        # up to 16 blocks of j the divide is one slice op a block, past that
+        # a cumsum along the residue classes
+        rng = random.Random(j)
+        for n in (16 * j - 1, 16 * j, 16 * j + 1, 40 * j + 3):
+            xs = [rng.randrange(-2**70, 2**70) for _ in range(n)]
+            got = qc.mul_sparse_binomial(Series(ring, xs), c, j, "divide")
+            assert got == Series(ring, binomial_divide(xs, c, j)), n
+
     def test_divide_is_geometric(self):
         got = qc.mul_sparse_binomial(qc.one_series(EXACT, 9), -1, 2, "divide")
         assert got.coefficients() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
@@ -910,6 +995,41 @@ class TestSparseFactor:
             qc.mul_sparse(a, {-1: 1})
         with pytest.raises(ValueError):
             qc.mul_sparse(a, {0: 1}, "sideways")
+
+
+class TestSparseDivide:
+    """mul_sparse's divide, a Python-int recurrence in both rings, against
+    recurrence_divide at the orders around invert's recurrence head and at
+    the depth of the exact u_0."""
+
+    @pytest.mark.parametrize("n", [1, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
+                                   _NEWTON_MIN_ORDER + 1, 2800])
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(8), qc.MOD64], ids=str)
+    def test_matches_recurrence_and_undoes_multiply(self, n, ring):
+        rng = random.Random(n)
+        # a unit constant term: -1 exact, an odd value other than 1 mod 2^w;
+        # the rest mostly +-1, as in f[m], and some other values
+        terms = {0: -1 if ring == EXACT else rng.randrange(3, ring.modulus, 2)}
+        for e in rng.sample(range(1, n), min(n - 1, 2 * isqrt(n))):
+            terms[e] = rng.choice((1, -1, 1, -1, 2, -3))
+        terms[n + 3] = 5  # past the order: ignored
+        if ring == EXACT:
+            xs = [rng.randrange(-2**80, 2**80) for _ in range(n)]
+        else:
+            xs = [rng.randrange(ring.modulus) for _ in range(n)]
+        a = Series(ring, xs)
+        got = qc.mul_sparse(a, terms, "divide")
+        assert got.coefficients() == recurrence_divide(xs, factor_series(terms, n), ring)
+        assert qc.mul_sparse(got, terms) == a
+        assert qc.mul_sparse(qc.mul_sparse(a, terms), terms, "divide") == a
+
+    @pytest.mark.parametrize("ring", [qc.mod2pow(1), qc.mod2pow(2)], ids=str)
+    def test_minus_one_is_one_mod_2(self, ring):
+        # mod 2 the terms 1 and -1 are one residue, which the divide counts once
+        xs = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1] * 3
+        terms = {0: 1, 1: 1, 3: -1, 4: 3, 7: -3}
+        got = qc.mul_sparse(Series(ring, xs), terms, "divide")
+        assert got.coefficients() == recurrence_divide(xs, factor_series(terms, 30), ring)
 
 
 def eulerian_reference(head: list, steps, order: int) -> list:
