@@ -1,136 +1,37 @@
 """Exact truncated q-series arithmetic and congruence checking for two-color
-partition counting functions."""
+partition counting functions.
 
-from .series import (
-    EXACT,
-    MOD64,
-    CoefficientRing,
-    NonUnitError,
-    OrderError,
-    RingMismatchError,
-    Series,
-    add,
-    change_ring,
-    constant_series,
-    dissect,
-    dump_json_dict,
-    dump_text,
-    eulerian_sum,
-    first_incongruence,
-    invert,
-    mod2pow,
-    monomial,
-    mul,
-    mul_sparse,
-    mul_sparse_binomial,
-    narrowest_ring,
-    negate,
-    one_series,
-    power,
-    scalar_mul,
-    scan_progressions,
-    shift,
-    sub,
-    substitute_power,
-    zero_series,
-)
+The package exports the API that README documents (see its "Public names")
+and the names the benchmark imports; every other name lives in its module."""
 
-from .products import (
-    euler_fm,
-    pentagonal_series,
-    pochhammer_fin,
-    pochhammer_inf,
-)
-from .mock_theta import (b_eulerian, f3_series, omega_series, series_c,
-                         series_ck)
-from .oracle import (
-    BLUE,
-    RED,
-    ColoredPartition,
-    count_c_limit,
-    count_ck,
-    enumerate_ck,
-    oracle_table,
-)
-from .qexpr import ParseError, QExpr, evaluate, parse, to_source
-from .catalogue import (
-    CATALOGUE,
-    CatalogueEntry,
-    ClaimReport,
-    SuiteContext,
-    all_passed,
-    build_suite_context,
-    check_row,
-    run_catalogue,
-    suite_json,
-    verify_congruent,
-    verify_identity,
-)
+from .series import (EXACT, MOD64, CoefficientRing, NonUnitError, OrderError,
+                     RingMismatchError, Series, change_ring, dissect, eulerian_sum,
+                     first_incongruence, invert, mod2pow, mul, mul_sparse,
+                     mul_sparse_binomial, narrowest_ring, power, scan_progressions,
+                     substitute_power)
+from .products import euler_fm, pentagonal_series, pochhammer_fin, pochhammer_inf
+from .mock_theta import b_eulerian, f3_series, omega_series, series_c, series_ck
+from .oracle import count_c_limit, count_ck, enumerate_ck
+from .qexpr import ParseError, evaluate, parse
+from .catalogue import (CATALOGUE, ClaimReport, SuiteContext, build_suite_context,
+                        check_row, run_catalogue, verify_congruent, verify_identity)
 
 __all__ = [
-    "BLUE",
-    "CATALOGUE",
-    "EXACT",
-    "MOD64",
-    "RED",
-    "CatalogueEntry",
-    "ClaimReport",
-    "CoefficientRing",
-    "ColoredPartition",
-    "NonUnitError",
-    "OrderError",
-    "ParseError",
-    "QExpr",
-    "RingMismatchError",
-    "Series",
-    "SuiteContext",
-    "add",
-    "all_passed",
-    "b_eulerian",
-    "build_suite_context",
-    "change_ring",
-    "check_row",
-    "constant_series",
-    "count_c_limit",
-    "count_ck",
-    "dissect",
-    "dump_json_dict",
-    "dump_text",
-    "enumerate_ck",
-    "euler_fm",
-    "eulerian_sum",
-    "evaluate",
-    "f3_series",
-    "first_incongruence",
-    "invert",
-    "mod2pow",
-    "monomial",
-    "mul",
-    "mul_sparse",
-    "mul_sparse_binomial",
-    "narrowest_ring",
-    "negate",
-    "omega_series",
-    "one_series",
-    "oracle_table",
-    "parse",
-    "pentagonal_series",
-    "pochhammer_fin",
-    "pochhammer_inf",
-    "power",
-    "run_catalogue",
-    "scalar_mul",
-    "scan_progressions",
-    "series_c",
-    "series_ck",
-    "shift",
-    "sub",
+    # series
+    "EXACT", "MOD64", "CoefficientRing", "NonUnitError", "OrderError",
+    "RingMismatchError", "Series", "change_ring", "dissect", "eulerian_sum",
+    "first_incongruence", "invert", "mod2pow", "mul", "mul_sparse",
+    "mul_sparse_binomial", "narrowest_ring", "power", "scan_progressions",
     "substitute_power",
-    "suite_json",
-    "to_source",
-    "verify_congruent",
-    "verify_identity",
-    "zero_series",
+    # products and builders
+    "euler_fm", "pentagonal_series", "pochhammer_fin", "pochhammer_inf",
+    "b_eulerian", "f3_series", "omega_series", "series_c", "series_ck",
+    # oracle
+    "count_c_limit", "count_ck", "enumerate_ck",
+    # expression language and catalogue
+    "ParseError", "evaluate", "parse",
+    "CATALOGUE", "ClaimReport", "SuiteContext", "build_suite_context",
+    "check_row", "run_catalogue", "verify_congruent", "verify_identity",
 ]
 
 __version__ = "0.1.0"

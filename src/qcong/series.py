@@ -9,8 +9,7 @@ an object array for the exact ring, uint64 mod 2^w, whose arithmetic wraps
 mod 2^64. Every operation has one body for both rings and reduces its result
 through one hook, `_reduce(arr, modulus)`: nothing when exact or mod 2^64, a
 mask mod a smaller 2^w, a % on Python ints. The rings part ways only where
-storage or algorithm does: the dtype, `_reduce`, and the dense product route
-with its sparse-route ratio.
+storage or algorithm does: the dtype, `_reduce`, and the dense product route.
 
 `mul` goes term by term through `mul_sparse` when the sparser operand has
 few nonzero coefficients (f[m] and its low powers). Otherwise a product is
@@ -212,10 +211,6 @@ class Series:
         return power(self, e)
 
 
-def zero_series(ring: CoefficientRing, order: int) -> Series:
-    return Series._wrap(ring, np.zeros(order, dtype=ring.dtype))
-
-
 def one_series(ring: CoefficientRing, order: int) -> Series:
     return monomial(ring, order, 0, 1)
 
@@ -289,8 +284,9 @@ def mul(a: Series, b: Series) -> Series:
 
     Operands that are both series in q^d (d > 1) multiply as a[::d] and
     b[::d] by this same rule. Otherwise the sparser operand goes through
-    `mul_sparse` in O(order * terms) when it has few enough terms (f[m] or a
-    low power of it). Below _FFT_MIN_ORDER a dense product is np.convolve,
+    `mul_sparse` in O(order * terms) when it has at most order/16 terms (f[m]
+    or a low power of it), or order/4 when the dense kernel would be
+    `_kronecker_mul`. Below _FFT_MIN_ORDER a dense product is np.convolve,
     in int64 if exact and bits(max|x|) + bits(max|y|) + bitlen(order) <= 63
     (no sum then passes 2^63). Else it is `_kronecker_mul` or the FFT."""
     ring = _check_rings(a, b)
@@ -301,29 +297,28 @@ def mul(a: Series, b: Series) -> Series:
         return substitute_power(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])),
                                 d, 1, n)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
-    kronecker = ring.modulus is None
-    ratio = _SPARSE_RATIO_KRONECKER if kronecker else _SPARSE_RATIO_FFT
-    if not n or (np.count_nonzero(x) + _SPARSE_FIXED_TERMS) * ratio <= n:
+    terms, exact = np.count_nonzero(x), ring.modulus is None
+    kronecker = exact and terms * _SPARSE_RATIO > n and (
+        n >= _FFT_MIN_ORDER
+        or n.bit_length() + sum(int(abs(v).max()).bit_length() for v in (x, y)) > 63)
+    if terms * (_SPARSE_RATIO_KRONECKER if kronecker else _SPARSE_RATIO) <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
-    if kronecker and (n >= _FFT_MIN_ORDER or n.bit_length() + sum(
-            int(abs(v).max()).bit_length() for v in (x, y)) > 63):
+    if kronecker:
         return Series._wrap(ring, _kronecker_mul(x, None if b is a else y))
     out = _fft_mul(x, None if b is a else y, ring.width) if n >= _FFT_MIN_ORDER else None
     if out is None:
-        out = np.convolve(*(v.astype(np.int64) if kronecker else v for v in (x, y)))[:n]
+        out = np.convolve(*(v.astype(np.int64) if exact else v for v in (x, y)))[:n]
     return Series._wrap(ring, _reduce(out, ring.modulus))
 
 
 # Dense mod-2^w products at or above this order go through the float FFT;
 # below it np.convolve is faster.
 _FFT_MIN_ORDER = 800
-# mul_sparse takes the sparser operand when its nonzero terms plus a fixed cost of
-# about 4 terms are at most order / ratio, one ratio per dense route: break-even
-# is about 4 against Kronecker, 8-40 against the FFT or np.convolve (which wins
-# below order ~128 mod 2^w).
+# mul_sparse takes the sparser operand when its nonzero terms are at most
+# order / ratio, priced against the dense kernel the product would take: 16
+# against np.convolve and the FFT, 4 against Kronecker (see README).
+_SPARSE_RATIO = 16
 _SPARSE_RATIO_KRONECKER = 4
-_SPARSE_RATIO_FFT = 16
-_SPARSE_FIXED_TERMS = 4
 # invert runs the coefficient recurrence up to this order and Newton's
 # iteration above it.
 _NEWTON_MIN_ORDER = 64

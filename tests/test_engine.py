@@ -21,7 +21,6 @@ from qcong import (
     ClaimReport,
     OrderError,
     Series,
-    all_passed,
     b_eulerian,
     build_suite_context,
     change_ring,
@@ -32,7 +31,6 @@ from qcong import (
     f3_series,
     first_incongruence,
     mod2pow,
-    monomial,
     mul,
     mul_sparse,
     mul_sparse_binomial,
@@ -44,20 +42,17 @@ from qcong import (
     scan_progressions,
     series_c,
     series_ck,
-    shift,
-    suite_json,
     verify_congruent,
     verify_identity,
-    zero_series,
 )
 from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
                              ORACLE_LIMIT, SCAN_ROWS, _family_entry,
-                             _scan_order)
+                             _scan_order, all_passed, suite_json)
 from qcong.cli import main
 from qcong import qexpr
 import qcong.series
 from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
-from qcong.series import _FFT_MIN_ORDER
+from qcong.series import _FFT_MIN_ORDER, monomial, shift
 from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
                          evaluate, parse, reads, to_source)
 
@@ -132,7 +127,7 @@ def reference_c(order, ring, k=None):
     for j in range(1, order, 2):
         term = mul_sparse_binomial(term, -1, j, "divide")
         term = mul_sparse_binomial(term, -1, j, "divide")
-    total = zero_series(ring, order)
+    total = monomial(ring, order, 0, 0)
     for j in range(1, order, 2):
         total = total + term
         term = shift(term, 2)
@@ -442,7 +437,7 @@ class TestScanOrder:
 
     @pytest.mark.parametrize("order", [1, 2, 63, 1200, 10000, 40000])
     def test_closed_form_matches_bisection(self, order):
-        seeds = {CSeries(): zero_series(mod2pow(8), order)}
+        seeds = {CSeries(): monomial(mod2pow(8), order, 0, 0)}
         for lhs, rhs in self.SIDES:
             sides = (parse(lhs), parse(rhs))
             assert _scan_order(sides, seeds) == bisected_scan_order(sides, seeds), \
@@ -456,7 +451,7 @@ class TestScanOrder:
         ("0", "0"),                     # reads no seed
     ])
     def test_other_shapes_raise(self, lhs, rhs):
-        seeds = {CSeries(): zero_series(mod2pow(8), 100)}
+        seeds = {CSeries(): monomial(mod2pow(8), 100, 0, 0)}
         with pytest.raises(ValueError):
             check_row((parse(lhs), parse(rhs)), 4, seeds)
 
@@ -655,7 +650,7 @@ class TestScan:
         assert scan_progressions(ctx.c_scan, 8, [], 30) == []
 
     def test_zero_series_matches_everything(self):
-        claims = scan_progressions(zero_series(EXACT, 100), 4, [2], 20)
+        claims = scan_progressions(monomial(EXACT, 100, 0, 0), 4, [2], 20)
         assert len(claims) == 1 + 2 + 3 + 4
 
     def test_scan_needs_enough_order(self):
@@ -811,7 +806,7 @@ class TestSharedMemo:
         # forms), never reuse a series cached from ctx
         run_catalogue(ctx)
         bump = sum((monomial(EXACT, ctx.b_exact.order, i) for i in range(8)),
-                   zero_series(EXACT, ctx.b_exact.order))
+                   monomial(EXACT, ctx.b_exact.order, 0, 0))
         bumped = dataclasses.replace(ctx, b_exact=ctx.b_exact + bump)
         assert len(bumped.memo) == 4 < len(ctx.memo)
         failed = {r.claim_id for r in run_catalogue(bumped)
@@ -848,7 +843,7 @@ class TestEq23:
 @st.composite
 def small_series(draw):
     coeffs = draw(st.lists(st.integers(-20, 20), min_size=4, max_size=40))
-    s = zero_series(EXACT, len(coeffs))
+    s = monomial(EXACT, len(coeffs), 0, 0)
     for i, c in enumerate(coeffs):
         if c:
             s = s + monomial(EXACT, len(coeffs), i, c)

@@ -25,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from qcong import EXACT, build_suite_context, mod2pow, monomial, run_catalogue
+from qcong import EXACT, build_suite_context, mod2pow, run_catalogue
 from qcong.cli import main
+from qcong.series import monomial
 
 DATA = Path(__file__).resolve().parent / "data"
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)

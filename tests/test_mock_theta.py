@@ -5,6 +5,7 @@ from qcong import EXACT, MOD64, mod2pow
 from qcong.catalogue import EQ_2_3_ROWS
 from qcong.mock_theta import appell_sum, b_eulerian, f3_series, omega_series
 from qcong.qexpr import evaluate, parse
+from qcong.series import monomial, one_series, shift
 
 # the bilateral (Appell-Lerch) forms of B and omega, as eq 2-3's rows write them
 B_APPELL, OMEGA_APPELL = (parse(EQ_2_3_ROWS[name][3]) for name in ("B", "omega"))
@@ -121,7 +122,7 @@ class TestB:
     def test_odd_part_is_even(self):
         n = 300
         odd = qc.dissect(b_eulerian(2 * n), 2, 1).truncate(n)
-        assert qc.first_incongruence(odd, qc.zero_series(EXACT, n), 2, n) is None
+        assert qc.first_incongruence(odd, monomial(EXACT, n, 0, 0), 2, n) is None
 
     def test_parity_is_lacunary_theta(self):
         # mod 2 the whole of B collapses onto exponents 2n^2+2n
@@ -138,12 +139,12 @@ class TestB:
 def appell_by_binomials(quadratic, n, ring):
     """The Appell-Lerch sum term by term: (1+q^a)/(1-q^a) as one binomial
     multiply and one binomial divide, shifted and added with its sign."""
-    total = qc.zero_series(ring, n)
+    total = monomial(ring, n, 0, 0)
     m = 0
     while quadratic * m * (m + 1) < n:
-        term = qc.mul_sparse_binomial(qc.one_series(ring, n), 1, 2 * m + 1)
+        term = qc.mul_sparse_binomial(one_series(ring, n), 1, 2 * m + 1)
         term = qc.mul_sparse_binomial(term, -1, 2 * m + 1, "divide")
-        term = qc.shift(term, quadratic * m * (m + 1))
+        term = shift(term, quadratic * m * (m + 1))
         total = total + (term if m % 2 == 0 else -term)
         m += 1
     return total
@@ -194,8 +195,8 @@ class TestF3:
         n = 200
         lhs = (
             qc.substitute_power(f3_series(-(-n // 8) + 1), 8, 1).truncate(n)
-            - 2 * qc.shift(qc.substitute_power(omega_series(n), 1, -1), 1)
-            - 2 * qc.shift(
+            - 2 * shift(qc.substitute_power(omega_series(n), 1, -1), 1)
+            - 2 * shift(
                 qc.substitute_power(omega_series(-(-n // 4) + 1), 4, -1), 3
             ).truncate(n)
         )

@@ -1,12 +1,16 @@
-"""What the benchmark child (`perfbench/child.py`) needs of qcong.
+"""What the benchmark (`perfbench/child.py` and `perfbench/record.py`) needs
+of qcong.
 
-The child is run against every revision of the package, so a refactor that
-drops a name it imports, changes how it builds a SuiteContext, or changes
-the report fields its metrics read must fail here first.
+The benchmark is run against every revision of the package, so a refactor
+that drops a name it imports, changes how it builds a SuiteContext, or
+changes the report fields its metrics read must fail here first. The
+package exports README's public names, which include every name the
+benchmark imports from it, and nothing else.
 """
 
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,8 +19,10 @@ import pytest
 import qcong
 from qcong import (CATALOGUE, EXACT, MOD64, SuiteContext, b_eulerian,
                    f3_series, omega_series, series_c)
+from qcong.catalogue import all_passed
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = PERFBENCH.parent / "README.md"
 sys.path.insert(0, str(PERFBENCH))
 
 from check import series_sha256  # noqa: E402
@@ -34,22 +40,52 @@ SUITE_SERIES = {
 
 
 def qcong_imports() -> list[tuple[str, str]]:
-    """(module, name) for every name child.py imports from qcong."""
-    tree = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in ast.walk(tree)
+    """(module, name) for every name child.py and record.py import from
+    qcong."""
+    return [(node.module, alias.name)
+            for script in ("child.py", "record.py")
+            for node in ast.walk(ast.parse((PERFBENCH / script).read_text(encoding="utf-8")))
             if isinstance(node, ast.ImportFrom) and node.module
             and node.module.split(".")[0] == "qcong"
             for alias in node.names]
+
+
+def readme_public_names() -> set[str]:
+    """The names in README's public-names list: the bullets that follow the
+    line naming `qcong.__all__`."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "`qcong.__all__`" in line)
+    listed = []
+    for line in lines[start + 2:]:  # past the blank line before the list
+        if not line.startswith(("- ", "  ")):
+            break
+        listed += re.findall(r"`([A-Za-z_]\w*)`", line)
+    return set(listed)
 
 
 def test_every_imported_name_exists():
     imports = qcong_imports()
     names = {name for _, name in imports}
     assert {"verify_identity", "verify_congruent", "mul_sparse_binomial",
-            "SuiteContext", "CATALOGUE"} <= names
+            "SuiteContext", "CATALOGUE", "build_suite_context",
+            "run_catalogue"} <= names
     for module, name in imports:
         mod = __import__(module, fromlist=[name])
         assert hasattr(mod, name), f"{module}.{name}"
+
+
+def test_namespace_is_the_documented_api_and_the_benchmark_imports():
+    # the package namespace cannot regrow unnoticed, and a trim cannot drop a
+    # name the benchmark imports from the package
+    exported = set(qcong.__all__)
+    assert len(exported) == len(qcong.__all__)
+    for name in exported:
+        assert hasattr(qcong, name), name
+    documented = readme_public_names()
+    benchmark = {name for module, name in qcong_imports() if module == "qcong"}
+    assert len(documented) > 30 and benchmark
+    assert exported == documented
+    assert benchmark <= exported
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +125,7 @@ def test_verdicts_match_the_reference(suite):
     want = {c["id"]: (c["status"], c["witness"])
             for c in ref["published"]["claims"]}
     assert got == want
-    assert qcong.all_passed([r for rs in reports.values() for r in rs])
+    assert all_passed([r for rs in reports.values() for r in rs])
 
 
 def test_series_match_the_reference_hashes(suite):

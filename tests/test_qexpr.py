@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcong import EXACT, MOD64, NonUnitError, count_ck, euler_fm, mul, omega_series
-from qcong import b_eulerian, f3_series, monomial, pentagonal_series
+from qcong import b_eulerian, f3_series, pentagonal_series
 from qcong import pochhammer_fin, pochhammer_inf, series_c, series_ck
 from qcong.catalogue import CLAIM_ROWS
 from qcong.mock_theta import appell_sum
@@ -35,6 +35,7 @@ from qcong.qexpr import (
     reads,
     to_source,
 )
+from qcong.series import monomial
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 

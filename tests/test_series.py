@@ -16,14 +16,17 @@ import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
 from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
-                          _NEWTON_MIN_ORDER, _SPARSE_FIXED_TERMS, _SPARSE_RATIO_FFT,
-                          _fft_limbs, _fft_mul, _fft_size, _kronecker_mul)
+                          _NEWTON_MIN_ORDER, _SPARSE_RATIO, _SPARSE_RATIO_KRONECKER,
+                          _fft_limbs, _fft_mul, _fft_size, _kronecker_mul,
+                          constant_series, dump_json_dict, dump_text, monomial,
+                          one_series, scalar_mul, shift, sub)
 
 
-def sparse_limit(n: int) -> int:
-    """The most nonzero terms a mod-2^w operand of order n may have and
-    still multiply through mul_sparse."""
-    return n // _SPARSE_RATIO_FFT - _SPARSE_FIXED_TERMS
+def sparse_limit(n: int, ratio: int = _SPARSE_RATIO) -> int:
+    """The most nonzero terms an operand of order n may have and still
+    multiply through mul_sparse, for the ratio of the dense kernel the
+    product would otherwise take."""
+    return n // ratio
 
 
 def schoolbook_mul(a: list, b: list, n: int) -> list:
@@ -104,8 +107,8 @@ class TestConstruction:
         assert s[0] == 1
 
     def test_monomial(self):
-        assert qc.monomial(EXACT, 5, 2, -3).coefficients() == [0, 0, -3, 0, 0]
-        assert qc.monomial(EXACT, 2, 4).coefficients() == [0, 0]
+        assert monomial(EXACT, 5, 2, -3).coefficients() == [0, 0, -3, 0, 0]
+        assert monomial(EXACT, 2, 4).coefficients() == [0, 0]
 
     def test_invalid_rings(self):
         with pytest.raises(ValueError):
@@ -130,7 +133,7 @@ class TestArithmetic:
         b = exact_series([1] * 5)
         assert (a + b).order == 5
         assert (a * b).order == 5
-        assert qc.sub(b, a).order == 5
+        assert sub(b, a).order == 5
 
     def test_scalar_mul(self):
         a = exact_series([1, -2, 3])
@@ -170,7 +173,7 @@ class TestArithmetic:
         big = 1 << 63
         a = Series(qc.MOD64, [big, 1])
         assert (a + a).coefficients() == [0, 2]
-        assert qc.scalar_mul(-1, a)[0] == big  # -2^63 == 2^63 mod 2^64
+        assert scalar_mul(-1, a)[0] == big  # -2^63 == 2^63 mod 2^64
 
 
 def random_u64(rng, n: int, ring) -> np.ndarray:
@@ -427,16 +430,18 @@ def sparse_u64(rng, n: int, terms: int, ring) -> np.ndarray:
     return x
 
 
+@pytest.fixture
+def sparse_calls(monkeypatch):
+    """One entry for every product that mul sends term by term."""
+    calls, mul_sparse = [], qcong.series.mul_sparse
+    monkeypatch.setattr(qcong.series, "mul_sparse",
+                        lambda *args: calls.append(1) or mul_sparse(*args))
+    return calls
+
+
 class TestSparseMul:
     """mul mod 2^w with an operand that has few nonzero coefficients, which
     goes term by term through mul_sparse, against np.convolve."""
-
-    @pytest.fixture
-    def sparse_calls(self, monkeypatch):
-        calls, mul_sparse = [], qcong.series.mul_sparse
-        monkeypatch.setattr(qcong.series, "mul_sparse",
-                            lambda *args: calls.append(1) or mul_sparse(*args))
-        return calls
 
     @pytest.mark.parametrize("n", [1000, 6000])
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
@@ -454,7 +459,7 @@ class TestSparseMul:
     @pytest.mark.parametrize("ring", [qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_sparse_times_sparse_and_unequal_orders(self, n, ring, sparse_calls):
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO_FFT), ring)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
         y = sparse_u64(rng, n + 57, sparse_limit(n - 300), ring)  # sparse at n - 300
         z = random_u64(rng, n - 300, ring)
         got = qc.mul(Series(ring, x), Series(ring, y))
@@ -472,7 +477,7 @@ class TestSparseMul:
     def test_small_coefficients(self, n, ring, values, sparse_calls):
         # +-1 terms take plain adds and subtracts, the rest a multiply pass
         rng = np.random.default_rng(n)
-        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO_FFT), ring)
+        x = sparse_u64(rng, n, n // (2 * _SPARSE_RATIO), ring)
         x[x != 0] = [ring.normalize(c) for c in rng.choice(values, np.count_nonzero(x))]
         x[0] = ring.normalize(values[-1])
         y = random_u64(rng, n, ring)
@@ -514,6 +519,34 @@ def record_dense_routes(monkeypatch) -> list:
     monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(
         ("int64" if x.dtype == y.dtype == np.int64 else str(x.dtype), False)) or convolve(x, y))
     return calls
+
+
+class TestExactSparseRoute:
+    """The exact ring's route rule at its boundary: floor(n / ratio) terms go
+    through mul_sparse and one more goes dense, where the ratio is priced
+    against the dense kernel the product would take (16 against the int64
+    np.convolve, 4 against _kronecker_mul)."""
+
+    @pytest.mark.parametrize("n, bits, ratio, dense", [
+        (100, 8, _SPARSE_RATIO, "int64"),
+        (700, 8, _SPARSE_RATIO, "int64"),
+        (800, 8, _SPARSE_RATIO_KRONECKER, "kronecker"),
+        (1200, 8, _SPARSE_RATIO_KRONECKER, "kronecker"),
+        (200, 40, _SPARSE_RATIO_KRONECKER, "kronecker"),  # 40 + 40 + 8 > 63 bits
+    ])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_boundary(self, n, bits, ratio, dense, extra, sparse_calls, monkeypatch):
+        rng = random.Random(n + extra)
+        x = np.zeros(n, dtype=object)
+        x[0] = (1 << bits) - 1  # so bits(max|x|) is `bits`
+        for e in rng.sample(range(1, n), sparse_limit(n, ratio) + extra - 1):
+            x[e] = rng.choice((1, -1)) * rng.randrange(1, 1 << bits)
+        y = signed_ints(rng, n, bits, 1.0)
+        calls = record_dense_routes(monkeypatch)
+        for a, b in ((x, y), (y, x)):
+            got = qc.mul(Series(EXACT, a), Series(EXACT, b))
+            assert got.coefficients() == schoolbook_mul(list(x), list(y), n)
+        assert (len(sparse_calls), calls) == ((0, [(dense, False)] * 2) if extra else (2, []))
 
 
 class TestKroneckerMul:
@@ -630,7 +663,7 @@ class TestInvert:
 
     def test_invert_euler_product_counts_partitions(self):
         n = 40
-        prod = qc.one_series(EXACT, n)
+        prod = one_series(EXACT, n)
         for j in range(1, n):
             prod = qc.mul_sparse_binomial(prod, -1, j)
         assert qc.invert(prod).coefficients() == partition_table(n - 1)
@@ -649,7 +682,7 @@ class TestInvert:
     def test_invert_roundtrip(self, xs):
         a = exact_series(xs)
         prod = qc.mul(a, qc.invert(a))
-        assert prod == qc.one_series(EXACT, a.order)
+        assert prod == one_series(EXACT, a.order)
 
     @given(unit_lists.filter(lambda xs: xs[0] & 1), widths)
     def test_mod_invert_matches_reduced_exact(self, xs, w):
@@ -657,7 +690,7 @@ class TestInvert:
         ring = qc.mod2pow(w)
         a = Series(ring, xs)
         prod = qc.mul(a, qc.invert(a))
-        assert prod == qc.one_series(ring, a.order)
+        assert prod == one_series(ring, a.order)
 
     def test_division_dunder(self):
         a = exact_series([2, 3, 5, 7])
@@ -694,7 +727,7 @@ class TestNewtonInvert:
             a = Series(ring, x)
             got = qc.invert(a)
             assert got == recurrence_inverse(x, ring)
-            assert qc.mul(a, got) == qc.one_series(ring, n)
+            assert qc.mul(a, got) == one_series(ring, n)
 
     @pytest.mark.parametrize("w", [5, 64])
     def test_matches_recurrence_at_40000(self, w):
@@ -704,7 +737,7 @@ class TestNewtonInvert:
         a = Series(ring, x)
         got = qc.invert(a)
         assert got == recurrence_inverse(x, ring)
-        assert qc.mul(a, got) == qc.one_series(ring, n)
+        assert qc.mul(a, got) == one_series(ring, n)
 
     @pytest.mark.parametrize("n", [1500, 6000])
     def test_sparse_operand(self, n):
@@ -714,7 +747,7 @@ class TestNewtonInvert:
             got = qc.invert(f)
             assert got == recurrence_inverse(np.array(f.coefficients(), dtype=np.uint64),
                                              qc.MOD64)
-            assert qc.mul(f, got) == qc.one_series(qc.MOD64, n)
+            assert qc.mul(f, got) == one_series(qc.MOD64, n)
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 200])
@@ -727,7 +760,7 @@ class TestNewtonInvert:
             a = exact_series(x)
             got = qc.invert(a)
             assert got.coefficients() == recurrence_divide(one, x, EXACT)
-            assert qc.mul(a, got) == qc.one_series(EXACT, n)
+            assert qc.mul(a, got) == one_series(EXACT, n)
 
     @pytest.mark.parametrize("n", [_NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 700, 2800])
@@ -735,7 +768,7 @@ class TestNewtonInvert:
         # the exact divide recurrence Newton's iteration replaced above
         # _NEWTON_MIN_ORDER: on f[1] (sparse; its inverse, the partition
         # numbers, passes 2^150) and on that inverse at -q (dense, signed)
-        one = qc.one_series(EXACT, n)
+        one = one_series(EXACT, n)
         f1 = qc.pentagonal_series(1, n, EXACT)
         partitions = qc.mul_sparse(one, {e: c for e, c in enumerate(f1.coefficients()) if c},
                                    "divide")
@@ -781,7 +814,7 @@ def reference_mul(x: np.ndarray, y: np.ndarray, ring) -> Series:
 
 def reference_invert(x: np.ndarray, ring) -> Series:
     """The uncompressed inverse: mul_sparse's divide recurrence."""
-    return qc.mul_sparse(qc.one_series(ring, len(x)), terms_of(x), "divide")
+    return qc.mul_sparse(one_series(ring, len(x)), terms_of(x), "divide")
 
 
 class TestStrideCompression:
@@ -855,11 +888,11 @@ class TestStrideCompression:
         rng = np.random.default_rng(5)
         y = q_power_series(rng, ring, 40, 3, True)
         b = Series(ring, y)
-        zero, seven = qc.zero_series(ring, 40), qc.constant_series(ring, 40, 7)
+        zero, seven = monomial(ring, 40, 0, 0), constant_series(ring, 40, 7)
         assert qc.mul(zero, b) == qc.mul(b, zero) == qc.mul(zero, zero) == zero
-        assert qc.mul(seven, b) == qc.mul(b, seven) == qc.scalar_mul(7, b)
-        assert qc.mul(seven, seven) == qc.constant_series(ring, 40, 49)
-        minus_one = qc.constant_series(ring, 40, -1)
+        assert qc.mul(seven, b) == qc.mul(b, seven) == scalar_mul(7, b)
+        assert qc.mul(seven, seven) == constant_series(ring, 40, 49)
+        minus_one = constant_series(ring, 40, -1)
         assert qc.invert(minus_one) == minus_one
         with pytest.raises(qc.NonUnitError):
             qc.invert(zero)
@@ -887,7 +920,7 @@ class TestPower:
     def test_small_powers(self):
         a = exact_series([1, 1, 0, 0, 0, 0])
         assert qc.power(a, 3).coefficients() == [1, 3, 3, 1, 0, 0]
-        assert qc.power(a, 0) == qc.one_series(EXACT, 6)
+        assert qc.power(a, 0) == one_series(EXACT, 6)
         assert qc.power(a, 1) == a
 
     def test_negative_power(self):
@@ -942,7 +975,7 @@ class TestSparseBinomial:
             assert got == Series(ring, binomial_divide(xs, c, j)), n
 
     def test_divide_is_geometric(self):
-        got = qc.mul_sparse_binomial(qc.one_series(EXACT, 9), -1, 2, "divide")
+        got = qc.mul_sparse_binomial(one_series(EXACT, 9), -1, 2, "divide")
         assert got.coefficients() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_bad_arguments(self):
@@ -1078,7 +1111,7 @@ class TestEulerianSum:
     def test_endless_steps_stop_at_the_order(self):
         # sum over n of q^n / (1 - q)^(n+1) = 1 / (1 - 2q)
         steps = ((n, [], [(-1, 1)]) for n in count())
-        got = qc.eulerian_sum(qc.one_series(EXACT, 10), steps)
+        got = qc.eulerian_sum(one_series(EXACT, 10), steps)
         assert got.coefficients() == [2**i for i in range(10)]
 
     def test_head_is_not_modified(self):
@@ -1091,7 +1124,7 @@ class TestEulerianSum:
                                          ([(1, 0)], []), ([], [(-1, 0)])])
     def test_rejects_a_factor_other_than_one_plus_minus_q_j(self, up, down):
         with pytest.raises(ValueError):
-            qc.eulerian_sum(qc.one_series(qc.MOD64, 5), [(0, up, down)])
+            qc.eulerian_sum(one_series(qc.MOD64, 5), [(0, up, down)])
 
 
 class TestReindexing:
@@ -1140,9 +1173,9 @@ class TestReindexing:
         for r in range(m):
             d = qc.dissect(a, m, r)
             if d.order > 0:
-                pieces.append(qc.shift(qc.substitute_power(d, m, 1), r))
+                pieces.append(shift(qc.substitute_power(d, m, 1), r))
         n = min([p.order for p in pieces] + [a.order])
-        total = qc.zero_series(EXACT, n)
+        total = monomial(EXACT, n, 0, 0)
         for p in pieces:
             total = total + p.truncate(n)
         assert qc.first_incongruence(total, a, None, n) is None
@@ -1163,9 +1196,9 @@ class TestReindexing:
 
     def test_shift(self):
         a = exact_series([1, 2, 3, 4])
-        assert qc.shift(a, 2).coefficients() == [0, 0, 1, 2]
-        assert qc.shift(a, 0) is a
-        assert qc.shift(a, 9).coefficients() == [0, 0, 0, 0]
+        assert shift(a, 2).coefficients() == [0, 0, 1, 2]
+        assert shift(a, 0) is a
+        assert shift(a, 9).coefficients() == [0, 0, 0, 0]
 
 
 class TestComparisonAndReduction:
@@ -1213,13 +1246,13 @@ class TestComparisonAndReduction:
     def test_first_incongruence_finds_index_zero(self):
         # witness at exponent 0 must not be conflated with "no witness"
         a = exact_series([1, 4, 8])
-        z = qc.zero_series(EXACT, 3)
+        z = monomial(EXACT, 3, 0, 0)
         assert qc.first_incongruence(a, z, 4, 3) == 0
 
     def test_congruence_mod_ring(self):
         ring = qc.mod2pow(6)
         a = Series(ring, [8, 4, 12])
-        z = qc.zero_series(ring, 3)
+        z = monomial(ring, 3, 0, 0)
         assert qc.first_incongruence(a, z, 4, 3) is None
         assert qc.first_incongruence(a, z, 8, 3) == 1
         with pytest.raises(ValueError):
@@ -1327,11 +1360,11 @@ class TestNarrowestRing:
 class TestDump:
     def test_text_lines(self):
         a = exact_series([1, 0, -2])
-        assert qc.dump_text(a) == "0\t1\n1\t0\n2\t-2"
+        assert dump_text(a) == "0\t1\n1\t0\n2\t-2"
 
     def test_json_dict(self):
         a = Series(qc.mod2pow(6), [1, -1])
-        assert qc.dump_json_dict(a) == {
+        assert dump_json_dict(a) == {
             "order": 2,
             "ring": "mod2pow:6",
             "coeffs": ["1", "63"],
