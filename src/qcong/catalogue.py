@@ -18,7 +18,6 @@ directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -150,7 +149,6 @@ def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
     if (b_mult + 1) % 3:
         raise ValueError(f"({b_mult}*4^k + 1)/3 is not an integer")
 
-    @lru_cache(maxsize=None)
     def row(k: int) -> CatalogueEntry:
         lhs = f"D[{2 ** (2 * k + a_exp)},{(b_mult * 4**k + 1) // 3}](C)"
         rhs = ("0" if relation is None else

@@ -21,19 +21,22 @@ sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0) is the sum over n of
 e[m*n + r] * q^n.  Division is literal series division: the denominator
 must have a unit constant term.  Only integer literals exist.
 
-Every named atom but `D` is one row of `_ATOMS` (its source name, node class
-and argument shape), which the parser, the printer and the parse errors
-read, and one builder: in `_BUILDERS` when it is built from its fields, in
-`_MOCK_THETA` when it takes a `qarg`.  A new atom is a node class, a row in
-`_ATOMS` and a builder; nothing else changes.
+Every named atom, `D` included, is one row of `_ATOMS` (its source name,
+node class and argument shape), and every operator one row of `_BINARY`;
+the parser, the printer and the parse errors read both.  `_children` is the
+one rule for the nodes a node is evaluated from, which `evaluate` and
+`reads` both follow; a node without children is a leaf, built by its row in
+`_BUILDERS`.  A new leaf atom is a node class, a row in `_ATOMS` and a
+builder; nothing else changes.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import astuple, dataclass
-from typing import Callable, Optional, Union
+from dataclasses import astuple, dataclass, fields
+from functools import lru_cache
+from typing import Optional, Union
 
 from .mock_theta import (appell_sum, b_eulerian, f3_series, omega_series,
                          series_c, series_ck)
@@ -230,10 +233,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# {source name: (node class, argument shape)} for every named atom but D.
-# A shape "[...]" lists the fields in brackets, each an INT or a SINT;
-# "(qarg)" is one parenthesised sign * q^power.
-_ATOMS = {
+# {source name: (node class, argument shape)} for every named atom, the shape
+# split into pieces once, here: "int", "sint" (a signed INT), "qarg" (two
+# fields) and "expr" stand for the node's fields in order, and every other
+# piece is a symbol that must follow the name in the source.
+_ATOMS = {name: (cls, re.findall(r"[a-z]+|\S", shape)) for name, (cls, shape) in {
     "q": (Q, ""),
     "C": (CSeries, ""),
     "Ck": (CkSeries, "[int]"),
@@ -244,15 +248,29 @@ _ATOMS = {
     "B": (BFun, "(qarg)"),
     "pochinf": (PochInf, "[sint,int,int]"),
     "pochfin": (PochFin, "[sint,int,int,int]"),
-}
-_ATOM_NAMES = {cls: (name, shape) for name, (cls, shape) in _ATOMS.items()}
-_ATOM_EXPECTED = ("integer", *_ATOMS, "D", "(", "-")
+    "D": (Dissect, "[int,int](expr)"),
+}.items()}
+_ATOM_NAMES = {cls: (name, pieces) for name, (cls, pieces) in _ATOMS.items()}
+_ATOM_EXPECTED = ("integer", *_ATOMS, "(", "-")
+
+_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+
+# {binary node: (its operator in source, its precedence, its series operation)}
+_BINARY = {Add: (" + ", _PREC_ADD, operator.add),
+           Sub: (" - ", _PREC_ADD, operator.sub),
+           Mul: ("*", _PREC_MUL, mul),
+           Div: ("/", _PREC_MUL, mul)}
+# {precedence: {operator symbol: binary node}}, the parser's view of _BINARY
+_LEVELS = {prec: {sym.strip(): node for node, (sym, p, _) in _BINARY.items() if p == prec}
+           for _, prec, _ in _BINARY.values()}
 
 
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        # the methods that read the single fields an atom's shape names
+        self.readers = {"int": self.expect_int, "sint": self.signed_int, "expr": self.expr}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -280,37 +298,18 @@ class _Parser:
         return int(text)
 
     def signed_int(self) -> int:
-        negative = self.match_sym("-") is not None
-        value = self.expect_int()
-        return -value if negative else value
+        sign = -1 if self.match_sym("-") else 1
+        return sign * self.expect_int()
 
-    def node(self, offset: int, ctor: Callable, *args) -> QExpr:
-        # semantic bounds (dissection residue, argument signs, ...) live on
-        # the node constructors; surface them with the source position
-        try:
-            return ctor(*args)
-        except ValueError as exc:
-            raise ParseError(offset, str(exc)) from None
-
-    # precedence ladder
-
-    def expr(self) -> QExpr:
-        node = self.term()
-        while True:
-            op = self.match_sym("+", "-")
-            if op is None:
-                return node
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-
-    def term(self) -> QExpr:
-        node = self.factor()
-        while True:
-            op = self.match_sym("*", "/")
-            if op is None:
-                return node
-            right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+    def expr(self, prec: int = min(_LEVELS)) -> QExpr:
+        """The operators of precedence `prec` or tighter, left associative."""
+        if prec not in _LEVELS:
+            return self.factor()
+        ops, node = _LEVELS[prec], self.expr(prec + 1)
+        while (token := self.peek())[0] == "sym" and token[1] in ops:
+            self.pos += 1
+            node = ops[token[1]](node, self.expr(prec + 1))
+        return node
 
     def factor(self) -> QExpr:
         node = self.atom()
@@ -341,33 +340,23 @@ class _Parser:
                          expected=_ATOM_EXPECTED)
 
     def named_atom(self, name: str, offset: int) -> QExpr:
-        if name in _ATOMS:
-            ctor, shape = _ATOMS[name]
-            args = []
-            if shape == "(qarg)":
-                self.expect_sym("(")
-                args = self.qarg()
-                self.expect_sym(")")
-            elif shape:
-                self.expect_sym("[")
-                for i, kind in enumerate(shape[1:-1].split(",")):
-                    if i:
-                        self.expect_sym(",")
-                    args.append(self.signed_int() if kind == "sint"
-                                else self.expect_int())
-                self.expect_sym("]")
-            return self.node(offset, ctor, *args)
-        if name == "D":
-            self.expect_sym("[")
-            m = self.expect_int()
-            self.expect_sym(",")
-            r = self.expect_int()
-            self.expect_sym("]")
-            self.expect_sym("(")
-            child = self.expr()
-            self.expect_sym(")")
-            return self.node(offset, Dissect, m, r, child)
-        raise ParseError(offset, f"unknown name {name!r}", expected=_ATOM_EXPECTED)
+        if name not in _ATOMS:
+            raise ParseError(offset, f"unknown name {name!r}", expected=_ATOM_EXPECTED)
+        ctor, pieces = _ATOMS[name]
+        args = []
+        for piece in pieces:
+            if piece == "qarg":
+                args += self.qarg()
+            elif piece in self.readers:
+                args.append(self.readers[piece]())
+            else:
+                self.expect_sym(piece)
+        # semantic bounds (dissection residue, argument signs, ...) live on
+        # the node constructors; surface them with the source position
+        try:
+            return ctor(*args)
+        except ValueError as exc:
+            raise ParseError(offset, str(exc)) from None
 
     def qarg(self) -> tuple[int, int]:
         sign = -1 if self.match_sym("-") else 1
@@ -380,7 +369,9 @@ class _Parser:
         return sign, qpow
 
 
+@lru_cache(maxsize=256)
 def parse(src: str) -> QExpr:
+    """The tree of `src`, parsed once per source: trees are immutable."""
     parser = _Parser(src)
     node = parser.expr()
     kind, text, offset = parser.peek()
@@ -393,28 +384,21 @@ def parse(src: str) -> QExpr:
 # --------------------------------------------------------------- printer
 
 
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
-# {binary node: (its operator in source, its precedence, its series operation)}
-_BINARY = {Add: (" + ", _PREC_ADD, operator.add),
-           Sub: (" - ", _PREC_ADD, operator.sub),
-           Mul: ("*", _PREC_MUL, mul),
-           Div: ("/", _PREC_MUL, mul)}
-
-
 def _source(e: QExpr, context: int) -> str:
     if isinstance(e, Num):
         mine, text = _PREC_ATOM, str(e.value)
     elif type(e) in _ATOM_NAMES:
-        name, shape = _ATOM_NAMES[type(e)]
-        if shape == "(qarg)":
-            arg = "-q" if e.sign < 0 else "q"
-            text = f"{name}({arg})" if e.qpow == 1 else f"{name}({arg}^{e.qpow})"
-        else:
-            text = f"{name}[{','.join(map(str, astuple(e)))}]" if shape else name
-        mine = _PREC_ATOM
-    elif isinstance(e, Dissect):
-        mine, text = _PREC_ATOM, f"D[{e.m},{e.r}]({_source(e.child, 0)})"
+        name, pieces = _ATOM_NAMES[type(e)]
+        values = (getattr(e, f.name) for f in fields(e))
+        mine, text = _PREC_ATOM, name
+        for piece in pieces:
+            if piece == "qarg":
+                sign, qpow = next(values), next(values)
+                text += ("-q" if sign < 0 else "q") + ("" if qpow == 1 else f"^{qpow}")
+            elif piece == "expr":
+                text += _source(next(values), 0)
+            else:
+                text += str(next(values)) if piece.endswith("int") else piece
     elif isinstance(e, Pow):
         base = _source(e.base, _PREC_POW)
         if isinstance(e.base, Num) and e.base.value < 0:
@@ -436,41 +420,45 @@ def to_source(e: QExpr) -> str:
 # ------------------------------------------------------------- evaluator
 
 
-# the leaves built from their fields: builder(*fields, order, ring)
+# the leaves built from their fields: builder(*fields, order, ring); omega,
+# B and f3 are leaves only at argument q
 _BUILDERS = {Num: lambda value, order, ring: constant_series(ring, order, value),
              Q: lambda order, ring: monomial(ring, order, 1),
              EtaF: pentagonal_series, Appell: appell_sum, PochInf: pochhammer_inf,
-             PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck}
-# omega, B and f3 at argument q; at sign * q^k evaluate substitutes into it
-_MOCK_THETA = {Omega: omega_series, BFun: b_eulerian, F3: f3_series}
+             PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck,
+             Omega: lambda sign, qpow, order, ring: omega_series(order, ring),
+             BFun: lambda sign, qpow, order, ring: b_eulerian(order, ring),
+             F3: lambda sign, qpow, order, ring: f3_series(order, ring)}
 
 
-def _child(e: QExpr, order: int) -> Optional[tuple[QExpr, int]]:
-    """The (node, order) `evaluate` reads for a dissection, or for omega, B
-    or f3 at an argument other than q; None for any other node."""
+def _children(e: QExpr, order: int) -> list[tuple[QExpr, int]]:
+    """The (node, order) pairs `evaluate(e, order)` evaluates `e` from; none
+    for a leaf."""
+    if isinstance(e, _Binary):
+        # a/b is a * b^-1, a node the memo keeps: each denominator inverts once
+        right = Pow(e.right, -1) if isinstance(e, Div) else e.right
+        return [(e.left, order), (right, order)]
+    if isinstance(e, Pow):
+        return [(e.base, order)]
     if isinstance(e, Dissect):  # so the result keeps full length
-        return e.child, e.m * (order - 1) + e.r + 1
+        return [(e.child, e.m * (order - 1) + e.r + 1)]
     if isinstance(e, _QArg) and (e.sign, e.qpow) != (1, 1):
         # at argument q, long enough that the substituted series covers order
-        return type(e)(1, 1), (order + e.qpow - 2) // e.qpow + 1
-    return None
+        return [(type(e)(1, 1), (order + e.qpow - 2) // e.qpow + 1)]
+    return []
 
 
 def reads(e: QExpr, order: int) -> dict:
     """{leaf: the most coefficients `evaluate(e, order)` reads of it}, by the
-    rule evaluate applies (`_child`). A leaf reads no other node: a number,
-    or a named atom but D, with omega, B and f3 only at argument q."""
+    rule evaluate follows (`_children`). A leaf has no children: a number,
+    or a named atom other than D, with omega, B and f3 only at argument q."""
     out: dict = {}
     stack = [(e, order)]
     while stack:
         node, n = stack.pop()
-        child = _child(node, n)
-        if child is not None:
-            stack.append(child)
-        elif isinstance(node, _Binary):
-            stack += [(node.left, n), (node.right, n)]
-        elif isinstance(node, Pow):
-            stack.append((node.base, n))
+        children = _children(node, n)
+        if children:
+            stack += children
         else:
             out[node] = max(out.get(node, 0), n)
     return out
@@ -503,22 +491,13 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
 
 def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
               memo: Optional[dict]) -> Series:
-    if type(e) in _BUILDERS:
+    parts = [evaluate(*child, ring, memo) for child in _children(e, order)]
+    if not parts:
         return _BUILDERS[type(e)](*astuple(e), order, ring)
-    child = _child(e, order)
-    if isinstance(e, _QArg):
-        if child is None:
-            return _MOCK_THETA[type(e)](order, ring)
-        base = evaluate(*child, ring, memo)
-        return substitute_power(base, e.qpow, e.sign, order)
-    if isinstance(e, Pow):
-        return power(evaluate(e.base, order, ring, memo), e.exponent)
     if isinstance(e, Dissect):
-        return dissect(evaluate(*child, ring, memo), e.m, e.r)
-    if not isinstance(e, _Binary):
-        raise TypeError(f"not a QExpr node: {e!r}")
-    _, _, operation = _BINARY[type(e)]
-    # a/b is a * b^-1, a node the memo keeps: each denominator inverts once
-    right = Pow(e.right, -1) if isinstance(e, Div) else e.right
-    return operation(evaluate(e.left, order, ring, memo),
-                     evaluate(right, order, ring, memo))
+        return dissect(*parts, e.m, e.r)
+    if isinstance(e, _QArg):
+        return substitute_power(*parts, e.qpow, e.sign, order)
+    if isinstance(e, Pow):
+        return power(*parts, e.exponent)
+    return _BINARY[type(e)][2](*parts)

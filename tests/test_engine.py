@@ -11,7 +11,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcong import (
@@ -19,6 +19,7 @@ from qcong import (
     EXACT,
     MOD64,
     ClaimReport,
+    NonUnitError,
     OrderError,
     Series,
     b_eulerian,
@@ -55,6 +56,7 @@ from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
 from qcong.series import _FFT_MIN_ORDER, monomial, shift
 from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
                          evaluate, parse, reads, to_source)
+from test_qexpr import qexprs
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
 
@@ -740,27 +742,44 @@ def _b_readers(ctx) -> set:
                    for src in row[2:4])}
 
 
+def assert_reads_is_exact(e, n, ring=EXACT):
+    """Each leaf seeded at exactly its `reads` depth serves evaluate(e, n);
+    one coefficient fewer, and evaluate rebuilds that leaf alone."""
+    depths = reads(e, n)
+    seeds = {leaf: evaluate(leaf, d, ring) for leaf, d in depths.items()}
+    memo = dict(seeds)
+    evaluate(e, n, ring, memo)
+    assert all(memo[leaf] is s for leaf, s in seeds.items())
+    for leaf, d in depths.items():
+        short = seeds[leaf].truncate(d - 1)
+        memo = {**seeds, leaf: short}
+        evaluate(e, n, ring, memo)
+        assert memo[leaf] is not short, to_source(leaf)
+        assert memo[leaf].order == d, to_source(leaf)
+        assert all(memo[other] is s for other, s in seeds.items()
+                   if other != leaf)
+
+
 class TestSharedMemo:
     @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
     def test_reads_is_exact(self, ctx, row):
-        # each leaf seeded at exactly its reads depth serves the evaluation;
-        # one coefficient fewer, and evaluate rebuilds that leaf
         _, _, lhs, rhs, _, order = row
         n = getattr(ctx, f"n_{order}")
         for e in (parse(lhs), parse(rhs)):
-            depths = reads(e, n)
-            seeds = {leaf: evaluate(leaf, d) for leaf, d in depths.items()}
-            memo = dict(seeds)
-            evaluate(e, n, EXACT, memo)
-            assert all(memo[leaf] is s for leaf, s in seeds.items())
-            for leaf, d in depths.items():
-                short = seeds[leaf].truncate(d - 1)
-                memo = {**seeds, leaf: short}
-                evaluate(e, n, EXACT, memo)
-                assert memo[leaf] is not short, to_source(leaf)
-                assert memo[leaf].order == d, to_source(leaf)
-                assert all(memo[other] is s for other, s in seeds.items()
-                           if other != leaf)
+            assert_reads_is_exact(e, n)
+
+    @given(qexprs(), st.integers(2, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_reads_is_exact_for_any_tree(self, e, n):
+        # reads and evaluate share one child rule, so the depths hold for
+        # every tree, not only the catalogue's; mod 2^64, so that an odd
+        # constant is a unit and fewer trees divide by a non-unit
+        assume(max(reads(e, n).values()) <= 400)
+        try:
+            evaluate(e, n, MOD64)
+        except NonUnitError:
+            assume(False)
+        assert_reads_is_exact(e, n, MOD64)
 
     def test_one_memo_serves_every_row(self):
         ctx = build_suite_context(**SMALL)

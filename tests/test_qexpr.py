@@ -1,6 +1,7 @@
 """Parser, printer, and evaluator tests for the expression language."""
 
 import dataclasses
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -29,15 +30,21 @@ from qcong.qexpr import (
     PochInf,
     Pow,
     Q,
+    QExpr,
     Sub,
+    _ATOMS,
+    _BINARY,
     evaluate,
     parse,
     reads,
     to_source,
 )
-from qcong.series import monomial
+from qcong.series import dissect, monomial
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
+# what a parse error lists where an atom may start
+ATOM_EXPECTED = ("integer", "q", "C", "Ck", "f", "appell", "f3", "omega", "B",
+                 "pochinf", "pochfin", "D", "(", "-")
 
 
 class TestParse:
@@ -105,6 +112,27 @@ class TestParse:
         with pytest.raises(ParseError, match="m >= 1"):
             parse("D[0,0](C)")
 
+    # each way a D atom can be cut short or malformed: (source, offset, message)
+    @pytest.mark.parametrize("src,offset,message", [
+        ("D", 1, "got end of input; expected one of: ["),
+        ("D[", 2, "got end of input; expected one of: integer"),
+        ("D[2", 3, "got end of input; expected one of: ,"),
+        ("D[2,", 4, "got end of input; expected one of: integer"),
+        ("D[2,1", 5, "got end of input; expected one of: ]"),
+        ("D[2,1]", 6, "got end of input; expected one of: ("),
+        ("D[2,1](", 7, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("D[2,1](C", 8, "got end of input; expected one of: )"),
+        ("D[0,0](C)", 0, "dissection needs m >= 1 and r >= 0, got m=0, r=0"),
+        ("D[2,-1](C)", 4, "got '-'; expected one of: integer"),
+        ("D(C)", 1, "got '('; expected one of: ["),
+        ("D[2,1]C", 6, "got 'C'; expected one of: ("),
+    ])
+    def test_dissection_errors(self, src, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert err.value.offset == offset
+        assert str(err.value) == f"offset {offset}: {message}"
+
     def test_rationals_rejected(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse("1.5")
@@ -161,7 +189,7 @@ def qexprs():
     return st.recursive(base, extend, max_leaves=25)
 
 
-# One example of every named atom but D:
+# One example of every named atom:
 # {source name: (source, node, its builder at (order, ring))}.
 ATOM_EXAMPLES = {
     "q": ("q", Q(), lambda n, ring: monomial(ring, n, 1)),
@@ -176,6 +204,8 @@ ATOM_EXAMPLES = {
                 lambda n, ring: pochhammer_inf(-1, 2, 3, n, ring)),
     "pochfin": ("pochfin[1,1,2,3]", PochFin(1, 1, 2, 3),
                 lambda n, ring: pochhammer_fin(1, 1, 2, 3, n, ring)),
+    "D": ("D[2,1](C)", Dissect(2, 1, CSeries()),
+          lambda n, ring: dissect(series_c(2 * n, ring), 2, 1)),
 }
 
 
@@ -186,8 +216,17 @@ class TestAtomTable:
         return err.value.expected
 
     def test_every_named_atom_has_an_example(self):
-        named = set(self.unknown_name_expects()) - {"integer", "D", "(", "-"}
+        named = set(self.unknown_name_expects()) - {"integer", "(", "-"}
         assert named == set(ATOM_EXAMPLES)
+
+    def test_unknown_name_lists_every_atom_in_table_order(self):
+        assert self.unknown_name_expects() == ATOM_EXPECTED
+
+    def test_every_node_class_is_in_a_table(self):
+        # the parser, printer and evaluator dispatch through _ATOMS and
+        # _BINARY; only Num and Pow have a grammar rule of their own
+        tabled = {cls for cls, _ in _ATOMS.values()} | set(_BINARY) | {Num, Pow}
+        assert set(typing.get_args(QExpr)) == tabled
 
     @pytest.mark.parametrize("name", ATOM_EXAMPLES)
     def test_parses_prints_and_evaluates(self, name):
