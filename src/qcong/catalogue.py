@@ -254,6 +254,8 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
     the scan shape, each side 0, D[m,r](seed) or its negation, and raises
     ValueError for any other side (pass n for those). A seed too short for
     n, which evaluate would silently rebuild, gives order-too-small."""
+    if not seeds:
+        raise ValueError("check_row evaluates in its seeds' ring, so it needs at least one seed")
     ring = next(iter(seeds.values())).ring
     scan = n is None
     if scan:

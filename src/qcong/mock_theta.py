@@ -26,11 +26,10 @@ from .series import (
     _terms,
     eulerian_sum,
     invert,
+    monomial,
     mul,
     mul_sparse,
-    one_series,
     power,
-    shift,
     substitute_power,
 )
 from .products import pentagonal_series
@@ -40,7 +39,7 @@ def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """omega(q) = sum over n >= 0 of q^(2n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(one_series(ring, order),
+    return eulerian_sum(monomial(ring, order, 0),
                         ((2 * n * (n + 1), [], [(-1, 2 * n + 1)] * 2) for n in range(order)))
 
 
@@ -48,7 +47,7 @@ def b_eulerian(order: int, ring: CoefficientRing = EXACT) -> Series:
     """B(q) = sum over n >= 0 of (-q^2; q^2)_n * q^(n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(one_series(ring, order),
+    return eulerian_sum(monomial(ring, order, 0),
                         ((n * (n + 1), [(1, 2 * n)] if n else [], [(-1, 2 * n + 1)] * 2)
                          for n in range(order)))
 
@@ -85,7 +84,7 @@ def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
     b = mul(f4, mul(f4, mul(inv_f1, inv_f1)))
     b = mul(b, substitute_power(appell_sum(2, order, ring), 1, -1))
     inner = 2 * b - substitute_power(appell_sum(3, order, ring), 1, -1)
-    return shift(mul(substitute_power(inv_f1, 2, 1, order), inner), 1)
+    return mul_sparse(mul(substitute_power(inv_f1, 2, 1, order), inner), {1: 1})
 
 
 def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -139,5 +138,5 @@ def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Third-order f(q) = sum over n >= 0 of q^(n^2) / (-q; q)_n^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(one_series(ring, order),
+    return eulerian_sum(monomial(ring, order, 0),
                         ((n * n, [], [(1, n)] * 2 if n else []) for n in range(order)))

@@ -31,9 +31,6 @@ class ColoredPartition:
 
     parts: tuple[tuple[int, str, int], ...]
 
-    def total(self) -> int:
-        return sum(v * m for v, _, m in self.parts)
-
 
 def enumerate_ck(k: int, n: int) -> Iterator[ColoredPartition]:
     """Yield every counted partition of n for parameter k, by backtracking

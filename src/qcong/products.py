@@ -18,7 +18,7 @@ from .series import (
     CoefficientRing,
     Series,
     eulerian_sum,
-    one_series,
+    monomial,
 )
 
 
@@ -38,7 +38,7 @@ def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
     if n < 0:
         raise ValueError("factor count n must be >= 0")
     up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
-    return eulerian_sum(one_series(ring, order), [(0, up, [])])
+    return eulerian_sum(monomial(ring, order, 0), [(0, up, [])])
 
 
 def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:

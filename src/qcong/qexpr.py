@@ -45,7 +45,6 @@ from .series import (
     EXACT,
     CoefficientRing,
     Series,
-    constant_series,
     dissect,
     monomial,
     mul,
@@ -422,7 +421,7 @@ def to_source(e: QExpr) -> str:
 
 # the leaves built from their fields: builder(*fields, order, ring); omega,
 # B and f3 are leaves only at argument q
-_BUILDERS = {Num: lambda value, order, ring: constant_series(ring, order, value),
+_BUILDERS = {Num: lambda value, order, ring: monomial(ring, order, 0, value),
              Q: lambda order, ring: monomial(ring, order, 1),
              EtaF: pentagonal_series, Appell: appell_sum, PochInf: pochhammer_inf,
              PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck,

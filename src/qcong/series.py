@@ -63,15 +63,15 @@ class CoefficientRing:
         return None if self.modulus is None else self.modulus.bit_length() - 1
 
     def normalize(self, x: int) -> int:
-        return int(x) if self.modulus is None else int(x) % self.modulus
-
-    def is_unit(self, x: int) -> bool:
-        # gcd(x, 0) = |x|: the exact ring's units are +-1
-        return gcd(x, self.modulus or 0) == 1
+        """x in the ring: an integer (a Python, numpy or bool one), never a
+        float or a string, so no coefficient is silently truncated."""
+        x = operator.index(x)
+        return x if self.modulus is None else x % self.modulus
 
     def unit_inverse(self, x: int) -> int:
         x = self.normalize(x)
-        if not self.is_unit(x):
+        # gcd(x, 0) = |x|: the exact ring's units are +-1
+        if gcd(x, self.modulus or 0) != 1:
             where = "in the exact ring" if self.modulus is None else f"mod 2^{self.width}"
             raise NonUnitError(f"constant term {x} is not a unit {where}")
         return x if self.modulus is None else pow(x, -1, self.modulus)
@@ -182,25 +182,26 @@ class Series:
         tail = ", ..." if self.order > 8 else ""
         return f"Series({self.ring}, order={self.order}, [{head}{tail}])"
 
-    # arithmetic delegates to the module-level functions
+    # a sum or difference is truncated to the shorter order
     def __add__(self, other):
-        return add(self, other)
+        ring, n = _check_rings(self, other), min(self.order, other.order)
+        return Series._wrap(ring, _reduce(self._c[:n] + other._c[:n], ring.modulus))
 
     def __sub__(self, other):
-        return sub(self, other)
+        ring, n = _check_rings(self, other), min(self.order, other.order)
+        return Series._wrap(ring, _reduce(self._c[:n] - other._c[:n], ring.modulus))
 
     def __neg__(self):
-        return negate(self)
+        return Series._wrap(self.ring, _reduce(-self._c, self.ring.modulus))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return scalar_mul(other, self)
+            ring = self.ring
+            return Series._wrap(ring, _reduce(self._c * ring.scalar(other), ring.modulus))
         return mul(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return scalar_mul(other, self)
-        return NotImplemented
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, Series):
@@ -209,14 +210,6 @@ class Series:
 
     def __pow__(self, e: int):
         return power(self, e)
-
-
-def one_series(ring: CoefficientRing, order: int) -> Series:
-    return monomial(ring, order, 0, 1)
-
-
-def constant_series(ring: CoefficientRing, order: int, c: int) -> Series:
-    return monomial(ring, order, 0, c)
 
 
 def monomial(ring: CoefficientRing, order: int, exponent: int, c: int = 1) -> Series:
@@ -233,26 +226,6 @@ def _check_rings(a: Series, b: Series) -> CoefficientRing:
     if a.ring != b.ring:
         raise RingMismatchError(f"ring mismatch: {a.ring} vs {b.ring}")
     return a.ring
-
-
-def add(a: Series, b: Series) -> Series:
-    ring = _check_rings(a, b)
-    n = min(a.order, b.order)
-    return Series._wrap(ring, _reduce(a._c[:n] + b._c[:n], ring.modulus))
-
-
-def sub(a: Series, b: Series) -> Series:
-    ring = _check_rings(a, b)
-    n = min(a.order, b.order)
-    return Series._wrap(ring, _reduce(a._c[:n] - b._c[:n], ring.modulus))
-
-
-def negate(a: Series) -> Series:
-    return Series._wrap(a.ring, _reduce(-a._c, a.ring.modulus))
-
-
-def scalar_mul(c: int, a: Series) -> Series:
-    return Series._wrap(a.ring, _reduce(a._c * a.ring.scalar(c), a.ring.modulus))
 
 
 def _reduce(arr: np.ndarray, modulus: int | None) -> np.ndarray:
@@ -477,12 +450,12 @@ def invert(a: Series) -> Series:
     # inverts a to k terms, a*b - 1 = q^k * e and b - q^k * b*e inverts a to
     # 2k terms
     head = a._c[:sizes.pop()]
-    b = mul_sparse(one_series(ring, len(head)), _terms(head), "divide")._c
+    b = mul_sparse(monomial(ring, len(head), 0), _terms(head), "divide")._c
     for m in reversed(sizes):
         k = len(b)
         padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)]))
         e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
-        step = negate(mul(Series._wrap(ring, b[:m - k]), e))
+        step = -mul(Series._wrap(ring, b[:m - k]), e)
         b = np.concatenate([b, step._c])
     return Series._wrap(ring, b)
 
@@ -490,7 +463,7 @@ def invert(a: Series) -> Series:
 def power(a: Series, e: int) -> Series:
     """a**e by square-and-multiply; e < 0 inverts first; a**0 = 1."""
     if e == 0:
-        return one_series(a.ring, a.order)
+        return monomial(a.ring, a.order, 0)
     if e < 0:
         return power(invert(a), -e)
     result = None
@@ -502,19 +475,6 @@ def power(a: Series, e: int) -> Series:
         if e:
             base = mul(base, base)
     return result
-
-
-def shift(a: Series, j: int) -> Series:
-    """Multiply by q^j; the top j coefficients fall outside the window."""
-    if j < 0:
-        raise ValueError("shift amount must be nonnegative")
-    if j == 0:
-        return a
-    n = a.order
-    out = np.zeros(n, dtype=a.ring.dtype)
-    if j < n:
-        out[j:] = a._c[:n - j]
-    return Series._wrap(a.ring, out)
 
 
 def mul_sparse_binomial(a: Series, c: int, j: int, direction: str = "multiply") -> Series:

@@ -53,7 +53,7 @@ from qcong.cli import main
 from qcong import qexpr
 import qcong.series
 from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
-from qcong.series import _FFT_MIN_ORDER, monomial, shift
+from qcong.series import _FFT_MIN_ORDER, monomial
 from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
                          evaluate, parse, reads, to_source)
 from test_qexpr import qexprs
@@ -123,7 +123,7 @@ def reference_c(order, ring, k=None):
     """c (k None) or c_k term by term from the product definition: term n is
     q^(2n+1) (-q^(2n+2); q^2)_inf (-q^(2n+2k); q^2)_inf / (q^(2n+1); q^2)_inf^2
     at full order, each term got from the last by binomial factors."""
-    term = shift(pochhammer_inf(-1, 2, 2, order, ring), 1)
+    term = mul_sparse(pochhammer_inf(-1, 2, 2, order, ring), {1: 1})
     if k is not None:
         term = mul(term, pochhammer_inf(-1, 2 * k, 2, order, ring))
     for j in range(1, order, 2):
@@ -132,7 +132,7 @@ def reference_c(order, ring, k=None):
     total = monomial(ring, order, 0, 0)
     for j in range(1, order, 2):
         total = total + term
-        term = shift(term, 2)
+        term = mul_sparse(term, {2: 1})
         term = mul_sparse_binomial(term, -1, j)
         term = mul_sparse_binomial(term, -1, j)
         term = mul_sparse_binomial(term, 1, j + 1, "divide")
@@ -456,6 +456,12 @@ class TestScanOrder:
         seeds = {CSeries(): monomial(mod2pow(8), 100, 0, 0)}
         with pytest.raises(ValueError):
             check_row((parse(lhs), parse(rhs)), 4, seeds)
+
+    @pytest.mark.parametrize("n", [None, 10])
+    def test_no_seeds_raise(self, n):
+        # a row evaluates in its seeds' ring, so it needs at least one seed
+        with pytest.raises(ValueError, match="at least one seed"):
+            check_row((parse("D[2,1](C)"), parse("0")), 4, {}, n)
 
 
 class TestVerify:

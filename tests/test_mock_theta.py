@@ -5,7 +5,7 @@ from qcong import EXACT, MOD64, mod2pow
 from qcong.catalogue import EQ_2_3_ROWS
 from qcong.mock_theta import appell_sum, b_eulerian, f3_series, omega_series
 from qcong.qexpr import evaluate, parse
-from qcong.series import monomial, one_series, shift
+from qcong.series import monomial, mul_sparse
 
 # the bilateral (Appell-Lerch) forms of B and omega, as eq 2-3's rows write them
 B_APPELL, OMEGA_APPELL = (parse(EQ_2_3_ROWS[name][3]) for name in ("B", "omega"))
@@ -142,9 +142,9 @@ def appell_by_binomials(quadratic, n, ring):
     total = monomial(ring, n, 0, 0)
     m = 0
     while quadratic * m * (m + 1) < n:
-        term = qc.mul_sparse_binomial(one_series(ring, n), 1, 2 * m + 1)
+        term = qc.mul_sparse_binomial(monomial(ring, n, 0), 1, 2 * m + 1)
         term = qc.mul_sparse_binomial(term, -1, 2 * m + 1, "divide")
-        term = shift(term, quadratic * m * (m + 1))
+        term = mul_sparse(term, {quadratic * m * (m + 1): 1})
         total = total + (term if m % 2 == 0 else -term)
         m += 1
     return total
@@ -195,9 +195,9 @@ class TestF3:
         n = 200
         lhs = (
             qc.substitute_power(f3_series(-(-n // 8) + 1), 8, 1).truncate(n)
-            - 2 * shift(qc.substitute_power(omega_series(n), 1, -1), 1)
-            - 2 * shift(
-                qc.substitute_power(omega_series(-(-n // 4) + 1), 4, -1), 3
+            - 2 * mul_sparse(qc.substitute_power(omega_series(n), 1, -1), {1: 1})
+            - 2 * mul_sparse(
+                qc.substitute_power(omega_series(-(-n // 4) + 1), 4, -1), {3: 1}
             ).truncate(n)
         )
         rhs = evaluate(parse("f[1]^2*f[4]^8/(f[2]^5*f[8]^4)"), n)

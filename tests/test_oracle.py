@@ -135,7 +135,7 @@ class TestEnumeratedObjects:
             assert isinstance(p, ColoredPartition)
             assert p not in seen
             seen.add(p)
-            assert p.total() == n
+            assert sum(v * m for v, _, m in p.parts) == n
             values = [v for v, _, _ in p.parts]
             assert values == sorted(values, reverse=True)
             assert satisfies_conditions(p.parts, k)

@@ -9,7 +9,7 @@ from qcong.products import (
     pochhammer_inf,
 )
 from qcong.qexpr import evaluate, parse
-from qcong.series import one_series, shift
+from qcong.series import monomial, mul_sparse
 
 
 def eta_quotient(exponents: dict, order: int, ring=EXACT) -> qc.Series:
@@ -46,7 +46,7 @@ class TestPochhammer:
 
     def test_all_factors_beyond_truncation(self):
         n = 9
-        assert pochhammer_inf(1, n, 1, n) == one_series(EXACT, n)
+        assert pochhammer_inf(1, n, 1, n) == monomial(EXACT, n, 0)
 
     def test_offset_must_keep_unit_constant_term(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestPochhammer:
         assert pochhammer_fin(1, 1, 2, 1, 5).coefficients() == [1, -1, 0, 0, 0]
 
     def test_finite_empty_product(self):
-        assert pochhammer_fin(1, 1, 1, 0, 6) == one_series(EXACT, 6)
+        assert pochhammer_fin(1, 1, 1, 0, 6) == monomial(EXACT, 6, 0)
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_finite_times_tail_is_infinite(self, n):
@@ -166,7 +166,7 @@ class TestPentagonal:
 
 class TestEtaQuotient:
     def test_empty_quotient(self):
-        assert eta_quotient({}, 7) == one_series(EXACT, 7)
+        assert eta_quotient({}, 7) == monomial(EXACT, 7, 0)
 
     def test_inverse_f1_counts_partitions(self):
         assert eta_quotient({1: -1}, 8).coefficients() == partition_table(7)
@@ -192,22 +192,22 @@ class TestTwoDissections:
     def test_inverse_f1_squared(self):
         n = 400
         lhs = eta_quotient({1: -2}, n)
-        rhs = eta_quotient({8: 5, 2: -5, 16: -2}, n) + 2 * shift(
-            eta_quotient({4: 2, 16: 2, 2: -5, 8: -1}, n), 1)
+        rhs = eta_quotient({8: 5, 2: -5, 16: -2}, n) + 2 * mul_sparse(
+            eta_quotient({4: 2, 16: 2, 2: -5, 8: -1}, n), {1: 1})
         assert lhs == rhs
 
     def test_f1_squared(self):
         n = 400
         lhs = eta_quotient({1: 2}, n)
-        rhs = eta_quotient({2: 1, 8: 5, 4: -2, 16: -2}, n) - 2 * shift(
-            eta_quotient({2: 1, 16: 2, 8: -1}, n), 1)
+        rhs = eta_quotient({2: 1, 8: 5, 4: -2, 16: -2}, n) - 2 * mul_sparse(
+            eta_quotient({2: 1, 16: 2, 8: -1}, n), {1: 1})
         assert lhs == rhs
 
     def test_inverse_f1_fourth(self):
         n = 400
         lhs = eta_quotient({1: -4}, n)
-        rhs = eta_quotient({4: 14, 2: -14, 8: -4}, n) + 4 * shift(
-            eta_quotient({4: 2, 8: 4, 2: -10}, n), 1)
+        rhs = eta_quotient({4: 14, 2: -14, 8: -4}, n) + 4 * mul_sparse(
+            eta_quotient({4: 2, 8: 4, 2: -10}, n), {1: 1})
         assert lhs == rhs
 
 

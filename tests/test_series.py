@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import random
 import subprocess
@@ -18,8 +19,7 @@ from qcong import EXACT, Series
 from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
                           _NEWTON_MIN_ORDER, _SPARSE_RATIO, _SPARSE_RATIO_KRONECKER,
                           _fft_limbs, _fft_mul, _fft_size, _kronecker_mul,
-                          constant_series, dump_json_dict, dump_text, monomial,
-                          one_series, scalar_mul, shift, sub)
+                          dump_json_dict, dump_text, monomial, mul_sparse)
 
 
 def sparse_limit(n: int, ratio: int = _SPARSE_RATIO) -> int:
@@ -110,6 +110,32 @@ class TestConstruction:
         assert monomial(EXACT, 5, 2, -3).coefficients() == [0, 0, -3, 0, 0]
         assert monomial(EXACT, 2, 4).coefficients() == [0, 0]
 
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(8), qc.MOD64], ids=str)
+    @pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(2.7), "3"], ids=repr)
+    def test_non_integer_coefficients_rejected(self, ring, bad):
+        # a float or a string is never truncated into a coefficient
+        with pytest.raises(TypeError):
+            Series(ring, [1, bad])
+        with pytest.raises(TypeError):
+            Series(ring, np.array([1.0, 2.0]))
+        with pytest.raises(TypeError):
+            monomial(ring, 4, 1, bad)
+        for terms in ({0: bad}, {0: 1, 2: bad}):
+            for direction in ("multiply", "divide"):
+                with pytest.raises(TypeError):
+                    qc.mul_sparse(monomial(ring, 4, 0), terms, direction)
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(8), qc.MOD64], ids=str)
+    def test_numpy_and_bool_integers_accepted(self, ring):
+        want = Series(ring, [-1, 2**64 - 1, 1, 0, 5])
+        got = Series(ring, [np.int64(-1), np.uint64(2**64 - 1), True, False, np.int8(5)])
+        assert got == want
+        assert Series(ring, np.array([-1, 5], dtype=np.int64)) == Series(ring, [-1, 5])
+        assert monomial(ring, 3, 1, np.int64(-1)) == monomial(ring, 3, 1, -1)
+        a = Series(ring, [1, 2, 3, 4])
+        assert (qc.mul_sparse(a, {0: np.int64(-1), 2: np.uint64(3)})
+                == qc.mul_sparse(a, {0: -1, 2: 3}))
+
     def test_invalid_rings(self):
         with pytest.raises(ValueError):
             qc.mod2pow(0)
@@ -133,7 +159,7 @@ class TestArithmetic:
         b = exact_series([1] * 5)
         assert (a + b).order == 5
         assert (a * b).order == 5
-        assert sub(b, a).order == 5
+        assert (b - a).order == 5
 
     def test_scalar_mul(self):
         a = exact_series([1, -2, 3])
@@ -173,7 +199,7 @@ class TestArithmetic:
         big = 1 << 63
         a = Series(qc.MOD64, [big, 1])
         assert (a + a).coefficients() == [0, 2]
-        assert scalar_mul(-1, a)[0] == big  # -2^63 == 2^63 mod 2^64
+        assert (-1 * a)[0] == big  # -2^63 == 2^63 mod 2^64
 
 
 def random_u64(rng, n: int, ring) -> np.ndarray:
@@ -663,7 +689,7 @@ class TestInvert:
 
     def test_invert_euler_product_counts_partitions(self):
         n = 40
-        prod = one_series(EXACT, n)
+        prod = monomial(EXACT, n, 0)
         for j in range(1, n):
             prod = qc.mul_sparse_binomial(prod, -1, j)
         assert qc.invert(prod).coefficients() == partition_table(n - 1)
@@ -682,7 +708,7 @@ class TestInvert:
     def test_invert_roundtrip(self, xs):
         a = exact_series(xs)
         prod = qc.mul(a, qc.invert(a))
-        assert prod == one_series(EXACT, a.order)
+        assert prod == monomial(EXACT, a.order, 0)
 
     @given(unit_lists.filter(lambda xs: xs[0] & 1), widths)
     def test_mod_invert_matches_reduced_exact(self, xs, w):
@@ -690,7 +716,7 @@ class TestInvert:
         ring = qc.mod2pow(w)
         a = Series(ring, xs)
         prod = qc.mul(a, qc.invert(a))
-        assert prod == one_series(ring, a.order)
+        assert prod == monomial(ring, a.order, 0)
 
     def test_division_dunder(self):
         a = exact_series([2, 3, 5, 7])
@@ -727,7 +753,7 @@ class TestNewtonInvert:
             a = Series(ring, x)
             got = qc.invert(a)
             assert got == recurrence_inverse(x, ring)
-            assert qc.mul(a, got) == one_series(ring, n)
+            assert qc.mul(a, got) == monomial(ring, n, 0)
 
     @pytest.mark.parametrize("w", [5, 64])
     def test_matches_recurrence_at_40000(self, w):
@@ -737,7 +763,7 @@ class TestNewtonInvert:
         a = Series(ring, x)
         got = qc.invert(a)
         assert got == recurrence_inverse(x, ring)
-        assert qc.mul(a, got) == one_series(ring, n)
+        assert qc.mul(a, got) == monomial(ring, n, 0)
 
     @pytest.mark.parametrize("n", [1500, 6000])
     def test_sparse_operand(self, n):
@@ -747,7 +773,7 @@ class TestNewtonInvert:
             got = qc.invert(f)
             assert got == recurrence_inverse(np.array(f.coefficients(), dtype=np.uint64),
                                              qc.MOD64)
-            assert qc.mul(f, got) == one_series(qc.MOD64, n)
+            assert qc.mul(f, got) == monomial(qc.MOD64, n, 0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 200])
@@ -760,7 +786,7 @@ class TestNewtonInvert:
             a = exact_series(x)
             got = qc.invert(a)
             assert got.coefficients() == recurrence_divide(one, x, EXACT)
-            assert qc.mul(a, got) == one_series(EXACT, n)
+            assert qc.mul(a, got) == monomial(EXACT, n, 0)
 
     @pytest.mark.parametrize("n", [_NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 700, 2800])
@@ -768,7 +794,7 @@ class TestNewtonInvert:
         # the exact divide recurrence Newton's iteration replaced above
         # _NEWTON_MIN_ORDER: on f[1] (sparse; its inverse, the partition
         # numbers, passes 2^150) and on that inverse at -q (dense, signed)
-        one = one_series(EXACT, n)
+        one = monomial(EXACT, n, 0)
         f1 = qc.pentagonal_series(1, n, EXACT)
         partitions = qc.mul_sparse(one, {e: c for e, c in enumerate(f1.coefficients()) if c},
                                    "divide")
@@ -814,7 +840,7 @@ def reference_mul(x: np.ndarray, y: np.ndarray, ring) -> Series:
 
 def reference_invert(x: np.ndarray, ring) -> Series:
     """The uncompressed inverse: mul_sparse's divide recurrence."""
-    return qc.mul_sparse(one_series(ring, len(x)), terms_of(x), "divide")
+    return qc.mul_sparse(monomial(ring, len(x), 0), terms_of(x), "divide")
 
 
 class TestStrideCompression:
@@ -888,11 +914,11 @@ class TestStrideCompression:
         rng = np.random.default_rng(5)
         y = q_power_series(rng, ring, 40, 3, True)
         b = Series(ring, y)
-        zero, seven = monomial(ring, 40, 0, 0), constant_series(ring, 40, 7)
+        zero, seven = monomial(ring, 40, 0, 0), monomial(ring, 40, 0, 7)
         assert qc.mul(zero, b) == qc.mul(b, zero) == qc.mul(zero, zero) == zero
-        assert qc.mul(seven, b) == qc.mul(b, seven) == scalar_mul(7, b)
-        assert qc.mul(seven, seven) == constant_series(ring, 40, 49)
-        minus_one = constant_series(ring, 40, -1)
+        assert qc.mul(seven, b) == qc.mul(b, seven) == 7 * b
+        assert qc.mul(seven, seven) == monomial(ring, 40, 0, 49)
+        minus_one = monomial(ring, 40, 0, -1)
         assert qc.invert(minus_one) == minus_one
         with pytest.raises(qc.NonUnitError):
             qc.invert(zero)
@@ -920,7 +946,7 @@ class TestPower:
     def test_small_powers(self):
         a = exact_series([1, 1, 0, 0, 0, 0])
         assert qc.power(a, 3).coefficients() == [1, 3, 3, 1, 0, 0]
-        assert qc.power(a, 0) == one_series(EXACT, 6)
+        assert qc.power(a, 0) == monomial(EXACT, 6, 0)
         assert qc.power(a, 1) == a
 
     def test_negative_power(self):
@@ -975,7 +1001,7 @@ class TestSparseBinomial:
             assert got == Series(ring, binomial_divide(xs, c, j)), n
 
     def test_divide_is_geometric(self):
-        got = qc.mul_sparse_binomial(one_series(EXACT, 9), -1, 2, "divide")
+        got = qc.mul_sparse_binomial(monomial(EXACT, 9, 0), -1, 2, "divide")
         assert got.coefficients() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_bad_arguments(self):
@@ -1111,7 +1137,7 @@ class TestEulerianSum:
     def test_endless_steps_stop_at_the_order(self):
         # sum over n of q^n / (1 - q)^(n+1) = 1 / (1 - 2q)
         steps = ((n, [], [(-1, 1)]) for n in count())
-        got = qc.eulerian_sum(one_series(EXACT, 10), steps)
+        got = qc.eulerian_sum(monomial(EXACT, 10, 0), steps)
         assert got.coefficients() == [2**i for i in range(10)]
 
     def test_head_is_not_modified(self):
@@ -1124,7 +1150,7 @@ class TestEulerianSum:
                                          ([(1, 0)], []), ([], [(-1, 0)])])
     def test_rejects_a_factor_other_than_one_plus_minus_q_j(self, up, down):
         with pytest.raises(ValueError):
-            qc.eulerian_sum(one_series(qc.MOD64, 5), [(0, up, down)])
+            qc.eulerian_sum(monomial(qc.MOD64, 5, 0), [(0, up, down)])
 
 
 class TestReindexing:
@@ -1173,7 +1199,7 @@ class TestReindexing:
         for r in range(m):
             d = qc.dissect(a, m, r)
             if d.order > 0:
-                pieces.append(shift(qc.substitute_power(d, m, 1), r))
+                pieces.append(mul_sparse(qc.substitute_power(d, m, 1), {r: 1}))
         n = min([p.order for p in pieces] + [a.order])
         total = monomial(EXACT, n, 0, 0)
         for p in pieces:
@@ -1196,9 +1222,8 @@ class TestReindexing:
 
     def test_shift(self):
         a = exact_series([1, 2, 3, 4])
-        assert shift(a, 2).coefficients() == [0, 0, 1, 2]
-        assert shift(a, 0) is a
-        assert shift(a, 9).coefficients() == [0, 0, 0, 0]
+        assert mul_sparse(a, {2: 1}).coefficients() == [0, 0, 1, 2]
+        assert mul_sparse(a, {9: 1}).coefficients() == [0, 0, 0, 0]
 
 
 class TestComparisonAndReduction:
@@ -1323,7 +1348,6 @@ class TestRingRules:
         xs = [0, 1, -1, 2, -2, 3, -3, 4, -5, 255, -256, 2**63 - 1, -(2**64) - 1, 2**70 + 6]
         for x in xs:
             assert ring.normalize(x) == self.width_normalize(w, x)
-            assert ring.is_unit(x) == self.width_is_unit(w, x)
             x = self.width_normalize(w, x)
             if self.width_is_unit(w, x):
                 assert ring.unit_inverse(x) == (x if w is None else pow(x, -1, 1 << w))
@@ -1355,6 +1379,19 @@ class TestNarrowestRing:
     @pytest.mark.parametrize("moduli", [[3], [4, 12], [2**65], [8, 2**65]])
     def test_anything_else_is_exact(self, moduli):
         assert qc.narrowest_ring(moduli) == EXACT
+
+
+def test_series_defines_one_spelling_per_operation():
+    # every public function and class of qcong.series is exported from qcong,
+    # but for the four below; a second spelling of an operation cannot regrow
+    # there unnoticed
+    defined = {name for name, obj in vars(qcong.series).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and inspect.getmodule(obj) is qcong.series}
+    exported = {name for name in qc.__all__
+                if inspect.getmodule(getattr(qc, name)) is qcong.series}
+    assert defined == (exported & defined) | {"monomial", "check_modulus", "dump_text",
+                                              "dump_json_dict"}
 
 
 class TestDump:
