@@ -32,29 +32,32 @@ def _ring_for(name: str):
     return MOD64 if name == "mod64" else EXACT
 
 
-def _pair(text: str) -> tuple[int, int]:
+def _int(text: str, low: int) -> Optional[int]:
+    """The integer `text` spells, or None when it is not one >= low."""
     try:
-        a, b = (int(x) for x in text.split(","))
+        value = int(text)
     except ValueError:
-        a = b = -1
-    if a < 1 or b < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected A,B with integers A >= 1 and B >= 0, got {text!r}")
-    return a, b
+        return None
+    return value if value >= low else None
+
+
+def _checked(value, expected: str, text: str):
+    """`value`, or the argparse error when it is None: a bad flag value
+    exits 2 with "argument FLAG: expected ..., got TEXT"."""
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _pair(text: str) -> tuple[int, int]:
+    a, _, b = text.partition(",")
+    pair = (_int(a, 1), _int(b, 0))  # a second comma leaves b no integer
+    return _checked(None if None in pair else pair, "A,B with integers A >= 1 and B >= 0", text)
 
 
 def _int_at_least(low: int):
     """An argparse type: an integer >= low, so a bad value names its flag."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer >= {low}, got {text!r}")
-        return value
-    return parse
+    return lambda text: _checked(_int(text, low), f"an integer >= {low}", text)
 
 
 def _moduli(text: str) -> list[int]:
@@ -66,25 +69,12 @@ def _series_spec(text: str):
     """An argparse type: C or Ck:K, as the qexpr leaf of its series."""
     if text == "C":
         return CSeries()
-    if text.startswith("Ck:"):
-        try:
-            return CkSeries(int(text[3:]))
-        except ValueError:  # not an integer, or below 1
-            pass
-    raise argparse.ArgumentTypeError(
-        f"expected C or Ck:K with K >= 1, got {text!r}")
+    k = _int(text[3:], 1) if text.startswith("Ck:") else None
+    return CkSeries(_checked(k, "C or Ck:K with K >= 1", text))
 
 
 def _k_spec(text: str):
-    if text == "limit":
-        return "limit"
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"expected a k >= 1 or 'limit', got {text!r}")
-    return k
+    return "limit" if text == "limit" else _checked(_int(text, 1), "a k >= 1 or 'limit'", text)
 
 
 def _print_report(report, prefix: str = "") -> int:

@@ -210,26 +210,19 @@ QExpr = Union[Num, Q, EtaF, Appell, PochInf, PochFin, Omega, BFun, F3,
 # ------------------------------------------------------------- tokenizer
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\],]))")
+# a token is an integer, a name or a symbol; any other character is refused
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+                       r"|(?P<sym>[+\-*/^()\[\],])|(?P<bad>\S))")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        match = _TOKEN_RE.match(src, pos)
-        if match is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            offset = len(src) - len(stripped)
-            raise ParseError(offset, f"unexpected character {stripped[0]!r}")
-        offset = match.start(match.lastindex)
-        kind = ("int", "name", "sym")[match.lastindex - 1]
-        tokens.append((kind, match.group(match.lastindex), offset))
-        pos = match.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
+    for match in _TOKEN_RE.finditer(src):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(match.start(kind), f"unexpected character {match[kind]!r}")
+        tokens.append((kind, match[kind], match.start(kind)))
+    return tokens + [("end", "", len(src))]
 
 
 # {source name: (node class, argument shape)} for every named atom, the shape
@@ -269,7 +262,8 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         # the methods that read the single fields an atom's shape names
-        self.readers = {"int": self.expect_int, "sint": self.signed_int, "expr": self.expr}
+        self.readers = {"int": self.integer, "sint": lambda: self.integer(signed=True),
+                        "expr": self.expr}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -281,62 +275,50 @@ class _Parser:
             return text
         return None
 
-    def expect_sym(self, symbol: str) -> None:
-        kind, text, offset = self.peek()
-        if kind != "sym" or text != symbol:
-            raise ParseError(offset, f"got {text!r}" if text else "got end of input",
-                             expected=(symbol,))
+    def take(self, kind: str, text: str | None = None, expected: tuple[str, ...] = ()) -> str:
+        """The next token's text, when it is of `kind` (and spelled `text`,
+        if given); else the one error naming what came instead, which lists
+        `expected`, by default `text`."""
+        got_kind, got, offset = self.peek()
+        if got_kind != kind or text not in (None, got):
+            raise ParseError(offset, f"got {got!r}" if got else "got end of input",
+                             expected=expected or (text,))
         self.pos += 1
+        return got
 
-    def expect_int(self) -> int:
-        kind, text, offset = self.peek()
-        if kind != "int":
-            raise ParseError(offset, f"got {text!r}" if text else "got end of input",
-                             expected=("integer",))
-        self.pos += 1
-        return int(text)
-
-    def signed_int(self) -> int:
-        sign = -1 if self.match_sym("-") else 1
-        return sign * self.expect_int()
+    def integer(self, signed: bool = False) -> int:
+        sign = -1 if signed and self.match_sym("-") else 1
+        return sign * int(self.take("int", expected=("integer",)))
 
     def expr(self, prec: int = min(_LEVELS)) -> QExpr:
         """The operators of precedence `prec` or tighter, left associative."""
         if prec not in _LEVELS:
             return self.factor()
         ops, node = _LEVELS[prec], self.expr(prec + 1)
-        while (token := self.peek())[0] == "sym" and token[1] in ops:
-            self.pos += 1
-            node = ops[token[1]](node, self.expr(prec + 1))
+        while symbol := self.match_sym(*ops):
+            node = ops[symbol](node, self.expr(prec + 1))
         return node
 
     def factor(self) -> QExpr:
         node = self.atom()
         while self.match_sym("^"):
-            node = Pow(node, self.signed_int())
+            node = Pow(node, self.integer(signed=True))
         return node
 
     def atom(self) -> QExpr:
-        kind, text, offset = self.peek()
+        kind, _, offset = self.peek()
         if kind == "int":
-            self.pos += 1
-            return Num(int(text))
-        if kind == "sym" and text == "-":
-            self.pos += 1
+            return Num(self.integer())
+        if self.match_sym("-"):
             inner = self.factor()
             if isinstance(inner, Num):
                 return Num(-inner.value)
             return Sub(Num(0), inner)
-        if kind == "sym" and text == "(":
-            self.pos += 1
+        if self.match_sym("("):
             node = self.expr()
-            self.expect_sym(")")
+            self.take("sym", ")")
             return node
-        if kind == "name":
-            self.pos += 1
-            return self.named_atom(text, offset)
-        raise ParseError(offset, f"got {text!r}" if text else "got end of input",
-                         expected=_ATOM_EXPECTED)
+        return self.named_atom(self.take("name", expected=_ATOM_EXPECTED), offset)
 
     def named_atom(self, name: str, offset: int) -> QExpr:
         if name not in _ATOMS:
@@ -349,7 +331,7 @@ class _Parser:
             elif piece in self.readers:
                 args.append(self.readers[piece]())
             else:
-                self.expect_sym(piece)
+                self.take("sym", piece)
         # semantic bounds (dissection residue, argument signs, ...) live on
         # the node constructors; surface them with the source position
         try:
@@ -359,13 +341,8 @@ class _Parser:
 
     def qarg(self) -> tuple[int, int]:
         sign = -1 if self.match_sym("-") else 1
-        kind, text, offset = self.peek()
-        if kind != "name" or text != "q":
-            raise ParseError(offset, f"got {text!r}" if text else "got end of input",
-                             expected=("q",))
-        self.pos += 1
-        qpow = self.expect_int() if self.match_sym("^") else 1
-        return sign, qpow
+        self.take("name", "q")
+        return sign, self.integer() if self.match_sym("^") else 1
 
 
 @lru_cache(maxsize=256)

@@ -182,12 +182,17 @@ class Series:
         tail = ", ..." if self.order > 8 else ""
         return f"Series({self.ring}, order={self.order}, [{head}{tail}])"
 
-    # a sum or difference is truncated to the shorter order
+    # a sum or difference is truncated to the shorter order; an operand of
+    # +, - or * is a series, or for * an integer (Python, numpy or bool)
     def __add__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         ring, n = _check_rings(self, other), min(self.order, other.order)
         return Series._wrap(ring, _reduce(self._c[:n] + other._c[:n], ring.modulus))
 
     def __sub__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
         ring, n = _check_rings(self, other), min(self.order, other.order)
         return Series._wrap(ring, _reduce(self._c[:n] - other._c[:n], ring.modulus))
 
@@ -195,13 +200,15 @@ class Series:
         return Series._wrap(self.ring, _reduce(-self._c, self.ring.modulus))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            ring = self.ring
-            return Series._wrap(ring, _reduce(self._c * ring.scalar(other), ring.modulus))
-        return mul(self, other)
+        if isinstance(other, Series):
+            return mul(self, other)
+        try:
+            c = self.ring.scalar(other)
+        except TypeError:  # not an integer: a float, a string, ...
+            return NotImplemented
+        return Series._wrap(self.ring, _reduce(self._c * c, self.ring.modulus))
 
-    def __rmul__(self, other):
-        return self * other if isinstance(other, int) else NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Series):

@@ -555,14 +555,18 @@ class TestUsage:
 
 
 class TestBadFlagValues:
-    """A progression, modulus or moduli list out of range exits 2 and names
-    its flag before any series is built."""
+    """A bad value of any flag exits 2 with one stderr line naming the flag,
+    before any series is built."""
 
     CHECK = ["check", "--series", "C", "--nmax", "10"]
     RELATION = ["relation", "--series", "C", "--sign", "-", "--nmax", "10"]
     SCAN = ["scan", "--amax", "8", "--nmax", "10"]
+    PROGRESSION = ["check", "--progression", "8,4", "--mod", "2", "--nmax", "3"]
     PAIR = "expected A,B with integers A >= 1 and B >= 0, got '{}'"
     MODULUS = "expected an integer >= 2, got '{}'"
+    INT = "expected an integer >= {}, got '{}'"
+    K = "expected a k >= 1 or 'limit', got '{}'"
+    SERIES = "expected C or Ck:K with K >= 1, got '{}'"
 
     @pytest.fixture(autouse=True)
     def no_builds(self, monkeypatch):
@@ -571,6 +575,7 @@ class TestBadFlagValues:
         # every subcommand builds its series through evaluate
         monkeypatch.setattr("qcong.cli.evaluate", refuse)
 
+    # every flag type's refusals, and one integer flag of each subcommand
     @pytest.mark.parametrize("argv, flag, bad, want", [
         (CHECK + ["--mod", "8"], "--progression", "0,4", PAIR.format("0,4")),
         (CHECK + ["--mod", "8"], "--progression", "8,-1", PAIR.format("8,-1")),
@@ -580,6 +585,25 @@ class TestBadFlagValues:
         (RELATION + ["--lhs", "8,7", "--rhs", "2,2"], "--mod", "0", MODULUS.format("0")),
         (SCAN, "--mods", "0,4", MODULUS.format("0")),
         (SCAN, "--mods", "4,x", MODULUS.format("x")),
+        (["oracle", "--nmax", "3"], "--k", "0", K.format("0")),
+        (["oracle", "--nmax", "3"], "--k", "x", K.format("x")),
+        (["oracle", "--nmax", "3"], "--k", "", K.format("")),
+        (PROGRESSION, "--series", "Ck:0", SERIES.format("Ck:0")),
+        (PROGRESSION, "--series", "Ck:x", SERIES.format("Ck:x")),
+        (PROGRESSION, "--series", "D", SERIES.format("D")),
+        (CHECK + ["--mod", "8"], "--progression", "8", PAIR.format("8")),
+        (CHECK + ["--mod", "8"], "--progression", "8,4,2", PAIR.format("8,4,2")),
+        (CHECK + ["--mod", "8"], "--progression", "x,1", PAIR.format("x,1")),
+        (SCAN, "--mods", "4,,8", MODULUS.format("")),
+        (["expand", "q"], "--order", "0", INT.format(1, "0")),
+        (["verify", "q", "q"], "--order", "x", INT.format(1, "x")),
+        (CHECK[:3] + ["--progression", "8,4", "--mod", "2"], "--nmax", "-1",
+         INT.format(0, "-1")),
+        (RELATION[:5] + ["--lhs", "8,7", "--rhs", "2,2", "--mod", "4"], "--nmax", "1.5",
+         INT.format(0, "1.5")),
+        (["suite"], "--kmax", "-1", INT.format(0, "-1")),
+        (["oracle", "--k", "1"], "--nmax", "z", INT.format(0, "z")),
+        (["scan", "--mods", "4", "--nmax", "3"], "--amax", "0", INT.format(1, "0")),
     ])
     def test_exits_2_naming_the_flag(self, capsys, argv, flag, bad, want):
         with pytest.raises(SystemExit) as err:
@@ -587,4 +611,4 @@ class TestBadFlagValues:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: {want}" in captured.err
+        assert captured.err.splitlines()[-1] == f"qcong {argv[0]}: error: argument {flag}: {want}"

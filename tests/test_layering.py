@@ -3,7 +3,8 @@
 Each module imports only from the modules below it, in the order
 series -> products -> mock_theta -> qexpr -> catalogue -> cli; `__init__`
 and `__main__` sit above them all. The enumeration oracle referees the
-series builders, so it imports no other qcong module.
+series builders, so it imports no other qcong module, and the tests'
+plain-list references import neither qcong nor numpy.
 """
 
 import ast
@@ -45,6 +46,18 @@ def test_imports_point_only_downward(module):
 
 def test_oracle_imports_no_qcong_module():
     assert _qcong_imports("oracle") == set()
+
+
+def test_reference_kit_imports_no_qcong_module_nor_numpy():
+    # tests/reference.py judges the kernels, so it shares no code with them
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." if node.level else node.module.split(".")[0])
+    assert not roots & {"qcong", "numpy", "."}
 
 
 def test_the_reader_sees_relative_imports():

@@ -7,35 +7,10 @@ from qcong.mock_theta import appell_sum, b_eulerian, f3_series, omega_series
 from qcong.qexpr import evaluate, parse
 from qcong.series import monomial, mul_sparse
 
+from reference import inverse, schoolbook_mul, sparse_list
+
 # the bilateral (Appell-Lerch) forms of B and omega, as eq 2-3's rows write them
 B_APPELL, OMEGA_APPELL = (parse(EQ_2_3_ROWS[name][3]) for name in ("B", "omega"))
-
-
-# list-based polynomial helpers so the oracle shares no code with the package
-def poly_mul(a, b, n):
-    out = [0] * n
-    for i in range(min(len(a), n)):
-        if a[i]:
-            for j in range(min(len(b), n - i)):
-                out[i + j] += a[i] * b[j]
-    return out
-
-
-def poly_inv(a, n):
-    assert a[0] == 1
-    b = [0] * n
-    b[0] = 1
-    for k in range(1, n):
-        b[k] = -sum(a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1))
-    return b
-
-
-def binomial(c, j, n):
-    out = [0] * n
-    out[0] = 1
-    if j < n:
-        out[j] = c
-    return out
 
 
 def omega_by_termwise_expansion(n, arg_sign=1):
@@ -46,8 +21,8 @@ def omega_by_termwise_expansion(n, arg_sign=1):
         den = [1] + [0] * (n - 1)
         for j in range(i + 1):
             # (1 - (s*q)^(2j+1)) = (1 - s*q^(2j+1)) since s = +-1
-            den = poly_mul(den, binomial(-arg_sign, 2 * j + 1, n), n)
-        term = poly_inv(poly_mul(den, den, n), n)
+            den = schoolbook_mul(den, sparse_list({0: 1, 2 * j + 1: -arg_sign}, n), n)
+        term = inverse(schoolbook_mul(den, den, n))
         for e in range(2 * i * (i + 1), n):
             total[e] += term[e - 2 * i * (i + 1)]
         i += 1
@@ -60,11 +35,11 @@ def b_by_termwise_expansion(n):
     while i * (i + 1) < n:
         num = [1] + [0] * (n - 1)
         for j in range(i):
-            num = poly_mul(num, binomial(1, 2 * j + 2, n), n)
+            num = schoolbook_mul(num, sparse_list({0: 1, 2 * j + 2: 1}, n), n)
         den = [1] + [0] * (n - 1)
         for j in range(i + 1):
-            den = poly_mul(den, binomial(-1, 2 * j + 1, n), n)
-        term = poly_mul(num, poly_inv(poly_mul(den, den, n), n), n)
+            den = schoolbook_mul(den, sparse_list({0: 1, 2 * j + 1: -1}, n), n)
+        term = schoolbook_mul(num, inverse(schoolbook_mul(den, den, n)), n)
         for e in range(i * (i + 1), n):
             total[e] += term[e - i * (i + 1)]
         i += 1
@@ -77,8 +52,8 @@ def f3_by_termwise_expansion(n):
     while i * i < n:
         den = [1] + [0] * (n - 1)
         for j in range(i):
-            den = poly_mul(den, binomial(1, j + 1, n), n)
-        term = poly_inv(poly_mul(den, den, n), n)
+            den = schoolbook_mul(den, sparse_list({0: 1, j + 1: 1}, n), n)
+        term = inverse(schoolbook_mul(den, den, n))
         for e in range(i * i, n):
             total[e] += term[e - i * i]
         i += 1

@@ -11,28 +11,13 @@ from qcong.products import (
 from qcong.qexpr import evaluate, parse
 from qcong.series import monomial, mul_sparse
 
+from reference import inverse, partition_table, schoolbook_mul, sparse_list
+
 
 def eta_quotient(exponents: dict, order: int, ring=EXACT) -> qc.Series:
     """prod over m of f_m^(e_m), evaluated from its expression source."""
     src = "*".join(f"f[{m}]^{e}" for m, e in sorted(exponents.items()))
     return evaluate(parse(src or "1"), order, ring)
-
-
-def distinct_partition_table(n_max: int) -> list:
-    """Partitions into distinct parts, counted by subset-sum DP."""
-    table = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for n in range(n_max, part - 1, -1):
-            table[n] += table[n - part]
-    return table
-
-
-def partition_table(n_max: int) -> list:
-    table = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for n in range(part, n_max + 1):
-            table[n] += table[n - part]
-    return table
 
 
 class TestPochhammer:
@@ -42,7 +27,7 @@ class TestPochhammer:
 
     def test_negative_sign_counts_distinct_partitions(self):
         got = pochhammer_inf(-1, 1, 1, 7)
-        assert got.coefficients() == distinct_partition_table(6)
+        assert got.coefficients() == partition_table(6, distinct=True)
 
     def test_all_factors_beyond_truncation(self):
         n = 9
@@ -66,29 +51,13 @@ class TestPochhammer:
         assert qc.mul(fin, tail) == pochhammer_inf(1, 1, 1, order)
 
 
-def list_mul(a: list, b: list) -> list:
-    n = len(a)
-    out = [0] * n
-    for i in range(n):
-        for j in range(n - i):
-            out[i + j] += a[i] * b[j]
-    return out
-
-
 def list_product(exponents: list, n: int, sign: int = 1) -> list:
     """prod of (1 - sign*q^e) over `exponents`, as a plain list of n ints."""
     out = [1] + [0] * (n - 1)
     for e in exponents:
         if e < n:
-            out = list_mul(out, [1] + [0] * (e - 1) + [-sign] + [0] * (n - e - 1))
+            out = schoolbook_mul(out, sparse_list({0: 1, e: -sign}, n), n)
     return out
-
-
-def list_inverse(a: list) -> list:
-    b = [1] + [0] * (len(a) - 1)
-    for k in range(1, len(a)):
-        b[k] = -sum(a[i] * b[k - i] for i in range(1, k + 1))
-    return b
 
 
 def eta_by_lists(exponents: dict, n: int) -> list:
@@ -96,7 +65,7 @@ def eta_by_lists(exponents: dict, n: int) -> list:
                         for _ in range(e) for j in range(1, n)], n)
     den = list_product([m * j for m, e in exponents.items() if e < 0
                         for _ in range(-e) for j in range(1, n)], n)
-    return list_mul(num, list_inverse(den))
+    return schoolbook_mul(num, inverse(den), n)
 
 
 RINGS = [EXACT, qc.MOD64, qc.mod2pow(5)]

@@ -133,6 +133,44 @@ class TestParse:
         assert err.value.offset == offset
         assert str(err.value) == f"offset {offset}: {message}"
 
+    # every other place a token is taken or refused, outside D: the exact
+    # message and offset, "expected" included
+    @pytest.mark.parametrize("src,offset,message", [
+        ("omega(", 6, "got end of input; expected one of: q"),
+        ("omega(-q^", 9, "got end of input; expected one of: integer"),
+        ("omega(3)", 6, "got '3'; expected one of: q"),
+        ("B(-3)", 3, "got '3'; expected one of: q"),
+        ("f3(q^x)", 5, "got 'x'; expected one of: integer"),
+        ("f3(q^2", 6, "got end of input; expected one of: )"),
+        ("f[1]^", 5, "got end of input; expected one of: integer"),
+        ("f[1]^-x", 6, "got 'x'; expected one of: integer"),
+        ("f[1]^^2", 5, "got '^'; expected one of: integer"),
+        ("(2", 2, "got end of input; expected one of: )"),
+        ("(2 3", 3, "got '3'; expected one of: )"),
+        ("Ck[", 3, "got end of input; expected one of: integer"),
+        ("Ck[x]", 3, "got 'x'; expected one of: integer"),
+        ("f]", 1, "got ']'; expected one of: ["),
+        ("f[1,", 3, "got ','; expected one of: ]"),
+        ("pochinf[-1,2", 12, "got end of input; expected one of: ,"),
+        ("pochfin[1,1,1,-1]", 14, "got '-'; expected one of: integer"),
+        ("Ck[0]", 0, "Ck[k] needs k >= 1"),
+        ("foo", 0, "unknown name 'foo'; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("", 0, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("  ", 2, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("2+", 2, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("()", 1, "got ')'; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        ("2 2", 2, "trailing input starting at '2'; expected one of: end of input"),
+        ("2 $ 3", 2, "unexpected character '$'"),
+        ("q\u2003é", 2, "unexpected character 'é'"),  # a Unicode space is skipped
+    ])
+    def test_reader_errors(self, src, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert err.value.offset == offset
+        assert str(err.value) == f"offset {offset}: {message}"
+        expected = message.partition("; expected one of: ")[2]
+        assert err.value.expected == (tuple(expected.split(", ")) if expected else ())
+
     def test_rationals_rejected(self):
         with pytest.raises(ParseError, match="unexpected character"):
             parse("1.5")

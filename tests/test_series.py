@@ -21,54 +21,15 @@ from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
                           _fft_limbs, _fft_mul, _fft_size, _kronecker_mul,
                           dump_json_dict, dump_text, monomial, mul_sparse)
 
+from reference import (inverse, partition_table, recurrence_divide, schoolbook_mul,
+                       sparse_list)
+
 
 def sparse_limit(n: int, ratio: int = _SPARSE_RATIO) -> int:
     """The most nonzero terms an operand of order n may have and still
     multiply through mul_sparse, for the ratio of the dense kernel the
     product would otherwise take."""
     return n // ratio
-
-
-def schoolbook_mul(a: list, b: list, n: int) -> list:
-    """Independent reference product: plain double loop over all index pairs."""
-    out = [0] * n
-    for i in range(min(len(a), n)):
-        for j in range(min(len(b), n - i)):
-            out[i + j] += a[i] * b[j]
-    return out
-
-
-def recurrence_divide(xs: list, ys: list, ring) -> list:
-    """Independent reference quotient xs / ys in plain ints, one coefficient
-    at a time: b[k] = (xs[k] - (ys[1]*b[k-1] + ... + ys[k]*b[0])) / ys[0],
-    each reduced into the ring. ys[0] must be a unit (+-1 when exact)."""
-    if not xs:
-        return []
-    inv0 = ys[0] if ring == EXACT else pow(ys[0], -1, 1 << ring.width)
-    terms = [(i, y) for i, y in enumerate(ys) if i and y]  # the zero ys[i] add nothing
-    b = []
-    for k, x in enumerate(xs):
-        s = x - sum(y * b[k - i] for i, y in terms if i <= k)
-        b.append(ring.normalize(s * inv0))
-    return b
-
-
-def binomial_divide(xs: list, c: int, j: int) -> list:
-    """Independent reference xs / (1 + c*q^j) in exact ints:
-    b[i] = xs[i] - c*b[i-j]."""
-    b = list(xs)
-    for i in range(j, len(b)):
-        b[i] -= c * b[i - j]
-    return b
-
-
-def partition_table(n_max: int) -> list:
-    """Number of integer partitions of 0..n_max by the standard DP."""
-    table = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for n in range(part, n_max + 1):
-            table[n] += table[n - part]
-    return table
 
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=24)
@@ -165,6 +126,28 @@ class TestArithmetic:
         a = exact_series([1, -2, 3])
         assert (5 * a).coefficients() == [5, -10, 15]
         assert (a * -1).coefficients() == [-1, 2, -3]
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64], ids=str)
+    def test_numpy_and_bool_scalars(self, ring):
+        a = Series(ring, [1, -2, 3])
+        want = Series(ring, [3, -6, 9])
+        assert a * np.int64(3) == want
+        assert np.int64(3) * a == want
+        assert a * np.uint8(3) == want
+        assert a * True == a
+        assert False * a == Series(ring, [0, 0, 0])
+
+    # an integer scales a series, but is no series to add or subtract
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64], ids=str)
+    @pytest.mark.parametrize("op, other", [
+        *((op, other) for op in "+-" for other in (1, np.int64(1), 1.5, "2", None)),
+        *(("*", other) for other in (1.5, "2", None, [1, 2, 3]))], ids=repr)
+    def test_other_operands_raise_type_error(self, ring, op, other):
+        a = Series(ring, [1, 2, 3])
+        apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(TypeError):
+                apply(left, right)
 
     def test_ring_mismatch_rejected(self):
         a = exact_series([1, 2])
@@ -780,12 +763,11 @@ class TestNewtonInvert:
     def test_exact_matches_recurrence(self, n):
         # coefficients beyond +-2^64, negative ones, and a constant term of +-1
         rng = np.random.default_rng(n)
-        one = ([1] + [0] * n)[:n]
         for a0 in (1, -1):
             x = ([a0] + [int(v) << 10 for v in rng.integers(-(1 << 62), 1 << 62, n)])[:n]
             a = exact_series(x)
             got = qc.invert(a)
-            assert got.coefficients() == recurrence_divide(one, x, EXACT)
+            assert got.coefficients() == inverse(x)
             assert qc.mul(a, got) == monomial(EXACT, n, 0)
 
     @pytest.mark.parametrize("n", [_NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
@@ -983,7 +965,7 @@ class TestSparseBinomial:
         # c = 1, 22 rows of period 3 for c = -1) and the generic fallback
         ring = qc.mod2pow(w)
         xs = [1, 5, -2, 0, 3, 7, -9, 4, 4, 1, 0, 2, 6] * 5
-        exact = binomial_divide(xs, c, 3)
+        exact = recurrence_divide(xs, sparse_list({0: 1, 3: c}, len(xs)))
         assert qc.mul_sparse_binomial(exact_series(xs), c, 3, "divide") == exact_series(exact)
         modular = qc.mul_sparse_binomial(Series(ring, xs), c, 3, "divide")
         assert modular == Series(ring, exact)
@@ -998,7 +980,7 @@ class TestSparseBinomial:
         for n in (16 * j - 1, 16 * j, 16 * j + 1, 40 * j + 3):
             xs = [rng.randrange(-2**70, 2**70) for _ in range(n)]
             got = qc.mul_sparse_binomial(Series(ring, xs), c, j, "divide")
-            assert got == Series(ring, binomial_divide(xs, c, j)), n
+            assert got == Series(ring, recurrence_divide(xs, sparse_list({0: 1, j: c}, n))), n
 
     def test_divide_is_geometric(self):
         got = qc.mul_sparse_binomial(monomial(EXACT, 9, 0), -1, 2, "divide")
@@ -1016,19 +998,10 @@ sparse_factors = st.dictionaries(st.integers(0, 30), st.integers(-9, 9), max_siz
 rings = st.one_of(st.just(EXACT), widths.map(qc.mod2pow))
 
 
-def factor_series(terms: dict, order: int) -> list:
-    """The sparse factor as a dense list of `order` coefficients."""
-    coeffs = [0] * order
-    for e, c in terms.items():
-        if e < order:
-            coeffs[e] = c
-    return coeffs
-
-
 class TestSparseFactor:
     @given(coeff_lists, sparse_factors, rings)
     def test_multiply_matches_dense(self, xs, terms, ring):
-        dense = factor_series(terms, len(xs))
+        dense = sparse_list(terms, len(xs))
         got = qc.mul_sparse(Series(ring, xs), terms)
         assert got == Series(ring, schoolbook_mul(xs, dense, len(xs)))
 
@@ -1037,11 +1010,10 @@ class TestSparseFactor:
         terms = dict(terms)
         terms[0] = 1 if ring == EXACT and c0 == 3 else c0  # exact units are +-1
         a = Series(ring, xs)
-        dense = factor_series(terms, len(xs))
+        dense = sparse_list(terms, len(xs))
         got = qc.mul_sparse(a, terms, "divide")
-        inverse = recurrence_divide([1] + [0] * (len(xs) - 1), dense, ring)
-        assert got == Series(ring, schoolbook_mul(xs, inverse, len(xs)))
-        assert got == Series(ring, recurrence_divide(xs, dense, ring))
+        assert got == Series(ring, schoolbook_mul(xs, inverse(dense, ring.modulus), len(xs)))
+        assert got == Series(ring, recurrence_divide(xs, dense, ring.modulus))
         assert qc.mul_sparse(got, terms) == a
 
     def test_bad_arguments(self):
@@ -1078,7 +1050,7 @@ class TestSparseDivide:
             xs = [rng.randrange(ring.modulus) for _ in range(n)]
         a = Series(ring, xs)
         got = qc.mul_sparse(a, terms, "divide")
-        assert got.coefficients() == recurrence_divide(xs, factor_series(terms, n), ring)
+        assert got.coefficients() == recurrence_divide(xs, sparse_list(terms, n), ring.modulus)
         assert qc.mul_sparse(got, terms) == a
         assert qc.mul_sparse(qc.mul_sparse(a, terms), terms, "divide") == a
 
@@ -1088,7 +1060,7 @@ class TestSparseDivide:
         xs = [1, 0, 1, 1, 0, 0, 1, 0, 1, 1] * 3
         terms = {0: 1, 1: 1, 3: -1, 4: 3, 7: -3}
         got = qc.mul_sparse(Series(ring, xs), terms, "divide")
-        assert got.coefficients() == recurrence_divide(xs, factor_series(terms, 30), ring)
+        assert got.coefficients() == recurrence_divide(xs, sparse_list(terms, 30), ring.modulus)
 
 
 def eulerian_reference(head: list, steps, order: int) -> list:
@@ -1102,7 +1074,7 @@ def eulerian_reference(head: list, steps, order: int) -> list:
         for c, j in up:
             u = schoolbook_mul(u, [1] + [0] * (j - 1) + [c], order)
         for c, j in down:
-            u = binomial_divide(u, c, j)
+            u = recurrence_divide(u, sparse_list({0: 1, j: c}, order))
         for i in range(order - e):
             acc[e + i] += u[i]
     return acc
