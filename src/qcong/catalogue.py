@@ -133,7 +133,6 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
 @dataclass(frozen=True)
 class CatalogueEntry:
     claim_id: str
-    paper_eq: str
     kind: str
     run: Callable[[SuiteContext], list[ClaimReport]]
 
@@ -158,7 +157,7 @@ def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
     def run(ctx: SuiteContext) -> list[ClaimReport]:
         return [replace(rep, params=dict(rep.params, k=k))
                 for k in range(ctx.k_max + 1) for rep in row(k).run(ctx)]
-    return CatalogueEntry(claim_id, paper_eq, "family", run)
+    return CatalogueEntry(claim_id, "family", run)
 
 
 def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
@@ -171,7 +170,7 @@ def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
         return [ClaimReport(claim_id, "definition-1.1",
                             "pass" if n is None else "fail",
                             {"k": k, "n_max": ORACLE_LIMIT}, witness)]
-    return CatalogueEntry(claim_id, "definition-1.1", "oracle", run)
+    return CatalogueEntry(claim_id, "oracle", run)
 
 
 def _b_bilateral_entry() -> CatalogueEntry:
@@ -191,7 +190,7 @@ def _b_bilateral_entry() -> CatalogueEntry:
                 witness = dict(rep.witness or {}, series=name)
                 return [ClaimReport("eq-2-3", "2-3", rep.status, params, witness)]
         return [ClaimReport("eq-2-3", "2-3", "pass", params)]
-    return CatalogueEntry("eq-2-3", "2-3", "exact", run)
+    return CatalogueEntry("eq-2-3", "exact", run)
 
 
 def _params(n: int, modulus: Optional[int], ring) -> dict:
@@ -289,7 +288,7 @@ def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
         kind = "progression" if rhs_src == "0" else "relation"
     else:
         kind = "exact" if modulus is None else f"mod-{modulus}"
-    return CatalogueEntry(claim_id, paper_eq, kind, run)
+    return CatalogueEntry(claim_id, kind, run)
 
 
 # Shared right-hand sides: the 2-dissections of 1/f1^2 (eq 2-6) and f1^2

@@ -33,11 +33,11 @@ def _ring_for(name: str):
 
 
 def _int(text: str, low: int) -> Optional[int]:
-    """The integer `text` spells, or None when it is not one >= low."""
-    try:
-        value = int(text)
-    except ValueError:
+    """The integer `text` spells in ASCII digits, as the grammar's INT, or
+    None when it is not one >= low."""
+    if not (text.isascii() and text.isdigit()):
         return None
+    value = int(text)
     return value if value >= low else None
 
 
@@ -62,7 +62,9 @@ def _int_at_least(low: int):
 
 def _moduli(text: str) -> list[int]:
     """An argparse type: comma-separated moduli, each an integer >= 2."""
-    return [_int_at_least(2)(x) for x in text.split(",")]
+    moduli = [_int(x, 2) for x in text.split(",")]
+    return _checked(None if None in moduli else moduli,
+                    "comma-separated integers >= 2", text)
 
 
 def _series_spec(text: str):
@@ -82,7 +84,7 @@ def _print_report(report, prefix: str = "") -> int:
     if report.witness is not None:
         line += f"  witness: {json.dumps(report.witness)}"
     print(line)
-    return 0 if report.status == "pass" else 1
+    return 0 if report.passed() else 1
 
 
 def _cmd_expand(args) -> int:

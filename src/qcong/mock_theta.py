@@ -1,9 +1,13 @@
-"""Truncated expansions of the mock theta functions omega(q), B(q), and the
-third-order f(q), and of the two-color counting series C and C_k built
-from them.
+"""Truncated expansions of the q-Pochhammer products and Euler functions f_m,
+of the mock theta functions omega(q), B(q), and the third-order f(q), and of
+the two-color counting series C and C_k built from them.
 
-Each Eulerian sum is one call to `series.eulerian_sum`: its terms' ratio is a
-product of binomials (1 +- q^j)^(+-1), so each term costs O(N). B and omega
+Each product and each Eulerian sum is one call to `series.eulerian_sum`: its
+terms' ratio is a product of binomials (1 +- q^j)^(+-1), so each term costs
+O(N), and no dense inversion is needed. `pentagonal_series` writes f_m down
+directly from Euler's pentagonal number theorem in O(N) time; it is what
+`f[m]` in `qcong.qexpr` and the leading term of the `c` builder read, and
+`euler_fm`, the product definition of f_m, is its reference. B and omega
 also have bilateral (Appell-Lerch) forms, f4/f2^2 and 1/f2 times
 `appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that `qexpr` reads
 as `appell[a]` and the mod-2^w `series_c` through eq 2-2 (`c_appell`). In
@@ -32,7 +36,50 @@ from .series import (
     power,
     substitute_power,
 )
-from .products import pentagonal_series
+
+
+def pochhammer_inf(sign: int, s: int, m: int, order: int,
+                   ring: CoefficientRing = EXACT) -> Series:
+    """(sign*q^s; q^m)_inf = prod over j >= 0 of (1 - sign*q^(s+jm))."""
+    return pochhammer_fin(sign, s, m, order, order, ring)
+
+
+def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
+                   ring: CoefficientRing = EXACT) -> Series:
+    """(sign*q^s; q^m)_n = prod over 0 <= j < n of (1 - sign*q^(s+jm))."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if s < 1 or m < 1:
+        raise ValueError("offset s and step m must be >= 1, so the product is a unit")
+    if n < 0:
+        raise ValueError("factor count n must be >= 0")
+    up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
+    return eulerian_sum(monomial(ring, order, 0), [(0, up, [])])
+
+
+def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
+    """f_m = (q^m; q^m)_inf."""
+    return pochhammer_inf(1, m, m, order, ring)
+
+
+def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
+    """f_m by Euler's pentagonal number theorem:
+    sum over all integers j of (-1)^j * q^(m*j*(3j-1)/2).
+
+    Only the O(sqrt(order)) nonzero terms are written, into zeroed storage of
+    the ring's dtype; the exponents are distinct, so each is set once."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    coeffs = np.zeros(order, dtype=ring.dtype)
+    plus, minus = ring.normalize(1), ring.normalize(-1)
+    j = 0
+    while m * j * (3 * j - 1) // 2 < order:
+        for jj in (j, -j) if j else (0,):
+            e = m * jj * (3 * jj - 1) // 2
+            if e < order:
+                coeffs[e] = minus if j % 2 else plus
+        j += 1
+    return Series._wrap(ring, coeffs)
 
 
 def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -17,24 +17,17 @@ tables to n = 25 in 0.8-1.2 ms on a 2-core Xeon).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Literal, Union
 
 BLUE = "blue"
 RED = "red"
 
 
-@dataclass(frozen=True)
-class ColoredPartition:
-    """Parts as (value, color, multiplicity), values weakly decreasing,
-    blue listed before red within a value."""
-
-    parts: tuple[tuple[int, str, int], ...]
-
-
-def enumerate_ck(k: int, n: int) -> Iterator[ColoredPartition]:
+def enumerate_ck(k: int, n: int) -> Iterator[tuple[tuple[int, str, int], ...]]:
     """Yield every counted partition of n for parameter k, by backtracking
-    over part values (descending), colors, and multiplicities."""
+    over part values (descending), colors, and multiplicities. A partition
+    is its parts, (value, color, multiplicity) tuples with values weakly
+    decreasing and blue listed before red within a value."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 0:
@@ -45,11 +38,11 @@ def enumerate_ck(k: int, n: int) -> Iterator[ColoredPartition]:
 
 
 def _extend(v: int, remaining: int, s: int, gap: int,
-            acc: tuple) -> Iterator[ColoredPartition]:
+            acc: tuple) -> Iterator[tuple]:
     # acc holds entries for values > v; the mandatory blue copy of s is
     # appended at the bottom so repeated blue s merges into one entry
     if remaining == 0:
-        yield ColoredPartition(acc + ((s, BLUE, 1),))
+        yield acc + ((s, BLUE, 1),)
         return
     if v <= s:
         # only copies of s remain; s is odd so multiplicities are free
@@ -60,7 +53,7 @@ def _extend(v: int, remaining: int, s: int, gap: int,
             entry = [(s, BLUE, 1 + extra_blue)]
             if rest:
                 entry.append((s, RED, rest // s))
-            yield ColoredPartition(acc + tuple(entry))
+            yield acc + tuple(entry)
         return
     if v % 2:
         blue_choices = range(remaining // v + 1)

@@ -19,7 +19,8 @@ two-color counting series, `appell[a]` is the Appell-Lerch sum
 `mock_theta.appell_sum(a)`, `omega`/`B`/`f3` accept an argument of the form
 sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0) is the sum over n of
 e[m*n + r] * q^n.  Division is literal series division: the denominator
-must have a unit constant term.  Only integer literals exist.
+must have a unit constant term.  Only integer literals exist, and an INT
+is a run of the ASCII digits 0-9.
 
 Every named atom, `D` included, is one row of `_ATOMS` (its source name,
 node class and argument shape), and every operator one row of `_BINARY`;
@@ -39,8 +40,8 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .mock_theta import (appell_sum, b_eulerian, f3_series, omega_series,
+                         pentagonal_series, pochhammer_fin, pochhammer_inf,
                          series_c, series_ck)
-from .products import pentagonal_series, pochhammer_fin, pochhammer_inf
 from .series import (
     EXACT,
     CoefficientRing,
@@ -211,7 +212,7 @@ QExpr = Union[Num, Q, EtaF, Appell, PochInf, PochFin, Omega, BFun, F3,
 
 
 # a token is an integer, a name or a symbol; any other character is refused
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                        r"|(?P<sym>[+\-*/^()\[\],])|(?P<bad>\S))")
 
 

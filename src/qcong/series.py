@@ -42,8 +42,9 @@ class NonUnitError(ValueError):
     """Constant term is not invertible in the coefficient ring."""
 
 
-class OrderError(ValueError):
-    """Requested index or comparison order exceeds the known truncation order."""
+class OrderError(IndexError, ValueError):
+    """Requested index or comparison order exceeds the known truncation order.
+    An IndexError, so iteration over a series stops at its last coefficient."""
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,10 @@ class Series:
             raise AttributeError("Series is immutable")
         object.__setattr__(self, name, value)
 
-    def coefficient(self, n: int) -> int:
+    def __getitem__(self, n: int) -> int:
         if not 0 <= n < self.order:
             raise OrderError(f"coefficient index {n} outside known range 0..{self.order - 1}")
         return int(self._c[n])
-
-    __getitem__ = coefficient
 
     def coefficients(self) -> list[int]:
         return [int(x) for x in self._c]
@@ -173,9 +172,6 @@ class Series:
         if self.ring != other.ring or self.order != other.order:
             return False
         return bool(np.array_equal(self._c, other._c))
-
-    def __hash__(self):
-        return hash((self.ring, self.order, tuple(int(x) for x in self._c[:16])))
 
     def __repr__(self) -> str:
         head = ", ".join(str(int(x)) for x in self._c[:8])

@@ -564,6 +564,7 @@ class TestBadFlagValues:
     PROGRESSION = ["check", "--progression", "8,4", "--mod", "2", "--nmax", "3"]
     PAIR = "expected A,B with integers A >= 1 and B >= 0, got '{}'"
     MODULUS = "expected an integer >= 2, got '{}'"
+    MODS = "expected comma-separated integers >= 2, got '{}'"
     INT = "expected an integer >= {}, got '{}'"
     K = "expected a k >= 1 or 'limit', got '{}'"
     SERIES = "expected C or Ck:K with K >= 1, got '{}'"
@@ -583,8 +584,8 @@ class TestBadFlagValues:
         (RELATION + ["--lhs", "8,7", "--mod", "4"], "--rhs", "2,-2", PAIR.format("2,-2")),
         (CHECK + ["--progression", "8,6"], "--mod", "1", MODULUS.format("1")),
         (RELATION + ["--lhs", "8,7", "--rhs", "2,2"], "--mod", "0", MODULUS.format("0")),
-        (SCAN, "--mods", "0,4", MODULUS.format("0")),
-        (SCAN, "--mods", "4,x", MODULUS.format("x")),
+        (SCAN, "--mods", "0,4", MODS.format("0,4")),
+        (SCAN, "--mods", "4,x", MODS.format("4,x")),
         (["oracle", "--nmax", "3"], "--k", "0", K.format("0")),
         (["oracle", "--nmax", "3"], "--k", "x", K.format("x")),
         (["oracle", "--nmax", "3"], "--k", "", K.format("")),
@@ -594,7 +595,7 @@ class TestBadFlagValues:
         (CHECK + ["--mod", "8"], "--progression", "8", PAIR.format("8")),
         (CHECK + ["--mod", "8"], "--progression", "8,4,2", PAIR.format("8,4,2")),
         (CHECK + ["--mod", "8"], "--progression", "x,1", PAIR.format("x,1")),
-        (SCAN, "--mods", "4,,8", MODULUS.format("")),
+        (SCAN, "--mods", "4,,8", MODS.format("4,,8")),
         (["expand", "q"], "--order", "0", INT.format(1, "0")),
         (["verify", "q", "q"], "--order", "x", INT.format(1, "x")),
         (CHECK[:3] + ["--progression", "8,4", "--mod", "2"], "--nmax", "-1",
@@ -604,6 +605,11 @@ class TestBadFlagValues:
         (["suite"], "--kmax", "-1", INT.format(0, "-1")),
         (["oracle", "--k", "1"], "--nmax", "z", INT.format(0, "z")),
         (["scan", "--mods", "4", "--nmax", "3"], "--amax", "0", INT.format(1, "0")),
+        # an integer is ASCII digits and nothing else, as the grammar's INT
+        (["oracle", "--k", "1"], "--nmax", "\u0663", INT.format(0, "\u0663")),
+        (["expand", "q"], "--order", "+3", INT.format(1, "+3")),
+        (["expand", "q"], "--order", "1_000", INT.format(1, "1_000")),
+        (["expand", "q"], "--order", " 3", INT.format(1, " 3")),
     ])
     def test_exits_2_naming_the_flag(self, capsys, argv, flag, bad, want):
         with pytest.raises(SystemExit) as err:

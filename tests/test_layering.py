@@ -1,7 +1,7 @@
 """The package's import layers, read from the source with `ast`.
 
 Each module imports only from the modules below it, in the order
-series -> products -> mock_theta -> qexpr -> catalogue -> cli; `__init__`
+series -> mock_theta -> qexpr -> catalogue -> cli; `__init__`
 and `__main__` sit above them all. The enumeration oracle referees the
 series builders, so it imports no other qcong module, and the tests'
 plain-list references import neither qcong nor numpy.
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcong"
-LAYERS = ["series", "products", "mock_theta", "qexpr", "catalogue", "cli"]
+LAYERS = ["series", "mock_theta", "qexpr", "catalogue", "cli"]
 EXEMPT = {"__init__", "__main__"}
 
 

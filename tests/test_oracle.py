@@ -6,7 +6,6 @@ from qcong.series import EXACT
 from qcong.oracle import (
     BLUE,
     RED,
-    ColoredPartition,
     count_c_limit,
     count_ck,
     enumerate_ck,
@@ -70,7 +69,7 @@ class TestSmallCounts:
         assert count_c_limit(4) == 8
 
     def test_two_partitions_of_two(self):
-        got = sorted(p.parts for p in enumerate_ck(1, 2))
+        got = sorted(enumerate_ck(1, 2))
         assert got == [
             ((1, BLUE, 1), (1, RED, 1)),
             ((1, BLUE, 2),),
@@ -132,21 +131,21 @@ class TestEnumeratedObjects:
     def test_every_partition_is_valid(self, k, n):
         seen = set()
         for p in enumerate_ck(k, n):
-            assert isinstance(p, ColoredPartition)
+            assert isinstance(p, tuple)
             assert p not in seen
             seen.add(p)
-            assert sum(v * m for v, _, m in p.parts) == n
-            values = [v for v, _, _ in p.parts]
+            assert sum(v * m for v, _, m in p) == n
+            values = [v for v, _, _ in p]
             assert values == sorted(values, reverse=True)
-            assert satisfies_conditions(p.parts, k)
-            assert p.parts[-1][0] == min(values)
+            assert satisfies_conditions(p, k)
+            assert p[-1][0] == min(values)
             # one entry per (value, color)
-            keys = [(v, c) for v, c, _ in p.parts]
+            keys = [(v, c) for v, c, _ in p]
             assert len(keys) == len(set(keys))
 
     def test_multiplicities_merge_on_smallest_part(self):
         # 3 = 1+1+1 all blue must come out as a single entry of multiplicity 3
-        parts_list = [p.parts for p in enumerate_ck(1, 3)]
+        parts_list = list(enumerate_ck(1, 3))
         assert ((1, BLUE, 3),) in parts_list
 
 

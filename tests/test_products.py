@@ -2,7 +2,7 @@ import pytest
 
 import qcong as qc
 from qcong import EXACT
-from qcong.products import (
+from qcong.mock_theta import (
     euler_fm,
     pentagonal_series,
     pochhammer_fin,

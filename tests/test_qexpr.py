@@ -162,6 +162,9 @@ class TestParse:
         ("2 2", 2, "trailing input starting at '2'; expected one of: end of input"),
         ("2 $ 3", 2, "unexpected character '$'"),
         ("q\u2003é", 2, "unexpected character 'é'"),  # a Unicode space is skipped
+        # an INT is ASCII digits, though \d and int() take any decimal digit
+        ("\u0663+q", 0, "unexpected character '\u0663'"),
+        ("f[\u0661]", 2, "unexpected character '\u0661'"),
     ])
     def test_reader_errors(self, src, offset, message):
         with pytest.raises(ParseError) as err:

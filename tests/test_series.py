@@ -55,9 +55,19 @@ class TestConstruction:
     def test_coefficient_out_of_range(self):
         s = exact_series([1, 2])
         with pytest.raises(qc.OrderError):
-            s.coefficient(2)
+            s[2]
         with pytest.raises(qc.OrderError):
             s[-1]
+        assert issubclass(qc.OrderError, ValueError)
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(8)])
+    def test_iterates_over_its_coefficients(self, ring):
+        # OrderError is an IndexError, which ends the sequence protocol
+        s = Series(ring, [3, -1, 0, 300])
+        assert list(s) == s.coefficients()
+        assert 0 in s and s.coefficients()[1] in s and 5 not in s
+        assert sum(s) == sum(s.coefficients())
+        assert list(Series(ring, [])) == []
 
     def test_series_is_immutable(self):
         s = Series(qc.MOD64, [1, 2, 3])
