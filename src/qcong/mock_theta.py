@@ -4,7 +4,11 @@ the two-color counting series C and C_k built from them.
 
 Each product and each Eulerian sum is one call to `series.eulerian_sum`: its
 terms' ratio is a product of binomials (1 +- q^j)^(+-1), so each term costs
-O(N), and no dense inversion is needed. `pentagonal_series` writes f_m down
+O(N), and no dense inversion is needed. Each builder streams its steps last
+term first, as Horner's rule takes them, and lists none of them; the C and
+C_k sums leave out the leading factor u_0 and multiply by it after the sum,
+term by term in the exact ring (where the sum itself runs in int64 while it
+provably fits) and by one product mod 2^w. `pentagonal_series` writes f_m down
 directly from Euler's pentagonal number theorem in O(N) time; it is what
 `f[m]` in `qcong.qexpr` and the leading term of the `c` builder read, and
 `euler_fm`, the product definition of f_m, is its reference. B and omega
@@ -18,6 +22,7 @@ the exact ring `series_c`, and `series_ck` in every ring, sum the definition
 from __future__ import annotations
 
 from itertools import chain
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -30,7 +35,6 @@ from .series import (
     _terms,
     eulerian_sum,
     invert,
-    monomial,
     mul,
     mul_sparse,
     power,
@@ -54,7 +58,7 @@ def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
     if n < 0:
         raise ValueError("factor count n must be >= 0")
     up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
-    return eulerian_sum(monomial(ring, order, 0), [(0, up, [])])
+    return eulerian_sum(ring, order, [(0, up, [])])
 
 
 def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -82,21 +86,28 @@ def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Seri
     return Series._wrap(ring, coeffs)
 
 
+def _last_to_first(order: int) -> range:
+    """isqrt(order), ..., 1, 0: the term indices, last to first, of an
+    Eulerian sum whose term n sits at q^e with e >= n^2, so that every term
+    below q^order is among them (`eulerian_sum` skips the rest)."""
+    return range(isqrt(order), -1, -1)
+
+
 def omega_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """omega(q) = sum over n >= 0 of q^(2n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(monomial(ring, order, 0),
-                        ((2 * n * (n + 1), [], [(-1, 2 * n + 1)] * 2) for n in range(order)))
+    return eulerian_sum(ring, order, ((2 * n * (n + 1), [], [(-1, 2 * n + 1)] * 2)
+                                      for n in _last_to_first(order)))
 
 
 def b_eulerian(order: int, ring: CoefficientRing = EXACT) -> Series:
     """B(q) = sum over n >= 0 of (-q^2; q^2)_n * q^(n(n+1)) / (q; q^2)_(n+1)^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(monomial(ring, order, 0),
+    return eulerian_sum(ring, order,
                         ((n * (n + 1), [(1, 2 * n)] if n else [], [(-1, 2 * n + 1)] * 2)
-                         for n in range(order)))
+                         for n in _last_to_first(order)))
 
 
 def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -147,7 +158,7 @@ def c_builder(ring: CoefficientRing) -> str:
     """The route `series_c` takes in `ring`: eq 2-2 mod 2^w; the sum of the
     definition in the exact ring, where it is the reference that claim eq-2-2
     is checked against (built by eq 2-2, C would check itself). Exact eq 2-2
-    is about as fast: 16/70/272 ms against 24/78/232 ms at order 800/1600/2800."""
+    is slower: 14/66/226 ms against 8/21/57 ms at order 800/1600/2800."""
     return "sum" if ring.modulus is None else "eq-2-2-appell"
 
 
@@ -160,30 +171,40 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 
 
 def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
-    """C (k None) or C_k as the sum of its definition: term n is
+    """C (k None) or C_k as the sum of its definition. Term n is
     q^(2n+1) * u_n, and (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
     u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k, from the
-    sparse pentagonal f1, f2, f4. Exact, u_0 divides by f1 twice term by term
-    (`mul_sparse`), which beats Newton's Kronecker products; mod 2^w it takes
-    Newton's invert(f1)^2, which beats the divides' Python-int recurrence."""
+    sparse pentagonal f1, f2, f4. One `eulerian_sum` call takes the terms
+    last to first over u_0 = 1 (C_k's 1/(-q^2; q^2)_(k-1) is its last step),
+    and the rest of u_0 multiplies the sum after. Exact, that is term by
+    term, by f2 (or f4) and f4, then two divides by f1 (`mul_sparse`): 26 ms
+    at order 2800, against 136 ms for one Kronecker product by u_0. Mod 2^w
+    it is one product by f2*f4 (or f4^2) times Newton's invert(f1)^2: 7 ms
+    at 2800 mod 2^64, against 22 ms for the divides' Python-int recurrence."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    f1, f4 = (pentagonal_series(m, order, ring) for m in (1, 4))
-    u = mul_sparse(pentagonal_series(2 if k is None else 4, order, ring), _terms(f4._c))
-    if ring.modulus is None:
-        u = mul_sparse(mul_sparse(u, _terms(f1._c), "divide"), _terms(f1._c), "divide")
-    else:
-        u = mul(u, power(invert(f1), 2))
-    first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
-    # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1
+    # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1,
+    # and term n+1 sits at q^(j+2), below the order for j < order - 2
     rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))
-            for j in range(1, order, 2))
-    return eulerian_sum(u, chain([first], rest))
+            for j in reversed(range(1, order - 2, 2)))
+    first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
+    steps, m = chain(rest, [first]), 2 if k is None else 4
+    if ring.modulus is None:
+        total = eulerian_sum(ring, order, steps)
+        for j, direction in ((m, "multiply"), (4, "multiply"), (1, "divide"), (1, "divide")):
+            total = mul_sparse(total, _terms(pentagonal_series(j, order, ring)._c), direction)
+        return total
+    # u_0 first, and no pentagonal series outlives it: the sum then adds one
+    # array to the memory u_0 holds
+    u0 = mul(mul_sparse(pentagonal_series(m, order, ring),
+                        _terms(pentagonal_series(4, order, ring)._c)),
+             power(invert(pentagonal_series(1, order, ring)), 2))
+    return mul(eulerian_sum(ring, order, steps), u0)
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Third-order f(q) = sum over n >= 0 of q^(n^2) / (-q; q)_n^2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return eulerian_sum(monomial(ring, order, 0),
-                        ((n * n, [], [(1, n)] * 2 if n else []) for n in range(order)))
+    return eulerian_sum(ring, order,
+                        ((n * n, [], [(1, n)] * 2 if n else []) for n in _last_to_first(order)))

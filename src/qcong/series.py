@@ -22,8 +22,10 @@ builds its series in `narrowest_ring([M, ...])`: mod 2^8, or mod M if wider.
 terms, then Newton's iteration, which doubles them with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
-Pochhammer or eta product: it sums q^e * u while it steps u by binomial
-factors (1 +- q^j)^(+-1), each an O(N) pass. All of it is exact arithmetic.
+Pochhammer or eta product: it takes the terms last to first by Horner's
+rule, each step adding q^e and applying binomial factors (1 +- q^j)^(+-1) in
+place, an O(N) pass each; an exact sum runs in int64 while a bound proves it
+cannot overflow, then in Python ints. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -553,36 +555,65 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
     return Series._wrap(ring, np.array(b, dtype=ring.dtype))
 
 
-def eulerian_sum(head: Series, steps) -> Series:
-    """Sum of q^e * u over the (e, up, down) tuples of `steps`, truncated to
-    head.order: an Eulerian sum whose term ratio is a product of binomials.
+# An exact eulerian_sum stays in int64 while its bound is below this: one bit
+# of margin under 2^63.
+_INT64_SUM_BOUND = 2 ** 62
 
-    u starts as head. Each step cuts u to its window u[:order - e] (e must
-    not decrease), multiplies it by (1 + c*q^j) for each (c, j) in `up`,
-    divides it by (1 + c*q^j) for each (c, j) in `down`, and adds q^e * u.
-    The sum stops at the first e >= order, so `steps` may be endless. Every
-    c is 1 or -1, so a multiply and a divide (`_div_binomial`) each work in
-    place in O(window); a factor with j at or past the window is a no-op.
+
+def eulerian_sum(ring: CoefficientRing, order: int, steps) -> Series:
+    """Sum over i of q^(e_i) * r_1 * ... * r_i, truncated to `order`, for the
+    (e_i, up_i, down_i) tuples of `steps`: an Eulerian sum whose term ratio
+    r_i, the product of (1 + c*q^j) over (c, j) in up_i divided by that over
+    down_i, is a product of binomials. Every c is 1 or -1 and every j >= 1.
+
+    The steps come last to first: e is never negative and never grows from
+    one step to the next (else a ValueError names the step before its
+    arithmetic). The sum is taken by Horner's rule,
+    v = r_1 (q^(e_1) + r_2 (q^(e_2) + ...)): each step adds 1 at q^e, then
+    multiplies the window v[e:] by its `up` factors, one in-place pass
+    v[j:] +-= v[:-j] each, and divides it by its `down` factors
+    (`_div_binomial`, in place). v is zero below q^e, so the window is all
+    the step can reach. A step with e >= order adds nothing, and a factor
+    with j at or past the window is a no-op.
+
+    In the exact ring v is int64 while a bound proves that the next step
+    cannot overflow: (max|v[e:]| + 1) * 2^len(up) * the product over `down`
+    of 2*ceil(len(v[e:]) / j) < 2^62. A multiply at most doubles max|v|, and
+    a divide makes each coefficient a signed sum of at most ceil(len/j) of
+    them, or of ceil(len/2j) differences of two. At the first step that
+    fails the bound, v turns into Python ints, once.
     """
-    ring, order = head.ring, head.order
-    acc = np.zeros(order, dtype=ring.dtype)
-    u = head._c.copy()
-    for e, up, down in steps:
-        if e >= order:
-            break
+    v = np.zeros(order, dtype=np.int64 if ring.modulus is None else ring.dtype)
+    last = None
+    for i, (e, up, down) in enumerate(steps):
+        if e < 0:
+            raise ValueError(f"eulerian_sum step {i} has e = {e} < 0")
+        if last is not None and e > last:
+            raise ValueError(f"eulerian_sum step {i} has e = {e} > {last}, the e of "
+                             f"step {i - 1}: the steps go last to first")
         for c, j in (*up, *down):
             if c not in (1, -1) or j < 1:
                 raise ValueError(f"binomial factor (1 + {c}*q^{j}) needs c = +-1 and j >= 1")
-        u = u[:order - e]
+        last = e
+        if e >= order:
+            continue
+        w = v[e:]
+        if v.dtype == np.int64:
+            bound = (max(int(w.max()), -int(w.min())) + 1) << len(up)
+            for _, j in down:
+                bound *= 2 * -(-len(w) // j)
+            if bound >= _INT64_SUM_BOUND:
+                v = v.astype(object)
+                w = v[e:]
+        w[0] += 1
         for c, j in up:  # numpy reads the overlapping operands before writing
             if c == 1:
-                u[j:] += u[:-j]
+                w[j:] += w[:-j]
             else:
-                u[j:] -= u[:-j]
+                w[j:] -= w[:-j]
         for c, j in down:
-            _div_binomial(u, c, j)
-        acc[e:] += u
-    return Series._wrap(ring, _reduce(acc, ring.modulus))
+            _div_binomial(w, c, j)
+    return Series._wrap(ring, _reduce(v, ring.modulus))  # an int64 v turns into Python ints
 
 
 def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> Series:

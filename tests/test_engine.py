@@ -197,6 +197,16 @@ class TestBuilderAgainstProductDefinition:
             if k is not None:
                 assert series_ck(k, order, ring) == change_ring(series_ck(k, order), ring)
 
+    def test_exact_c_across_the_int64_switch(self):
+        # the exact sum leaves int64 partway (at q^155 of 2800); c_appell
+        # builds C by eq 2-2 from Kronecker, Newton and Appell kernels
+        assert series_c(2800) == c_appell(2800)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_ck_across_the_int64_switch(self, k):
+        # the exact sum of C_k leaves int64 partway, near q^68 of 1400
+        assert series_ck(k, 1400) == reference_c(1400, EXACT, k)
+
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
     def test_ck_is_c_once_2k_exceeds_order_minus_1(self, ring):
         for order in range(1, 41):

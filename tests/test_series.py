@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import count
 from math import isqrt
 
 import numpy as np
@@ -1073,12 +1072,13 @@ class TestSparseDivide:
         assert got.coefficients() == recurrence_divide(xs, sparse_list(terms, 30), ring.modulus)
 
 
-def eulerian_reference(head: list, steps, order: int) -> list:
-    """Independent reference for eulerian_sum in exact ints: every term is
-    carried at full order, with no window, and each factor is a schoolbook
-    multiply or a coefficient recurrence."""
-    acc, u = [0] * order, list(head)
-    for e, up, down in steps:
+def eulerian_reference(steps, order: int) -> list:
+    """Independent reference for eulerian_sum in exact ints, which takes the
+    steps (given last to first) first to last: every term is carried at full
+    order, with no window, and each factor is a schoolbook multiply or a
+    coefficient recurrence."""
+    acc, u = [0] * order, [1] + [0] * (order - 1)
+    for e, up, down in reversed(steps):
         if e >= order:
             break
         for c, j in up:
@@ -1094,45 +1094,71 @@ binomials = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 30)), ma
 
 
 class TestEulerianSum:
-    @given(coeff_lists, st.lists(st.tuples(st.integers(0, 6), binomials, binomials),
-                                 max_size=8), rings)
-    def test_matches_full_order_terms(self, head, raw, ring):
+    @given(st.integers(1, 24), st.lists(st.tuples(st.integers(0, 6), binomials, binomials),
+                                        max_size=8), rings)
+    def test_matches_full_order_terms(self, order, raw, ring):
         steps, e = [], 0
         for de, up, down in raw:
             e += de
             steps.append((e, up, down))
-        got = qc.eulerian_sum(Series(ring, head), steps)
-        assert got == Series(ring, eulerian_reference(head, steps, len(head)))
+        steps.reverse()
+        got = qc.eulerian_sum(ring, order, steps)
+        assert got == Series(ring, eulerian_reference(steps, order))
 
     @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(5)], ids=str)
     def test_factor_at_or_past_the_window_is_a_no_op(self, ring):
-        head = Series(ring, [3, -1, 4, 1, -5, 9, 2, -6, 5, 3])
-        bare = qc.eulerian_sum(head, [(0, [], []), (4, [], [])])
+        # the term at q^7 fills the window of the step at q^4
+        last = (7, [(-1, 1)], [(1, 2)])
+        bare = qc.eulerian_sum(ring, 10, [last, (4, [], []), (0, [], [])])
         # the second step's window is 10 - 4 = 6 coefficients
         for c, j in ((1, 6), (-1, 6), (1, 7), (-1, 40)):
             for up, down in (([(c, j)], []), ([], [(c, j)])):
-                assert qc.eulerian_sum(head, [(0, [], []), (4, up, down)]) == bare
+                assert qc.eulerian_sum(ring, 10, [last, (4, up, down), (0, [], [])]) == bare
         # one inside the window is not
-        assert qc.eulerian_sum(head, [(0, [], []), (4, [(1, 5)], [])]) != bare
-        assert qc.eulerian_sum(head, [(0, [], []), (4, [], [(1, 5)])]) != bare
+        assert qc.eulerian_sum(ring, 10, [last, (4, [(1, 5)], []), (0, [], [])]) != bare
+        assert qc.eulerian_sum(ring, 10, [last, (4, [], [(1, 5)]), (0, [], [])]) != bare
 
-    def test_endless_steps_stop_at_the_order(self):
+    def test_steps_past_the_order_add_nothing(self):
         # sum over n of q^n / (1 - q)^(n+1) = 1 / (1 - 2q)
-        steps = ((n, [], [(-1, 1)]) for n in count())
-        got = qc.eulerian_sum(monomial(EXACT, 10, 0), steps)
+        steps = ((n, [], [(-1, 1)]) for n in reversed(range(40)))
+        got = qc.eulerian_sum(EXACT, 10, steps)
         assert got.coefficients() == [2**i for i in range(10)]
-
-    def test_head_is_not_modified(self):
-        head = exact_series([1, 2, 3, 4, 5])
-        qc.eulerian_sum(head, [(0, [(-1, 1)], [(1, 2)]), (1, [(1, 1)], [])])
-        assert head.coefficients() == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("up,down", [([(2, 1)], []), ([], [(2, 1)]),
                                          ([(0, 1)], []), ([], [(-2, 3)]),
                                          ([(1, 0)], []), ([], [(-1, 0)])])
     def test_rejects_a_factor_other_than_one_plus_minus_q_j(self, up, down):
         with pytest.raises(ValueError):
-            qc.eulerian_sum(monomial(qc.MOD64, 5, 0), [(0, up, down)])
+            qc.eulerian_sum(qc.MOD64, 5, [(0, up, down)])
+
+    def test_rejects_a_negative_e(self):
+        with pytest.raises(ValueError, match=r"^eulerian_sum step 1 has e = -1 < 0$"):
+            qc.eulerian_sum(EXACT, 5, [(2, [(1, 1)], []), (-1, [], [])])
+
+    def test_rejects_a_growing_e(self):
+        # steps given first to last, as the sum's definition writes them
+        with pytest.raises(ValueError, match=r"^eulerian_sum step 2 has e = 3 > 1, the e of "
+                                             r"step 1: the steps go last to first$"):
+            qc.eulerian_sum(EXACT, 5, [(1, [], []), (1, [(1, 1)], []), (3, [], [])])
+
+    @pytest.mark.parametrize("up,down", [([(1, 1)] * 2, []), ([], [(-1, 1)]),
+                                         ([(1, 2)], [(-1, 1), (1, 3)])])
+    def test_exact_sum_leaves_int64_partway(self, up, down):
+        # the last terms are small enough for int64; the sum outgrows 2^62 on
+        # the way down, so the bound fails at some step past the first
+        order = 70
+        steps = [(n, up, down) for n in reversed(range(order))]
+        want = eulerian_reference(steps, order)
+        assert max(map(abs, want)) > 2**62
+        assert qc.eulerian_sum(EXACT, order, steps).coefficients() == want
+
+    def test_exact_product_fails_the_bound_at_its_first_step(self):
+        # (q; q)_inf to order 70: its 69 up factors put the bound at 2^69 at
+        # once, so the whole product runs in Python ints
+        steps = [(0, [(-1, j) for j in range(1, 70)], [])]
+        got = qc.eulerian_sum(EXACT, 70, steps)
+        assert got.coefficients() == eulerian_reference(steps, 70)
+        assert got == qc.pochhammer_inf(1, 1, 1, 70) == qc.pentagonal_series(1, 70)
 
 
 class TestReindexing:
