@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 from .mock_theta import c_builder, series_ck
 from .oracle import oracle_table
-from .qexpr import (F3, BFun, CSeries, Dissect, Num, Omega, QExpr, Sub,
-                    evaluate, parse, reads, to_source)
+from .qexpr import (F3, BFun, CSeries, Omega, QExpr, Sub, evaluate, parse,
+                    reach, reads, to_source)
 from .series import EXACT, Series, change_ring, first_incongruence, narrowest_ring
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
@@ -218,51 +218,29 @@ def verify_identity(lhs: Series, rhs: Series, n: int,
     return verify_congruent(lhs, rhs, None, n, claim_id, paper_eq)
 
 
-def _too_short(sides, seeds: dict, n: int) -> list[QExpr]:
-    """The seeded leaves that a side, evaluated to n, reads past their end."""
-    depths = [reads(e, n) for e in sides]
-    return [leaf for leaf, s in seeds.items()
-            if any(d.get(leaf, 0) > s.order for d in depths)]
-
-
-def _scan_order(sides, seeds: dict) -> int:
-    """The largest n (0 if none) to which no side reads a seed past its end.
-    A scan side is 0, D[m,r](seed) or its negation, and D[m,r] reads a seed
-    of order N to n as long as m*(n-1) + r < N; any other side, or none
-    that reads a seed, raises ValueError."""
-    depths = []
-    for e in sides:
-        d = e.right if isinstance(e, Sub) and e.left == Num(0) else e
-        if isinstance(d, Dissect) and d.child in seeds:
-            depths.append((seeds[d.child].order - d.r - 1) // d.m + 1)
-        elif e != Num(0):
-            raise ValueError(f"a scan side must be 0, D[m,r](seed) or its "
-                             f"negation, got {to_source(e)}")
-    if not depths:
-        raise ValueError("no side of a scan row reads a seed")
-    return max(0, min(depths))
-
-
 def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
               n: Optional[int] = None, memo: Optional[dict] = None,
               claim_id: str = "row", paper_eq: str = "") -> ClaimReport:
     """lhs == rhs to n coefficients, exactly (modulus None) or mod `modulus`,
     evaluated in the ring of `seeds` ({leaf: series}) through `memo` (a
     fresh one if None), which they seed. n None checks as many coefficients
-    as the seeds allow and adds n_max = n - 1 to the params; it takes only
-    the scan shape, each side 0, D[m,r](seed) or its negation, and raises
-    ValueError for any other side (pass n for those). A seed too short for
-    n, which evaluate would silently rebuild, gives order-too-small."""
+    as the seeds allow, the least `qexpr.reach` of a side, and adds
+    n_max = n - 1 to the params; it raises ValueError when no side reads a
+    seed. A seed too short for n, which evaluate would silently rebuild,
+    gives order-too-small."""
     if not seeds:
         raise ValueError("check_row evaluates in its seeds' ring, so it needs at least one seed")
     ring = next(iter(seeds.values())).ring
     scan = n is None
     if scan:
-        n = _scan_order(sides, seeds)
+        n = reach(Sub(*sides), seeds)  # both sides read at n, as lhs - rhs does
+        if n is None:
+            raise ValueError("no side of a scan row reads a seed")
     params = {**_params(n, modulus, ring), "lhs": to_source(sides[0]),
               "rhs": to_source(sides[1])}
     samples = {"n_max": n - 1} if scan else {}
-    too_short = _too_short(sides, seeds, max(n, 1))
+    depths = reads(Sub(*sides), max(n, 1))
+    too_short = [leaf for leaf, s in seeds.items() if depths.get(leaf, 0) > s.order]
     if too_short:
         params["too_short"] = list(map(to_source, too_short))
         return ClaimReport(claim_id, paper_eq, "order-too-small", {**params, **samples})

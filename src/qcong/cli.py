@@ -263,6 +263,8 @@ def _sources_last(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact integers print in full
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(_sources_last(sys.argv[1:] if argv is None
                                            else argv))

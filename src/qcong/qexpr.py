@@ -25,10 +25,10 @@ is a run of the ASCII digits 0-9.
 Every named atom, `D` included, is one row of `_ATOMS` (its source name,
 node class and argument shape), and every operator one row of `_BINARY`;
 the parser, the printer and the parse errors read both.  `_children` is the
-one rule for the nodes a node is evaluated from, which `evaluate` and
-`reads` both follow; a node without children is a leaf, built by its row in
-`_BUILDERS`.  A new leaf atom is a node class, a row in `_ATOMS` and a
-builder; nothing else changes.
+one rule for the nodes a node is evaluated from and how deep it reads them,
+which `evaluate` and `reads` follow forwards and `reach` inverts; a node
+without children is a leaf, built by its row in `_BUILDERS`.  A new leaf
+atom is a node class, a row in `_ATOMS` and a builder; nothing else changes.
 """
 
 from __future__ import annotations
@@ -408,21 +408,27 @@ _BUILDERS = {Num: lambda value, order, ring: monomial(ring, order, 0, value),
              F3: lambda sign, qpow, order, ring: f3_series(order, ring)}
 
 
-def _children(e: QExpr, order: int) -> list[tuple[QExpr, int]]:
-    """The (node, order) pairs `evaluate(e, order)` evaluates `e` from; none
-    for a leaf."""
+def _children(e: QExpr) -> list[tuple[QExpr, int, int, int]]:
+    """The one read rule: a (node, m, r, d) per child `evaluate(e, n)` is
+    built from, which it reads to m*(n-1)//d + r + 1 coefficients; none for
+    a leaf. D[m,r] reads (m, r, 1), an argument +-q^k (1, 0, k), that is
+    ceil(n/k), and an operator or power (1, 0, 1)."""
     if isinstance(e, _Binary):
         # a/b is a * b^-1, a node the memo keeps: each denominator inverts once
         right = Pow(e.right, -1) if isinstance(e, Div) else e.right
-        return [(e.left, order), (right, order)]
+        return [(e.left, 1, 0, 1), (right, 1, 0, 1)]
     if isinstance(e, Pow):
-        return [(e.base, order)]
+        return [(e.base, 1, 0, 1)]
     if isinstance(e, Dissect):  # so the result keeps full length
-        return [(e.child, e.m * (order - 1) + e.r + 1)]
+        return [(e.child, e.m, e.r, 1)]
     if isinstance(e, _QArg) and (e.sign, e.qpow) != (1, 1):
-        # at argument q, long enough that the substituted series covers order
-        return [(type(e)(1, 1), (order + e.qpow - 2) // e.qpow + 1)]
+        return [(type(e)(1, 1), 1, 0, e.qpow)]
     return []
+
+
+def _child_orders(e: QExpr, order: int) -> list[tuple[QExpr, int]]:
+    """The (node, order) pairs `evaluate(e, order)` evaluates `e` from."""
+    return [(child, m * (order - 1) // d + r + 1) for child, m, r, d in _children(e)]
 
 
 def reads(e: QExpr, order: int) -> dict:
@@ -433,12 +439,22 @@ def reads(e: QExpr, order: int) -> dict:
     stack = [(e, order)]
     while stack:
         node, n = stack.pop()
-        children = _children(node, n)
-        if children:
+        if children := _child_orders(node, n):
             stack += children
         else:
             out[node] = max(out.get(node, 0), n)
     return out
+
+
+def reach(e: QExpr, known: dict) -> Optional[int]:
+    """The largest n at which `evaluate(e, n)` reads no leaf of `known`
+    ({leaf: series}) past that series' end, or None when e reads none of
+    them: `_children`'s rule inverted, edge by edge."""
+    if e in known:
+        return known[e].order
+    ends = [max(0, (d * (k - r) - 1) // m + 1) for child, m, r, d in _children(e)
+            if (k := reach(child, known)) is not None]
+    return min(ends, default=None)
 
 
 def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
@@ -468,7 +484,7 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
 
 def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
               memo: Optional[dict]) -> Series:
-    parts = [evaluate(*child, ring, memo) for child in _children(e, order)]
+    parts = [evaluate(*child, ring, memo) for child in _child_orders(e, order)]
     if not parts:
         return _BUILDERS[type(e)](*astuple(e), order, ring)
     if isinstance(e, Dissect):

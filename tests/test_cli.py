@@ -76,6 +76,29 @@ class TestExpand:
         assert json.loads(capsys.readouterr().out)["coeffs"] == ["0", "-1", "0"]
 
 
+class TestLongIntegers:
+    """qcong works in exact integers, so main lifts the limit of 4,300
+    digits that Python puts on converting an int to or from a string."""
+
+    def test_expand_prints_every_digit(self, capsys):
+        assert main(["expand", "2^20000", "--order", "1"]) == 0
+        n, value = capsys.readouterr().out.split("\t")
+        assert (n, len(value.strip())) == ("0", 6021)
+        assert int(value) == 2**20000
+
+    def test_verify_reports_the_witness(self, capsys):
+        assert main(["verify", "2^20000", "2^20000+1", "--order", "1"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("fail  witness: ")
+        witness = json.loads(out.removeprefix("fail  witness: "))
+        assert witness == {"n": 0, "lhs": 2**20000, "rhs": 2**20000 + 1}
+
+    def test_long_literal_parses(self, capsys):
+        digits = "7" * 5000
+        assert main(["expand", f"{digits} - {digits}*q^0 + q", "--order", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t0", "1\t1"]
+
+
 class TestVerify:
     def test_equal_expressions_pass(self, capsys):
         assert main(["verify", "q", "q", "--order", "10"]) == 0

@@ -48,14 +48,14 @@ from qcong import (
 )
 from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
                              ORACLE_LIMIT, SCAN_ROWS, _family_entry,
-                             _scan_order, all_passed, suite_json)
+                             all_passed, suite_json)
 from qcong.cli import main
 from qcong import qexpr
 import qcong.series
 from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
 from qcong.series import _FFT_MIN_ORDER, monomial
 from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
-                         evaluate, parse, reads, to_source)
+                         evaluate, parse, reach, reads, to_source)
 from test_qexpr import qexprs
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
@@ -419,16 +419,16 @@ class TestCheckFamily:
         assert reports[5].status == "order-too-small"
 
 
-def family_sides(k_max):
-    """(lhs, rhs) of every family member k <= k_max, by the rule that
-    `_family_entry` documents."""
+def family_rows(k_max):
+    """(id, lhs, rhs, modulus) of every family member k <= k_max, by the
+    rule that `_family_entry` documents."""
     out = []
-    for _, _, _, a_exp, b_mult, relation in FAMILY_ROWS:
+    for claim_id, _, modulus, a_exp, b_mult, relation in FAMILY_ROWS:
         for k in range(k_max + 1):
             lhs = f"D[{2 ** (2 * k + a_exp)},{(b_mult * 4**k + 1) // 3}](C)"
             rhs = ("0" if relation is None else
                    "-" * (k % 2) + f"D[{relation[0]},{relation[1]}](C)")
-            out.append((lhs, rhs))
+            out.append((f"{claim_id}-k{k}", lhs, rhs, modulus))
     return out
 
 
@@ -445,27 +445,66 @@ def bisected_scan_order(sides, seeds):
 
 
 class TestScanOrder:
-    SIDES = [(lhs, rhs) for _, _, lhs, rhs, _, _ in SCAN_ROWS] + family_sides(6)
+    """check_row(n=None) checks as deep as `qexpr.reach` allows: the read
+    rule of `_children` inverted, for any pair of sides."""
+
+    SIDES = ([(lhs, rhs) for _, _, lhs, rhs, _, _ in SCAN_ROWS]
+             + [row[1:3] for row in family_rows(6)]
+             + [("2*D[8,4](C)", "0"),          # not a bare dissection
+                ("D[8,4](C)", "q"),            # a side that reads no seed
+                ("D[2,0](D[4,1](C))", "0")])   # nested
 
     @pytest.mark.parametrize("order", [1, 2, 63, 1200, 10000, 40000])
     def test_closed_form_matches_bisection(self, order):
         seeds = {CSeries(): monomial(mod2pow(8), order, 0, 0)}
         for lhs, rhs in self.SIDES:
             sides = (parse(lhs), parse(rhs))
-            assert _scan_order(sides, seeds) == bisected_scan_order(sides, seeds), \
-                (lhs, rhs, order)
+            want = bisected_scan_order(sides, seeds)
+            ends = [reach(e, seeds) for e in sides]
+            assert min(n for n in ends if n is not None) == want, (lhs, rhs, order)
+            rep = check_row(sides, 4, seeds)
+            assert rep.params["order"] == want
+            assert (rep.status == "order-too-small") == (want == 0)
 
     @pytest.mark.parametrize("lhs, rhs", [
         ("D[2,1](B(q))", "0"),          # not a seed
-        ("2*D[8,4](C)", "0"),           # not a bare dissection
-        ("D[8,4](C)", "q"),
-        ("D[2,0](D[4,1](C))", "0"),     # nested
         ("0", "0"),                     # reads no seed
     ])
     def test_other_shapes_raise(self, lhs, rhs):
         seeds = {CSeries(): monomial(mod2pow(8), 100, 0, 0)}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no side of a scan row reads a seed"):
             check_row((parse(lhs), parse(rhs)), 4, seeds)
+
+    def test_substituted_seed_long_enough_is_checked(self):
+        # omega(-q^2) and f3(q^8) to n read ceil(n/2) and ceil(n/8) of the
+        # series at q, so seeds of 50 and 10 serve order 100 and 80
+        omega = {Omega(1, 1): omega_series(50)}
+        sides = (parse("q*omega(-q^2)"), parse("q*D[2,0](omega(-q^4))"))
+        assert check_row(sides, None, omega, 100).status == "pass"
+        f3 = {F3(1, 1): f3_series(10)}
+        sides = (parse("f3(q^8)"), parse("D[2,0](f3(q^16))"))
+        assert check_row(sides, None, f3, 80).status == "pass"
+        assert check_row(sides, None, f3).params["order"] == 80
+
+    @pytest.mark.parametrize("src, leaf, n, depth", [
+        ("D[8,4](C)", CSeries(), 10, 77),                   # 8*9 + 4 + 1
+        ("q*omega(-q^2)", Omega(1, 1), 100, 50),            # ceil(100/2)
+        ("2*f3(q^8)", F3(1, 1), 81, 11),                    # ceil(81/8)
+        ("D[2,1](B(-q^3))", BFun(1, 1), 30, 20),            # ceil((2*29+2)/3)
+        ("D[3,2](D[2,1](C))", CSeries(), 7, 42),            # 2*(3*6+2) + 1 + 1
+    ])
+    def test_seed_one_coefficient_short_is_order_too_small(self, src, leaf, n, depth):
+        e = parse(src)
+        assert reads(e, n)[leaf] == depth
+        full = evaluate(leaf, depth)
+        for seed, status in ((full, "pass"), (full.truncate(depth - 1), "order-too-small")):
+            rep = check_row((e, e), None, {leaf: seed}, n)
+            assert rep.status == status, (src, seed.order)
+            assert rep.params.get("too_short", []) == (
+                [to_source(leaf)] if status != "pass" else [])
+        # reach inverts the same rule: the full seed serves n, the short one not
+        assert reach(e, {leaf: full}) >= n
+        assert reach(e, {leaf: full.truncate(depth - 1)}) < n
 
     @pytest.mark.parametrize("n", [None, 10])
     def test_no_seeds_raise(self, n):
@@ -716,7 +755,7 @@ class TestSuiteContext:
         assert ctx.c_exact.order == want[CSeries()] == 320
         assert ctx.b_exact.order == want[BFun(1, 1)] == 318
         assert ctx.omega_exact.order == want[Omega(1, 1)] == 80
-        assert ctx.f3_exact.order == want[F3(1, 1)] == 11
+        assert ctx.f3_exact.order == want[F3(1, 1)] == 10
         assert ctx.c_scan.order == 1200
         assert ctx.c_scan.ring == mod2pow(8)
         assert ctx.c_exact.ring == EXACT

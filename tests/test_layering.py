@@ -64,3 +64,29 @@ def test_the_reader_sees_relative_imports():
     # guards the tests above against a reader that finds nothing
     assert _qcong_imports("catalogue") >= {"mock_theta", "qexpr", "series"}
     assert _qcong_imports("series") == set()
+
+
+def _unused_imports(source: str) -> set[str]:
+    """The names `source` imports and never reads: a bound name with no
+    `ast.Name` of the same id anywhere in the module."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem != "__init__"))
+def test_every_import_is_used(module):
+    # __init__ imports to re-export, so it alone is exempt
+    assert _unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
+def test_the_unused_import_reader_sees_an_unused_import():
+    # guards the test above against a reader that finds nothing
+    source = "import os.path\nimport numpy as np\nfrom math import pi, tau\nprint(pi)\n"
+    assert _unused_imports(source) == {"os", "np", "tau"}

@@ -409,9 +409,11 @@ class TestReads:
         assert reads(parse("D[2,3](C)"), 30) == {CSeries(): 62}
 
     def test_argument_power_reads_the_series_at_q(self):
-        # omega, B and f3 at +-q^k read (n+k-2)//k+1 of the series at q
+        # omega, B and f3 at +-q^k read ceil(n/k) of the series at q, all
+        # that substitute_power needs to fill n coefficients
         assert reads(parse("omega(-q)"), 80) == {Omega(1, 1): 80}
-        assert reads(parse("f3(q^8)"), 80) == {F3(1, 1): 11}
+        assert reads(parse("f3(q^8)"), 80) == {F3(1, 1): 10}
+        assert reads(parse("f3(q^8)"), 81) == {F3(1, 1): 11}
         assert reads(parse("B(q) + D[2,0](B(-q^4))"), 9) == {BFun(1, 1): 9}
 
     def test_a_leaf_read_twice_reports_its_deepest_read(self):
