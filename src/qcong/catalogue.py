@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 from .mock_theta import c_builder, series_ck
 from .oracle import oracle_table
-from .qexpr import (F3, BFun, CSeries, Omega, QExpr, Sub, evaluate, parse,
-                    reach, reads, to_source)
-from .series import EXACT, Series, change_ring, first_incongruence, narrowest_ring
+from .qexpr import QExpr, Sub, evaluate, parse, reach, reads, to_source
+from .series import (EXACT, RingMismatchError, Series, change_ring, first_incongruence,
+                     narrowest_ring)
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
@@ -61,8 +61,8 @@ class ClaimReport:
 
 
 # the leaves of the catalogue rows that read a shared series, and its field
-_SEEDS = {CSeries(): "c_exact", BFun(1, 1): "b_exact",
-          Omega(1, 1): "omega_exact", F3(1, 1): "f3_exact"}
+_SEEDS = {parse("C"): "c_exact", parse("B(q)"): "b_exact",
+          parse("omega(q)"): "omega_exact", parse("f3(q)"): "f3_exact"}
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class SuiteContext:
     def seeds(self, depth: str) -> dict:
         """{leaf: shared series} for the rows of `depth`."""
         if depth == "scan":
-            return {CSeries(): self.c_scan}
+            return {parse("C"): self.c_scan}
         return {leaf: getattr(self, name) for leaf, name in _SEEDS.items()}
 
 
@@ -118,7 +118,7 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
     built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
     moduli = [row[4] for row in SCAN_ROWS] + [row[2] for row in FAMILY_ROWS]
-    c_scan = evaluate(CSeries(), n_scan, narrowest_ring(moduli))
+    c_scan = evaluate(parse("C"), n_scan, narrowest_ring(moduli))
     t2 = perf_counter()
     if timings is not None:
         timings["exact_build"] = t1 - t0
@@ -226,11 +226,15 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
     fresh one if None), which they seed. n None checks as many coefficients
     as the seeds allow, the least `qexpr.reach` of a side, and adds
     n_max = n - 1 to the params; it raises ValueError when no side reads a
-    seed. A seed too short for n, which evaluate would silently rebuild,
-    gives order-too-small."""
+    seed, and RingMismatchError when the seeds are in more than one ring. A
+    seed too short for n, which evaluate would silently rebuild, gives
+    order-too-small."""
     if not seeds:
         raise ValueError("check_row evaluates in its seeds' ring, so it needs at least one seed")
     ring = next(iter(seeds.values())).ring
+    if any(s.ring != ring for s in seeds.values()):
+        raise RingMismatchError("check_row's seeds must share one ring, got "
+                                + ", ".join(str(s.ring) for s in seeds.values()))
     scan = n is None
     if scan:
         n = reach(Sub(*sides), seeds)  # both sides read at n, as lhs - rhs does

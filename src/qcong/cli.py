@@ -23,7 +23,7 @@ from typing import Optional
 from .catalogue import (all_passed, build_suite_context, check_row,
                         run_catalogue, suite_json, verify_congruent)
 from .oracle import oracle_table
-from .qexpr import CkSeries, CSeries, Dissect, Num, Sub, evaluate, parse, reads
+from .qexpr import Dissect, Num, Sub, evaluate, parse, reads
 from .series import (EXACT, MOD64, check_modulus, dump_json_dict, dump_text,
                      narrowest_ring, scan_progressions)
 
@@ -70,9 +70,9 @@ def _moduli(text: str) -> list[int]:
 def _series_spec(text: str):
     """An argparse type: C or Ck:K, as the qexpr leaf of its series."""
     if text == "C":
-        return CSeries()
+        return parse("C")
     k = _int(text[3:], 1) if text.startswith("Ck:") else None
-    return CkSeries(_checked(k, "C or Ck:K with K >= 1", text))
+    return parse(f"Ck[{_checked(k, 'C or Ck:K with K >= 1', text)}]")
 
 
 def _k_spec(text: str):
@@ -165,7 +165,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_scan(args) -> int:
     order = args.amax * (args.nmax + 1)
-    series = evaluate(CSeries(), order, narrowest_ring(args.mods))
+    series = evaluate(parse("C"), order, narrowest_ring(args.mods))
     for a, b, m in scan_progressions(series, args.amax, args.mods, args.nmax):
         print(f"c({a}n+{b}) == 0 mod {m} for n <= {args.nmax}")
     return 0

@@ -52,11 +52,11 @@ def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
                    ring: CoefficientRing = EXACT) -> Series:
     """(sign*q^s; q^m)_n = prod over 0 <= j < n of (1 - sign*q^(s+jm))."""
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if s < 1 or m < 1:
-        raise ValueError("offset s and step m must be >= 1, so the product is a unit")
+        raise ValueError("pochhammer sign must be 1 or -1")
+    if s < 1 or m < 1:  # so the product is a unit
+        raise ValueError("pochhammer needs s >= 1 and m >= 1")
     if n < 0:
-        raise ValueError("factor count n must be >= 0")
+        raise ValueError("pochhammer needs n >= 0")
     up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
     return eulerian_sum(ring, order, [(0, up, [])])
 
@@ -73,7 +73,7 @@ def pentagonal_series(m: int, order: int, ring: CoefficientRing = EXACT) -> Seri
     Only the O(sqrt(order)) nonzero terms are written, into zeroed storage of
     the ring's dtype; the exponents are distinct, so each is set once."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ValueError("f[m] needs m >= 1")
     coeffs = np.zeros(order, dtype=ring.dtype)
     plus, minus = ring.normalize(1), ring.normalize(-1)
     j = 0
@@ -118,7 +118,7 @@ def appell_sum(quadratic: int, order: int, ring: CoefficientRing = EXACT) -> Ser
     if order < 1:
         raise ValueError("order must be >= 1")
     if quadratic < 1:
-        raise ValueError("quadratic must be >= 1")
+        raise ValueError("appell[a] needs a >= 1")
     out = np.zeros(order, dtype=ring.dtype)
     n = 0
     with np.errstate(over="ignore"):  # uint64 wraparound is the point here
@@ -166,7 +166,7 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
     """Generating series of the counts c(k, n): sum over n >= 0 of
     q^(2n+1) * (-q^(2n+2k), -q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError("Ck[k] needs k >= 1")
     return _c_sum(order, ring, k)
 
 

@@ -22,20 +22,20 @@ e[m*n + r] * q^n.  Division is literal series division: the denominator
 must have a unit constant term.  Only integer literals exist, and an INT
 is a run of the ASCII digits 0-9.
 
-Every named atom, `D` included, is one row of `_ATOMS` (its source name,
-node class and argument shape), and every operator one row of `_BINARY`;
-the parser, the printer and the parse errors read both.  `_children` is the
-one rule for the nodes a node is evaluated from and how deep it reads them,
-which `evaluate` and `reads` follow forwards and `reach` inverts; a node
-without children is a leaf, built by its row in `_BUILDERS`.  A new leaf
-atom is a node class, a row in `_ATOMS` and a builder; nothing else changes.
+Every named atom is one row of `_ATOMS` (source name, argument shape and
+builder), and every operator one row of `_BINARY`; the parser, the printer
+and the evaluator read both.  A leaf is one `Atom(name, args)`, and D, which
+has a child, a `Dissect`.  The kernel that reads a field checks it, as the
+node is made.  `_children` is the one rule for the nodes a node is
+evaluated from and how deep it reads them, which `evaluate` and `reads`
+follow forwards and `reach` inverts.  A new leaf atom is one row.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -45,6 +45,7 @@ from .mock_theta import (appell_sum, b_eulerian, f3_series, omega_series,
 from .series import (
     EXACT,
     CoefficientRing,
+    RingMismatchError,
     Series,
     dissect,
     monomial,
@@ -74,94 +75,21 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Q:
-    pass
+class Atom:
+    """The atom `name` of `_ATOMS` with its integer fields `args` in shape
+    order: `Atom("f", (2,))` is f[2], `Atom("B", (-1, 1))` is B(-q)."""
 
-
-@dataclass(frozen=True)
-class EtaF:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("f[m] needs m >= 1")
-
-
-@dataclass(frozen=True)
-class Appell:
-    a: int
+    name: str
+    args: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.a < 1:
-            raise ValueError("appell[a] needs a >= 1")
-
-
-@dataclass(frozen=True)
-class PochInf:
-    sign: int
-    s: int
-    m: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("pochhammer sign must be 1 or -1")
-        if self.s < 1 or self.m < 1:
-            raise ValueError("pochhammer needs s >= 1 and m >= 1")
-
-
-@dataclass(frozen=True)
-class PochFin:
-    sign: int
-    s: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("pochhammer sign must be 1 or -1")
-        if self.s < 1 or self.m < 1 or self.n < 0:
-            raise ValueError("pochhammer needs s >= 1, m >= 1, n >= 0")
-
-
-@dataclass(frozen=True)
-class _QArg:
-    """A mock theta function at the argument sign * q^qpow; the dataclass
-    equality compares classes, so Omega(1, 1) != BFun(1, 1)."""
-
-    sign: int
-    qpow: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("argument sign must be 1 or -1")
-        if self.qpow < 1:
-            raise ValueError("argument power must be >= 1")
-
-
-class Omega(_QArg):
-    pass
-
-
-class BFun(_QArg):
-    pass
-
-
-class F3(_QArg):
-    pass
-
-
-@dataclass(frozen=True)
-class CSeries:
-    pass
-
-
-@dataclass(frozen=True)
-class CkSeries:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("Ck[k] needs k >= 1")
+        # the kernel that reads the fields checks them, at one coefficient
+        pieces, build = _ATOMS[self.name]
+        if "qarg" in pieces:  # sign * q^power
+            sign, qpow = self.args
+            substitute_power(_ONE, qpow, sign, 1)
+        elif pieces or self.args:  # q and C, with no fields, build nothing
+            build(*self.args, 1, EXACT)
 
 
 @dataclass(frozen=True)
@@ -199,13 +127,13 @@ class Dissect:
     child: "QExpr"
 
     def __post_init__(self):
-        if self.m < 1 or self.r < 0:
-            raise ValueError(
-                f"dissection needs m >= 1 and r >= 0, got m={self.m}, r={self.r}")
+        dissect(_ONE, self.m, self.r)
 
 
-QExpr = Union[Num, Q, EtaF, Appell, PochInf, PochFin, Omega, BFun, F3,
-              CSeries, CkSeries, Add, Sub, Mul, Div, Pow, Dissect]
+QExpr = Union[Num, Atom, Add, Sub, Mul, Div, Pow, Dissect]
+
+# the one-coefficient series the nodes' field checks run their kernels on
+_ONE = monomial(EXACT, 1, 0)
 
 
 # ------------------------------------------------------------- tokenizer
@@ -226,24 +154,32 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens + [("end", "", len(src))]
 
 
-# {source name: (node class, argument shape)} for every named atom, the shape
+def _at_q(build):
+    """omega, B or f3's builder: a leaf only at argument q (`_children`)."""
+    return lambda sign, qpow, order, ring: build(order, ring)
+
+
+# {source name: (argument shape, builder)} for every named atom, the shape
 # split into pieces once, here: "int", "sint" (a signed INT), "qarg" (two
-# fields) and "expr" stand for the node's fields in order, and every other
-# piece is a symbol that must follow the name in the source.
-_ATOMS = {name: (cls, re.findall(r"[a-z]+|\S", shape)) for name, (cls, shape) in {
-    "q": (Q, ""),
-    "C": (CSeries, ""),
-    "Ck": (CkSeries, "[int]"),
-    "f": (EtaF, "[int]"),
-    "appell": (Appell, "[int]"),
-    "f3": (F3, "(qarg)"),
-    "omega": (Omega, "(qarg)"),
-    "B": (BFun, "(qarg)"),
-    "pochinf": (PochInf, "[sint,int,int]"),
-    "pochfin": (PochFin, "[sint,int,int,int]"),
-    "D": (Dissect, "[int,int](expr)"),
+# fields, sign and power) and "expr" stand for the node's fields in order,
+# and every other piece is a symbol that must follow the name in the source.
+# A leaf's builder takes (*fields, order, ring); D's is `dissect`.
+_ATOMS = {name: (re.findall(r"[a-z]+|\S", shape), build) for name, (shape, build) in {
+    "q": ("", lambda order, ring: monomial(ring, order, 1)),
+    "C": ("", series_c),
+    "Ck": ("[int]", series_ck),
+    "f": ("[int]", pentagonal_series),
+    "appell": ("[int]", appell_sum),
+    "f3": ("(qarg)", _at_q(f3_series)),
+    "omega": ("(qarg)", _at_q(omega_series)),
+    "B": ("(qarg)", _at_q(b_eulerian)),
+    "pochinf": ("[sint,int,int]", pochhammer_inf),
+    "pochfin": ("[sint,int,int,int]", pochhammer_fin),
+    "D": ("[int,int](expr)", dissect),
 }.items()}
-_ATOM_NAMES = {cls: (name, pieces) for name, (cls, pieces) in _ATOMS.items()}
+# omega, B and f3 at argument q: the leaves their other arguments read
+_AT_Q = {name: Atom(name, (1, 1)) for name, (pieces, _) in _ATOMS.items()
+         if "qarg" in pieces}
 _ATOM_EXPECTED = ("integer", *_ATOMS, "(", "-")
 
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
@@ -324,8 +260,7 @@ class _Parser:
     def named_atom(self, name: str, offset: int) -> QExpr:
         if name not in _ATOMS:
             raise ParseError(offset, f"unknown name {name!r}", expected=_ATOM_EXPECTED)
-        ctor, pieces = _ATOMS[name]
-        args = []
+        pieces, args = _ATOMS[name][0], []
         for piece in pieces:
             if piece == "qarg":
                 args += self.qarg()
@@ -333,10 +268,10 @@ class _Parser:
                 args.append(self.readers[piece]())
             else:
                 self.take("sym", piece)
-        # semantic bounds (dissection residue, argument signs, ...) live on
-        # the node constructors; surface them with the source position
+        # the kernels check the fields as the node is made; their errors
+        # are raised here with the source position
         try:
-            return ctor(*args)
+            return Dissect(*args) if name == "D" else Atom(name, tuple(args))
         except ValueError as exc:
             raise ParseError(offset, str(exc)) from None
 
@@ -364,11 +299,11 @@ def parse(src: str) -> QExpr:
 def _source(e: QExpr, context: int) -> str:
     if isinstance(e, Num):
         mine, text = _PREC_ATOM, str(e.value)
-    elif type(e) in _ATOM_NAMES:
-        name, pieces = _ATOM_NAMES[type(e)]
-        values = (getattr(e, f.name) for f in fields(e))
+    elif isinstance(e, (Atom, Dissect)):
+        name, values = ((e.name, iter(e.args)) if isinstance(e, Atom)
+                        else ("D", iter((e.m, e.r, e.child))))
         mine, text = _PREC_ATOM, name
-        for piece in pieces:
+        for piece in _ATOMS[name][0]:
             if piece == "qarg":
                 sign, qpow = next(values), next(values)
                 text += ("-q" if sign < 0 else "q") + ("" if qpow == 1 else f"^{qpow}")
@@ -397,17 +332,6 @@ def to_source(e: QExpr) -> str:
 # ------------------------------------------------------------- evaluator
 
 
-# the leaves built from their fields: builder(*fields, order, ring); omega,
-# B and f3 are leaves only at argument q
-_BUILDERS = {Num: lambda value, order, ring: monomial(ring, order, 0, value),
-             Q: lambda order, ring: monomial(ring, order, 1),
-             EtaF: pentagonal_series, Appell: appell_sum, PochInf: pochhammer_inf,
-             PochFin: pochhammer_fin, CSeries: series_c, CkSeries: series_ck,
-             Omega: lambda sign, qpow, order, ring: omega_series(order, ring),
-             BFun: lambda sign, qpow, order, ring: b_eulerian(order, ring),
-             F3: lambda sign, qpow, order, ring: f3_series(order, ring)}
-
-
 def _children(e: QExpr) -> list[tuple[QExpr, int, int, int]]:
     """The one read rule: a (node, m, r, d) per child `evaluate(e, n)` is
     built from, which it reads to m*(n-1)//d + r + 1 coefficients; none for
@@ -421,8 +345,8 @@ def _children(e: QExpr) -> list[tuple[QExpr, int, int, int]]:
         return [(e.base, 1, 0, 1)]
     if isinstance(e, Dissect):  # so the result keeps full length
         return [(e.child, e.m, e.r, 1)]
-    if isinstance(e, _QArg) and (e.sign, e.qpow) != (1, 1):
-        return [(type(e)(1, 1), 1, 0, e.qpow)]
+    if isinstance(e, Atom) and e.name in _AT_Q and e.args != (1, 1):
+        return [(_AT_Q[e.name], 1, 0, e.args[1])]
     return []
 
 
@@ -466,16 +390,19 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
     require the denominator to be a unit and raise NonUnitError otherwise.
 
     `memo` maps nodes to series already computed in `ring`; one memo serves
-    one ring. A node found there with at least `order` coefficients is
-    reused, truncated; any other node is computed and stored. omega, B and
-    f3 at any argument read their argument-q node through the memo, so a
-    caller can seed it (say `BFun(1, 1)` or `CSeries()`) with shared series.
+    one ring, and a node found there in another raises RingMismatchError. A
+    node found with at least `order` coefficients is reused, truncated; any
+    other node is computed and stored. omega, B and f3 at any argument read
+    their argument-q node through the memo, so a caller can seed it (say
+    `parse("B(q)")` or `parse("C")`) with shared series.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if memo is None:
         return _evaluate(e, order, ring, None)
     hit = memo.get(e)
+    if hit is not None and hit.ring != ring:
+        raise RingMismatchError(f"the memo holds {to_source(e)} in {hit.ring}, not {ring}")
     if hit is not None and hit.order >= order:
         return hit.truncate(order)
     out = memo[e] = _evaluate(e, order, ring, memo)
@@ -485,12 +412,15 @@ def evaluate(e: QExpr, order: int, ring: CoefficientRing = EXACT,
 def _evaluate(e: QExpr, order: int, ring: CoefficientRing,
               memo: Optional[dict]) -> Series:
     parts = [evaluate(*child, ring, memo) for child in _child_orders(e, order)]
+    if isinstance(e, Num):
+        return monomial(ring, order, 0, e.value)
     if not parts:
-        return _BUILDERS[type(e)](*astuple(e), order, ring)
+        return _ATOMS[e.name][1](*e.args, order, ring)
     if isinstance(e, Dissect):
         return dissect(*parts, e.m, e.r)
-    if isinstance(e, _QArg):
-        return substitute_power(*parts, e.qpow, e.sign, order)
+    if isinstance(e, Atom):  # omega, B or f3 at sign * q^power
+        sign, qpow = e.args
+        return substitute_power(*parts, qpow, sign, order)
     if isinstance(e, Pow):
         return power(*parts, e.exponent)
     return _BINARY[type(e)][2](*parts)

@@ -620,10 +620,10 @@ def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> 
     """a(sign * q^m) to `order` coefficients, by default m*(a.order-1) + 1:
     the coefficient of q^(m*n) is sign^n * a[n]. a must know ceil(order/m)
     coefficients."""
-    if m < 1:
-        raise ValueError("substitution power m must be >= 1")
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ValueError("argument sign must be 1 or -1")
+    if m < 1:
+        raise ValueError("argument power must be >= 1")
     if order is None:
         order = max(0, m * (a.order - 1) + 1)
     if order > m * a.order:
@@ -682,12 +682,13 @@ def scan_progressions(s: Series, a_max: int, moduli: list[int],
                       n_max: int) -> list[tuple[int, int, int]]:
     """Every (A, B, M) with A <= a_max, B < A and M in moduli such that
     s[A*n + B] vanishes mod M for every n <= n_max, ordered by A, then B,
-    then the moduli as given. Empirical only: holding on a sample proves
-    nothing.
+    then the moduli as given, each once. Empirical only: holding on a sample
+    proves nothing.
 
     Each A reads the first A*(n_max+1) coefficients once, as an
     (n_max+1) x A block whose column B holds s[A*n + B]; class B vanishes
     mod M when `_reduce` of the block mod M is zero down column B."""
+    moduli = list(dict.fromkeys(moduli))  # a repeated modulus finds nothing new
     if a_max < 1 or n_max < 0:
         raise ValueError("a_max must be >= 1 and n_max >= 0")
     # deepest read: exponent a*n_max + b with b < a <= a_max

@@ -33,20 +33,12 @@ from qcong.catalogue import all_passed
 from qcong.mock_theta import _c_sum
 from qcong.qexpr import (
     Add,
-    BFun,
-    CkSeries,
-    CSeries,
+    Atom,
     Dissect,
     Div,
-    EtaF,
-    F3,
     Mul,
     Num,
-    Omega,
-    PochFin,
-    PochInf,
     Pow,
-    Q,
     Sub,
     parse,
     to_source,
@@ -180,7 +172,7 @@ def test_criterion_6_negative_controls(flagship, record_criterion):
     # pinned counterexample: c(8n+4) vanishes mod 4 but not mod 8; the
     # witness value is c(12) in the scan ring, mod 2^8
     witness_report = check_row((parse("D[8,4](C)"), parse("0")), 8,
-                               {CSeries(): ctx.c_scan})
+                               {parse("C"): ctx.c_scan})
     witness_ok = (witness_report.status == "fail"
                   and witness_report.witness == {"n": 1, "value": 284 % 256,
                                                  "residue": 4}
@@ -242,16 +234,16 @@ def _random_expr(rng, depth):
     sign = rng.choice([1, -1])
     leaves = (
         lambda: Num(rng.randint(-50, 50)),
-        lambda: Q(),
-        lambda: CSeries(),
-        lambda: CkSeries(rng.randint(1, 4)),
-        lambda: EtaF(rng.randint(1, 6)),
-        lambda: PochInf(sign, rng.randint(1, 5), rng.randint(1, 4)),
-        lambda: PochFin(sign, rng.randint(1, 5), rng.randint(1, 4),
-                        rng.randint(0, 5)),
-        lambda: Omega(sign, rng.randint(1, 6)),
-        lambda: BFun(sign, rng.randint(1, 6)),
-        lambda: F3(sign, rng.randint(1, 6)),
+        lambda: Atom("q"),
+        lambda: Atom("C"),
+        lambda: Atom("Ck", (rng.randint(1, 4),)),
+        lambda: Atom("f", (rng.randint(1, 6),)),
+        lambda: Atom("pochinf", (sign, rng.randint(1, 5), rng.randint(1, 4))),
+        lambda: Atom("pochfin", (sign, rng.randint(1, 5), rng.randint(1, 4),
+                                 rng.randint(0, 5))),
+        lambda: Atom("omega", (sign, rng.randint(1, 6))),
+        lambda: Atom("B", (sign, rng.randint(1, 6))),
+        lambda: Atom("f3", (sign, rng.randint(1, 6))),
     )
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(leaves)()

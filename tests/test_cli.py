@@ -16,7 +16,7 @@ from qcong import CATALOGUE, build_suite_context, count_ck
 from qcong import qexpr
 from qcong.catalogue import CLAIM_ROWS, EQ_2_3_ROWS
 from qcong.cli import main
-from qcong.qexpr import CSeries
+from qcong.qexpr import parse
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 
@@ -321,7 +321,7 @@ class TestRelation:
                          "--rhs", "8,7", "--sign", "-", "--mod", "4",
                          "--nmax", "30"]) == 0
         # c(8n+7) at n = 30 is the deepest read: 8*30 + 7 + 1 coefficients
-        assert [c for c in calls if c[0] == CSeries()] == [(CSeries(), 248)]
+        assert [c for c in calls if c[0] == parse("C")] == [(parse("C"), 248)]
 
     def test_negative_nmax_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -389,6 +389,10 @@ class TestScan:
             "c(8n+6) == 0 mod 4 for n <= 40",
             "c(8n+6) == 0 mod 8 for n <= 40",
         ]
+
+    def test_repeated_modulus_prints_each_claim_once(self, capsys):
+        assert main(["scan", "--amax", "2", "--mods", "2,2", "--nmax", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["c(2n+0) == 0 mod 2 for n <= 3"]
 
     def test_non_power_of_two_modulus_uses_exact_ring(self, capsys):
         assert main(["scan", "--amax", "3", "--mods", "3", "--nmax", "20"]) == 0

@@ -21,6 +21,7 @@ from qcong import (
     ClaimReport,
     NonUnitError,
     OrderError,
+    RingMismatchError,
     Series,
     b_eulerian,
     build_suite_context,
@@ -54,8 +55,7 @@ from qcong import qexpr
 import qcong.series
 from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
 from qcong.series import _FFT_MIN_ORDER, monomial
-from qcong.qexpr import (F3, Appell, BFun, CSeries, Dissect, EtaF, Omega,
-                         evaluate, parse, reach, reads, to_source)
+from qcong.qexpr import Dissect, evaluate, parse, reach, reads, to_source
 from test_qexpr import qexprs
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
@@ -218,7 +218,7 @@ class TestBuilderAgainstProductDefinition:
 def check(s, lhs, rhs, modulus, n=None):
     """The row checker on two sources over C, with C seeded by s; n None
     checks as many coefficients as s allows, as a catalogue scan row does."""
-    return check_row((parse(lhs), parse(rhs)), modulus, {CSeries(): s}, n)
+    return check_row((parse(lhs), parse(rhs)), modulus, {parse("C"): s}, n)
 
 
 class TestCheckProgression:
@@ -265,7 +265,7 @@ class TestCheckProgression:
         with pytest.raises(ValueError):
             check(ctx.c_exact, "D[0,4](C)", "0", 4)
         with pytest.raises(ValueError):
-            Dissect(8, -1, CSeries())
+            Dissect(8, -1, parse("C"))
         with pytest.raises(ValueError):
             check(ctx.c_exact, "D[8,4](C)", "0", 1)
         # a mod-2^w scan series cannot resolve a non-power-of-two modulus
@@ -456,7 +456,7 @@ class TestScanOrder:
 
     @pytest.mark.parametrize("order", [1, 2, 63, 1200, 10000, 40000])
     def test_closed_form_matches_bisection(self, order):
-        seeds = {CSeries(): monomial(mod2pow(8), order, 0, 0)}
+        seeds = {parse("C"): monomial(mod2pow(8), order, 0, 0)}
         for lhs, rhs in self.SIDES:
             sides = (parse(lhs), parse(rhs))
             want = bisected_scan_order(sides, seeds)
@@ -471,27 +471,34 @@ class TestScanOrder:
         ("0", "0"),                     # reads no seed
     ])
     def test_other_shapes_raise(self, lhs, rhs):
-        seeds = {CSeries(): monomial(mod2pow(8), 100, 0, 0)}
+        seeds = {parse("C"): monomial(mod2pow(8), 100, 0, 0)}
         with pytest.raises(ValueError, match="no side of a scan row reads a seed"):
             check_row((parse(lhs), parse(rhs)), 4, seeds)
+
+    def test_seeds_in_two_rings_are_refused(self):
+        # an exact verdict on mod-2^8 data would say more than its evidence
+        seeds = {parse("B(q)"): b_eulerian(100), parse("C"): series_c(100, mod2pow(8))}
+        for n in (50, None):
+            with pytest.raises(RingMismatchError, match="share one ring, got exact, mod2pow:8"):
+                check_row((parse("C"), parse("C")), None, seeds, n)
 
     def test_substituted_seed_long_enough_is_checked(self):
         # omega(-q^2) and f3(q^8) to n read ceil(n/2) and ceil(n/8) of the
         # series at q, so seeds of 50 and 10 serve order 100 and 80
-        omega = {Omega(1, 1): omega_series(50)}
+        omega = {parse("omega(q)"): omega_series(50)}
         sides = (parse("q*omega(-q^2)"), parse("q*D[2,0](omega(-q^4))"))
         assert check_row(sides, None, omega, 100).status == "pass"
-        f3 = {F3(1, 1): f3_series(10)}
+        f3 = {parse("f3(q)"): f3_series(10)}
         sides = (parse("f3(q^8)"), parse("D[2,0](f3(q^16))"))
         assert check_row(sides, None, f3, 80).status == "pass"
         assert check_row(sides, None, f3).params["order"] == 80
 
     @pytest.mark.parametrize("src, leaf, n, depth", [
-        ("D[8,4](C)", CSeries(), 10, 77),                   # 8*9 + 4 + 1
-        ("q*omega(-q^2)", Omega(1, 1), 100, 50),            # ceil(100/2)
-        ("2*f3(q^8)", F3(1, 1), 81, 11),                    # ceil(81/8)
-        ("D[2,1](B(-q^3))", BFun(1, 1), 30, 20),            # ceil((2*29+2)/3)
-        ("D[3,2](D[2,1](C))", CSeries(), 7, 42),            # 2*(3*6+2) + 1 + 1
+        ("D[8,4](C)", parse("C"), 10, 77),                  # 8*9 + 4 + 1
+        ("q*omega(-q^2)", parse("omega(q)"), 100, 50),      # ceil(100/2)
+        ("2*f3(q^8)", parse("f3(q)"), 81, 11),              # ceil(81/8)
+        ("D[2,1](B(-q^3))", parse("B(q)"), 30, 20),         # ceil((2*29+2)/3)
+        ("D[3,2](D[2,1](C))", parse("C"), 7, 42),           # 2*(3*6+2) + 1 + 1
     ])
     def test_seed_one_coefficient_short_is_order_too_small(self, src, leaf, n, depth):
         e = parse(src)
@@ -679,7 +686,7 @@ class TestScan:
         """scan_progressions' output, one coefficient at a time."""
         c = s.coefficients()
         return [(a, b, m) for a in range(1, a_max + 1) for b in range(a)
-                for m in moduli
+                for m in dict.fromkeys(moduli)
                 if all(c[a * n + b] % m == 0 for n in range(n_max + 1))]
 
     def test_matches_a_direct_loop(self, ctx):
@@ -689,7 +696,7 @@ class TestScan:
 
     @pytest.mark.parametrize("ring, moduli", [
         (EXACT, [2, 3, 6, 4]),                  # % on Python ints
-        (mod2pow(8), [2, 4, 8, 16, 4]),         # a mask; a repeat repeats
+        (mod2pow(8), [2, 4, 8, 16, 4]),         # a mask; a repeat is read once
         (MOD64, [2 ** 64, 2]),                  # 2^64: no reduction at all
     ])
     @pytest.mark.parametrize("a_max, n_max", [(12, 30), (32, 200), (7, 0)])
@@ -702,6 +709,10 @@ class TestScan:
         got = scan_progressions(s, a_max, moduli, n_max)
         assert got == self.direct_scan(s, a_max, moduli, n_max)
         assert any(m == moduli[0] for _, _, m in got)
+
+    def test_repeated_modulus_lists_each_class_once(self):
+        s = series_c(40, mod2pow(8))
+        assert scan_progressions(s, 2, [2, 2], 3) == [(2, 0, 2)]
 
     def test_no_moduli_finds_nothing(self, ctx):
         assert scan_progressions(ctx.c_scan, 8, [], 30) == []
@@ -745,17 +756,17 @@ class TestSuiteContext:
         # each seed is as long as the deepest row reads it, eq 2-3's two rows
         # among them; only the oracle sets a floor (C to ORACLE_LIMIT)
         n = {"identity": 80, "congruence": 40}
-        want = {CSeries(): ORACLE_LIMIT + 1, BFun(1, 1): 0, Omega(1, 1): 0,
-                F3(1, 1): 0}
+        want = {parse("C"): ORACLE_LIMIT + 1, parse("B(q)"): 0, parse("omega(q)"): 0,
+                parse("f3(q)"): 0}
         for _, _, lhs, rhs, _, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
             for src in (lhs, rhs):
                 for leaf, depth in reads(parse(src), n[order]).items():
                     if leaf in want:
                         want[leaf] = max(want[leaf], depth)
-        assert ctx.c_exact.order == want[CSeries()] == 320
-        assert ctx.b_exact.order == want[BFun(1, 1)] == 318
-        assert ctx.omega_exact.order == want[Omega(1, 1)] == 80
-        assert ctx.f3_exact.order == want[F3(1, 1)] == 10
+        assert ctx.c_exact.order == want[parse("C")] == 320
+        assert ctx.b_exact.order == want[parse("B(q)")] == 318
+        assert ctx.omega_exact.order == want[parse("omega(q)")] == 80
+        assert ctx.f3_exact.order == want[parse("f3(q)")] == 10
         assert ctx.c_scan.order == 1200
         assert ctx.c_scan.ring == mod2pow(8)
         assert ctx.c_exact.ring == EXACT
@@ -783,17 +794,17 @@ class TestSuiteContext:
         # built from its fields alone, as the benchmark's child does
         fresh = type(ctx)(**{name: getattr(ctx, name) for name in names})
         assert fresh == ctx and fresh.memo is not ctx.memo
-        assert fresh.memo == {CSeries(): ctx.c_exact, BFun(1, 1): ctx.b_exact,
-                              Omega(1, 1): ctx.omega_exact,
-                              F3(1, 1): ctx.f3_exact}
-        assert fresh.scan_memo == {CSeries(): ctx.c_scan}
+        assert fresh.memo == {parse("C"): ctx.c_exact, parse("B(q)"): ctx.b_exact,
+                              parse("omega(q)"): ctx.omega_exact,
+                              parse("f3(q)"): ctx.f3_exact}
+        assert fresh.scan_memo == {parse("C"): ctx.c_scan}
         assert fresh.scan_memo is not ctx.scan_memo
 
 
 def _b_readers(ctx) -> set:
     """The rows whose sides read B at the depths of ctx."""
     return {row[0] for row in CLAIM_ROWS
-            if any(BFun(1, 1) in reads(parse(src), getattr(ctx, f"n_{row[5]}"))
+            if any(parse("B(q)") in reads(parse(src), getattr(ctx, f"n_{row[5]}"))
                    for src in row[2:4])}
 
 
@@ -849,8 +860,8 @@ class TestSharedMemo:
         # no node is built twice at one order in one ring, though many rows
         # share f[2], f[4], ..., and a second run finds every side in its
         # ring's memo
-        assert calls.count((EtaF(4), SMALL["n_identity"], EXACT)) == 1
-        assert calls.count((Appell(2), SMALL["n_identity"], EXACT)) == 1
+        assert calls.count((parse("f[4]"), SMALL["n_identity"], EXACT)) == 1
+        assert calls.count((parse("appell[2]"), SMALL["n_identity"], EXACT)) == 1
         assert (parse("D[8,4](C)"), 150, mod2pow(8)) in calls
         assert len(set(calls)) == len(calls) == first
 
@@ -897,7 +908,7 @@ class TestEq23:
         before = {r.claim_id: r for r in run_catalogue(ctx)}
         flipped = lambda a, order, ring: -appell_sum(a, order, ring)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(qexpr._BUILDERS, Appell, flipped)
+            mp.setitem(qexpr._ATOMS, "appell", (qexpr._ATOMS["appell"][0], flipped))
             after = {r.claim_id: r for r in run_catalogue(dataclasses.replace(ctx))}
         assert before["eq-2-3"].status == "pass"
         assert {k: r.status for k, r in after.items()} == {

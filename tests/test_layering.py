@@ -90,3 +90,14 @@ def test_the_unused_import_reader_sees_an_unused_import():
     # guards the test above against a reader that finds nothing
     source = "import os.path\nimport numpy as np\nfrom math import pi, tau\nprint(pi)\n"
     assert _unused_imports(source) == {"os", "np", "tau"}
+
+
+@pytest.mark.parametrize("module", ["catalogue", "cli"])
+def test_leaves_are_named_by_source_above_qexpr(module):
+    # only qexpr knows how a leaf is stored: the layers above it name their
+    # leaves by source, parse("C"), never by building an Atom
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "qexpr"
+             for alias in node.names}
+    assert "parse" in names and "Atom" not in names

@@ -2,11 +2,11 @@
 
 A mutant moves one integer field of one node of one side by +-1: an f
 index, an exponent, a coefficient, D's m or r, an argument's sign or power.
-The walker reads `dataclasses.fields`, so a new atom is covered with no
-edit. Every mutant of every row the suite checks (the families at k <= 2)
-runs through `check_row` at the published orders, with seeds as deep as
-the mutants read, so none is left unchecked. The mutants that pass are true
-statements, each listed with its reason.
+The walker reads `dataclasses.fields` and each int of an atom's args, so a
+new atom is covered with no edit. Every mutant of every row the suite
+checks (the families at k <= 2) runs through `check_row` at the published
+orders, with seeds as deep as the mutants read, so none is left unchecked.
+The mutants that pass are true statements, each listed with its reason.
 """
 
 import dataclasses
@@ -38,20 +38,30 @@ SURVIVORS = {(claim_id, lhs, "0") for claim_id, lhs in (
 )}
 
 
+def moved(node, **change):
+    """[node with `change`], or [] when the node's constructor refuses it."""
+    try:
+        return [dataclasses.replace(node, **change)]
+    except ValueError:
+        return []
+
+
 def mutants(e):
-    """Every tree with one integer field of one node of e moved by +-1,
-    less the values the node's constructor refuses."""
+    """Every tree with one integer field of one node of e moved by +-1 (an
+    atom's fields are the ints of its args, never its name), less the
+    values the node's constructor refuses."""
     for f in dataclasses.fields(e):
         value = getattr(e, f.name)
-        if not isinstance(value, int):
+        if isinstance(value, int):
+            for step in (-1, 1):
+                yield from moved(e, **{f.name: value + step})
+        elif isinstance(value, tuple):
+            for i, v in enumerate(value):
+                for step in (-1, 1):
+                    yield from moved(e, **{f.name: (*value[:i], v + step, *value[i + 1:])})
+        elif not isinstance(value, str):
             for sub in mutants(value):
                 yield dataclasses.replace(e, **{f.name: sub})
-            continue
-        for step in (-1, 1):
-            try:
-                yield dataclasses.replace(e, **{f.name: value + step})
-            except ValueError:
-                pass
 
 
 def row_mutants():
