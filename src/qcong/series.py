@@ -9,15 +9,16 @@ an object array for the exact ring, uint64 mod 2^w, whose arithmetic wraps
 mod 2^64. Every operation has one body for both rings and reduces its result
 through one hook, `_reduce(arr, modulus)`: nothing when exact or mod 2^64, a
 mask mod a smaller 2^w, a % on Python ints. The rings part ways only where
-storage or algorithm does: the dtype, `_reduce`, and the dense product route.
+storage does: the dtype, `_reduce`, and how the FFT product cuts a
+coefficient into digits and back.
 
 `mul` goes term by term through `mul_sparse` when the sparser operand has
 few nonzero coefficients (f[m] and its low powers). Otherwise a product is
 np.convolve at small orders (exact ones only when every sum fits an int64),
-else one big-integer multiply (Kronecker substitution) when exact, and mod
-2^w a float FFT on as few balanced limbs as the order and width allow (4 of
-16 bits mod 2^64 below order 8192, one of 8 bits mod 2^8). So a check mod M
-builds its series in `narrowest_ring([M, ...])`: mod 2^8, or mod M if wider.
+else a float FFT on balanced limbs: mod 2^w as few as the order and width
+allow (4 of 16 bits mod 2^64 below order 8192, one of 8 bits mod 2^8), exact
+as many 16-bit ones as the coefficients need. So a check mod M builds its
+series in `narrowest_ring([M, ...])`: mod 2^8, or mod M if wider.
 `invert` runs the coefficient recurrence in Python ints for the first few
 terms, then Newton's iteration, which doubles them with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
@@ -263,10 +264,10 @@ def mul(a: Series, b: Series) -> Series:
     Operands that are both series in q^d (d > 1) multiply as a[::d] and
     b[::d] by this same rule. Otherwise the sparser operand goes through
     `mul_sparse` in O(order * terms) when it has at most order/16 terms (f[m]
-    or a low power of it), or order/4 when the dense kernel would be
-    `_kronecker_mul`. Below _FFT_MIN_ORDER a dense product is np.convolve,
-    in int64 if exact and bits(max|x|) + bits(max|y|) + bitlen(order) <= 63
-    (no sum then passes 2^63). Else it is `_kronecker_mul` or the FFT."""
+    or a low power of it). A dense product below _FFT_MIN_ORDER is
+    np.convolve, exact ones in int64 when bits(max|x|) + bits(max|y|) +
+    bitlen(order) <= 63 (no sum then passes 2^63); every other one is the
+    float FFT of `_fft_mul`, with np.convolve as its fallback."""
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
     d = _stride(a._c[:n], b._c[:n])
@@ -275,28 +276,23 @@ def mul(a: Series, b: Series) -> Series:
         return substitute_power(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])),
                                 d, 1, n)
     x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
-    terms, exact = np.count_nonzero(x), ring.modulus is None
-    kronecker = exact and terms * _SPARSE_RATIO > n and (
-        n >= _FFT_MIN_ORDER
-        or n.bit_length() + sum(int(abs(v).max()).bit_length() for v in (x, y)) > 63)
-    if terms * (_SPARSE_RATIO_KRONECKER if kronecker else _SPARSE_RATIO) <= n:
+    if np.count_nonzero(x) * _SPARSE_RATIO <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
-    if kronecker:
-        return Series._wrap(ring, _kronecker_mul(x, None if b is a else y))
-    out = _fft_mul(x, None if b is a else y, ring.width) if n >= _FFT_MIN_ORDER else None
-    if out is None:
-        out = np.convolve(*(v.astype(np.int64) if exact else v for v in (x, y)))[:n]
+    exact, small = ring.modulus is None, n < _FFT_MIN_ORDER
+    if exact and small and n.bit_length() + _bits(x) + _bits(y) <= 63:
+        out = np.convolve(x.astype(np.int64), y.astype(np.int64))[:n]
+    else:
+        out = _fft_mul(x, None if b is a else y, ring.width) if exact or not small else None
+        if out is None:
+            out = np.convolve(x, y)[:n]
     return Series._wrap(ring, _reduce(out, ring.modulus))
 
 
-# Dense mod-2^w products at or above this order go through the float FFT;
-# below it np.convolve is faster.
+# Dense products at or above this order, and exact ones whose sums may pass
+# an int64, go through the float FFT; below it np.convolve is faster.
 _FFT_MIN_ORDER = 800
-# mul_sparse takes the sparser operand when its nonzero terms are at most
-# order / ratio, priced against the dense kernel the product would take: 16
-# against np.convolve and the FFT, 4 against Kronecker (see README).
+# mul_sparse takes an operand with at most order / ratio nonzero terms (README)
 _SPARSE_RATIO = 16
-_SPARSE_RATIO_KRONECKER = 4
 # invert runs the coefficient recurrence up to this order and Newton's
 # iteration above it.
 _NEWTON_MIN_ORDER = 64
@@ -307,6 +303,11 @@ _NEWTON_MIN_ORDER = 64
 _FFT_BUDGET = 2 ** 45
 # largest tolerated distance of a limb-product sum from the nearest integer
 _FFT_TOLERANCE = 0.125
+
+
+def _bits(v: np.ndarray) -> int:
+    """bits(max|v|), 0 for an empty or zero v."""
+    return max(map(int.bit_length, v.tolist()), default=0)
 
 
 def _fft_size(m: int) -> int:
@@ -335,102 +336,126 @@ def _fft_limbs(n: int, width: int) -> tuple[int, int]:
     return limbs, -(-width // limbs)
 
 
-def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int) -> np.ndarray | None:
-    """The first len(x) coefficients of x*y mod 2^width (x*x when y is None),
-    or None when float rounding leaves an exact result in doubt.
+def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int | None) -> np.ndarray | None:
+    """The first len(x) coefficients of x*y (x*x when y is None) mod
+    2^width, or over the integers when width is None; None when float
+    rounding leaves an exact result in doubt.
 
-    The first try takes the limbs of `_fft_limbs`. When the rounding guard
-    fails, the product is tried again on limbs one bit narrower, down to
-    1-bit limbs; None means every try failed.
+    Mod 2^width the first try takes the limbs of `_fft_limbs`, and when the
+    rounding guard fails the product is tried again on limbs one bit
+    narrower, down to 1-bit limbs. Exact digits are whole bytes: 16-bit
+    limbs when the largest group sum min(Lx, Ly) * n * 4^15 is below
+    _FFT_BUDGET, then 8-bit ones. None means every try failed.
     """
-    for bits in range(_fft_limbs(len(x), width)[1], 0, -1):
+    if width is not None:
+        tries = range(_fft_limbs(len(x), width)[1], 0, -1)
+    else:
+        limbs = (min(_bits(x), _bits(x if y is None else y)) + 17) // 16  # as in split
+        tries = (16, 8) if limbs * len(x) * 4 ** 15 < _FFT_BUDGET else (8,)
+    for bits in tries:
         out = _fft_mul_bits(x, y, width, bits)
         if out is not None:
             return out
     return None
 
 
-def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int,
+def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
                   bits: int) -> np.ndarray | None:
-    """_fft_mul on ceil(width / bits) limbs of the given bits, or None if the
-    guard fails.
+    """_fft_mul on limbs of the given bits, or None if the guard fails.
 
     Each coefficient is split into balanced digits d_i in [-2^(bits-1),
-    2^(bits-1)) with sum of d_i << bits*i equal to it mod 2^64: adding
-    K = sum of 2^(bits-1) << bits*i and cutting the sum into unsigned digits
-    e_i gives d_i = e_i - 2^(bits-1) (Crandall and Fagin 1994). So x*y mod
-    2^width is the sum over s of g_s << bits*s, where g_s sums the products
-    of limb i of x with limb s-i of y: a signed integer of magnitude at most
-    limbs * len(x) * 4^(bits-1), which the real FFT computes up to rounding.
-    Groups with bits*s >= width vanish mod 2^width.
-    """
-    n, limbs = len(x), -(-width // bits)
+    2^(bits-1)) with sum of d_i << bits*i equal to it (mod 2^64 for uint64):
+    adding K = sum of 2^(bits-1) << bits*i and cutting the sum into unsigned
+    digits e_i gives d_i = e_i - 2^(bits-1) (Crandall and Fagin 1994). So
+    x*y is the sum over s of g_s << bits*s, where g_s sums the products of
+    limb i of x with limb s-i of y: a signed integer of magnitude at most
+    min(Lx, Ly) * len(x) * 4^(bits-1), which the real FFT computes up to
+    rounding. Mod 2^width, groups with bits*s >= width vanish, and the rest
+    add in, shifted, mod 2^64. Exact, a product coefficient lies in
+    (-2^(t-1), 2^(t-1)) for t = bits(max|x|) + bits(max|y|) + bitlen(n) + 1:
+    its first ceil(t / bits) digits, carried up from the groups and read as
+    one signed number, are all of it."""
+    n = len(x)
     size = _fft_size(2 * n - 1)
     fft = np.fft  # numpy loads np.fft on first use, so only this branch pays
-    mask, half = np.uint64((1 << bits) - 1), 1 << (bits - 1)
-    offset = np.uint64(sum(half << (bits * i) for i in range(limbs)) % (1 << 64))
+    half = 1 << (bits - 1)
 
-    def spectra(v: np.ndarray) -> np.ndarray:
-        # one float digit at a time: all of them at once would take
-        # limbs * n * 8 bytes more
-        w, digit = v + offset, np.empty(n)
-        ints = digit.view(np.int64)
-        out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
-        for row in out:
-            np.bitwise_and(w, mask, out=ints.view(np.uint64))
-            ints -= half
-            np.copyto(digit, ints)  # in place: a ufunc would copy ints first
-            fft.rfft(digit, size, out=row)
-            w >>= np.uint64(bits)
-        return out
+    if width is None:
+        def split(v: np.ndarray, v_bits: int) -> tuple[int, np.ndarray]:
+            # |c| < 2^v_bits needs bits*limbs >= v_bits + 2, as K exceeds
+            # 2^(bits*limbs - 1); made from bytes, transformed in one call
+            limbs = (v_bits + 1 + bits) // bits
+            k, size_v = sum(half << (bits * i) for i in range(limbs)), limbs * bits // 8
+            e = np.frombuffer(b"".join((c + k).to_bytes(size_v, "little") for c in v.tolist()),
+                              dtype=f"<u{bits // 8}").reshape(n, limbs)
+            out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
+            return limbs, fft.rfft(e.T - float(half), size, out=out)
 
-    xs = spectra(x)
-    ys = xs if y is None else spectra(y)
-    out = np.zeros(n, dtype=np.uint64)
-    acc = np.empty_like(xs[0]) if y is None else None
-    for s in reversed(range(limbs)):
-        # group s sums in limb s of y (in acc for a square) and takes limb s
-        # of x as scratch: no lower group reads either
-        acc, tmp = acc if y is None else ys[s], xs[s]
-        np.multiply(xs[0], ys[s], out=acc)
-        for i in range(s, 0, -1):  # term s reads limb s of x before tmp overwrites it
+        bx = _bits(x)
+        by = bx if y is None else _bits(y)
+        lx, xs = split(x, bx)
+        ly, ys = (lx, xs) if y is None else split(y, by)
+        digits = -(-(bx + by + n.bit_length() + 1) // bits)
+        groups = min(lx + ly - 1, digits)
+        sums = np.zeros((digits, n), dtype=np.int64)
+    else:
+        lx = ly = groups = -(-width // bits)
+        mask = np.uint64((1 << bits) - 1)
+        offset = np.uint64(sum(half << (bits * i) for i in range(lx)) % (1 << 64))
+
+        def split(v: np.ndarray) -> np.ndarray:
+            # one float digit at a time: all of them at once would take
+            # limbs * n * 8 bytes more
+            w, digit = v + offset, np.empty(n)
+            ints = digit.view(np.int64)
+            out = np.empty((lx, size // 2 + 1), dtype=np.complex128)
+            for row in out:
+                np.bitwise_and(w, mask, out=ints.view(np.uint64))
+                ints -= half
+                np.copyto(digit, ints)  # in place: a ufunc would copy ints first
+                fft.rfft(digit, size, out=row)
+                w >>= np.uint64(bits)
+            return out
+
+        xs = split(x)
+        ys = xs if y is None else split(y)
+        sums = np.zeros(n, dtype=np.uint64)
+    # group s sums in limb s of y and takes limb s of x as scratch: no lower
+    # group reads either; a square, and a group past a limb, uses spare rows
+    spare = np.empty(((y is None or groups > ly) + (groups > lx), xs.shape[1]), complex)
+    for s in reversed(range(groups)):
+        acc = ys[s] if y is not None and s < ly else spare[0]
+        tmp = xs[s] if s < lx else spare[-1]
+        lo, hi = max(0, s - ly + 1), min(s, lx - 1)
+        np.multiply(xs[lo], ys[s - lo], out=acc)  # reads limb s of y first
+        for i in range(hi, lo, -1):  # reads limb s of x before tmp overwrites it
             acc += np.multiply(xs[i], ys[s - i], out=tmp)
         # the inverse transform lands in tmp and its rounding in acc, both spent
         g = fft.irfft(acc, size, out=tmp.view(np.float64)[:size])[:n]
         r = np.rint(g, out=acc.view(np.float64)[:n])
         if np.abs(np.subtract(g, r, out=g), out=g).max() > _FFT_TOLERANCE:
             return None
-        digits = g.view(np.int64)  # r as integers, in the memory of g
-        np.copyto(digits, r, casting="unsafe")
-        digits = digits.view(np.uint64)
-        digits <<= np.uint64(bits * s)
-        out += digits
-    return out
-
-
-def _kronecker_mul(x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
-    """The first len(x) coefficients of x*y over the integers (x*x when y is
-    None) by one big-integer multiply (Kronecker substitution, Harvey 2009).
-    A product coefficient sums at most n terms, so it lies inside (-2^(B-1),
-    2^(B-1)) for slots of B >= bitlen(max|x|) + bitlen(max|y|) + bitlen(n) + 1
-    bits; raised by 2^(B-1), each slot is in (0, 2^B) and borrows from no other.
-    An operand packs the same way, its raised slots less the raise of all n.
-    The cut to n slots is an &: a % would be a long division."""
-    n = len(x)
-    bits = sum(int(abs(v).max()).bit_length() for v in (x, x if y is None else y))
-    size = (bits + n.bit_length() + 8) // 8  # B / 8, rounded up
-    half = 1 << (8 * size - 1)
-    offset = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-
-    def pack(v: np.ndarray) -> int:
-        return int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in v),
-                              "little") - offset
-
-    px = pack(x)
-    prod = px * (px if y is None else pack(y))  # px * px squares
-    buf = ((prod + offset) & ((1 << (8 * size * n)) - 1)).to_bytes(size * n, "little")
-    return np.array([int.from_bytes(buf[i:i + size], "little") - half
-                     for i in range(0, size * n, size)], dtype=object)
+        if width is None:
+            np.copyto(sums[s], r, casting="unsafe")
+            continue
+        group = g.view(np.int64)  # r as integers, in the memory of g
+        np.copyto(group, r, casting="unsafe")
+        group = group.view(np.uint64)
+        group <<= np.uint64(bits * s)
+        sums += group
+    if width is not None:
+        return sums
+    # carry the groups into unsigned digits, low to high; the last carry
+    # is the sign, which the top digit already holds
+    out = np.empty((n, digits), dtype=f"<u{bits // 8}")
+    carry = np.zeros(n, dtype=np.int64)
+    for s, column in enumerate(out.T):
+        carry += sums[s]
+        column[:] = carry  # the low bits
+        carry >>= bits
+    buf, step = out.tobytes(), digits * bits // 8
+    return np.array([int.from_bytes(buf[i:i + step], "little", signed=True)
+                     for i in range(0, n * step, step)], dtype=object)
 
 
 def invert(a: Series) -> Series:

@@ -16,9 +16,8 @@ import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
 from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
-                          _NEWTON_MIN_ORDER, _SPARSE_RATIO, _SPARSE_RATIO_KRONECKER,
-                          _fft_limbs, _fft_mul, _fft_size, _kronecker_mul,
-                          dump_json_dict, dump_text, monomial, mul_sparse)
+                          _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_limbs, _fft_mul,
+                          _fft_size, dump_json_dict, dump_text, monomial, mul_sparse)
 
 from reference import (inverse, partition_table, recurrence_divide, schoolbook_mul,
                        sparse_list)
@@ -26,8 +25,7 @@ from reference import (inverse, partition_table, recurrence_divide, schoolbook_m
 
 def sparse_limit(n: int, ratio: int = _SPARSE_RATIO) -> int:
     """The most nonzero terms an operand of order n may have and still
-    multiply through mul_sparse, for the ratio of the dense kernel the
-    product would otherwise take."""
+    multiply through mul_sparse."""
     return n // ratio
 
 
@@ -529,28 +527,27 @@ def signed_ints(rng: random.Random, n: int, bits: int, density: float) -> np.nda
 
 def record_dense_routes(monkeypatch) -> list:
     """Patch the two dense exact routes of mul to log ("int64", False) for
-    an np.convolve of int64 operands and ("kronecker", square) for a
-    _kronecker_mul, and return the log."""
-    calls, kronecker, convolve = [], qcong.series._kronecker_mul, np.convolve
-    monkeypatch.setattr(qcong.series, "_kronecker_mul",
-                        lambda x, y: calls.append(("kronecker", y is None)) or kronecker(x, y))
+    an np.convolve of int64 operands and ("fft", square) for an exact
+    _fft_mul, and return the log."""
+    calls, fft_mul, convolve = [], qcong.series._fft_mul, np.convolve
+    monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width: calls.append(
+        ("fft", y is None)) or fft_mul(x, y, width))
     monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(
         ("int64" if x.dtype == y.dtype == np.int64 else str(x.dtype), False)) or convolve(x, y))
     return calls
 
 
 class TestExactSparseRoute:
-    """The exact ring's route rule at its boundary: floor(n / ratio) terms go
-    through mul_sparse and one more goes dense, where the ratio is priced
-    against the dense kernel the product would take (16 against the int64
-    np.convolve, 4 against _kronecker_mul)."""
+    """The exact ring's route rule at its boundary: floor(n / 16) terms go
+    through mul_sparse and one more goes dense, to the int64 np.convolve or
+    to the FFT, as mod 2^w."""
 
     @pytest.mark.parametrize("n, bits, ratio, dense", [
         (100, 8, _SPARSE_RATIO, "int64"),
         (700, 8, _SPARSE_RATIO, "int64"),
-        (800, 8, _SPARSE_RATIO_KRONECKER, "kronecker"),
-        (1200, 8, _SPARSE_RATIO_KRONECKER, "kronecker"),
-        (200, 40, _SPARSE_RATIO_KRONECKER, "kronecker"),  # 40 + 40 + 8 > 63 bits
+        (800, 8, _SPARSE_RATIO, "fft"),
+        (1200, 8, _SPARSE_RATIO, "fft"),
+        (200, 40, _SPARSE_RATIO, "fft"),  # 40 + 40 + 8 > 63 bits
     ])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_boundary(self, n, bits, ratio, dense, extra, sparse_calls, monkeypatch):
@@ -568,8 +565,9 @@ class TestExactSparseRoute:
 
 
 class TestKroneckerMul:
-    """The dense exact product, one big-integer multiply, against mul_sparse,
-    the term-by-term product it replaces."""
+    """The dense exact product on the float FFT, against mul_sparse, the
+    term-by-term product it replaces. The name is historical: the product
+    was once one big-integer multiply (Kronecker substitution)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 400), st.integers(1, 400),
@@ -580,14 +578,14 @@ class TestKroneckerMul:
         x[rng.randrange(n)] = -((1 << xbits) - 1)  # the bound itself is reached
         y = x if square else signed_ints(rng, n, ybits, density)
         want = qc.mul_sparse(Series(EXACT, y), {e: int(x[e]) for e in np.flatnonzero(x)})
-        assert _kronecker_mul(x, None if square else y).tolist() == want.coefficients()
+        assert _fft_mul(x, None if square else y, None).tolist() == want.coefficients()
 
     @pytest.mark.parametrize("n", [100, 700])
     def test_mul_routes_dense_products_here(self, n, monkeypatch):
         # the partition numbers to 99 have 28 bits, so their square at order 100
         # fits an int64 (28 + 28 + 7 = 63 bits); the next product does not
-        routes = {100: [("int64", False), ("kronecker", False)],
-                  700: [("kronecker", True), ("kronecker", False)]}[n]
+        routes = {100: [("int64", False), ("fft", False)],
+                  700: [("fft", True), ("fft", False)]}[n]
         calls = record_dense_routes(monkeypatch)
         a = qc.invert(qc.pentagonal_series(1, n, EXACT))  # partition numbers
         calls.clear()
@@ -595,12 +593,14 @@ class TestKroneckerMul:
         sq = [int(v) for v in a.coefficients()]
         assert b.coefficients() == schoolbook_mul(sq, sq, n)
         assert qc.mul(b, a).coefficients() == schoolbook_mul(b.coefficients(), sq, n)
-        assert calls == routes  # a square packs one operand
+        assert calls == routes  # a square transforms one operand
 
-    # Slot width B for 200-bit operands: bits 200 + 200 + bitlen(n) + 1, in
-    # whole bytes. At n = 255 that is 409 bits, so B = 416; one bit less,
-    # exactly 408, leaves 255 * (2^200 - 1)^2 > 2^407 no room for its sign.
-    # The orders around it put the top coefficient at every byte alignment.
+    # A product coefficient of b-bit operands needs b + b + bitlen(n) + 1
+    # bits with its sign, read from whole 16-bit digits: at n = 255 and
+    # b = 200 that is 409 bits, 26 digits; 408 bits would leave
+    # 255 * (2^200 - 1)^2 > 2^407 no room for its sign. The orders around it
+    # put the top coefficient at every digit alignment, and 13 balanced
+    # 16-bit limbs hold up to 206 bits, so 207 takes 14.
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 255, 256, 300])
     @pytest.mark.parametrize("bits", [200, 201, 204, 207])
     def test_slot_boundary(self, n, bits):
@@ -610,18 +610,65 @@ class TestKroneckerMul:
         positive = -negative
         for x, y, sign in ((negative, None, 1), (negative, positive, -1),
                            (alternating, None, None), (alternating, negative, None)):
-            got = _kronecker_mul(x, y)
+            got = _fft_mul(x, y, None)
             ys = x if y is None else y
             want = [sum(int(x[i]) * int(ys[k - i]) for i in range(k + 1)) for k in range(n)]
             assert got.tolist() == want
             if sign is not None:  # every coefficient k has magnitude (k+1) * m^2
                 assert want[-1] == sign * n * m * m
 
+    @staticmethod
+    def record_tries(monkeypatch) -> list:
+        """Log (limb bits, passed the guard) for every exact try of the FFT."""
+        tries, fft_mul_bits = [], qcong.series._fft_mul_bits
+
+        def recorded(x, y, width, bits):
+            out = fft_mul_bits(x, y, width, bits)
+            if width is None:
+                tries.append((bits, out is not None))
+            return out
+
+        monkeypatch.setattr(qcong.series, "_fft_mul_bits", recorded)
+        return tries
+
+    @pytest.mark.parametrize("noisy_calls, want_tries, convolve_calls", [
+        (1, [(16, False), (8, True)], 0),  # the first inverse transform only
+        (None, [(16, False), (8, False)], 1),  # every one
+    ])
+    def test_rounding_guard_falls_back(self, monkeypatch, noisy_calls, want_tries,
+                                       convolve_calls):
+        # noise past the guard's tolerance: a retry on 8-bit limbs, and after
+        # it np.convolve on Python ints, still give the exact product
+        n, rng = 300, random.Random(17)
+        x, y = signed_ints(rng, n, 150, 1.0), signed_ints(rng, n, 90, 1.0)
+        tries = self.record_tries(monkeypatch)
+        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+
+        def noisy(*args, **kw):
+            calls.append("irfft")
+            noise = 0.3 if noisy_calls is None or len(calls) <= noisy_calls else 0.0
+            return irfft(*args, **kw) + noise
+
+        monkeypatch.setattr(np.fft, "irfft", noisy)
+        monkeypatch.setattr(np, "convolve",
+                            lambda *args: calls.append("convolve") or convolve(*args))
+        got = qc.mul(Series(EXACT, x), Series(EXACT, y))
+        assert got.coefficients() == schoolbook_mul(list(x), list(y), n)
+        assert tries == want_tries
+        assert calls.count("convolve") == convolve_calls
+
+    def test_published_suite_passes_the_guard_at_first_width(self, monkeypatch):
+        # every dense exact product of the catalogue at (400, 40000, 2) is
+        # exact on its first limb width
+        tries = self.record_tries(monkeypatch)
+        qc.run_catalogue(qc.build_suite_context(400, 40000, 2))
+        assert tries and all(passed for _, passed in tries)
+
 
 class TestInt64Mul:
     """A dense exact product below _FFT_MIN_ORDER with bits(max|x|) +
     bits(max|y|) + bitlen(n) <= 63 is one np.convolve in int64; at 64 it is
-    _kronecker_mul. Operands at the largest magnitude put the top sum at
+    the FFT. Operands at the largest magnitude put the top sum at
     n * (2^bx - 1) * (2^by - 1), below 2^63 at 63 bits, and at 64 bits past
     it for n = 127, 128, 255, 300 and 799, where an int64 would wrap."""
 
@@ -638,7 +685,7 @@ class TestInt64Mul:
                     "mixed": [rng.choice((1, -1)) * m for _ in range(n)]}
         xs, ys = operands(mx), operands(my)
         calls = record_dense_routes(monkeypatch)
-        route = ("int64", False) if total == 63 else ("kronecker", False)
+        route = ("int64", False) if total == 63 else ("fft", False)
         for kx, ky in (("negative", "negative"), ("negative", "positive"),
                        ("alternating", "alternating"), ("alternating", "negative"),
                        ("mixed", "mixed")):
@@ -663,15 +710,15 @@ class TestInt64Mul:
             calls.clear()
             assert qc.mul(a, a).coefficients() == schoolbook_mul(x, x, n)
             fits = 2 * bits + n.bit_length() <= 63
-            assert calls == [("int64", False) if fits else ("kronecker", True)]
+            assert calls == [("int64", False) if fits else ("fft", True)]
 
-    def test_at_fft_min_order_takes_kronecker(self, monkeypatch):
+    def test_at_fft_min_order_takes_the_fft(self, monkeypatch):
         n = _FFT_MIN_ORDER
         x = [(-1) ** i * 3 for i in range(n)]
         calls = record_dense_routes(monkeypatch)
         got = qc.mul(Series(EXACT, x), Series(EXACT, x[::-1]))
         assert got.coefficients() == schoolbook_mul(x, x[::-1], n)
-        assert calls == [("kronecker", False)]
+        assert calls == [("fft", False)]
 
 
 class TestInvert:
@@ -877,9 +924,9 @@ class TestStrideCompression:
         assert qc.invert(Series(ring, x)) == recurrence_inverse(x, ring)
 
     def test_product_runs_at_the_compressed_order(self, monkeypatch):
-        orders, kronecker = [], qcong.series._kronecker_mul
-        monkeypatch.setattr(qcong.series, "_kronecker_mul",
-                            lambda x, y: orders.append(len(x)) or kronecker(x, y))
+        orders, fft_mul = [], qcong.series._fft_mul
+        monkeypatch.setattr(qcong.series, "_fft_mul",
+                            lambda x, y, width: orders.append(len(x)) or fft_mul(x, y, width))
         x = q_power_series(np.random.default_rng(3), EXACT, 200, 3, True)
         a = Series(EXACT, x)
         assert qc.mul(a, a) == reference_mul(x, x, EXACT)
