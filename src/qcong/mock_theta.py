@@ -6,9 +6,9 @@ Each product and each Eulerian sum is one call to `series.eulerian_sum`: its
 terms' ratio is a product of binomials (1 +- q^j)^(+-1), so each term costs
 O(N), and no dense inversion is needed. Each builder streams its steps last
 term first, as Horner's rule takes them, and lists none of them; the C and
-C_k sums leave out the leading factor u_0 and multiply by it after the sum,
-term by term in the exact ring (where the sum itself runs in int64 while it
-provably fits) and by one product mod 2^w. `pentagonal_series` writes f_m down
+C_k sums leave out the leading factor u_0 and apply it after the sum as a
+product of Euler sums, one more `eulerian_sum` each, in every ring.
+`pentagonal_series` writes f_m down
 directly from Euler's pentagonal number theorem in O(N) time; it is what
 `f[m]` in `qcong.qexpr` and the leading term of the `c` builder read, and
 `euler_fm`, the product definition of f_m, is its reference. B and omega
@@ -32,12 +32,10 @@ from .series import (
     CoefficientRing,
     Series,
     _reduce,
-    _terms,
     eulerian_sum,
     invert,
     mul,
     mul_sparse,
-    power,
     substitute_power,
 )
 
@@ -156,8 +154,8 @@ def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
 
 def c_builder(ring: CoefficientRing) -> str:
     """The route `series_c` takes in `ring`: eq 2-2 mod 2^w; the sum of the
-    definition when exact, only so that claim eq-2-2 does not check itself:
-    exact eq 2-2 is faster, 29 ms against 60 ms at order 2800."""
+    definition when exact, so that claim eq-2-2 does not check itself. The
+    two cost about the same exact: 30 ms against 29 ms at order 2800."""
     return "sum" if ring.modulus is None else "eq-2-2-appell"
 
 
@@ -172,15 +170,15 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     """C (k None) or C_k as the sum of its definition. Term n is
     q^(2n+1) * u_n, and (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
-    u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k, from the
-    sparse pentagonal f1, f2, f4. One `eulerian_sum` call takes the terms
-    last to first over u_0 = 1 (C_k's 1/(-q^2; q^2)_(k-1) is its last step),
-    and the rest of u_0 multiplies the sum after. Exact, that is term by
-    term, by f2 (or f4) and f4, then two divides by f1 (`mul_sparse`): the
-    exact C takes 60 ms at order 2800 and 345 ms at 8000 so, against 62 ms
-    and 399 ms with one FFT product by u_0. Mod 2^w
-    it is one product by f2*f4 (or f4^2) times Newton's invert(f1)^2: 7 ms
-    at 2800 mod 2^64, against 22 ms for the divides' Python-int recurrence."""
+    u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k. One
+    `eulerian_sum` call takes the terms last to first over u_0 = 1 (C_k's
+    1/(-q^2; q^2)_(k-1) is its last step). The rest of u_0 is
+    (-q; q)_inf^2 (-q^2; q^2)_inf, its last factor squared for C_k, and each
+    factor is one `eulerian_sum` over the sum so far by Euler's identity
+    (-q; q)_inf = sum of q^(n(n+1)/2) / (q; q)_n (Andrews 1976, 2.2), in
+    O(N^1.5). Exact C to 2800 takes 30 ms so, against 57 ms with a sum that
+    left int64 and two divides by f1; mod 2^8, C_k's four factors take 185 ms
+    at 10^5, against 49 ms for Newton's invert(f1) and two FFT products."""
     if order < 1:
         raise ValueError("order must be >= 1")
     # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1,
@@ -188,18 +186,11 @@ def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))
             for j in reversed(range(1, order - 2, 2)))
     first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
-    steps, m = chain(rest, [first]), 2 if k is None else 4
-    if ring.modulus is None:
-        total = eulerian_sum(ring, order, steps)
-        for j, direction in ((m, "multiply"), (4, "multiply"), (1, "divide"), (1, "divide")):
-            total = mul_sparse(total, _terms(pentagonal_series(j, order, ring)._c), direction)
-        return total
-    # u_0 first, and no pentagonal series outlives it: the sum then adds one
-    # array to the memory u_0 holds
-    u0 = mul(mul_sparse(pentagonal_series(m, order, ring),
-                        _terms(pentagonal_series(4, order, ring)._c)),
-             power(invert(pentagonal_series(1, order, ring)), 2))
-    return mul(eulerian_sum(ring, order, steps), u0)
+    total = eulerian_sum(ring, order, chain(rest, [first]))
+    for m in (1, 1, 2, 2)[:3 if k is None else 4]:
+        total = eulerian_sum(ring, order, ((m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
+                                           for n in range(isqrt(2 * order), -1, -1)), total)
+    return total
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -24,9 +24,10 @@ terms, then Newton's iteration, which doubles them with two products a step.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
 Pochhammer or eta product: it takes the terms last to first by Horner's
-rule, each step adding q^e and applying binomial factors (1 +- q^j)^(+-1) in
-place, an O(N) pass each; an exact sum runs in int64 while a bound proves it
-cannot overflow, then in Python ints. All of it is exact arithmetic.
+rule, each step adding q^e (or a series times q^e) and applying binomial
+factors (1 +- q^j)^(+-1) in place, an O(N) pass each. An exact sum runs on
+int64 limbs of 32 bits, carried before a factor could overflow them, and
+turns into Python ints once. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -279,10 +280,11 @@ def mul(a: Series, b: Series) -> Series:
     if np.count_nonzero(x) * _SPARSE_RATIO <= n:
         return mul_sparse(Series._wrap(ring, y), _terms(x))
     exact, small = ring.modulus is None, n < _FFT_MIN_ORDER
-    if exact and small and n.bit_length() + _bits(x) + _bits(y) <= 63:
+    sizes = (bx := _bits(x), bx if b is a else _bits(y)) if exact else None
+    if exact and small and n.bit_length() + sum(sizes) <= 63:
         out = np.convolve(x.astype(np.int64), y.astype(np.int64))[:n]
     else:
-        out = _fft_mul(x, None if b is a else y, ring.width) if exact or not small else None
+        out = _fft_mul(x, None if b is a else y, ring.width, sizes) if exact or not small else None
         if out is None:
             out = np.convolve(x, y)[:n]
     return Series._wrap(ring, _reduce(out, ring.modulus))
@@ -336,10 +338,12 @@ def _fft_limbs(n: int, width: int) -> tuple[int, int]:
     return limbs, -(-width // limbs)
 
 
-def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int | None) -> np.ndarray | None:
+def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int | None,
+             sizes: tuple[int, int] | None = None) -> np.ndarray | None:
     """The first len(x) coefficients of x*y (x*x when y is None) mod
     2^width, or over the integers when width is None; None when float
-    rounding leaves an exact result in doubt.
+    rounding leaves an exact result in doubt. Exact, `sizes` are
+    bits(max|x|) and bits(max|y|), which `mul` has already read.
 
     Mod 2^width the first try takes the limbs of `_fft_limbs`, and when the
     rounding guard fails the product is tried again on limbs one bit
@@ -350,17 +354,17 @@ def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int | None) -> np.ndarr
     if width is not None:
         tries = range(_fft_limbs(len(x), width)[1], 0, -1)
     else:
-        limbs = (min(_bits(x), _bits(x if y is None else y)) + 17) // 16  # as in split
+        limbs = (min(sizes) + 17) // 16  # as in split
         tries = (16, 8) if limbs * len(x) * 4 ** 15 < _FFT_BUDGET else (8,)
     for bits in tries:
-        out = _fft_mul_bits(x, y, width, bits)
+        out = _fft_mul_bits(x, y, width, bits, sizes)
         if out is not None:
             return out
     return None
 
 
 def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
-                  bits: int) -> np.ndarray | None:
+                  bits: int, sizes: tuple[int, int] | None) -> np.ndarray | None:
     """_fft_mul on limbs of the given bits, or None if the guard fails.
 
     Each coefficient is split into balanced digits d_i in [-2^(bits-1),
@@ -391,13 +395,12 @@ def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
             out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
             return limbs, fft.rfft(e.T - float(half), size, out=out)
 
-        bx = _bits(x)
-        by = bx if y is None else _bits(y)
+        bx, by = sizes
         lx, xs = split(x, bx)
         ly, ys = (lx, xs) if y is None else split(y, by)
         digits = -(-(bx + by + n.bit_length() + 1) // bits)
         groups = min(lx + ly - 1, digits)
-        sums = np.zeros((digits, n), dtype=np.int64)
+        sums = np.zeros((groups, n), dtype=np.int64)
     else:
         lx = ly = groups = -(-width // bits)
         mask = np.uint64((1 << bits) - 1)
@@ -445,12 +448,20 @@ def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
         sums += group
     if width is not None:
         return sums
-    # carry the groups into unsigned digits, low to high; the last carry
-    # is the sign, which the top digit already holds
+    return _join_limbs(sums, bits, digits)
+
+
+def _join_limbs(limbs: np.ndarray, bits: int, digits: int) -> np.ndarray:
+    """The Python ints sum over s of limbs[s] << bits*s, for int64 rows
+    `limbs`, in an object array: the limbs are carried into `digits`
+    unsigned digits, low to high, and the last carry is the sign, which the
+    top digit already holds. So each int must fit in digits*bits signed bits."""
+    n = limbs.shape[1]
     out = np.empty((n, digits), dtype=f"<u{bits // 8}")
     carry = np.zeros(n, dtype=np.int64)
     for s, column in enumerate(out.T):
-        carry += sums[s]
+        if s < len(limbs):
+            carry += limbs[s]
         column[:] = carry  # the low bits
         carry >>= bits
     buf, step = out.tobytes(), digits * bits // 8
@@ -519,8 +530,8 @@ def mul_sparse_binomial(a: Series, c: int, j: int, direction: str = "multiply") 
 
 
 def _div_binomial(u: np.ndarray, c: int, j: int) -> np.ndarray:
-    """u / (1 + c*q^j) for c = 1 or -1 (or its residue), in place and
-    unreduced; returns u."""
+    """u / (1 + c*q^j) for c = 1 or -1 (or its residue) along the first
+    axis of u (limbs go along), in place and unreduced; returns u."""
     n = len(u)
     # b[i] = a[i] - c*b[i-j]: one slice op a block of j up to 16 blocks, else a cumsum
     # along each residue class mod j, with 1/(1 + q^j) = (1 - q^j)/(1 - q^(2j)) if c = 1
@@ -532,7 +543,7 @@ def _div_binomial(u: np.ndarray, c: int, j: int) -> np.ndarray:
     p = 2 * j if c == 1 else j
     if p != j:
         u[j:] -= u[:-j]  # numpy reads the overlapping operands before writing
-    mat = u[:n - n % p].reshape(-1, p)
+    mat = u[:n - n % p].reshape(-1, p, *u.shape[1:])  # a view, so the cumsum is in place
     np.cumsum(mat, axis=0, out=mat)
     u[n - n % p:] += mat[-1, :n % p]
     return u
@@ -580,36 +591,47 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
     return Series._wrap(ring, np.array(b, dtype=ring.dtype))
 
 
-# An exact eulerian_sum stays in int64 while its bound is below this: one bit
-# of margin under 2^63.
-_INT64_SUM_BOUND = 2 ** 62
+# An exact eulerian_sum keeps its limbs below _SUM_BOUND, one bit of margin
+# under 2^63; a carried limb is below 2^32 + 2^30.
+_SUM_BOUND, _CARRIED = 2 ** 62, 5 << 30
 
 
-def eulerian_sum(ring: CoefficientRing, order: int, steps) -> Series:
+def eulerian_sum(ring: CoefficientRing, order: int, steps, a: Series | None = None) -> Series:
     """Sum over i of q^(e_i) * r_1 * ... * r_i, truncated to `order`, for the
     (e_i, up_i, down_i) tuples of `steps`: an Eulerian sum whose term ratio
     r_i, the product of (1 + c*q^j) over (c, j) in up_i divided by that over
     down_i, is a product of binomials. Every c is 1 or -1 and every j >= 1.
+    With a series `a` (in `ring`, to `order` at least), the sum times a.
 
     The steps come last to first: e is never negative and never grows from
     one step to the next (else a ValueError names the step before its
     arithmetic). The sum is taken by Horner's rule,
-    v = r_1 (q^(e_1) + r_2 (q^(e_2) + ...)): each step adds 1 at q^e, then
-    multiplies the window v[e:] by its `up` factors, one in-place pass
-    v[j:] +-= v[:-j] each, and divides it by its `down` factors
+    v = r_1 (q^(e_1) a + r_2 (q^(e_2) a + ...)): each step adds a (or 1) at
+    q^e, then multiplies the window v[e:] by its `up` factors, one in-place
+    pass v[j:] +-= v[:-j] each, and divides it by its `down` factors
     (`_div_binomial`, in place). v is zero below q^e, so the window is all
     the step can reach. A step with e >= order adds nothing, and a factor
     with j at or past the window is a no-op.
 
-    In the exact ring v is int64 while a bound proves that the next step
-    cannot overflow: (max|v[e:]| + 1) * 2^len(up) * the product over `down`
-    of 2*ceil(len(v[e:]) / j) < 2^62. A multiply at most doubles max|v|, and
-    a divide makes each coefficient a signed sum of at most ceil(len/j) of
-    them, or of ceil(len/2j) differences of two. At the first step that
-    fails the bound, v turns into Python ints, once.
+    Every pass is Z-linear with coefficients +-1, so exact v is an
+    (order, L) int64 array of 32-bit limbs, v[i, l] << 32*l summing to
+    coefficient i, and a pass runs on all limbs at once (delayed carries;
+    Knuth, TAOCP vol. 2, 4.3.1). A bound on the limbs is kept factor by
+    factor: an up factor at most doubles it, and a down factor makes each
+    limb a signed sum of at most ceil(len(v[e:]) / j) of them, or of
+    ceil(len/2j) differences of two. Before a factor that could pass
+    _SUM_BOUND the bound is read from v again, and if it still could, v is
+    carried. The limbs become Python ints once, at the end. Orders below
+    2^28 keep the bound.
     """
-    v = np.zeros(order, dtype=np.int64 if ring.modulus is None else ring.dtype)
-    last = None
+    exact = ring.modulus is None
+    if a is not None and (a.ring != ring or a.order < order):
+        raise ValueError(f"eulerian_sum to order {order} in {ring} needs a in that ring "
+                         f"to that order, got {a!r}")
+    add = np.ones((1, 1), np.int64) if a is None else (
+        _split_limbs(a._c[:order]) if exact else a._c[:order, None])
+    v = np.zeros((order, add.shape[1]), dtype=np.int64 if exact else ring.dtype)
+    top, bound, last = int(np.abs(add).max(initial=0)) if exact else 0, 0, None
     for i, (e, up, down) in enumerate(steps):
         if e < 0:
             raise ValueError(f"eulerian_sum step {i} has e = {e} < 0")
@@ -623,22 +645,48 @@ def eulerian_sum(ring: CoefficientRing, order: int, steps) -> Series:
         if e >= order:
             continue
         w = v[e:]
-        if v.dtype == np.int64:
-            bound = (max(int(w.max()), -int(w.min())) + 1) << len(up)
-            for _, j in down:
-                bound *= 2 * -(-len(w) // j)
-            if bound >= _INT64_SUM_BOUND:
-                v = v.astype(object)
-                w = v[e:]
-        w[0] += 1
-        for c, j in up:  # numpy reads the overlapping operands before writing
-            if c == 1:
+        if a is None:
+            w[0, 0] += 1
+        else:
+            w[:, :add.shape[1]] += add[:len(w)]
+        bound += top
+        for f, (c, j) in enumerate((*up, *down)):
+            if exact:
+                grow = 2 if f < len(up) else 2 * -(-len(w) // j)
+                if bound * grow >= _SUM_BOUND and (
+                        bound := max(int(w.max()), -int(w.min()))) * grow >= _SUM_BOUND:
+                    v, bound = _carry(v), _CARRIED
+                    w = v[e:]
+                bound *= grow
+            if f >= len(up):
+                _div_binomial(w, c, j)
+            elif c == 1:  # numpy reads the overlapping operands before writing
                 w[j:] += w[:-j]
             else:
                 w[j:] -= w[:-j]
-        for c, j in down:
-            _div_binomial(w, c, j)
-    return Series._wrap(ring, _reduce(v, ring.modulus))  # an int64 v turns into Python ints
+    out = _join_limbs(v.T, 32, v.shape[1] + 1) if exact else _reduce(v[:, 0], ring.modulus)
+    return Series._wrap(ring, out)
+
+
+def _split_limbs(c: np.ndarray) -> np.ndarray:
+    """Python ints c as (len(c), L) int64 32-bit limbs, unsigned but the top."""
+    size = _bits(c) // 32 + 1
+    buf = b"".join(x.to_bytes(4 * size, "little", signed=True) for x in c.tolist())
+    limbs = np.frombuffer(buf, dtype="<i4").reshape(len(c), size).astype(np.int64)
+    limbs[:, :-1] &= 0xFFFFFFFF
+    return limbs
+
+
+def _carry(v: np.ndarray) -> np.ndarray:
+    """v's limbs, each below 2^62, carried once: a limb below the top keeps
+    its low 32 bits and adds the rest, signed, to the next. A top limb that
+    could pass 2^31 so first gets a zero limb above it."""
+    if max(int(v[:, -1].max()), -int(v[:, -1].min())) >= 1 << 30:
+        v = np.concatenate([v, np.zeros((len(v), 1), dtype=np.int64)], axis=1)
+    high = v[:, :-1] >> 32
+    v[:, :-1] &= 0xFFFFFFFF
+    v[:, 1:] += high
+    return v
 
 
 def substitute_power(a: Series, m: int, sign: int, order: int | None = None) -> Series:

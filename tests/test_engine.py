@@ -189,8 +189,8 @@ class TestBuilderAgainstProductDefinition:
     @pytest.mark.parametrize("ring", [mod2pow(8), MOD64], ids=str)
     @pytest.mark.parametrize("k", [None, 1, 2, 3])
     def test_modular_head_matches_exact_build(self, ring, k):
-        # mod 2^w u_0 is f2*f4 (or f4^2) times Newton's invert(f1)^2, where the
-        # exact ring divides by f1 twice, term by term
+        # u_0 is the same Euler sums in every ring, so mod 2^w the build is
+        # the exact one reduced
         for order in (1, 2, 64, 65, 600):
             exact = _c_sum(order, EXACT, k)
             assert _c_sum(order, ring, k) == change_ring(exact, ring), order
@@ -198,13 +198,18 @@ class TestBuilderAgainstProductDefinition:
                 assert series_ck(k, order, ring) == change_ring(series_ck(k, order), ring)
 
     def test_exact_c_across_the_int64_switch(self):
-        # the exact sum leaves int64 partway (at q^155 of 2800); c_appell
-        # builds C by eq 2-2 from Kronecker, Newton and Appell kernels
+        # the exact sum outgrows one int64 limb partway and carries into
+        # more; c_appell builds C by eq 2-2 from FFT, Newton and Appell kernels
         assert series_c(2800) == c_appell(2800)
+
+    def test_exact_c_deep(self):
+        # twice as deep: C's coefficients reach 298 bits, ten 32-bit limbs
+        assert series_c(5600) == c_appell(5600)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_exact_ck_across_the_int64_switch(self, k):
-        # the exact sum of C_k leaves int64 partway, near q^68 of 1400
+        # the exact sum of C_k outgrows one int64 limb partway, and the
+        # reference builds it term by term at full order
         assert series_ck(k, 1400) == reference_c(1400, EXACT, k)
 
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)

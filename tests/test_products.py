@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 import qcong as qc
@@ -115,6 +117,33 @@ class TestEulerFm:
     def test_mod_ring_matches_reduced_exact(self):
         ring = qc.mod2pow(6)
         assert euler_fm(3, 60, ring) == qc.change_ring(euler_fm(3, 60), ring)
+
+
+
+def euler_sum_steps(m: int, order: int):
+    """(-q^m; q^m)_inf as Euler's sum of q^(m*n(n+1)/2) / (q^m; q^m)_n, in
+    eulerian_sum steps, last term first."""
+    return [(m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
+            for n in range(isqrt(2 * order), -1, -1)]
+
+
+class TestEulerSums:
+    # the leading factor of C, f2*f4/f1^2, is (-q; q)_inf^2 (-q^2; q^2)_inf,
+    # and `_c_sum` applies each factor as one of these sums
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(8)], ids=str)
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_eta_quotient(self, ring, m):
+        n = 3000
+        want = eta_quotient({2 * m: 1, m: -1}, n, ring)  # f2/f1, f4/f2
+        assert qc.eulerian_sum(ring, n, euler_sum_steps(m, n)) == want
+
+    @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(8)], ids=str)
+    def test_sums_over_a_build_the_leading_factor(self, ring):
+        n = 3000
+        u0 = None
+        for m in (1, 1, 2):
+            u0 = qc.eulerian_sum(ring, n, euler_sum_steps(m, n), u0)
+        assert u0 == eta_quotient({1: -2, 2: 1, 4: 1}, n, ring)
 
 
 class TestPentagonal:

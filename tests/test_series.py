@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ import qcong as qc
 import qcong.series
 from qcong import EXACT, Series
 from qcong.series import (_FFT_BUDGET, _FFT_MIN_ORDER, _FFT_TOLERANCE,
-                          _NEWTON_MIN_ORDER, _SPARSE_RATIO, _fft_limbs, _fft_mul,
+                          _NEWTON_MIN_ORDER, _SPARSE_RATIO, _bits, _fft_limbs, _fft_mul,
                           _fft_size, dump_json_dict, dump_text, monomial, mul_sparse)
 
 from reference import (inverse, partition_table, recurrence_divide, schoolbook_mul,
@@ -530,11 +530,16 @@ def record_dense_routes(monkeypatch) -> list:
     an np.convolve of int64 operands and ("fft", square) for an exact
     _fft_mul, and return the log."""
     calls, fft_mul, convolve = [], qcong.series._fft_mul, np.convolve
-    monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width: calls.append(
-        ("fft", y is None)) or fft_mul(x, y, width))
+    monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width, sizes=None: calls.append(
+        ("fft", y is None)) or fft_mul(x, y, width, sizes))
     monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(
         ("int64" if x.dtype == y.dtype == np.int64 else str(x.dtype), False)) or convolve(x, y))
     return calls
+
+
+def exact_fft_mul(x: np.ndarray, y: np.ndarray | None) -> np.ndarray | None:
+    """_fft_mul in the exact ring, given the operand sizes as mul gives them."""
+    return _fft_mul(x, y, None, (_bits(x), _bits(x if y is None else y)))
 
 
 class TestExactSparseRoute:
@@ -578,7 +583,7 @@ class TestKroneckerMul:
         x[rng.randrange(n)] = -((1 << xbits) - 1)  # the bound itself is reached
         y = x if square else signed_ints(rng, n, ybits, density)
         want = qc.mul_sparse(Series(EXACT, y), {e: int(x[e]) for e in np.flatnonzero(x)})
-        assert _fft_mul(x, None if square else y, None).tolist() == want.coefficients()
+        assert exact_fft_mul(x, None if square else y).tolist() == want.coefficients()
 
     @pytest.mark.parametrize("n", [100, 700])
     def test_mul_routes_dense_products_here(self, n, monkeypatch):
@@ -610,7 +615,7 @@ class TestKroneckerMul:
         positive = -negative
         for x, y, sign in ((negative, None, 1), (negative, positive, -1),
                            (alternating, None, None), (alternating, negative, None)):
-            got = _fft_mul(x, y, None)
+            got = exact_fft_mul(x, y)
             ys = x if y is None else y
             want = [sum(int(x[i]) * int(ys[k - i]) for i in range(k + 1)) for k in range(n)]
             assert got.tolist() == want
@@ -622,8 +627,8 @@ class TestKroneckerMul:
         """Log (limb bits, passed the guard) for every exact try of the FFT."""
         tries, fft_mul_bits = [], qcong.series._fft_mul_bits
 
-        def recorded(x, y, width, bits):
-            out = fft_mul_bits(x, y, width, bits)
+        def recorded(x, y, width, bits, sizes):
+            out = fft_mul_bits(x, y, width, bits, sizes)
             if width is None:
                 tries.append((bits, out is not None))
             return out
@@ -926,7 +931,8 @@ class TestStrideCompression:
     def test_product_runs_at_the_compressed_order(self, monkeypatch):
         orders, fft_mul = [], qcong.series._fft_mul
         monkeypatch.setattr(qcong.series, "_fft_mul",
-                            lambda x, y, width: orders.append(len(x)) or fft_mul(x, y, width))
+                            lambda x, y, width, sizes=None: orders.append(len(x))
+                            or fft_mul(x, y, width, sizes))
         x = q_power_series(np.random.default_rng(3), EXACT, 200, 3, True)
         a = Series(EXACT, x)
         assert qc.mul(a, a) == reference_mul(x, x, EXACT)
@@ -1191,8 +1197,9 @@ class TestEulerianSum:
     @pytest.mark.parametrize("up,down", [([(1, 1)] * 2, []), ([], [(-1, 1)]),
                                          ([(1, 2)], [(-1, 1), (1, 3)])])
     def test_exact_sum_leaves_int64_partway(self, up, down):
-        # the last terms are small enough for int64; the sum outgrows 2^62 on
-        # the way down, so the bound fails at some step past the first
+        # the last terms are small enough for one int64 limb; the sum
+        # outgrows 2^62 on the way down, so its limbs first carry at some
+        # step past the first
         order = 70
         steps = [(n, up, down) for n in reversed(range(order))]
         want = eulerian_reference(steps, order)
@@ -1200,12 +1207,57 @@ class TestEulerianSum:
         assert qc.eulerian_sum(EXACT, order, steps).coefficients() == want
 
     def test_exact_product_fails_the_bound_at_its_first_step(self):
-        # (q; q)_inf to order 70: its 69 up factors put the bound at 2^69 at
-        # once, so the whole product runs in Python ints
+        # (q; q)_inf to order 70: its 69 up factors would put a per-step
+        # bound at 2^69 at once; the bound is kept factor by factor instead
         steps = [(0, [(-1, j) for j in range(1, 70)], [])]
         got = qc.eulerian_sum(EXACT, 70, steps)
         assert got.coefficients() == eulerian_reference(steps, 70)
         assert got == qc.pochhammer_inf(1, 1, 1, 70) == qc.pentagonal_series(1, 70)
+
+
+    def test_binomial_powers_check_the_bound_factor_by_factor(self):
+        # one step of 70 up factors doubles the bound 70 times: a bound
+        # checked once a step would wrap (1 + q)^70, whose top is 2^66
+        ups = qc.eulerian_sum(EXACT, 80, [(0, [(1, 1)] * 70, [])])
+        assert ups.coefficients() == [comb(70, k) for k in range(80)]
+        downs = qc.eulerian_sum(EXACT, 80, [(0, [], [(-1, 1)] * 40)]).coefficients()
+        assert downs == [comb(39 + k, k) for k in range(80)]
+        assert max(downs).bit_length() == 105
+
+    @pytest.mark.parametrize("target", [64, 96, 128])
+    @pytest.mark.parametrize("up,down", [([], [(-1, 1)]), ([(-1, 1)] * 2, [(1, 1)] * 3),
+                                         ([(1, 2)], [(-1, 1), (1, 3)])])
+    def test_exact_sum_across_a_limb_boundary(self, target, up, down):
+        # the shortest orders whose largest coefficient passes 2^target, so
+        # the top coefficients straddle the 32-bit limbs of the sum
+        steps = [(n, up, down) for n in reversed(range(200))]
+        want = eulerian_reference(steps, 200)
+        first = next(n for n in range(200) if abs(want[n]).bit_length() > target)
+        for order in (first, first + 1, first + 7):
+            got = qc.eulerian_sum(EXACT, order, steps)
+            assert got.coefficients() == want[:order]
+
+    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 4), binomials, binomials),
+                                        max_size=6),
+           st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**140, 2**140),
+                              st.sampled_from([2**64, -2**64, -2**64 - 1, 2**96 - 1, -2**127])),
+                    min_size=40, max_size=40), rings)
+    def test_a_multiplies_the_sum(self, order, raw, coeffs, ring):
+        # in the exact ring, a's coefficients past 2^64 have negative top limbs
+        # when negative, and a positive one of 2^64 has a top limb of 1
+        steps, e = [], 0
+        for de, up, down in raw:
+            e += de
+            steps.append((e, up, down))
+        steps.reverse()
+        a = Series(ring, coeffs)
+        got = qc.eulerian_sum(ring, order, steps, a)
+        assert got == a.truncate(order) * qc.eulerian_sum(ring, order, steps)
+
+    def test_a_must_cover_the_order_in_the_ring(self):
+        for a in (Series(EXACT, [1] * 4), Series(qc.MOD64, [1] * 5)):
+            with pytest.raises(ValueError, match="needs a in that ring to that order"):
+                qc.eulerian_sum(EXACT, 5, [(0, [(1, 1)], [])], a)
 
 
 class TestReindexing:
