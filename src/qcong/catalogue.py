@@ -5,14 +5,11 @@ them, and the suite runner.
 Each entry names its check type (exact | mod-M | progression | relation |
 family | oracle) so coverage can be audited by reading the table top to
 bottom. Every claim but the oracles is a row of two `qcong.qexpr` sources
-(eq 2-3 is two), checked by `check_row` in the exact ring to the suite's
-"identity" or "congruence" order, or at depth "scan" (`D[A,B](C)` sides) in
-the scan series' ring, as deep as that series allows. That series is built
-mod 2^8, the narrowest ring that resolves every scan modulus
-(`series.narrowest_ring`), so a scan witness's value is c(n) mod 2^8.
-`check_row` reads its verdict from `verify_congruent`, the one rule that
-turns two series into a verdict and a witness, which `qcong verify` calls
-directly.
+(eq 2-3 is two), checked by `check_row` where `SuiteContext.placement` puts
+it: a congruence in the scan series' ring (mod 2^8, `series.narrowest_ring`
+of every row's modulus), an identity in the exact ring. `check_row` reads
+its verdict from `verify_congruent`, the one rule that turns two series
+into a verdict and a witness, which `qcong verify` calls directly.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Callable, Optional
 from .mock_theta import c_builder, series_ck
 from .oracle import oracle_table
 from .qexpr import QExpr, Sub, evaluate, parse, reach, reads, to_source
-from .series import (EXACT, RingMismatchError, Series, change_ring, first_incongruence,
+from .series import (EXACT, RingMismatchError, Series, first_incongruence,
                      narrowest_ring)
 
 # the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
@@ -46,29 +43,25 @@ class ClaimReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        out = {
-            "id": self.claim_id,
-            "paper_eq": self.paper_eq,
-            "status": self.status,
-            "params": self.params,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        out = {"id": self.claim_id, "paper_eq": self.paper_eq,
+               "status": self.status, "params": self.params}
+        return out if self.witness is None else out | {"witness": self.witness}
 
 
 # ---------------------------------------------------------------- context
 
 
-# the leaves of the catalogue rows that read a shared series, and its field
-_SEEDS = {parse("C"): "c_exact", parse("B(q)"): "b_exact",
+# the leaves of the catalogue rows that read a shared exact series, and its field
+_C = parse("C")
+_SEEDS = {_C: "c_exact", parse("B(q)"): "b_exact",
           parse("omega(q)"): "omega_exact", parse("f3(q)"): "f3_exact"}
 
 
 @dataclass(frozen=True)
 class SuiteContext:
     """Shared series for one catalogue run, and the rows' evaluation memos
-    seeded with them, one per ring; `dataclasses.replace` gives fresh ones."""
+    seeded with them, one per ring; `dataclasses.replace` gives fresh ones.
+    `placement` states where and how deep every row is checked."""
 
     n_identity: int
     n_congruence: int
@@ -85,40 +78,45 @@ class SuiteContext:
                             default_factory=dict)
 
     def __post_init__(self):
-        self.memo.update(self.seeds("identity"))
-        self.scan_memo.update(self.seeds("scan"))
+        self.memo.update(self.placement(None, "identity")[0])
+        self.scan_memo[_C] = self.c_scan
 
-    def seeds(self, depth: str) -> dict:
-        """{leaf: shared series} for the rows of `depth`."""
-        if depth == "scan":
-            return {parse("C"): self.c_scan}
-        return {leaf: getattr(self, name) for leaf, name in _SEEDS.items()}
+    def placement(self, modulus: Optional[int],
+                  depth: str) -> tuple[dict, Optional[int], dict]:
+        """`check_row`'s (seeds, n, memo) for a row mod `modulus` at `depth`:
+        a congruence in c_scan's ring, an identity (modulus None) exactly;
+        at n_identity, n_congruence or, at "scan", as deep as seeds allow."""
+        n = None if depth == "scan" else getattr(self, f"n_{depth}")
+        if modulus is None:
+            return ({leaf: getattr(self, name) for leaf, name in _SEEDS.items()},
+                    n, self.memo)
+        return {_C: self.c_scan}, n, self.scan_memo
 
 
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
                         k_max: int = 2, timings: Optional[dict] = None) -> SuiteContext:
-    """Build every shared series as `evaluate` of its leaf, each as long as
-    the deepest row reads it (`qexpr.reads`) at the identity order or half of
-    it, and the scan series C to n_scan in the narrowest ring that resolves
-    every scan modulus (`series.narrowest_ring`: mod 2^8 for the catalogue's
-    4 and 8); a dict as `timings` gets the seconds of the exact vs the scan
-    series."""
+    """Build every shared series as `evaluate` of its leaf: each exact one as
+    long as the deepest identity row reads it (`qexpr.reads`) at its depth,
+    and the scan series C to n_scan in the narrowest ring that resolves
+    every row's modulus (`series.narrowest_ring`: mod 2^8 for the
+    catalogue's 2 to 32); a dict as `timings` gets the seconds of the exact
+    vs the scan series."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     n_congruence = max(2, n_identity // 2)
     # the oracle reads C to ORACLE_LIMIT
     orders = dict.fromkeys(_SEEDS.values(), 1) | {"c_exact": ORACLE_LIMIT + 1}
     depth = {"identity": n_identity, "congruence": n_congruence}
-    for _, _, lhs, rhs, _, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
-        for e in (parse(lhs), parse(rhs)):
-            for leaf, n in reads(e, depth[order]).items():
-                if leaf in _SEEDS:
-                    orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
+    rows = (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS)
+    for _, _, lhs, rhs, _, order in (row for row in rows if row[4] is None):
+        for leaf, n in reads(Sub(parse(lhs), parse(rhs)), depth[order]).items():
+            if leaf in _SEEDS:
+                orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
     t0 = perf_counter()
     built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
-    moduli = [row[4] for row in SCAN_ROWS] + [row[2] for row in FAMILY_ROWS]
-    c_scan = evaluate(parse("C"), n_scan, narrowest_ring(moduli))
+    moduli = [row[4] for row in rows if row[4]] + [row[2] for row in FAMILY_ROWS]
+    c_scan = evaluate(_C, n_scan, narrowest_ring(moduli))
     t2 = perf_counter()
     if timings is not None:
         timings["exact_build"] = t1 - t0
@@ -165,8 +163,7 @@ def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
         got = ctx.c_exact if k == "limit" else series_ck(k, ORACLE_LIMIT + 1)
         want = Series(EXACT, oracle_table(k, ORACLE_LIMIT))
         n = first_incongruence(got, want, None, ORACLE_LIMIT + 1)
-        witness = (None if n is None
-                   else {"n": n, "value": got[n], "expected": want[n]})
+        witness = None if n is None else {"n": n, "value": got[n], "expected": want[n]}
         return [ClaimReport(claim_id, "definition-1.1",
                             "pass" if n is None else "fail",
                             {"k": k, "n_max": ORACLE_LIMIT}, witness)]
@@ -174,14 +171,17 @@ def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
 
 
 def _b_bilateral_entry() -> CatalogueEntry:
-    # the rows, then the scan C (eq 2-2, mod 2^w) against the summed exact C
+    # the rows, then c_scan against eq 2-2's right side in its ring, as deep
+    # as any congruence row reads C (D[8,r] at the congruence order)
     rows = {name: _row_entry(*row) for name, row in EQ_2_3_ROWS.items()}
+    eq_2_2 = next((parse(row[2]), parse(row[3])) for row in CLAIM_ROWS
+                  if row[0] == "eq-2-2")
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        ring, m = ctx.c_scan.ring, min(ctx.c_exact.order, ctx.c_scan.order)
+        ring = ctx.c_scan.ring
         reports = {name: row.run(ctx)[0] for name, row in rows.items()}
-        reports["c_scan"] = verify_congruent(
-            ctx.c_scan, change_ring(ctx.c_exact, ring), None, m)
+        reports["c_scan"] = check_row(eq_2_2, None, {_C: ctx.c_scan},
+                                      8 * ctx.n_congruence, ctx.scan_memo)
         params = {"order": ctx.n_identity, "ring": "exact", "c_scan_ring": str(ring),
                   "compared": {name: r.params["order"] for name, r in reports.items()},
                   "c_scan_builder": c_builder(ring)}
@@ -256,15 +256,13 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
 
 def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
                modulus: Optional[int], depth: str) -> CatalogueEntry:
-    """`check_row` of the two sources at `depth`: the context's n_identity
-    or n_congruence in the exact ring, or "scan", as deep as c_scan allows
-    in its ring. A scan row is a progression when its right side is 0."""
+    """`check_row` of the two sources mod `modulus` at `depth`, where the
+    context's `placement` puts them. A scan row is a progression when its
+    right side is 0."""
     sides = (parse(lhs_src), parse(rhs_src))
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        n, memo = ((None, ctx.scan_memo) if depth == "scan"
-                   else (getattr(ctx, f"n_{depth}"), ctx.memo))
-        return [check_row(sides, modulus, ctx.seeds(depth), n, memo,
+        return [check_row(sides, modulus, *ctx.placement(modulus, depth),
                           claim_id, paper_eq)]
     if depth == "scan":
         kind = "progression" if rhs_src == "0" else "relation"
@@ -334,9 +332,8 @@ EQ_2_3_ROWS = {
 }
 
 
-# The progressions (right side 0) and relations, read from the scan series,
-# mod 2^8 (`build_suite_context`); the families between eq 1-5 and eq 2-19
-# are rows made per k.
+# The progressions (right side 0) and relations, checked as deep as the scan
+# series allows; the families between eq 1-5 and eq 2-19 are rows made per k.
 SCAN_ROWS: tuple[tuple[str, str, str, str, int, str], ...] = (
     ("eq-1-2", "1-2", "D[8,4](C)", "0", 4, "scan"),
     ("eq-1-3", "1-3", "D[8,6](C)", "0", 8, "scan"),
@@ -366,7 +363,7 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     *(_row_entry(*row) for row in SCAN_ROWS[:4]),
     *(_family_entry(*row) for row in FAMILY_ROWS),
     *(_row_entry(*row) for row in SCAN_ROWS[4:]),
-    # supporting identities and derivation steps, in the exact ring
+    # supporting identities (exact ring) and congruences (scan ring)
     *(_row_entry(*row) for row in CLAIM_ROWS),
     _b_bilateral_entry(),
     # ground truth: series coefficients against direct enumeration

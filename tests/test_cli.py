@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,9 @@ EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 
 @pytest.fixture(scope="module")
 def ctx40():
-    """A suite context whose identity and congruence orders are both 40."""
-    return dataclasses.replace(build_suite_context(80, 10, 0), n_identity=40)
+    """A suite context whose identity and congruence orders are both 40, and
+    whose scan C is as long as a congruence row reads it (8 * 40)."""
+    return dataclasses.replace(build_suite_context(80, 320, 0), n_identity=40)
 
 
 class TestExpand:
@@ -185,9 +187,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
     def test_catalogue_row_by_hand(self, capsys, ctx40, row):
+        # the suite checks a congruence row in the scan ring, and verify
+        # here in the exact ring: reduction mod 2^8 keeps the verdict
         claim_id, _, lhs, rhs, modulus, _ = row
         entry = next(e for e in CATALOGUE if e.claim_id == claim_id)
-        want = entry.run(ctx40)[0].status
+        [rep] = entry.run(ctx40)
+        want = rep.status
+        assert want != "order-too-small"
         argv = ["verify", "--order", "40"]
         if modulus is not None:
             argv += ["--mod", str(modulus)]
@@ -450,7 +456,17 @@ class TestSuite:
         assert main(["suite", "--order-identity", "20",
                      "--order-scan", "10"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == \
-            "63 claims: 47 pass, 0 fail, 16 order-too-small"
+            "63 claims: 39 pass, 0 fail, 24 order-too-small"
+
+    def test_scan_order_below_four_identity_orders(self, capsys):
+        # eq-a-1, eq-2-24 and eq 2-3 read the scan C to 8 * 200 at identity
+        # order 400, and eq-2-18-1 to 1596: a scan of 1000 cannot check them
+        assert main(["suite", "--order-identity", "400", "--order-scan", "1000",
+                     "--kmax", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        short = [line.split()[0] for line in lines
+                 if line.split()[1] == "order-too-small"]
+        assert short == ["eq-2-18-1", "eq-a-1", "eq-2-24", "eq-2-3"]
 
     @pytest.mark.parametrize("flag, bad", [("--order-identity", "0"),
                                            ("--order-scan", "0"), ("--order-scan", "x")])
@@ -645,3 +661,45 @@ class TestBadFlagValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == f"qcong {argv[0]}: error: argument {flag}: {want}"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, output lines) of every `$ qcong ...` line in README's sh
+    blocks, its output being the lines up to the next `$` or the block's end."""
+    examples, block = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            block = [] if line == "```sh" and block is None else None
+        elif block is not None and line.startswith("$ qcong "):
+            examples.append((line[2:], []))
+        elif block is not None and examples and not line.startswith("$"):
+            examples[-1][1].append(line)
+    return examples
+
+
+def matches(want: list[str], got: list[str]) -> bool:
+    """got is want line by line, whitespace runs normalised, where a `...`
+    line of want stands for any run of lines."""
+    if not want:
+        return not got
+    if want[0] == "...":
+        return any(matches(want[1:], got[i:]) for i in range(len(got) + 1))
+    return bool(got) and got[0].split() == want[0].split() and matches(want[1:], got[1:])
+
+
+def test_readme_lists_its_examples():
+    assert len(readme_examples()) == 13
+
+
+@pytest.mark.parametrize("command, want", [pytest.param(command, want, id=command)
+                                           for command, want in readme_examples()])
+def test_readme_example(tmp_path, monkeypatch, capsys, command, want):
+    # run where a --json report may be written, and compare what it prints
+    monkeypatch.chdir(tmp_path)
+    code = main(shlex.split(command)[1:])
+    got = capsys.readouterr().out.splitlines()
+    assert matches(want, got), "\n".join(got)
+    assert code == (1 if any(line.startswith("fail") for line in want) else 0)

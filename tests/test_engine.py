@@ -55,7 +55,7 @@ from qcong import qexpr
 import qcong.series
 from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
 from qcong.series import _FFT_MIN_ORDER, monomial
-from qcong.qexpr import Dissect, evaluate, parse, reach, reads, to_source
+from qcong.qexpr import Dissect, Sub, evaluate, parse, reach, reads, to_source
 from test_qexpr import qexprs
 
 SMALL = dict(n_identity=80, n_scan=1200, k_max=1)
@@ -631,17 +631,18 @@ class TestCatalogue:
         assert failed
 
     def test_short_seeded_series_is_reported_not_rebuilt(self, ctx):
-        # eq-a-1 reads D[8,7](C) to 320 coefficients; a context C of only 300
+        # eq-a-1 reads D[8,7](C) to 320 coefficients; a scan C of only 300
         # must not be swapped for a rebuilt one, whatever its q^7 says
-        short = ctx.c_exact.truncate(300) + monomial(EXACT, 300, 7)
-        bad = dataclasses.replace(ctx, c_exact=short)
+        ring = ctx.c_scan.ring
+        short = ctx.c_scan.truncate(300) + monomial(ring, 300, 7)
+        bad = dataclasses.replace(ctx, c_scan=short)
         entries = {e.claim_id: e for e in CATALOGUE}
         [rep] = entries["eq-a-1"].run(bad)
         assert rep.status == "order-too-small"
         assert rep.params["too_short"] == ["C"]
         assert not all_passed([rep])
         # rows that read C no deeper than 300 still check it, and fail
-        assert entries["eq-2-2"].run(bad)[0].status == "fail"
+        assert entries["eq-2-12"].run(bad)[0].status == "fail"
 
     def test_rows_round_trip_and_report_their_sources(self, ctx):
         entries = {e.claim_id: e for e in CATALOGUE}
@@ -758,17 +759,18 @@ class TestScan:
 
 class TestSuiteContext:
     def test_orders_cover_every_extraction(self, ctx):
-        # each seed is as long as the deepest row reads it, eq 2-3's two rows
-        # among them; only the oracle sets a floor (C to ORACLE_LIMIT)
+        # each exact seed is as long as the deepest exact row reads it, eq
+        # 2-3's two rows among them; only the oracle sets a floor (C to
+        # ORACLE_LIMIT). The congruence rows read C in c_scan's ring
         n = {"identity": 80, "congruence": 40}
         want = {parse("C"): ORACLE_LIMIT + 1, parse("B(q)"): 0, parse("omega(q)"): 0,
                 parse("f3(q)"): 0}
-        for _, _, lhs, rhs, _, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
-            for src in (lhs, rhs):
+        for _, _, lhs, rhs, modulus, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
+            for src in (lhs, rhs) if modulus is None else ():
                 for leaf, depth in reads(parse(src), n[order]).items():
                     if leaf in want:
                         want[leaf] = max(want[leaf], depth)
-        assert ctx.c_exact.order == want[parse("C")] == 320
+        assert ctx.c_exact.order == want[parse("C")] == 80
         assert ctx.b_exact.order == want[parse("B(q)")] == 318
         assert ctx.omega_exact.order == want[parse("omega(q)")] == 80
         assert ctx.f3_exact.order == want[parse("f3(q)")] == 10
@@ -807,10 +809,15 @@ class TestSuiteContext:
 
 
 def _b_readers(ctx) -> set:
-    """The rows whose sides read B at the depths of ctx."""
-    return {row[0] for row in CLAIM_ROWS
-            if any(parse("B(q)") in reads(parse(src), getattr(ctx, f"n_{row[5]}"))
-                   for src in row[2:4])}
+    """The rows whose sides read the exact B where ctx places them."""
+    b = parse("B(q)")
+    out = set()
+    for claim_id, _, lhs, rhs, modulus, depth in CLAIM_ROWS:
+        seeds, n, _ = ctx.placement(modulus, depth)
+        if seeds.get(b) is ctx.b_exact and any(b in reads(parse(src), n)
+                                               for src in (lhs, rhs)):
+            out.add(claim_id)
+    return out
 
 
 def assert_reads_is_exact(e, n, ring=EXACT):
@@ -872,9 +879,9 @@ class TestSharedMemo:
 
     def test_each_denominator_inverts_once(self, monkeypatch):
         # a/b evaluates b^-1 through the memo, so one catalogue run inverts
-        # each distinct series once: 18 calls from the rows, 30 with those
-        # that invert makes itself on series in q^d (39 when a/b inverted b
-        # outside the memo)
+        # each distinct series once per memo: 24 calls from the rows (14 in
+        # the exact memo, 10 in the scan memo), 40 with those that invert
+        # makes itself on series in q^d
         ctx = build_suite_context(200, 10000, 2)
         top, inner, open_calls, real = [], [], [], qcong.series.invert
 
@@ -888,8 +895,9 @@ class TestSharedMemo:
         monkeypatch.setattr(qcong.series, "invert", counting)
         assert all_passed(run_catalogue(ctx))
         distinct = {(a.ring, tuple(a.coefficients())) for a in top}
-        assert len(top) == len(distinct) == 18
-        assert len(top) + len(inner) == 30
+        assert len(top) == len(distinct) == 24
+        assert sum(a.ring == EXACT for a in top) == 14
+        assert len(top) + len(inner) == 40
 
     def test_replaced_context_gets_a_fresh_memo(self, ctx):
         # with ctx's memo full, a context whose B is bumped at q^0..q^7 must
@@ -929,6 +937,60 @@ class TestEq23:
         eq_2_3 = next(r for r in run_catalogue(short) if r.claim_id == "eq-2-3")
         assert eq_2_3.status == "order-too-small"
         assert eq_2_3.witness == {"series": "omega"}
+
+
+class TestRingRule:
+    """`SuiteContext.placement` at the published orders: every row with a
+    modulus reads C in c_scan's ring, and eq 2-3 judges c_scan as deep as
+    any of them reads it."""
+
+    @staticmethod
+    def failing(ctx, exponent, c):
+        bumped = ctx.c_scan + monomial(ctx.c_scan.ring, ctx.c_scan.order, exponent, c)
+        return {r.claim_id: r for r in run_catalogue(dataclasses.replace(ctx, c_scan=bumped))
+                if r.status != "pass"}
+
+    def test_congruence_rows_read_c_scan(self, flagship):
+        # 1591 = 8*198 + 7, the last coefficient of C that eq-a-1 and eq-2-24
+        # use: their side q*D[8,7](C) moves D[8,7](C)'s q^199 (1599) past
+        # the order 200. Both read C from c_scan, so they must see it
+        fails = self.failing(flagship[0], 1591, 1)
+        assert fails["eq-a-1"].witness == {"n": 199, "value": 177, "residue": 1}
+        assert fails["eq-2-24"].witness == {"n": 199, "value": 177, "residue": 1}
+        assert fails["eq-2-3"].witness == {"n": 1591, "lhs": 177, "rhs": 176,
+                                           "series": "c_scan"}
+
+    def test_eq_2_3_checks_c_scan_to_1600(self, flagship):
+        # 128 is 0 mod every row's modulus: only eq 2-3, which compares eq
+        # 2-2's two sides in c_scan's ring to 8 * n_congruence, sees it
+        ctx = flagship[0]
+        fails = self.failing(ctx, 1599, 128)
+        assert list(fails) == ["eq-2-3"]
+        assert fails["eq-2-3"].witness == {"n": 1599, "lhs": 140, "rhs": 12,
+                                           "series": "c_scan"}
+        assert fails["eq-2-3"].params["compared"]["c_scan"] == 8 * ctx.n_congruence == 1600
+        assert self.failing(ctx, 1600, 128) == {}
+
+    def test_no_congruence_row_reads_past_the_cross_check(self, flagship):
+        ctx = flagship[0]
+        assert (ctx.c_exact.order, ctx.c_scan.order) == (400, 40000)
+        moduli = [row[4] for row in (*CLAIM_ROWS, *SCAN_ROWS) if row[4] is not None]
+        assert all(ctx.c_scan.ring.resolves(m) for m in moduli + [row[2] for row in FAMILY_ROWS])
+        for claim_id, _, lhs, rhs, modulus, depth in CLAIM_ROWS:
+            seeds, n, memo = ctx.placement(modulus, depth)
+            if modulus is None:
+                assert memo is ctx.memo and seeds[parse("C")] is ctx.c_exact
+                continue
+            assert (seeds, memo) == ({parse("C"): ctx.c_scan}, ctx.scan_memo)
+            read = reads(Sub(parse(lhs), parse(rhs)), n).get(parse("C"), 0)
+            assert read <= 8 * ctx.n_congruence, claim_id
+
+    def test_no_row_with_a_modulus_is_exact(self, flagship_reports, flagship):
+        ring = str(flagship[0].c_scan.ring)
+        for reports, _ in flagship_reports.values():
+            for rep in reports:
+                if "modulus" in rep.params:
+                    assert rep.params["ring"] == ring, rep.claim_id
 
 
 @st.composite

@@ -8,8 +8,10 @@ shows here:
   of `qcong suite --order-identity 200 --order-scan 10000 --kmax 2`;
 - one catalogue run per negative control at the engine tests' small
   context, each a context series plus one monomial: `c_scan + 4*q^12`
-  (only eq-2-3 sees it), `c_scan + q^12` (a progression, a family member,
-  a relation and eq-2-3 fail) and `c_exact + q^7`;
+  (eq-2-18 and eq-a-1, mod 8, and eq-2-3 see it), `c_scan + q^12` (a
+  progression, a family member, a relation, three congruence rows and
+  eq-2-3 fail) and `c_exact + q^7` (the identity rows that read C, and
+  the oracle);
 - `oracle-limit-40.txt`, `oracle-k1-36.txt` and `oracle-k3-36.txt`: the
   stdout of `qcong oracle --k limit --nmax 40`, `--k 1 --nmax 36` and
   `--k 3 --nmax 36`, recorded with the leaf-by-leaf count, which walked
