@@ -15,12 +15,12 @@ coefficient into digits and back.
 `mul` goes term by term through `mul_sparse` when the sparser operand has
 few nonzero coefficients (f[m] and its low powers). Otherwise a product is
 np.convolve at small orders (exact ones only when every sum fits an int64),
-else a float FFT on balanced limbs: mod 2^w as few as the order and width
-allow (4 of 16 bits mod 2^64 below order 8192, one of 8 bits mod 2^8), exact
-as many 16-bit ones as the coefficients need. So a check mod M builds its
-series in `narrowest_ring([M, ...])`: mod 2^8, or mod M if wider.
+else a float FFT on balanced limbs, their spectra and then group products:
+mod 2^w as few as the order and width allow (4 of 16 bits mod 2^64 below
+order 8192, one of 8 bits mod 2^8), exact as many 16-bit ones as needed. So
+a check mod M builds its series in `narrowest_ring([M, ...])`, mod max(2^8, M).
 `invert` runs the coefficient recurrence in Python ints for the first few
-terms, then Newton's iteration, which doubles them with two products a step.
+terms, then Newton's iteration, two products a step sharing b's spectra.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
 `eulerian_sum` is the one kernel behind every Eulerian sum and every
 Pochhammer or eta product: it takes the terms last to first by Horner's
@@ -260,34 +260,46 @@ def _stride(*arrs: np.ndarray) -> int:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product truncated to min(a.order, b.order).
-
-    Operands that are both series in q^d (d > 1) multiply as a[::d] and
-    b[::d] by this same rule. Otherwise the sparser operand goes through
-    `mul_sparse` in O(order * terms) when it has at most order/16 terms (f[m]
-    or a low power of it). A dense product below _FFT_MIN_ORDER is
-    np.convolve, exact ones in int64 when bits(max|x|) + bits(max|y|) +
-    bitlen(order) <= 63 (no sum then passes 2^63); every other one is the
-    float FFT of `_fft_mul`, with np.convolve as its fallback."""
+    """Cauchy product truncated to min(a.order, b.order), on the route of
+    `_route`: series in q^d as a[::d] times b[::d], a sparse operand term by
+    term (`mul_sparse`, O(order * terms)), a small dense product by
+    np.convolve, and every other one by the float FFT of `_fft_mul`, with
+    np.convolve as its fallback."""
     ring = _check_rings(a, b)
     n = min(a.order, b.order)
-    d = _stride(a._c[:n], b._c[:n])
-    if d > 1:
-        x = Series._wrap(ring, a._c[:n:d])
-        return substitute_power(mul(x, x if b is a else Series._wrap(ring, b._c[:n:d])),
-                                d, 1, n)
-    x, y = sorted((a._c[:n], b._c[:n]), key=np.count_nonzero)
-    if np.count_nonzero(x) * _SPARSE_RATIO <= n:
-        return mul_sparse(Series._wrap(ring, y), _terms(x))
-    exact, small = ring.modulus is None, n < _FFT_MIN_ORDER
-    sizes = (bx := _bits(x), bx if b is a else _bits(y)) if exact else None
-    if exact and small and n.bit_length() + sum(sizes) <= 63:
+    x = a._c[:n]
+    y = x if b is a else b._c[:n]
+    route, arg = _route(ring, x, y)
+    if route == "stride":
+        w = Series._wrap(ring, x[::arg])
+        return substitute_power(mul(w, w if y is x else Series._wrap(ring, y[::arg])), arg, 1, n)
+    if route == "sparse":
+        return mul_sparse(Series._wrap(ring, arg[1]), _terms(arg[0]))
+    if route == "int64":
         out = np.convolve(x.astype(np.int64), y.astype(np.int64))[:n]
-    else:
-        out = _fft_mul(x, None if b is a else y, ring.width, sizes) if exact or not small else None
-        if out is None:
-            out = np.convolve(x, y)[:n]
+    elif route != "fft" or (out := _fft_mul(x, None if y is x else y, ring.width, arg)) is None:
+        out = np.convolve(x, y)[:n]
     return Series._wrap(ring, _reduce(out, ring.modulus))
+
+
+def _route(ring: CoefficientRing, x: np.ndarray, y: np.ndarray) -> tuple[str, object]:
+    """How `mul` multiplies x by y (y is x: a square) to len(x) terms, y
+    read as padded with zeros: ("stride", d) when both are series in q^d,
+    d > 1; ("sparse", (sparser, other)) when one has at most len(x) /
+    _SPARSE_RATIO nonzero terms; else "int64" for exact ones below
+    _FFT_MIN_ORDER whose bits(max|x|) + bits(max|y|) + bitlen(len(x)) <= 63,
+    so that no sum passes 2^63, "convolve" for the rest below it, and "fft",
+    each with those bits."""
+    n = len(x)
+    if (d := _stride(x, y)) > 1:
+        return "stride", d
+    if min(cx := np.count_nonzero(x), cy := np.count_nonzero(y)) * _SPARSE_RATIO <= n:
+        return "sparse", (x, y) if cx <= cy else (y, x)
+    small = n < _FFT_MIN_ORDER
+    if ring.modulus is not None:
+        return ("convolve" if small else "fft"), None
+    sizes = (bx := _bits(x), bx if y is x else _bits(y))
+    return ("int64" if small and n.bit_length() + sum(sizes) <= 63 else "fft"), sizes
 
 
 # Dense products at or above this order, and exact ones whose sums may pass
@@ -341,104 +353,95 @@ def _fft_limbs(n: int, width: int) -> tuple[int, int]:
 def _fft_mul(x: np.ndarray, y: np.ndarray | None, width: int | None,
              sizes: tuple[int, int] | None = None) -> np.ndarray | None:
     """The first len(x) coefficients of x*y (x*x when y is None) mod
-    2^width, or over the integers when width is None; None when float
-    rounding leaves an exact result in doubt. Exact, `sizes` are
-    bits(max|x|) and bits(max|y|), which `mul` has already read.
-
-    Mod 2^width the first try takes the limbs of `_fft_limbs`, and when the
-    rounding guard fails the product is tried again on limbs one bit
-    narrower, down to 1-bit limbs. Exact digits are whole bytes: 16-bit
-    limbs when the largest group sum min(Lx, Ly) * n * 4^15 is below
-    _FFT_BUDGET, then 8-bit ones. None means every try failed.
-    """
-    if width is not None:
-        tries = range(_fft_limbs(len(x), width)[1], 0, -1)
+    2^width, or exact when width is None, with `sizes` bits(max|x|) and
+    bits(max|y|): `_groups` of `_spectra` at length _fft_size(2n - 1), where
+    nothing wraps. When the rounding guard fails it tries narrower limbs:
+    one bit narrower mod 2^width, down to 1 bit, and exact 8 bits after 16.
+    None means every try failed."""
+    n, size = len(x), _fft_size(2 * len(x) - 1)
+    if width is None:
+        first, step, top = _exact_bits(min(sizes), n), 8, sum(sizes) + n.bit_length() + 1
     else:
-        limbs = (min(sizes) + 17) // 16  # as in split
-        tries = (16, 8) if limbs * len(x) * 4 ** 15 < _FFT_BUDGET else (8,)
-    for bits in tries:
-        out = _fft_mul_bits(x, y, width, bits, sizes)
+        first, step, top = _fft_limbs(n, width)[1], 1, width
+    for bits in range(first, 0, -step):
+        xs = _spectra(x, size, width, bits, sizes and sizes[0])
+        out = _groups(xs, xs if y is None else _spectra(y, size, width, bits, sizes and sizes[1]),
+                      size, 0, n, width, bits, top)
         if out is not None:
             return out
+        del xs  # spent as scratch, and freed before the next try's
     return None
 
 
-def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
-                  bits: int, sizes: tuple[int, int] | None) -> np.ndarray | None:
-    """_fft_mul on limbs of the given bits, or None if the guard fails.
+def _exact_bits(v_bits: int, n: int) -> int:
+    """16, or 8 when the largest group sum of 16-bit exact limbs, min(Lx, Ly)
+    * n * 4^15, reaches _FFT_BUDGET for a smaller operand of v_bits bits."""
+    return 16 if (v_bits + 17) // 16 * n * 4 ** 15 < _FFT_BUDGET else 8
 
-    Each coefficient is split into balanced digits d_i in [-2^(bits-1),
-    2^(bits-1)) with sum of d_i << bits*i equal to it (mod 2^64 for uint64):
-    adding K = sum of 2^(bits-1) << bits*i and cutting the sum into unsigned
-    digits e_i gives d_i = e_i - 2^(bits-1) (Crandall and Fagin 1994). So
-    x*y is the sum over s of g_s << bits*s, where g_s sums the products of
-    limb i of x with limb s-i of y: a signed integer of magnitude at most
-    min(Lx, Ly) * len(x) * 4^(bits-1), which the real FFT computes up to
-    rounding. Mod 2^width, groups with bits*s >= width vanish, and the rest
-    add in, shifted, mod 2^64. Exact, a product coefficient lies in
-    (-2^(t-1), 2^(t-1)) for t = bits(max|x|) + bits(max|y|) + bitlen(n) + 1:
-    its first ceil(t / bits) digits, carried up from the groups and read as
-    one signed number, are all of it."""
-    n = len(x)
-    size = _fft_size(2 * n - 1)
-    fft = np.fft  # numpy loads np.fft on first use, so only this branch pays
+
+def _spectra(v: np.ndarray, size: int, width: int | None, bits: int,
+             v_bits: int | None) -> np.ndarray:
+    """The rfft at length `size` of each balanced limb of v, one row a limb:
+    ceil(width / bits) limbs mod 2^width, and exact, for |c| < 2^v_bits,
+    enough for bits*limbs >= v_bits + 2, as K below exceeds 2^(bits*limbs-1).
+    A coefficient c is the sum of its digits d_i << bits*i, each in
+    [-2^(bits-1), 2^(bits-1)) (mod 2^64 for uint64): the unsigned digits of
+    c + K, for K = sum of 2^(bits-1) << bits*i, less 2^(bits-1) (Crandall and
+    Fagin 1994). Exact digits come from bytes, in one transform call; mod
+    2^width one float digit at a time, not limbs * n * 8 bytes at once."""
+    fft = np.fft  # numpy loads np.fft on first use, so only the FFT pays
     half = 1 << (bits - 1)
-
+    limbs = (v_bits + 1 + bits) // bits if width is None else -(-width // bits)
+    k = sum(half << (bits * i) for i in range(limbs))
+    out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
     if width is None:
-        def split(v: np.ndarray, v_bits: int) -> tuple[int, np.ndarray]:
-            # |c| < 2^v_bits needs bits*limbs >= v_bits + 2, as K exceeds
-            # 2^(bits*limbs - 1); made from bytes, transformed in one call
-            limbs = (v_bits + 1 + bits) // bits
-            k, size_v = sum(half << (bits * i) for i in range(limbs)), limbs * bits // 8
-            e = np.frombuffer(b"".join((c + k).to_bytes(size_v, "little") for c in v.tolist()),
-                              dtype=f"<u{bits // 8}").reshape(n, limbs)
-            out = np.empty((limbs, size // 2 + 1), dtype=np.complex128)
-            return limbs, fft.rfft(e.T - float(half), size, out=out)
+        e = np.frombuffer(b"".join((c + k).to_bytes(limbs * bits // 8, "little")
+                                   for c in v.tolist()), dtype=f"<u{bits // 8}")
+        return fft.rfft(e.reshape(len(v), limbs).T - float(half), size, out=out)
+    mask = np.uint64((1 << bits) - 1)
+    w, digit = v + np.uint64(k % (1 << 64)), np.empty(len(v))
+    ints = digit.view(np.int64)
+    for row in out:
+        np.bitwise_and(w, mask, out=ints.view(np.uint64))
+        ints -= half
+        np.copyto(digit, ints)  # in place: a ufunc would copy ints first
+        fft.rfft(digit, size, out=row)
+        w >>= np.uint64(bits)
+    return out
 
-        bx, by = sizes
-        lx, xs = split(x, bx)
-        ly, ys = (lx, xs) if y is None else split(y, by)
-        digits = -(-(bx + by + n.bit_length() + 1) // bits)
-        groups = min(lx + ly - 1, digits)
-        sums = np.zeros((groups, n), dtype=np.int64)
-    else:
-        lx = ly = groups = -(-width // bits)
-        mask = np.uint64((1 << bits) - 1)
-        offset = np.uint64(sum(half << (bits * i) for i in range(lx)) % (1 << 64))
 
-        def split(v: np.ndarray) -> np.ndarray:
-            # one float digit at a time: all of them at once would take
-            # limbs * n * 8 bytes more
-            w, digit = v + offset, np.empty(n)
-            ints = digit.view(np.int64)
-            out = np.empty((lx, size // 2 + 1), dtype=np.complex128)
-            for row in out:
-                np.bitwise_and(w, mask, out=ints.view(np.uint64))
-                ints -= half
-                np.copyto(digit, ints)  # in place: a ufunc would copy ints first
-                fft.rfft(digit, size, out=row)
-                w >>= np.uint64(bits)
-            return out
-
-        xs = split(x)
-        ys = xs if y is None else split(y)
-        sums = np.zeros(n, dtype=np.uint64)
-    # group s sums in limb s of y and takes limb s of x as scratch: no lower
-    # group reads either; a square, and a group past a limb, uses spare rows
-    spare = np.empty(((y is None or groups > ly) + (groups > lx), xs.shape[1]), complex)
+def _groups(xs: np.ndarray, ys: np.ndarray, size: int, lo: int, hi: int,
+            width: int | None, bits: int, top: int) -> np.ndarray | None:
+    """Coefficients lo..hi-1 of the cyclic product mod q^size - 1 of the
+    operands whose `_spectra` are xs and ys (ys is xs: a square), mod
+    2^width, or exact for coefficients in (-2^(top-1), 2^(top-1)); None if
+    the rounding guard fails. The product is the sum over s of g_s <<
+    bits*s, where g_s sums limb i of x times limb s-i of y, at most
+    min(Lx, Ly) * terms * 4^(bits-1) in magnitude for the most terms a
+    coefficient sums. Mod 2^width the groups below width add in, shifted,
+    mod 2^64; exact, ceil(top / bits) digits carried up from them and read
+    as one signed number are all of it."""
+    fft, n, exact = np.fft, hi - lo, width is None
+    lx, ly, digits = len(xs), len(ys), -(-top // bits)
+    groups = min(lx + ly - 1, digits)
+    # group s sums in limb s of y and takes limb s of x as scratch: no lower group
+    # reads either; a square, a read-only (shared) ys and a group past a limb use spares
+    keep = ys is xs or not ys.flags.writeable
+    spare = np.empty(((keep or groups > ly) + (groups > lx), xs.shape[1]), complex)
+    sums = np.zeros((groups, n), dtype=np.int64) if exact else np.zeros(n, dtype=np.uint64)
     for s in reversed(range(groups)):
-        acc = ys[s] if y is not None and s < ly else spare[0]
+        acc = ys[s] if not keep and s < ly else spare[0]
         tmp = xs[s] if s < lx else spare[-1]
-        lo, hi = max(0, s - ly + 1), min(s, lx - 1)
-        np.multiply(xs[lo], ys[s - lo], out=acc)  # reads limb s of y first
-        for i in range(hi, lo, -1):  # reads limb s of x before tmp overwrites it
+        first, last = max(0, s - ly + 1), min(s, lx - 1)
+        np.multiply(xs[first], ys[s - first], out=acc)  # reads limb s of y first
+        for i in range(last, first, -1):  # reads limb s of x before tmp overwrites it
             acc += np.multiply(xs[i], ys[s - i], out=tmp)
         # the inverse transform lands in tmp and its rounding in acc, both spent
-        g = fft.irfft(acc, size, out=tmp.view(np.float64)[:size])[:n]
+        g = fft.irfft(acc, size, out=tmp.view(np.float64)[:size])[lo:hi]
         r = np.rint(g, out=acc.view(np.float64)[:n])
         if np.abs(np.subtract(g, r, out=g), out=g).max() > _FFT_TOLERANCE:
             return None
-        if width is None:
+        if exact:
             np.copyto(sums[s], r, casting="unsafe")
             continue
         group = g.view(np.int64)  # r as integers, in the memory of g
@@ -446,9 +449,7 @@ def _fft_mul_bits(x: np.ndarray, y: np.ndarray | None, width: int | None,
         group = group.view(np.uint64)
         group <<= np.uint64(bits * s)
         sums += group
-    if width is not None:
-        return sums
-    return _join_limbs(sums, bits, digits)
+    return _join_limbs(sums, bits, digits) if exact else sums
 
 
 def _join_limbs(limbs: np.ndarray, bits: int, digits: int) -> np.ndarray:
@@ -475,7 +476,8 @@ def invert(a: Series) -> Series:
     A series in q^d (d > 1) inverts as a[::d]. Else the recurrence over the
     nonzero terms of a (`mul_sparse` dividing one by a) gives the first
     _NEWTON_MIN_ORDER terms, then Newton's iteration (Brent and Kung 1978)
-    takes over, each step two `mul` calls that double the terms.
+    takes over, each step two products that double the terms: `_newton_step`,
+    or two `mul` calls when it returns None.
     """
     if a.order == 0:
         return a
@@ -494,11 +496,38 @@ def invert(a: Series) -> Series:
     b = mul_sparse(monomial(ring, len(head), 0), _terms(head), "divide")._c
     for m in reversed(sizes):
         k = len(b)
-        padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)]))
-        e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
-        step = -mul(Series._wrap(ring, b[:m - k]), e)
-        b = np.concatenate([b, step._c])
+        step = _newton_step(a._c[:m], b, ring)
+        if step is None:
+            padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)]))
+            e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
+            step = (-mul(Series._wrap(ring, b[:m - k]), e))._c
+        b = np.concatenate([b, step])
     return Series._wrap(ring, b)
+
+
+def _newton_step(x: np.ndarray, b: np.ndarray, ring: CoefficientRing) -> np.ndarray | None:
+    """Coefficients k..m-1 of 1/x, m = len(x), from b = 1/x to k = len(b)
+    >= m/2 terms: -(b*e)[:m-k], for e = (x*b)[k:m], by `_groups` at length
+    N = _fft_size(m) on one `_spectra` of b (Bernstein 2004). x*b, of degree
+    m+k-2 at most, wraps below q^k; b*e, of degree m-2, does not wrap. No
+    coefficient of either sums more than k terms, and b's bits bound both
+    smaller operands'. None unless `mul` would send x*b to the FFT, or when
+    a rounding guard fails."""
+    route, sizes = _route(ring, x, b)
+    if route != "fft":
+        return None
+    m, k, width = len(x), len(b), ring.width
+    (bx, bb), size, kbits = sizes or (None, None), _fft_size(m), k.bit_length() + 1
+    bits = _fft_limbs(k, width)[1] if sizes is None else _exact_bits(bb, k)
+    bs = _freeze(_spectra(b, size, width, bits, bb))
+    e = _groups(_spectra(x, size, width, bits, bx), bs, size, k, m, width, bits,
+                width or bx + bb + kbits)
+    if e is None:
+        return None
+    be = None if sizes is None else _bits(e)
+    out = _groups(_spectra(e, size, width, bits, be), bs, size, 0, m - k, width, bits,
+                  width or bb + be + kbits)
+    return None if out is None else _reduce(-out, ring.modulus)
 
 
 def power(a: Series, e: int) -> Series:

@@ -396,13 +396,18 @@ class TestFFTMul:
         assert qc.mul(Series(qc.MOD64, x), Series(qc.MOD64, y)) == want
         assert calls == ["irfft"] * _fft_limbs(n, 64)[1] + ["convolve"]
 
+    @staticmethod
+    def peak_allowed(n: int, spectra: int) -> int:
+        """Bytes of `spectra` limb spectra of an order-n product mod 2^64,
+        and two arrays of n coefficients (plus change)."""
+        return spectra * 16 * (_fft_size(2 * n - 1) // 2 + 1) + 20 * n
+
     def test_memory_is_the_spectra_and_two_rows(self):
         # a product keeps the limb spectra of both operands and a square
         # those of its operand and one sum; beyond them at most two arrays
         # of n coefficients (plus change), never a float copy of every limb
         n = 100000
         limbs = _fft_limbs(n, 64)[0]
-        spectrum = 16 * (_fft_size(2 * n - 1) // 2 + 1)
         rng = np.random.default_rng(5)
         x, y = random_u64(rng, n, qc.MOD64), random_u64(rng, n, qc.MOD64)
         for other, spectra in ((y, 2 * limbs), (None, limbs + 1)):
@@ -410,7 +415,7 @@ class TestFFTMul:
             _fft_mul(x, other, 64)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert peak <= spectra * spectrum + 20 * n
+            assert peak <= self.peak_allowed(n, spectra)
 
     def test_numpy_fft_loads_on_first_use(self):
         # importing qcong must not pay for np.fft; the first FFT product does
@@ -624,16 +629,17 @@ class TestKroneckerMul:
 
     @staticmethod
     def record_tries(monkeypatch) -> list:
-        """Log (limb bits, passed the guard) for every exact try of the FFT."""
-        tries, fft_mul_bits = [], qcong.series._fft_mul_bits
+        """Log (limb bits, passed the guard) for every exact FFT product: each
+        try of `_fft_mul`, and each of the two products of a Newton step."""
+        tries, groups = [], qcong.series._groups
 
-        def recorded(x, y, width, bits, sizes):
-            out = fft_mul_bits(x, y, width, bits, sizes)
+        def recorded(xs, ys, size, lo, hi, width, bits, top):
+            out = groups(xs, ys, size, lo, hi, width, bits, top)
             if width is None:
                 tries.append((bits, out is not None))
             return out
 
-        monkeypatch.setattr(qcong.series, "_fft_mul_bits", recorded)
+        monkeypatch.setattr(qcong.series, "_groups", recorded)
         return tries
 
     @pytest.mark.parametrize("noisy_calls, want_tries, convolve_calls", [
@@ -781,22 +787,46 @@ def recurrence_inverse(x: np.ndarray, ring) -> Series:
     return Series(ring, b)
 
 
+def newton_chain(n: int) -> list:
+    """The orders m of invert's Newton steps to order n, first to last: each
+    takes the k = ceil(m / 2) terms of the step before it to m."""
+    chain = [n]
+    while chain[-1] > _NEWTON_MIN_ORDER:
+        chain.append((chain[-1] + 1) // 2)
+    return chain[-2::-1]
+
+
+def record_fft_mul(monkeypatch) -> list:
+    """Log the order of every _fft_mul call."""
+    orders, fft_mul = [], qcong.series._fft_mul
+    monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width, sizes=None:
+                        orders.append(len(x)) or fft_mul(x, y, width, sizes))
+    return orders
+
+
 class TestNewtonInvert:
     """invert mod 2^w (Newton's iteration above _NEWTON_MIN_ORDER), and in
-    the exact ring, against the plain coefficient recurrence."""
+    the exact ring, against the plain coefficient recurrence. Where `mul`
+    would send a step's first product to the FFT, the step is one shared
+    transform of b and two products at _fft_size(m), never `_fft_mul`; the
+    chains of 800 and 1600 hold steps with _fft_size(m) = m, the tightest
+    wrap, and that of 6001 odd m."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, _FFT_MIN_ORDER - 1,
-                                   _FFT_MIN_ORDER, 1499, 1500, 6000])
-    @pytest.mark.parametrize("w", [1, 5, 33, 64])
-    def test_matches_recurrence(self, n, w):
+                                   _FFT_MIN_ORDER, 1499, 1500, 1600, 6000, 6001])
+    @pytest.mark.parametrize("w", [1, 5, 8, 33, 64])
+    def test_matches_recurrence(self, n, w, monkeypatch):
         ring = qc.mod2pow(w)
         x = random_u64(np.random.default_rng(n * w), n, ring)
+        orders = record_fft_mul(monkeypatch)
         for c0 in (1, 3, ring.modulus - 1):
             x[:1] = c0 & (ring.modulus - 1)
             a = Series(ring, x)
+            orders.clear()
             got = qc.invert(a)
             assert got == recurrence_inverse(x, ring)
+            assert orders == []  # every FFT step is the shared-spectra one
             assert qc.mul(a, got) == monomial(ring, n, 0)
 
     @pytest.mark.parametrize("w", [5, 64])
@@ -810,14 +840,106 @@ class TestNewtonInvert:
         assert qc.mul(a, got) == monomial(ring, n, 0)
 
     @pytest.mark.parametrize("n", [1500, 6000])
-    def test_sparse_operand(self, n):
-        # f[m] takes the sparse mul route inside every Newton step
+    def test_sparse_operand(self, n, monkeypatch):
+        # f[m] takes the sparse mul route inside every Newton step, and the
+        # step's second product is `mul`'s, on the FFT from order 800 (f[2]
+        # inverts as f[1] at half the order)
+        orders = record_fft_mul(monkeypatch)
         for m in (1, 2):
             f = qc.pentagonal_series(m, n, qc.MOD64)
+            orders.clear()
             got = qc.invert(f)
             assert got == recurrence_inverse(np.array(f.coefficients(), dtype=np.uint64),
                                              qc.MOD64)
-            assert qc.mul(f, got) == monomial(qc.MOD64, n, 0)
+            assert qc.mul(f, got) == monomial(qc.MOD64, n, 0)  # term by term
+            chain = newton_chain(-(-n // m))
+            assert orders == [s // 2 for s in chain if s // 2 >= _FFT_MIN_ORDER]
+
+    def test_step_transforms_b_once(self, monkeypatch):
+        # each FFT step mod 2^64 transforms a, b and e once each and makes
+        # two products, all at _fft_size(m): 3L forward and 2L inverse
+        # transforms for L limbs; the steps below _FFT_MIN_ORDER make none
+        n, calls = 6000, []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda v, size, *args, real=real, name=name, **kw:
+                                calls.append((name, size)) or real(v, size, *args, **kw))
+        x = random_u64(np.random.default_rng(9), n, qc.MOD64)
+        x[0] = 1
+        got = qc.invert(Series(qc.MOD64, x))
+        want = []
+        for m in newton_chain(n):
+            if m >= _FFT_MIN_ORDER:
+                limbs = -(-64 // _fft_limbs((m + 1) // 2, 64)[1])
+                want += [("rfft", _fft_size(m))] * 3 * limbs
+                want += [("irfft", _fft_size(m))] * 2 * limbs
+        assert sorted(calls) == sorted(want) and len(want) == 3 * 5 * 4
+        assert got == recurrence_inverse(x, qc.MOD64)
+
+    @pytest.mark.parametrize("ring", [qc.MOD64, EXACT], ids=str)
+    def test_noisy_step_falls_back_to_two_products(self, ring, monkeypatch):
+        # noise past the guard's tolerance in the first inverse transform,
+        # the first FFT step's: that step is `mul`'s two products instead,
+        # the first on the FFT, and np.convolve runs at no FFT order. Exact,
+        # 8-bit coefficients put every step's first product past an int64
+        n = 1600 if ring == qc.MOD64 else 260
+        if ring == EXACT:
+            rng = random.Random(8)
+            x = [-1] + [rng.randrange(-255, 256) for _ in range(n - 1)]
+            a, want = Series(ring, x), inverse(x)
+        else:
+            x = random_u64(np.random.default_rng(4), n, ring)
+            x[0] = 1
+            a, want = Series(ring, x), recurrence_inverse(x, ring).coefficients()
+        irfft, convolve, calls = np.fft.irfft, np.convolve, []
+
+        def noisy_once(*args, **kw):
+            calls.append("irfft")
+            return irfft(*args, **kw) + (0.3 if calls.count("irfft") == 1 else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfft", noisy_once)
+        monkeypatch.setattr(np, "convolve", lambda x, y: calls.append(len(x)) or convolve(x, y))
+        orders = record_fft_mul(monkeypatch)
+        got = qc.invert(a).coefficients()
+        assert got == want and (ring == qc.MOD64 or max(map(abs, got)).bit_length() > 64)
+        first = _FFT_MIN_ORDER if ring == qc.MOD64 else newton_chain(n)[0]
+        assert orders[0] == first and set(orders) <= {first, first // 2}
+        assert all(c == "irfft" or c < _FFT_MIN_ORDER for c in calls)
+
+    @pytest.mark.parametrize("n", [200, 800, 1001])
+    def test_exact_dense_matches_inverse(self, n, monkeypatch):
+        # 1/f1^4 at -q: alternating signs, past 2^64 from about order 200.
+        # A step whose first product fits an int64 convolves there, and its
+        # second product may still take `_fft_mul`; every other step shares
+        # b's spectra, so no first product of a step reaches `_fft_mul`
+        f4 = qc.power(qc.pentagonal_series(1, n, EXACT), 4)
+        firsts, steps = [], []
+        fft_mul, newton_step = qcong.series._fft_mul, qcong.series._newton_step
+        monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width, sizes=None:
+                            firsts.append(np.shares_memory(x, a._c)) or fft_mul(x, y, width, sizes))
+        monkeypatch.setattr(qcong.series, "_newton_step", lambda x, b, ring:
+                            steps.append(out := newton_step(x, b, ring)) or out)
+        for sign in (1, -1):
+            a = qc.substitute_power(f4, 1, -1) * sign
+            got = qc.invert(a).coefficients()
+            assert got == inverse(a.coefficients())
+            assert max(map(abs, got)).bit_length() > 64 and got[1] == -4 * sign
+        assert not any(firsts)
+        assert any(step is not None for step in steps)
+
+    def test_dense_invert_memory_is_one_product(self):
+        # one dense inverse at 100000 mod 2^64 peaks no higher than one
+        # product at that order may: its largest step holds three limb
+        # spectra at about half that product's transform length
+        n = 100000
+        x = random_u64(np.random.default_rng(6), n, qc.MOD64)
+        x[0] = 1
+        a = Series(qc.MOD64, x)
+        tracemalloc.start()
+        qc.invert(a)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= TestFFTMul.peak_allowed(n, 2 * _fft_limbs(n, 64)[0])
 
     @pytest.mark.parametrize("n", [0, 1, 2, _NEWTON_MIN_ORDER - 1, _NEWTON_MIN_ORDER,
                                    _NEWTON_MIN_ORDER + 1, 200])
