@@ -5,11 +5,12 @@ them, and the suite runner.
 Each entry names its check type (exact | mod-M | progression | relation |
 family | oracle) so coverage can be audited by reading the table top to
 bottom. Every claim but the oracles is a row of two `qcong.qexpr` sources
-(eq 2-3 is two), checked by `check_row` where `SuiteContext.placement` puts
-it: a congruence in the scan series' ring (mod 2^8, `series.narrowest_ring`
-of every row's modulus), an identity in the exact ring. `check_row` reads
-its verdict from `verify_congruent`, the one rule that turns two series
-into a verdict and a witness, which `qcong verify` calls directly.
+(eq 2-3 is three, named), checked by `check_row` where `SuiteContext.placement`
+puts it: a congruence in the scan series' ring (mod 2^8, `series.narrowest_ring`
+of every row's modulus), an identity in the exact ring, and eq 2-3's `c_scan`
+row, eq 2-2, in the scan ring. `check_row` reads its verdict from
+`verify_congruent`, the one rule that turns two series into a verdict and a
+witness, which `qcong verify` calls directly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Callable, Optional
 
-from .mock_theta import c_builder, series_ck
+from .mock_theta import series_ck
 from .oracle import oracle_table
 from .qexpr import QExpr, Sub, evaluate, parse, reach, reads, to_source
 from .series import (EXACT, RingMismatchError, Series, first_incongruence,
@@ -85,7 +86,11 @@ class SuiteContext:
                   depth: str) -> tuple[dict, Optional[int], dict]:
         """`check_row`'s (seeds, n, memo) for a row mod `modulus` at `depth`:
         a congruence in c_scan's ring, an identity (modulus None) exactly;
-        at n_identity, n_congruence or, at "scan", as deep as seeds allow."""
+        at n_identity, n_congruence or, at "scan", as deep as seeds allow; at
+        "cross", any row in c_scan's ring to 8 * n_congruence, where D[8,r]
+        of the congruence rows reads C."""
+        if depth == "cross":
+            return {_C: self.c_scan}, 8 * self.n_congruence, self.scan_memo
         n = None if depth == "scan" else getattr(self, f"n_{depth}")
         if modulus is None:
             return ({leaf: getattr(self, name) for leaf, name in _SEEDS.items()},
@@ -170,29 +175,6 @@ def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
     return CatalogueEntry(claim_id, "oracle", run)
 
 
-def _b_bilateral_entry() -> CatalogueEntry:
-    # the rows, then c_scan against eq 2-2's right side in its ring, as deep
-    # as any congruence row reads C (D[8,r] at the congruence order)
-    rows = {name: _row_entry(*row) for name, row in EQ_2_3_ROWS.items()}
-    eq_2_2 = next((parse(row[2]), parse(row[3])) for row in CLAIM_ROWS
-                  if row[0] == "eq-2-2")
-
-    def run(ctx: SuiteContext) -> list[ClaimReport]:
-        ring = ctx.c_scan.ring
-        reports = {name: row.run(ctx)[0] for name, row in rows.items()}
-        reports["c_scan"] = check_row(eq_2_2, None, {_C: ctx.c_scan},
-                                      8 * ctx.n_congruence, ctx.scan_memo)
-        params = {"order": ctx.n_identity, "ring": "exact", "c_scan_ring": str(ring),
-                  "compared": {name: r.params["order"] for name, r in reports.items()},
-                  "c_scan_builder": c_builder(ring)}
-        for name, rep in reports.items():
-            if not rep.passed():  # order-too-small, too, names its series
-                witness = dict(rep.witness or {}, series=name)
-                return [ClaimReport("eq-2-3", "2-3", rep.status, params, witness)]
-        return [ClaimReport("eq-2-3", "2-3", "pass", params)]
-    return CatalogueEntry("eq-2-3", "exact", run)
-
-
 def _params(n: int, modulus: Optional[int], ring) -> dict:
     """A report's order, its modulus unless exact equality, and its ring."""
     return {"order": n, **({} if modulus is None else {"modulus": modulus}),
@@ -254,16 +236,31 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
     return replace(rep, params={**params, **samples})
 
 
-def _row_entry(claim_id: str, paper_eq: str, lhs_src: str, rhs_src: str,
-               modulus: Optional[int], depth: str) -> CatalogueEntry:
-    """`check_row` of the two sources mod `modulus` at `depth`, where the
-    context's `placement` puts them. A scan row is a progression when its
-    right side is 0."""
-    sides = (parse(lhs_src), parse(rhs_src))
+def _row_entry(claim_id: str, paper_eq: str, *row, **rows) -> CatalogueEntry:
+    """`check_row` of one row (lhs, rhs, modulus, depth), or of several named
+    rows, each where the context's `placement` puts it, in one report: the
+    first row that does not pass, its witness naming it (`series`), else a
+    pass, with the first row's order and ring and every row's params under
+    `rows`. A scan row is a progression when its right side is 0."""
+    rows = rows or {None: row}
+    parsed = {name: ((parse(lhs), parse(rhs)), modulus, depth)
+              for name, (lhs, rhs, modulus, depth) in rows.items()}
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        return [check_row(sides, modulus, *ctx.placement(modulus, depth),
-                          claim_id, paper_eq)]
+        reports = {name: check_row(sides, modulus, *ctx.placement(modulus, depth),
+                                   claim_id, paper_eq)
+                   for name, (sides, modulus, depth) in parsed.items()}
+        if None in reports:
+            return [reports[None]]
+        first = next(iter(reports.values())).params
+        params = {"order": first["order"], "ring": first["ring"],
+                  "rows": {name: rep.params for name, rep in reports.items()}}
+        for name, rep in reports.items():
+            if not rep.passed():  # order-too-small, too, names its row
+                witness = dict(rep.witness or {}, series=name)
+                return [ClaimReport(claim_id, paper_eq, rep.status, params, witness)]
+        return [ClaimReport(claim_id, paper_eq, "pass", params)]
+    _, rhs_src, modulus, depth = next(iter(rows.values()))
     if depth == "scan":
         kind = "progression" if rhs_src == "0" else "relation"
     else:
@@ -365,7 +362,9 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     *(_row_entry(*row) for row in SCAN_ROWS[4:]),
     # supporting identities (exact ring) and congruences (scan ring)
     *(_row_entry(*row) for row in CLAIM_ROWS),
-    _b_bilateral_entry(),
+    # eq 2-3's two rows, and c_scan against eq 2-2's sides in its own ring
+    _row_entry("eq-2-3", "2-3", **{name: row[2:] for name, row in EQ_2_3_ROWS.items()},
+               c_scan=next((*row[2:4], None, "cross") for row in CLAIM_ROWS if row[0] == "eq-2-2")),
     # ground truth: series coefficients against direct enumeration
     _oracle_entry("oracle-c-limit", "limit"),
     _oracle_entry("oracle-ck-1", 1),

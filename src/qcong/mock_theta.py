@@ -8,15 +8,14 @@ O(N), and no dense inversion is needed. Each builder streams its steps last
 term first, as Horner's rule takes them, and lists none of them; the C and
 C_k sums leave out the leading factor u_0 and apply it after the sum as a
 product of Euler sums, one more `eulerian_sum` each, in every ring.
-`pentagonal_series` writes f_m down
-directly from Euler's pentagonal number theorem in O(N) time; it is what
-`f[m]` in `qcong.qexpr` and the leading term of the `c` builder read, and
+`pentagonal_series` writes f_m down directly from Euler's pentagonal number
+theorem in O(N) time, for `f[m]` in `qcong.qexpr` and for `c_appell`;
 `euler_fm`, the product definition of f_m, is its reference. B and omega
 also have bilateral (Appell-Lerch) forms, f4/f2^2 and 1/f2 times
 `appell_sum` (eq 2-3; Watson 1936), an O(N log N) kernel that `qexpr` reads
-as `appell[a]` and the mod-2^w `series_c` through eq 2-2 (`c_appell`). In
-the exact ring `series_c`, and `series_ck` in every ring, sum the definition
-(`_c_sum`), so that eq 2-2 is checked, not assumed.
+as `appell[a]` and `c_appell` through eq 2-2. `series_c` takes that route
+mod 2^w and sums the definition (`_c_sum`) exactly, as `series_ck` does in
+every ring, so that eq 2-2 is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -145,18 +144,10 @@ def c_appell(order: int, ring: CoefficientRing = EXACT) -> Series:
 
 def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Generating series of the counts c(n): sum over n >= 0 of
-    q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2, built by the
-    route `c_builder` names for the ring."""
-    if c_builder(ring) == "sum":
-        return _c_sum(order, ring, None)
-    return c_appell(order, ring)
-
-
-def c_builder(ring: CoefficientRing) -> str:
-    """The route `series_c` takes in `ring`: eq 2-2 mod 2^w; the sum of the
-    definition when exact, so that claim eq-2-2 does not check itself. The
-    two cost about the same exact: 30 ms against 29 ms at order 2800."""
-    return "sum" if ring.modulus is None else "eq-2-2-appell"
+    q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2. Mod 2^w through
+    eq 2-2 (`c_appell`); exactly the sum of the definition (`_c_sum`), so that
+    claim eq-2-2 does not check itself; exact at 2800 the two take 30 and 29 ms."""
+    return _c_sum(order, ring, None) if ring.modulus is None else c_appell(order, ring)
 
 
 def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -53,7 +53,8 @@ from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
 from qcong.cli import main
 from qcong import qexpr
 import qcong.series
-from qcong.mock_theta import _c_sum, appell_sum, c_appell, c_builder
+import qcong.mock_theta
+from qcong.mock_theta import _c_sum, appell_sum, c_appell
 from qcong.series import _FFT_MIN_ORDER, monomial
 from qcong.qexpr import Dissect, Sub, evaluate, parse, reach, reads, to_source
 from test_qexpr import qexprs
@@ -91,10 +92,22 @@ class TestSeriesBuilders:
         assert first_incongruence(ck, c, None, 2 * k + 1) is None
         assert ck[2 * k + 1] == c[2 * k + 1] + 1
 
+    @pytest.mark.parametrize("ring, route", [(mod2pow(8), "c_appell"), (MOD64, "c_appell"),
+                                             (EXACT, "_c_sum")], ids=str)
+    def test_series_c_route(self, monkeypatch, ring, route):
+        # eq 2-2 mod 2^w; exactly the sum of the definition, so that claim
+        # eq-2-2 does not check itself
+        calls = []
+        for name in ("c_appell", "_c_sum"):
+            real = getattr(qcong.mock_theta, name)
+            monkeypatch.setattr(qcong.mock_theta, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        series_c(40, ring)
+        assert calls == [route]
+
     @pytest.mark.parametrize("ring", [MOD64, mod2pow(5)], ids=str)
     def test_eq_2_2_route_matches_summation(self, ring):
         # mod 2^w series_c follows eq 2-2; the summation is its reference
-        assert c_builder(ring) == "eq-2-2-appell" and c_builder(EXACT) == "sum"
         for order in range(1, 65):
             assert series_c(order, ring) == _c_sum(order, ring, None), order
 
@@ -574,6 +587,13 @@ class TestCatalogue:
         # four family entries contribute k_max+1 reports each
         assert len(reports) == len(CATALOGUE) + 4 * ctx.k_max
 
+    def test_every_checked_report_has_order_and_ring(self, ctx):
+        # the acceptance checks and the benchmark's sample count read them
+        for entry in CATALOGUE:
+            for rep in entry.run(ctx) if entry.kind != "oracle" else []:
+                assert isinstance(rep.params["order"], int), rep.claim_id
+                assert rep.params["ring"] in ("exact", str(ctx.c_scan.ring)), rep.claim_id
+
     def test_catalogue_ids_unique(self):
         ids = [e.claim_id for e in CATALOGUE]
         assert len(set(ids)) == len(ids)
@@ -938,6 +958,27 @@ class TestEq23:
         assert eq_2_3.status == "order-too-small"
         assert eq_2_3.witness == {"series": "omega"}
 
+    def test_short_c_scan_is_order_too_small(self, ctx):
+        # the cross row reads C to 8 * n_congruence in c_scan's ring: a
+        # c_scan one coefficient short of it cannot be checked there
+        short = dataclasses.replace(ctx, c_scan=ctx.c_scan.truncate(8 * ctx.n_congruence - 1))
+        eq_2_3 = next(r for r in run_catalogue(short) if r.claim_id == "eq-2-3")
+        assert eq_2_3.status == "order-too-small"
+        assert eq_2_3.witness == {"series": "c_scan"}
+        assert eq_2_3.params["rows"]["c_scan"]["too_short"] == ["C"]
+
+    def test_params_name_every_row(self, ctx):
+        # the report's order and ring are its first row's; each row keeps
+        # check_row's params, the cross row's in c_scan's ring
+        eq_2_3 = next(r for r in run_catalogue(ctx) if r.claim_id == "eq-2-3")
+        rows = eq_2_3.params["rows"]
+        assert list(rows) == ["B", "omega", "c_scan"]
+        assert (eq_2_3.params["order"], eq_2_3.params["ring"]) == (ctx.n_identity, "exact")
+        assert rows["B"]["rhs"] == to_source(parse(EQ_2_3_ROWS["B"][3]))
+        assert rows["c_scan"] == {
+            "order": 8 * ctx.n_congruence, "ring": str(ctx.c_scan.ring), "lhs": "C",
+            "rhs": to_source(parse(next(row[3] for row in CLAIM_ROWS if row[0] == "eq-2-2")))}
+
 
 class TestRingRule:
     """`SuiteContext.placement` at the published orders: every row with a
@@ -968,7 +1009,7 @@ class TestRingRule:
         assert list(fails) == ["eq-2-3"]
         assert fails["eq-2-3"].witness == {"n": 1599, "lhs": 140, "rhs": 12,
                                            "series": "c_scan"}
-        assert fails["eq-2-3"].params["compared"]["c_scan"] == 8 * ctx.n_congruence == 1600
+        assert fails["eq-2-3"].params["rows"]["c_scan"]["order"] == 8 * ctx.n_congruence == 1600
         assert self.failing(ctx, 1600, 128) == {}
 
     def test_no_congruence_row_reads_past_the_cross_check(self, flagship):

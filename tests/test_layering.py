@@ -101,3 +101,31 @@ def test_leaves_are_named_by_source_above_qexpr(module):
              if isinstance(node, ast.ImportFrom) and node.module == "qexpr"
              for alias in node.names}
     assert "parse" in names and "Atom" not in names
+
+
+def _orphans(sources: dict[str, str], keep: set[str]) -> set[str]:
+    """The module-level functions of `sources` ({module: source}) that no
+    `ast.Name` or `ast.Attribute` in any of them names, less `keep`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return {f for f in defined if f.split(".")[1] not in named} - keep
+
+
+def test_no_orphaned_helpers():
+    # a helper whose last caller went is deleted with it; the exported API
+    # and the console entry point are called from outside src/
+    import qcong
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    keep = {f"{module}.{name}" for module in sources for name in qcong.__all__}
+    assert _orphans(sources, keep | {"cli.main"}) == set()
+
+
+def test_the_orphan_reader_sees_an_orphan():
+    # guards the test above against a reader that finds nothing
+    sources = {"a": "def used():\n    pass\n\ndef lost():\n    pass\n",
+               "b": "import a\na.used()\n\ndef exported():\n    pass\n"}
+    assert _orphans(sources, {"b.exported"}) == {"a.lost"}
