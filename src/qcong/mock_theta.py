@@ -5,9 +5,9 @@ the two-color counting series C and C_k built from them.
 Each product and each Eulerian sum is one call to `series.eulerian_sum`: its
 terms' ratio is a product of binomials (1 +- q^j)^(+-1), so each term costs
 O(N), and no dense inversion is needed. Each builder streams its steps last
-term first, as Horner's rule takes them, and lists none of them; the C and
-C_k sums leave out the leading factor u_0 and apply it after the sum as a
-product of Euler sums, one more `eulerian_sum` each, in every ring.
+term first, as Horner's rule takes them; the C and C_k sums leave out the
+leading factor u_0 and multiply it in as Euler sums, later sums of the same
+`eulerian_sum` call, in every ring.
 `pentagonal_series` writes f_m down directly from Euler's pentagonal number
 theorem in O(N) time, for `f[m]` in `qcong.qexpr` and for `c_appell`;
 `euler_fm`, the product definition of f_m, is its reference. B and omega
@@ -146,7 +146,7 @@ def series_c(order: int, ring: CoefficientRing = EXACT) -> Series:
     """Generating series of the counts c(n): sum over n >= 0 of
     q^(2n+1) * (-q^(2n+2); q^2)_inf / (q^(2n+1); q^2)_inf^2. Mod 2^w through
     eq 2-2 (`c_appell`); exactly the sum of the definition (`_c_sum`), so that
-    claim eq-2-2 does not check itself; exact at 2800 the two take 30 and 29 ms."""
+    claim eq-2-2 does not check itself; exact at 2800 the two take 27 and 36 ms."""
     return _c_sum(order, ring, None) if ring.modulus is None else c_appell(order, ring)
 
 
@@ -161,15 +161,16 @@ def series_ck(k: int, order: int, ring: CoefficientRing = EXACT) -> Series:
 def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     """C (k None) or C_k as the sum of its definition. Term n is
     q^(2n+1) * u_n, and (-q^2; q^2)_inf = f4/f2 and (q; q^2)_inf = f1/f2 give
-    u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k. One
-    `eulerian_sum` call takes the terms last to first over u_0 = 1 (C_k's
-    1/(-q^2; q^2)_(k-1) is its last step). The rest of u_0 is
-    (-q; q)_inf^2 (-q^2; q^2)_inf, its last factor squared for C_k, and each
-    factor is one `eulerian_sum` over the sum so far by Euler's identity
-    (-q; q)_inf = sum of q^(n(n+1)/2) / (q; q)_n (Andrews 1976, 2.2), in
-    O(N^1.5). Exact C to 2800 takes 30 ms so, against 57 ms with a sum that
-    left int64 and two divides by f1; mod 2^8, C_k's four factors take 185 ms
-    at 10^5, against 49 ms for Newton's invert(f1) and two FFT products."""
+    u_0 = f2*f4/f1^2 for C and f4^2/f1^2/(-q^2; q^2)_(k-1) for C_k. It is one
+    `eulerian_sum` call. Its first sum takes the ~N/2 terms last to first over
+    u_0 = 1, each adding 1, not a window (C_k's 1/(-q^2; q^2)_(k-1) is its
+    last step). The rest of u_0 is (-q; q)_inf^2 (-q^2; q^2)_inf, its last
+    factor squared for C_k, and each factor is a later sum of the call by
+    Euler's identity (-q; q)_inf = sum of q^(n(n+1)/2) / (q; q)_n (Andrews
+    1976, 2.2), in O(N^1.5). So exact C stays in one limb array: to 2800 it
+    takes 27 ms, against 30 ms as four calls and 57 ms with a sum that left
+    int64 and two divides by f1; mod 2^8, C_k's four factors take 185 ms at
+    10^5, against 49 ms for Newton's invert(f1) and two FFT products."""
     if order < 1:
         raise ValueError("order must be >= 1")
     # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1,
@@ -177,11 +178,11 @@ def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))
             for j in reversed(range(1, order - 2, 2)))
     first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
-    total = eulerian_sum(ring, order, chain(rest, [first]))
-    for m in (1, 1, 2, 2)[:3 if k is None else 4]:
-        total = eulerian_sum(ring, order, ((m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
-                                           for n in range(isqrt(2 * order), -1, -1)), total)
-    return total
+    # u_0's factors (-q^m; q^m)_inf, as lists so that each binds its own m
+    euler = [[(m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
+              for n in range(isqrt(2 * order), -1, -1)]
+             for m in (1, 1, 2, 2)[:3 if k is None else 4]]
+    return eulerian_sum(ring, order, chain(rest, [first]), *euler)
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:

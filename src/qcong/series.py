@@ -22,12 +22,13 @@ a check mod M builds its series in `narrowest_ring([M, ...])`, mod max(2^8, M).
 `invert` runs the coefficient recurrence in Python ints for the first few
 terms, then Newton's iteration, two products a step sharing b's spectra.
 Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
-`eulerian_sum` is the one kernel behind every Eulerian sum and every
-Pochhammer or eta product: it takes the terms last to first by Horner's
-rule, each step adding q^e (or a series times q^e) and applying binomial
-factors (1 +- q^j)^(+-1) in place, an O(N) pass each. An exact sum runs on
-int64 limbs of 32 bits, carried before a factor could overflow them, and
-turns into Python ints once. All of it is exact arithmetic.
+`eulerian_sum` is the one kernel behind every Eulerian sum, every product
+of them and every Pochhammer or eta product: it takes each sum's terms last
+to first by Horner's rule, each step adding q^e times 1 (in a later sum,
+times the product of the sums before it) and applying binomial factors
+(1 +- q^j)^(+-1) in place, an O(N) pass each. An exact product runs on int64 limbs of 32 bits
+from its first sum to its last, carried before a factor could overflow
+them, and turns into Python ints once. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -625,22 +626,24 @@ def mul_sparse(a: Series, terms: dict[int, int], direction: str = "multiply") ->
 _SUM_BOUND, _CARRIED = 2 ** 62, 5 << 30
 
 
-def eulerian_sum(ring: CoefficientRing, order: int, steps, a: Series | None = None) -> Series:
-    """Sum over i of q^(e_i) * r_1 * ... * r_i, truncated to `order`, for the
-    (e_i, up_i, down_i) tuples of `steps`: an Eulerian sum whose term ratio
-    r_i, the product of (1 + c*q^j) over (c, j) in up_i divided by that over
-    down_i, is a product of binomials. Every c is 1 or -1 and every j >= 1.
-    With a series `a` (in `ring`, to `order` at least), the sum times a.
+def eulerian_sum(ring: CoefficientRing, order: int, steps, *more) -> Series:
+    """The product, truncated to `order`, of the Eulerian sums of `steps`
+    and of each further iterable of steps in `more`. Each is the sum over i
+    of q^(e_i) * r_1 * ... * r_i for its (e_i, up_i, down_i) tuples, whose
+    term ratio r_i, the product of (1 + c*q^j) over (c, j) in up_i divided
+    by that over down_i, is a product of binomials with c = +-1 and j >= 1.
 
-    The steps come last to first: e is never negative and never grows from
-    one step to the next (else a ValueError names the step before its
-    arithmetic). The sum is taken by Horner's rule,
-    v = r_1 (q^(e_1) a + r_2 (q^(e_2) a + ...)): each step adds a (or 1) at
-    q^e, then multiplies the window v[e:] by its `up` factors, one in-place
-    pass v[j:] +-= v[:-j] each, and divides it by its `down` factors
-    (`_div_binomial`, in place). v is zero below q^e, so the window is all
-    the step can reach. A step with e >= order adds nothing, and a factor
-    with j at or past the window is a no-op.
+    The steps of each sum come last to first: e is never negative and never
+    grows from one step to the next (else a ValueError names the step before
+    its arithmetic). A sum is taken by Horner's rule,
+    v = r_1 (q^(e_1) a + r_2 (q^(e_2) a + ...)), where a is 1 in the first
+    sum and the product of the sums before it in a later one: each step adds
+    a at q^e, then multiplies the window v[e:] by its `up` factors, one
+    in-place pass v[j:] +-= v[:-j] each, and divides it by its `down`
+    factors (`_div_binomial`, in place). v is zero below q^e, so the window
+    is all the step can reach. A step with e >= order adds nothing, and a
+    factor with j at or past the window is a no-op. So a sum of many steps
+    belongs first, where each adds 1 and not a window.
 
     Every pass is Z-linear with coefficients +-1, so exact v is an
     (order, L) int64 array of 32-bit limbs, v[i, l] << 32*l summing to
@@ -650,60 +653,52 @@ def eulerian_sum(ring: CoefficientRing, order: int, steps, a: Series | None = No
     limb a signed sum of at most ceil(len(v[e:]) / j) of them, or of
     ceil(len/2j) differences of two. Before a factor that could pass
     _SUM_BOUND the bound is read from v again, and if it still could, v is
-    carried. The limbs become Python ints once, at the end. Orders below
-    2^28 keep the bound.
+    carried. A later sum's addend is the sum before it carried once, whose
+    limbs are below _CARRIED. The limbs become Python ints once, at the end.
+    Orders below 2^28 keep the bound.
     """
     exact = ring.modulus is None
-    if a is not None and (a.ring != ring or a.order < order):
-        raise ValueError(f"eulerian_sum to order {order} in {ring} needs a in that ring "
-                         f"to that order, got {a!r}")
-    add = np.ones((1, 1), np.int64) if a is None else (
-        _split_limbs(a._c[:order]) if exact else a._c[:order, None])
-    v = np.zeros((order, add.shape[1]), dtype=np.int64 if exact else ring.dtype)
-    top, bound, last = int(np.abs(add).max(initial=0)) if exact else 0, 0, None
-    for i, (e, up, down) in enumerate(steps):
-        if e < 0:
-            raise ValueError(f"eulerian_sum step {i} has e = {e} < 0")
-        if last is not None and e > last:
-            raise ValueError(f"eulerian_sum step {i} has e = {e} > {last}, the e of "
-                             f"step {i - 1}: the steps go last to first")
-        for c, j in (*up, *down):
-            if c not in (1, -1) or j < 1:
-                raise ValueError(f"binomial factor (1 + {c}*q^{j}) needs c = +-1 and j >= 1")
-        last = e
-        if e >= order:
-            continue
-        w = v[e:]
-        if a is None:
-            w[0, 0] += 1
-        else:
-            w[:, :add.shape[1]] += add[:len(w)]
-        bound += top
-        for f, (c, j) in enumerate((*up, *down)):
-            if exact:
-                grow = 2 if f < len(up) else 2 * -(-len(w) // j)
-                if bound * grow >= _SUM_BOUND and (
-                        bound := max(int(w.max()), -int(w.min()))) * grow >= _SUM_BOUND:
-                    v, bound = _carry(v), _CARRIED
-                    w = v[e:]
-                bound *= grow
-            if f >= len(up):
-                _div_binomial(w, c, j)
-            elif c == 1:  # numpy reads the overlapping operands before writing
-                w[j:] += w[:-j]
+    v = np.zeros((order, 1), dtype=np.int64 if exact else ring.dtype)
+    add, top = None, 1
+    for k, sum_steps in enumerate((steps, *more)):
+        if k:
+            add, top = _carry(v) if exact else v, _CARRIED
+            v = np.zeros_like(add)
+        bound, last = 0, None
+        for i, (e, up, down) in enumerate(sum_steps):
+            if e < 0:
+                raise ValueError(f"eulerian_sum step {i} has e = {e} < 0")
+            if last is not None and e > last:
+                raise ValueError(f"eulerian_sum step {i} has e = {e} > {last}, the e of "
+                                 f"step {i - 1}: the steps go last to first")
+            for c, j in (*up, *down):
+                if c not in (1, -1) or j < 1:
+                    raise ValueError(f"binomial factor (1 + {c}*q^{j}) needs c = +-1 and j >= 1")
+            last = e
+            if e >= order:
+                continue
+            w = v[e:]
+            if add is None:
+                w[0, 0] += 1
             else:
-                w[j:] -= w[:-j]
+                w[:, :add.shape[1]] += add[:len(w)]
+            bound += top
+            for f, (c, j) in enumerate((*up, *down)):
+                if exact:
+                    grow = 2 if f < len(up) else 2 * -(-len(w) // j)
+                    if bound * grow >= _SUM_BOUND and (
+                            bound := max(int(w.max()), -int(w.min()))) * grow >= _SUM_BOUND:
+                        v, bound = _carry(v), _CARRIED
+                        w = v[e:]
+                    bound *= grow
+                if f >= len(up):
+                    _div_binomial(w, c, j)
+                elif c == 1:  # numpy reads the overlapping operands before writing
+                    w[j:] += w[:-j]
+                else:
+                    w[j:] -= w[:-j]
     out = _join_limbs(v.T, 32, v.shape[1] + 1) if exact else _reduce(v[:, 0], ring.modulus)
     return Series._wrap(ring, out)
-
-
-def _split_limbs(c: np.ndarray) -> np.ndarray:
-    """Python ints c as (len(c), L) int64 32-bit limbs, unsigned but the top."""
-    size = _bits(c) // 32 + 1
-    buf = b"".join(x.to_bytes(4 * size, "little", signed=True) for x in c.tolist())
-    limbs = np.frombuffer(buf, dtype="<i4").reshape(len(c), size).astype(np.int64)
-    limbs[:, :-1] &= 0xFFFFFFFF
-    return limbs
 
 
 def _carry(v: np.ndarray) -> np.ndarray:
@@ -768,10 +763,12 @@ def change_ring(a: Series, ring: CoefficientRing) -> Series:
 
 def first_incongruence(a: Series, b: Series, modulus: int | None, n: int) -> int | None:
     """First exponent < n where (a - b) is nonzero mod `modulus`, or where a
-    and b differ when `modulus` is None; else None."""
+    and b differ when `modulus` is None; else None. n must lie in
+    0..min(a.order, b.order)."""
     _check_rings(a, b)
-    if n > a.order or n > b.order:
-        raise OrderError(f"comparison order {n} exceeds operand orders {a.order}, {b.order}")
+    if not 0 <= n <= min(a.order, b.order):
+        raise OrderError(f"comparison order {n} is not within 0..{min(a.order, b.order)}, "
+                         f"for operand orders {a.order}, {b.order}")
     diff = a._c[:n] - b._c[:n]
     if modulus is not None:
         check_modulus(a.ring, modulus)

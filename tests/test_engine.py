@@ -225,6 +225,18 @@ class TestBuilderAgainstProductDefinition:
         # reference builds it term by term at full order
         assert series_ck(k, 1400) == reference_c(1400, EXACT, k)
 
+    @pytest.mark.parametrize("build", [lambda: series_c(2800), lambda: series_ck(2, 1400)],
+                             ids=["C-2800", "C2-1400"])
+    def test_exact_sum_joins_its_limbs_once(self, monkeypatch, build):
+        # the sum and u_0's Euler sums share one limb array, which becomes
+        # Python ints once, at the end of the one eulerian_sum call
+        joins = []
+        join = qcong.series._join_limbs
+        monkeypatch.setattr(qcong.series, "_join_limbs",
+                            lambda *args: joins.append(args) or join(*args))
+        build()
+        assert len(joins) == 1
+
     @pytest.mark.parametrize("ring", [EXACT, MOD64], ids=str)
     def test_ck_is_c_once_2k_exceeds_order_minus_1(self, ring):
         for order in range(1, 41):

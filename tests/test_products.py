@@ -129,7 +129,7 @@ def euler_sum_steps(m: int, order: int):
 
 class TestEulerSums:
     # the leading factor of C, f2*f4/f1^2, is (-q; q)_inf^2 (-q^2; q^2)_inf,
-    # and `_c_sum` applies each factor as one of these sums
+    # and `_c_sum` applies each factor as a later sum of its one call
     @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(8)], ids=str)
     @pytest.mark.parametrize("m", [1, 2])
     def test_matches_eta_quotient(self, ring, m):
@@ -140,9 +140,7 @@ class TestEulerSums:
     @pytest.mark.parametrize("ring", [EXACT, qc.MOD64, qc.mod2pow(8)], ids=str)
     def test_sums_over_a_build_the_leading_factor(self, ring):
         n = 3000
-        u0 = None
-        for m in (1, 1, 2):
-            u0 = qc.eulerian_sum(ring, n, euler_sum_steps(m, n), u0)
+        u0 = qc.eulerian_sum(ring, n, *(euler_sum_steps(m, n) for m in (1, 1, 2)))
         assert u0 == eta_quotient({1: -2, 2: 1, 4: 1}, n, ring)
 
 

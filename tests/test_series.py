@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import os
 import random
@@ -1268,15 +1269,22 @@ def eulerian_reference(steps, order: int) -> list:
 binomials = st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 30)), max_size=3)
 
 
+def last_to_first(raw: list) -> list:
+    """Steps (e, up, down) from (e_step, up, down) tuples, e counted up from
+    0 by the e_steps, then put last to first as eulerian_sum takes them."""
+    steps, e = [], 0
+    for de, up, down in raw:
+        e += de
+        steps.append((e, up, down))
+    return steps[::-1]
+
+
+sums = st.lists(st.tuples(st.integers(0, 6), binomials, binomials), max_size=8).map(last_to_first)
+
+
 class TestEulerianSum:
-    @given(st.integers(1, 24), st.lists(st.tuples(st.integers(0, 6), binomials, binomials),
-                                        max_size=8), rings)
-    def test_matches_full_order_terms(self, order, raw, ring):
-        steps, e = [], 0
-        for de, up, down in raw:
-            e += de
-            steps.append((e, up, down))
-        steps.reverse()
+    @given(st.integers(1, 24), sums, rings)
+    def test_matches_full_order_terms(self, order, steps, ring):
         got = qc.eulerian_sum(ring, order, steps)
         assert got == Series(ring, eulerian_reference(steps, order))
 
@@ -1359,27 +1367,42 @@ class TestEulerianSum:
             got = qc.eulerian_sum(EXACT, order, steps)
             assert got.coefficients() == want[:order]
 
-    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 4), binomials, binomials),
-                                        max_size=6),
-           st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**140, 2**140),
-                              st.sampled_from([2**64, -2**64, -2**64 - 1, 2**96 - 1, -2**127])),
-                    min_size=40, max_size=40), rings)
-    def test_a_multiplies_the_sum(self, order, raw, coeffs, ring):
-        # in the exact ring, a's coefficients past 2^64 have negative top limbs
-        # when negative, and a positive one of 2^64 has a top limb of 1
-        steps, e = [], 0
-        for de, up, down in raw:
-            e += de
-            steps.append((e, up, down))
-        steps.reverse()
-        a = Series(ring, coeffs)
-        got = qc.eulerian_sum(ring, order, steps, a)
-        assert got == a.truncate(order) * qc.eulerian_sum(ring, order, steps)
+    @pytest.mark.parametrize("target", [64, 96, 128])
+    @pytest.mark.parametrize("up,down", [([], [(-1, 1)]), ([(-1, 1)] * 2, [(1, 1)] * 3),
+                                         ([(1, 2)], [(-1, 1), (1, 3)])])
+    @given(st.integers(0, 7), st.lists(sums, min_size=1, max_size=3), rings)
+    @settings(max_examples=25)
+    def test_is_the_product_of_its_sums(self, target, up, down, extra, later, ring):
+        # the first sum's coefficients pass 2^target, so the addend of the
+        # second has top coefficients straddling 32-bit limbs, negative ones too
+        first = [(n, up, down) for n in reversed(range(200))]
+        alone = qc.eulerian_sum(EXACT, 200, first).coefficients()
+        order = extra + next(n for n in range(200) if abs(alone[n]).bit_length() > target)
+        got = qc.eulerian_sum(ring, order, first, *later)
+        separately = [qc.eulerian_sum(ring, order, steps) for steps in (first, *later)]
+        assert got == functools.reduce(qc.mul, separately)
 
-    def test_a_must_cover_the_order_in_the_ring(self):
-        for a in (Series(EXACT, [1] * 4), Series(qc.MOD64, [1] * 5)):
-            with pytest.raises(ValueError, match="needs a in that ring to that order"):
-                qc.eulerian_sum(EXACT, 5, [(0, [(1, 1)], [])], a)
+    @pytest.mark.parametrize("first,later,order", [
+        # (1 + q)^62 ends near 2^59 uncarried; 32 adds of it pass 2^63
+        ([(0, [(1, 1)] * 62, [])], [(0, [], [])] * 32, 70),
+        # 2^n fills every limb; 1/(1 - q)^6 sums each limb C(n+5, 5)-fold
+        ([(n, [], [(-1, 1)]) for n in reversed(range(200))], [(0, [], [(-1, 1)] * 6)], 200),
+    ], ids=["adds", "divides"])
+    def test_a_later_sum_keeps_the_limb_bound(self, first, later, order):
+        # the addend of a later sum is the sum before it, carried once, so
+        # its limbs start the bound at _CARRIED however large it grew
+        separately = [qc.eulerian_sum(EXACT, order, steps) for steps in (first, later)]
+        assert qc.eulerian_sum(EXACT, order, first, later) == qc.mul(*separately)
+
+    @pytest.mark.parametrize("bad,match", [
+        ([(2, [(1, 1)], []), (-1, [], [])], r"^eulerian_sum step 1 has e = -1 < 0$"),
+        ([(1, [], []), (3, [], [])], r"^eulerian_sum step 1 has e = 3 > 1, the e of step 0"),
+        ([(0, [], [(2, 1)])], r"^binomial factor \(1 \+ 2\*q\^1\) needs c = \+-1"),
+    ])
+    def test_rejects_a_bad_step_in_a_later_sum(self, bad, match):
+        good = [(n, [], [(-1, 1)]) for n in reversed(range(5))]
+        with pytest.raises(ValueError, match=match):
+            qc.eulerian_sum(EXACT, 5, good, good, bad)
 
 
 class TestReindexing:
@@ -1522,6 +1545,15 @@ class TestComparisonAndReduction:
         a = exact_series([1, 2])
         with pytest.raises(qc.OrderError):
             qc.first_incongruence(a, a, 2, 3)
+
+    @pytest.mark.parametrize("n", [-1, -3, -4])
+    def test_negative_order_is_refused(self, n):
+        # a negative n would slice from the end and pass a differing pair
+        a, b = exact_series([1, 2, 3, 4]), exact_series([1, 2, 3, 5])
+        with pytest.raises(qc.OrderError, match=f"comparison order {n} is not within 0..4"):
+            qc.first_incongruence(a, b, None, n)
+        with pytest.raises(qc.OrderError):
+            qc.verify_congruent(a, b, None, n)
 
     @given(coeff_lists, widths)
     def test_change_ring_reduces(self, xs, w):
