@@ -5,9 +5,9 @@ the two-color counting series C and C_k built from them.
 Each product and each Eulerian sum is one call to `series.eulerian_sum`: its
 terms' ratio is a product of binomials (1 +- q^j)^(+-1), so each term costs
 O(N), and no dense inversion is needed. Each builder streams its steps last
-term first, as Horner's rule takes them; the C and C_k sums leave out the
-leading factor u_0 and multiply it in as Euler sums, later sums of the same
-`eulerian_sum` call, in every ring.
+term first, as Horner's rule takes them, after the kernel allocates; the C and
+C_k sums leave out the leading factor u_0 and multiply it in as Euler sums,
+later sums of the same `eulerian_sum` call, in every ring.
 `pentagonal_series` writes f_m down directly from Euler's pentagonal number
 theorem in O(N) time, for `f[m]` in `qcong.qexpr` and for `c_appell`;
 `euler_fm`, the product definition of f_m, is its reference. B and omega
@@ -20,7 +20,6 @@ every ring, so that eq 2-2 is checked, not assumed.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isqrt
 from typing import Optional
 
@@ -54,8 +53,10 @@ def pochhammer_fin(sign: int, s: int, m: int, n: int, order: int,
         raise ValueError("pochhammer needs s >= 1 and m >= 1")
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    up = [(-sign, e) for e in range(s, min(s + n * m, order), m)]
-    return eulerian_sum(ring, order, [(0, up, [])])
+
+    def step():  # one step, listed only once eulerian_sum holds the order
+        yield 0, [(-sign, e) for e in range(s, min(s + n * m, order), m)], []
+    return eulerian_sum(ring, order, step())
 
 
 def euler_fm(m: int, order: int, ring: CoefficientRing = EXACT) -> Series:
@@ -173,16 +174,18 @@ def _c_sum(order: int, ring: CoefficientRing, k: Optional[int]) -> Series:
     10^5, against 49 ms for Newton's invert(f1) and two FFT products."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1,
-    # and term n+1 sits at q^(j+2), below the order for j < order - 2
-    rest = ((j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)]))
-            for j in reversed(range(1, order - 2, 2)))
-    first = (1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)])
-    # u_0's factors (-q^m; q^m)_inf, as lists so that each binds its own m
-    euler = [[(m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
-              for n in range(isqrt(2 * order), -1, -1)]
-             for m in (1, 1, 2, 2)[:3 if k is None else 4]]
-    return eulerian_sum(ring, order, chain(rest, [first]), *euler)
+
+    def steps():
+        # u_(n+1) = u_n * (1 - q^j)^2 / (1 + q^(j+1)) [/ (1 + q^(j+2k-1))], j = 2n+1,
+        # and term n+1 sits at q^(j+2), below the order for j < order - 2
+        for j in reversed(range(1, order - 2, 2)):
+            yield j + 2, [(-1, j)] * 2, [(1, j + 1)] + ([] if k is None else [(1, j + 2 * k - 1)])
+        yield 1, [], [] if k is None else [(1, j) for j in range(2, min(2 * k, order), 2)]
+
+    def euler(m):  # u_0's factor (-q^m; q^m)_inf, a call each so that each binds its own m
+        return ((m * n * (n + 1) // 2, [], [(-1, m * n)] if n else [])
+                for n in range(isqrt(2 * order), -1, -1))
+    return eulerian_sum(ring, order, steps(), *map(euler, (1, 1, 2, 2)[:3 if k is None else 4]))
 
 
 def f3_series(order: int, ring: CoefficientRing = EXACT) -> Series:

@@ -20,15 +20,16 @@ mod 2^w as few as the order and width allow (4 of 16 bits mod 2^64 below
 order 8192, one of 8 bits mod 2^8), exact as many 16-bit ones as needed. So
 a check mod M builds its series in `narrowest_ring([M, ...])`, mod max(2^8, M).
 `invert` runs the coefficient recurrence in Python ints for the first few
-terms, then Newton's iteration, two products a step sharing b's spectra.
-Both work on series in q^d, such as f[m] = f1(q^m), at 1/d of the order.
-`eulerian_sum` is the one kernel behind every Eulerian sum, every product
-of them and every Pochhammer or eta product: it takes each sum's terms last
-to first by Horner's rule, each step adding q^e times 1 (in a later sum,
-times the product of the sums before it) and applying binomial factors
-(1 +- q^j)^(+-1) in place, an O(N) pass each. An exact product runs on int64 limbs of 32 bits
-from its first sum to its last, carried before a factor could overflow
-them, and turns into Python ints once. All of it is exact arithmetic.
+terms, then Newton's iteration, each step one `_newton_step`: two products
+sharing b's spectra on the FFT, else two `mul` calls. Both work on series in
+q^d, such as f[m] = f1(q^m), at 1/d of the order. `eulerian_sum` is the one
+kernel behind every Eulerian sum, every product of them and every Pochhammer
+or eta product: it takes each sum's terms last to first by Horner's rule, each
+step adding q^e times 1 (in a later sum, times the product of the sums before
+it) and applying binomial factors (1 +- q^j)^(+-1) in place, an O(N) pass
+each. An exact product runs on int64 limbs of 32 bits from its first sum to
+its last, carried before a factor could overflow them, and turns into Python
+ints once. All of it is exact arithmetic.
 """
 
 from __future__ import annotations
@@ -477,16 +478,15 @@ def invert(a: Series) -> Series:
     A series in q^d (d > 1) inverts as a[::d]. Else the recurrence over the
     nonzero terms of a (`mul_sparse` dividing one by a) gives the first
     _NEWTON_MIN_ORDER terms, then Newton's iteration (Brent and Kung 1978)
-    takes over, each step two products that double the terms: `_newton_step`,
-    or two `mul` calls when it returns None.
+    takes over, each step two products that double the terms, all in
+    `_newton_step`.
     """
     if a.order == 0:
         return a
     d = _stride(a._c)
     if d > 1:
         return substitute_power(invert(Series._wrap(a.ring, a._c[::d])), d, 1, a.order)
-    ring = a.ring
-    sizes = [a.order]
+    ring, sizes = a.ring, [a.order]
     while sizes[-1] > _NEWTON_MIN_ORDER:
         sizes.append((sizes[-1] + 1) // 2)
     # the recurrence b[k] = -(a[1]*b[k-1] + ... + a[k]*b[0]) / a[0] gives the
@@ -496,39 +496,35 @@ def invert(a: Series) -> Series:
     head = a._c[:sizes.pop()]
     b = mul_sparse(monomial(ring, len(head), 0), _terms(head), "divide")._c
     for m in reversed(sizes):
-        k = len(b)
-        step = _newton_step(a._c[:m], b, ring)
-        if step is None:
-            padded = Series._wrap(ring, np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)]))
-            e = Series._wrap(ring, mul(a.truncate(m), padded)._c[k:])
-            step = (-mul(Series._wrap(ring, b[:m - k]), e))._c
-        b = np.concatenate([b, step])
+        b = np.concatenate([b, _newton_step(a._c[:m], b, ring)])
     return Series._wrap(ring, b)
 
 
-def _newton_step(x: np.ndarray, b: np.ndarray, ring: CoefficientRing) -> np.ndarray | None:
+def _newton_step(x: np.ndarray, b: np.ndarray, ring: CoefficientRing) -> np.ndarray:
     """Coefficients k..m-1 of 1/x, m = len(x), from b = 1/x to k = len(b)
-    >= m/2 terms: -(b*e)[:m-k], for e = (x*b)[k:m], by `_groups` at length
-    N = _fft_size(m) on one `_spectra` of b (Bernstein 2004). x*b, of degree
-    m+k-2 at most, wraps below q^k; b*e, of degree m-2, does not wrap. No
-    coefficient of either sums more than k terms, and b's bits bound both
-    smaller operands'. None unless `mul` would send x*b to the FFT, or when
-    a rounding guard fails."""
+    >= m/2 terms: -(b*e)[:m-k], for e = (x*b)[k:m]. Where `mul` would send
+    x*b to the FFT, both products are `_groups` at length N = _fft_size(m) on
+    one `_spectra` of b (Bernstein 2004): x*b, of degree m+k-2 at most, wraps
+    below q^k; b*e, of degree m-2, does not wrap. No coefficient of either
+    sums more than k terms, and b's bits bound both smaller operands'. On
+    another route, or when a rounding guard fails, they are two `mul` calls."""
     route, sizes = _route(ring, x, b)
-    if route != "fft":
-        return None
-    m, k, width = len(x), len(b), ring.width
-    (bx, bb), size, kbits = sizes or (None, None), _fft_size(m), k.bit_length() + 1
-    bits = _fft_limbs(k, width)[1] if sizes is None else _exact_bits(bb, k)
-    bs = _freeze(_spectra(b, size, width, bits, bb))
-    e = _groups(_spectra(x, size, width, bits, bx), bs, size, k, m, width, bits,
-                width or bx + bb + kbits)
-    if e is None:
-        return None
-    be = None if sizes is None else _bits(e)
-    out = _groups(_spectra(e, size, width, bits, be), bs, size, 0, m - k, width, bits,
-                  width or bb + be + kbits)
-    return None if out is None else _reduce(-out, ring.modulus)
+    m, k, width, out = len(x), len(b), ring.width, None
+    if route == "fft":
+        (bx, bb), size, kbits = sizes or (None, None), _fft_size(m), k.bit_length() + 1
+        bits = _fft_limbs(k, width)[1] if sizes is None else _exact_bits(bb, k)
+        bs = _freeze(_spectra(b, size, width, bits, bb))
+        e = _groups(_spectra(x, size, width, bits, bx), bs, size, k, m, width, bits,
+                    width or bx + bb + kbits)
+        if e is not None:
+            be = None if sizes is None else _bits(e)
+            out = _groups(_spectra(e, size, width, bits, be), bs, size, 0, m - k, width, bits,
+                          width or bb + be + kbits)
+    if out is None:
+        padded = np.concatenate([b, np.zeros(m - k, dtype=ring.dtype)])
+        e = mul(Series._wrap(ring, x), Series._wrap(ring, padded))._c[k:]
+        out = mul(Series._wrap(ring, b[:m - k]), Series._wrap(ring, e))._c
+    return _reduce(-out, ring.modulus)
 
 
 def power(a: Series, e: int) -> Series:
@@ -634,8 +630,8 @@ def eulerian_sum(ring: CoefficientRing, order: int, steps, *more) -> Series:
     by that over down_i, is a product of binomials with c = +-1 and j >= 1.
 
     The steps of each sum come last to first: e is never negative and never
-    grows from one step to the next (else a ValueError names the step before
-    its arithmetic). A sum is taken by Horner's rule,
+    grows from one step to the next (else a ValueError names the step, and a
+    later sum, before its arithmetic). A sum is taken by Horner's rule,
     v = r_1 (q^(e_1) a + r_2 (q^(e_2) a + ...)), where a is 1 in the first
     sum and the product of the sums before it in a later one: each step adds
     a at q^e, then multiplies the window v[e:] by its `up` factors, one
@@ -664,14 +660,15 @@ def eulerian_sum(ring: CoefficientRing, order: int, steps, *more) -> Series:
         if k:
             add, top = _carry(v) if exact else v, _CARRIED
             v = np.zeros_like(add)
-        bound, last = 0, None
+        bound, last, name = 0, None, f"sum {k + 1}, step" if k else "step"
         for i, (e, up, down) in enumerate(sum_steps):
             if e < 0:
-                raise ValueError(f"eulerian_sum step {i} has e = {e} < 0")
+                raise ValueError(f"eulerian_sum {name} {i} has e = {e} < 0")
             if last is not None and e > last:
-                raise ValueError(f"eulerian_sum step {i} has e = {e} > {last}, the e of "
+                raise ValueError(f"eulerian_sum {name} {i} has e = {e} > {last}, the e of "
                                  f"step {i - 1}: the steps go last to first")
-            for c, j in (*up, *down):
+            factors = (*up, *down)
+            for c, j in factors:
                 if c not in (1, -1) or j < 1:
                     raise ValueError(f"binomial factor (1 + {c}*q^{j}) needs c = +-1 and j >= 1")
             last = e
@@ -683,7 +680,7 @@ def eulerian_sum(ring: CoefficientRing, order: int, steps, *more) -> Series:
             else:
                 w[:, :add.shape[1]] += add[:len(w)]
             bound += top
-            for f, (c, j) in enumerate((*up, *down)):
+            for f, (c, j) in enumerate(factors):
                 if exact:
                     grow = 2 if f < len(up) else 2 * -(-len(w) // j)
                     if bound * grow >= _SUM_BOUND and (

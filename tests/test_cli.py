@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -543,14 +544,24 @@ class TestUsage:
         ["check", "--series", "C", "--progression", "8,4", "--mod", "4",
          "--nmax", str(10**15)],
         ["scan", "--amax", str(10**8), "--mods", "2", "--nmax", str(10**8)],
+        ["expand", "C", "--order", str(10**15)],
+        ["expand", "Ck[2]", "--order", str(10**15)],
+        ["expand", "pochinf[1,1,1]", "--order", str(10**15)],
     ])
-    def test_order_too_large_to_allocate_exits_2(self, capsys, argv):
+    def test_order_too_large_to_allocate_exits_2(self, argv):
         # numpy refuses 10^15 coefficients and more at once, before any
-        # memory is touched
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: order too large to allocate")
+        # memory is touched. The child's address space is capped at 2 GB, so
+        # a builder that lists its steps before the kernel allocates fails
+        # there, with a bare MemoryError, and not on the machine
+        cap = (2 << 30, 2 << 30)
+        run = subprocess.run([sys.executable, "-m", "qcong", *argv],
+                             env=dict(_python_dash_m_env(), OPENBLAS_NUM_THREADS="1"),
+                             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: order too large to allocate")
+        assert "Unable to allocate" in run.stderr
 
     def test_stdout_closed_early_exits_2_without_traceback(self):
         # 20000 lines overflow the pipe, so the writer sees the closed end

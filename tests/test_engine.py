@@ -9,6 +9,7 @@ against the series route in TestSeriesBuilders.
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -130,6 +131,24 @@ class TestSeriesBuilders:
             series_ck(0, 10)
         with pytest.raises(ValueError):
             series_ck(1, 0)
+
+    @pytest.mark.parametrize("build", [lambda: series_c(10**9), lambda: series_ck(2, 10**9),
+                                       lambda: pochhammer_inf(1, 1, 1, 10**6)],
+                             ids=["C", "Ck2", "pochinf"])
+    def test_kernel_allocates_before_any_step_is_listed(self, build, monkeypatch):
+        # a builder hands `eulerian_sum` its steps unlisted, so an order too
+        # large to allocate is refused before the steps take any memory
+        def refuse(*args):
+            raise MemoryError("Unable to allocate")
+        monkeypatch.setattr(qcong.mock_theta, "eulerian_sum", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def reference_c(order, ring, k=None):

@@ -914,19 +914,56 @@ class TestNewtonInvert:
         # second product may still take `_fft_mul`; every other step shares
         # b's spectra, so no first product of a step reaches `_fft_mul`
         f4 = qc.power(qc.pentagonal_series(1, n, EXACT), 4)
-        firsts, steps = [], []
-        fft_mul, newton_step = qcong.series._fft_mul, qcong.series._newton_step
+        firsts, windows = [], []
+        fft_mul, groups = qcong.series._fft_mul, qcong.series._groups
         monkeypatch.setattr(qcong.series, "_fft_mul", lambda x, y, width, sizes=None:
                             firsts.append(np.shares_memory(x, a._c)) or fft_mul(x, y, width, sizes))
-        monkeypatch.setattr(qcong.series, "_newton_step", lambda x, b, ring:
-                            steps.append(out := newton_step(x, b, ring)) or out)
+        monkeypatch.setattr(qcong.series, "_groups", lambda xs, ys, size, lo, *rest:
+                            windows.append(lo) or groups(xs, ys, size, lo, *rest))
         for sign in (1, -1):
             a = qc.substitute_power(f4, 1, -1) * sign
             got = qc.invert(a).coefficients()
             assert got == inverse(a.coefficients())
             assert max(map(abs, got)).bit_length() > 64 and got[1] == -4 * sign
         assert not any(firsts)
-        assert any(step is not None for step in steps)
+        assert any(windows)  # only a step on b's shared spectra reads a window past q^0
+
+    @pytest.mark.parametrize("route", ["sparse", "dense", "fft", "guard"])
+    @pytest.mark.parametrize("ring", [EXACT, qc.mod2pow(8), qc.MOD64], ids=str)
+    def test_step_is_the_next_terms_of_the_inverse(self, ring, route, monkeypatch):
+        # one step from k = ceil(m/2) terms of 1/a to m on each route of its
+        # first product, and on the FFT with its first rounding guard failed:
+        # (1 + q)/(1 - q) and its inverse are dense with coefficients +-2, so
+        # every exact sum fits an int64
+        m = {"sparse": 1000, "dense": 301}.get(route, 801)
+        if route == "sparse":
+            xs = qc.pentagonal_series(1, m).coefficients()
+        elif route == "dense":
+            xs = [1] + [2] * (m - 1)
+        else:
+            xs = qc.power(qc.pentagonal_series(1, m), 4).coefficients()
+        modulus, k = ring.modulus, (m + 1) // 2
+        xs = [v % modulus if modulus else v for v in xs]
+        b = inverse(xs[:k], modulus)
+        e = schoolbook_mul(xs, b, m)[k:]
+        want = [-v % modulus if modulus else -v for v in schoolbook_mul(b, e, m - k)]
+        assert want == inverse(xs, modulus)[k:]
+        routes, route_of, irfft = [], qcong.series._route, np.fft.irfft
+        monkeypatch.setattr(qcong.series, "_route", lambda *args:
+                            routes.append((r := route_of(*args))[0]) or r)
+        if route == "guard":
+            noise = iter([0.3])
+            monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw:
+                                irfft(*args, **kw) + next(noise, 0.0))
+        orders = record_fft_mul(monkeypatch)
+        got = qcong.series._newton_step(Series(ring, xs)._c, Series(ring, b)._c, ring)
+        assert got.tolist() == want
+        dense = "convolve" if modulus else "int64"
+        assert routes[0] == {"sparse": "sparse", "dense": dense}.get(route, "fft")
+        if route == "fft":
+            assert orders == []  # both products on b's shared spectra
+        if route == "guard":
+            assert orders[0] == m  # the first product again, as `mul` takes it
 
     def test_dense_invert_memory_is_one_product(self):
         # one dense inverse at 100000 mod 2^64 peaks no higher than one
@@ -1400,8 +1437,13 @@ class TestEulerianSum:
         ([(0, [], [(2, 1)])], r"^binomial factor \(1 \+ 2\*q\^1\) needs c = \+-1"),
     ])
     def test_rejects_a_bad_step_in_a_later_sum(self, bad, match):
+        # `match` is the message of the bad step in a first sum; in the third
+        # sum an e-error names that sum before the step
         good = [(n, [], [(-1, 1)]) for n in reversed(range(5))]
         with pytest.raises(ValueError, match=match):
+            qc.eulerian_sum(EXACT, 5, bad, good)
+        later = match.replace("^eulerian_sum step", "^eulerian_sum sum 3, step")
+        with pytest.raises(ValueError, match=later):
             qc.eulerian_sum(EXACT, 5, good, good, bad)
 
 
