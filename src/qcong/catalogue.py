@@ -3,29 +3,26 @@ the shared series it reads, the claim reports and the checkers that give
 them, and the suite runner.
 
 Each entry names its check type (exact | mod-M | progression | relation |
-family | oracle) so coverage can be audited by reading the table top to
-bottom. Every claim but the oracles is a row of two `qcong.qexpr` sources
-(eq 2-3 is three, named), checked by `check_row` where `SuiteContext.placement`
-puts it: a congruence in the scan series' ring (mod 2^8, `series.narrowest_ring`
-of every row's modulus), an identity in the exact ring, and eq 2-3's `c_scan`
-row, eq 2-2, in the scan ring. `check_row` reads its verdict from
-`verify_congruent`, the one rule that turns two series into a verdict and a
-witness, which `qcong verify` calls directly.
+family) so coverage can be audited by reading the table top to bottom.
+Every claim is a row of two `qcong.qexpr` sources (eq 2-3 is three, named),
+checked by `check_row` where `SuiteContext.placement` puts it: a congruence
+in the scan series' ring (mod 2^8, `series.narrowest_ring` of every row's
+modulus), an identity (the oracle rows' too) in the exact ring, and eq
+2-3's `c_scan` row, eq 2-2, in the scan ring. `check_row` reads its verdict
+from `verify_congruent`, the one rule that turns two series into a verdict
+and a witness, which `qcong verify` calls directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
-from .mock_theta import series_ck
-from .oracle import oracle_table
 from .qexpr import QExpr, Sub, evaluate, parse, reach, reads, to_source
-from .series import (EXACT, RingMismatchError, Series, first_incongruence,
-                     narrowest_ring)
+from .series import RingMismatchError, Series, first_incongruence, narrowest_ring
 
-# the oracle entries compare coefficients 0..ORACLE_LIMIT with enumeration
+# the oracle rows compare coefficients 0..ORACLE_LIMIT with enumeration
 ORACLE_LIMIT = 25
 
 
@@ -77,6 +74,7 @@ class SuiteContext:
                        default_factory=dict)
     scan_memo: dict = field(init=False, repr=False, compare=False,
                             default_factory=dict)
+    n_oracle: ClassVar[int] = ORACLE_LIMIT + 1  # whatever the suite's orders
 
     def __post_init__(self):
         self.memo.update(self.placement(None, "identity")[0])
@@ -86,9 +84,9 @@ class SuiteContext:
                   depth: str) -> tuple[dict, Optional[int], dict]:
         """`check_row`'s (seeds, n, memo) for a row mod `modulus` at `depth`:
         a congruence in c_scan's ring, an identity (modulus None) exactly;
-        at n_identity, n_congruence or, at "scan", as deep as seeds allow; at
-        "cross", any row in c_scan's ring to 8 * n_congruence, where D[8,r]
-        of the congruence rows reads C."""
+        at n_identity, n_congruence, n_oracle or, at "scan", as deep as
+        seeds allow; at "cross", any row in c_scan's ring to 8 *
+        n_congruence, where D[8,r] of the congruence rows reads C."""
         if depth == "cross":
             return {_C: self.c_scan}, 8 * self.n_congruence, self.scan_memo
         n = None if depth == "scan" else getattr(self, f"n_{depth}")
@@ -109,10 +107,9 @@ def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     n_congruence = max(2, n_identity // 2)
-    # the oracle reads C to ORACLE_LIMIT
-    orders = dict.fromkeys(_SEEDS.values(), 1) | {"c_exact": ORACLE_LIMIT + 1}
-    depth = {"identity": n_identity, "congruence": n_congruence}
-    rows = (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS)
+    orders = dict.fromkeys(_SEEDS.values(), 1)
+    depth = {"identity": n_identity, "congruence": n_congruence, "oracle": SuiteContext.n_oracle}
+    rows = (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS, *ORACLE_ROWS)
     for _, _, lhs, rhs, _, order in (row for row in rows if row[4] is None):
         for leaf, n in reads(Sub(parse(lhs), parse(rhs)), depth[order]).items():
             if leaf in _SEEDS:
@@ -161,18 +158,6 @@ def _family_entry(claim_id: str, paper_eq: str, modulus: int, a_exp: int,
         return [replace(rep, params=dict(rep.params, k=k))
                 for k in range(ctx.k_max + 1) for rep in row(k).run(ctx)]
     return CatalogueEntry(claim_id, "family", run)
-
-
-def _oracle_entry(claim_id: str, k: int | str) -> CatalogueEntry:
-    def run(ctx: SuiteContext) -> list[ClaimReport]:
-        got = ctx.c_exact if k == "limit" else series_ck(k, ORACLE_LIMIT + 1)
-        want = Series(EXACT, oracle_table(k, ORACLE_LIMIT))
-        n = first_incongruence(got, want, None, ORACLE_LIMIT + 1)
-        witness = None if n is None else {"n": n, "value": got[n], "expected": want[n]}
-        return [ClaimReport(claim_id, "definition-1.1",
-                            "pass" if n is None else "fail",
-                            {"k": k, "n_max": ORACLE_LIMIT}, witness)]
-    return CatalogueEntry(claim_id, "oracle", run)
 
 
 def _params(n: int, modulus: Optional[int], ring) -> dict:
@@ -354,6 +339,13 @@ FAMILY_ROWS: tuple[tuple[str, str, int, int, int, Optional[tuple[int, int]]], ..
     ("eq-2-1", "2-1", 8, 2, 8, (4, 3)),
 )
 
+# C and C_k (k = 1, 2, 3) against the counts enumerated from definition 1.1
+ORACLE_ROWS: tuple[tuple[str, str, str, str, None, str], ...] = (
+    ("oracle-c-limit", "definition-1.1", "C", "oracle", None, "oracle"),
+    *((f"oracle-ck-{k}", "definition-1.1", f"Ck[{k}]", f"oraclek[{k}]", None, "oracle")
+      for k in (1, 2, 3)),
+)
+
 
 CATALOGUE: tuple[CatalogueEntry, ...] = (
     # the proved progressions, the conjectured families and the relations
@@ -366,10 +358,7 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     _row_entry("eq-2-3", "2-3", **{name: row[2:] for name, row in EQ_2_3_ROWS.items()},
                c_scan=next((*row[2:4], None, "cross") for row in CLAIM_ROWS if row[0] == "eq-2-2")),
     # ground truth: series coefficients against direct enumeration
-    _oracle_entry("oracle-c-limit", "limit"),
-    _oracle_entry("oracle-ck-1", 1),
-    _oracle_entry("oracle-ck-2", 2),
-    _oracle_entry("oracle-ck-3", 3),
+    *(_row_entry(*row) for row in ORACLE_ROWS),
 )
 
 

@@ -22,7 +22,6 @@ from typing import Optional
 
 from .catalogue import (all_passed, build_suite_context, check_row,
                         run_catalogue, suite_json, verify_congruent)
-from .oracle import oracle_table
 from .qexpr import Dissect, Num, Sub, evaluate, parse, reads
 from .series import (EXACT, MOD64, check_modulus, dump_json_dict, dump_text,
                      narrowest_ring, scan_progressions)
@@ -158,8 +157,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    for n, count in enumerate(oracle_table(args.k, args.nmax)):
-        print(f"{n}\t{count}")
+    leaf = parse("oracle" if args.k == "limit" else f"oraclek[{args.k}]")
+    print(dump_text(evaluate(leaf, args.nmax + 1)))
     return 0
 
 

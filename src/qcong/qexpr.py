@@ -6,7 +6,7 @@ Grammar (whitespace insignificant, `^` binds tightest, then `*` `/`, then
     expr   := ["-"] term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
     factor := atom ("^" ["-"] INT)*
-    atom   := INT | "q" | "C" | ("Ck" | "f" | "appell") "[" INT "]"
+    atom   := INT | "q" | "C" | "oracle" | ("Ck" | "oraclek" | "f" | "appell") "[" INT "]"
             | "omega" "(" qarg ")" | "B" "(" qarg ")" | "f3" "(" qarg ")"
             | "pochinf" "[" SINT "," INT "," INT "]"
             | "pochfin" "[" SINT "," INT "," INT "," INT "]"
@@ -15,12 +15,13 @@ Grammar (whitespace insignificant, `^` binds tightest, then `*` `/`, then
     qarg   := ["-"] "q" ["^" INT]
 
 `f[m]` is the product of (1 - q^(m*j)) over j >= 1, `C` and `Ck[k]` are the
-two-color counting series, `appell[a]` is the Appell-Lerch sum
-`mock_theta.appell_sum(a)`, `omega`/`B`/`f3` accept an argument of the form
-sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0) is the sum over n of
-e[m*n + r] * q^n.  Division is literal series division: the denominator
-must have a unit constant term.  Only integer literals exist, and an INT
-is a run of the ASCII digits 0-9.
+two-color counting series, `oracle` and `oraclek[k]` the same counts
+enumerated from their definition (`oracle.oracle_table`), `appell[a]` is
+the Appell-Lerch sum `mock_theta.appell_sum(a)`, `omega`/`B`/`f3` accept an
+argument of the form sign * q^power, and `D[m,r](e)` (m >= 1, any r >= 0)
+is the sum over n of e[m*n + r] * q^n.  Division is literal series
+division: the denominator must have a unit constant term.  Only integer
+literals exist, and an INT is a run of the ASCII digits 0-9.
 
 Every named atom is one row of `_ATOMS` (source name, argument shape and
 builder), and every operator one row of `_BINARY`; the parser, the printer
@@ -42,6 +43,7 @@ from typing import Optional, Union
 from .mock_theta import (appell_sum, b_eulerian, f3_series, omega_series,
                          pentagonal_series, pochhammer_fin, pochhammer_inf,
                          series_c, series_ck)
+from .oracle import oracle_table
 from .series import (
     EXACT,
     CoefficientRing,
@@ -88,7 +90,7 @@ class Atom:
         if "qarg" in pieces:  # sign * q^power
             sign, qpow = self.args
             substitute_power(_ONE, qpow, sign, 1)
-        elif pieces or self.args:  # q and C, with no fields, build nothing
+        elif pieces or self.args:  # q, C and oracle, with no fields, build nothing
             build(*self.args, 1, EXACT)
 
 
@@ -168,6 +170,8 @@ _ATOMS = {name: (re.findall(r"[a-z]+|\S", shape), build) for name, (shape, build
     "q": ("", lambda order, ring: monomial(ring, order, 1)),
     "C": ("", series_c),
     "Ck": ("[int]", series_ck),
+    "oracle": ("", lambda order, ring: Series(ring, oracle_table("limit", order - 1))),
+    "oraclek": ("[int]", lambda k, order, ring: Series(ring, oracle_table(k, order - 1))),
     "f": ("[int]", pentagonal_series),
     "appell": ("[int]", appell_sum),
     "f3": ("(qarg)", _at_q(f3_series)),

@@ -182,6 +182,24 @@ class TestVerify:
         if message is not None:
             assert captured.err == message
 
+    def test_bumped_side_fails_against_enumeration(self, capsys):
+        assert main(["verify", "Ck[2] + q^30", "oraclek[2]", "--order", "40"]) == 1
+        out = capsys.readouterr().out
+        want = count_ck(2, 30)
+        assert json.loads(out.split("witness:", 1)[1]) == {"n": 30, "lhs": want + 1,
+                                                           "rhs": want}
+
+    def test_enumeration_index_0_exits_2(self, capsys):
+        assert main(["verify", "Ck[2]", "oraclek[0]", "--order", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: offset 0: k must be >= 1\n"
+
+    def test_c_against_enumeration_mod_256(self, capsys):
+        assert main(["verify", "C", "oracle", "--ring", "mod64", "--mod", "256",
+                     "--order", "60"]) == 0
+        assert capsys.readouterr().out.strip() == "pass"
+
     def test_mod64_with_mod_allowed(self, capsys):
         assert main(["verify", "f[1]^8", "f[2]^4", "--order", "60",
                      "--mod", "8", "--ring", "mod64"]) == 0
@@ -702,7 +720,7 @@ def matches(want: list[str], got: list[str]) -> bool:
 
 
 def test_readme_lists_its_examples():
-    assert len(readme_examples()) == 13
+    assert len(readme_examples()) == 14
 
 
 @pytest.mark.parametrize("command, want", [pytest.param(command, want, id=command)

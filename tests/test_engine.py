@@ -10,6 +10,8 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -49,7 +51,7 @@ from qcong import (
     verify_identity,
 )
 from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
-                             ORACLE_LIMIT, SCAN_ROWS, _family_entry,
+                             ORACLE_LIMIT, ORACLE_ROWS, SCAN_ROWS, _family_entry,
                              all_passed, suite_json)
 from qcong.cli import main
 from qcong import qexpr
@@ -621,9 +623,32 @@ class TestCatalogue:
     def test_every_checked_report_has_order_and_ring(self, ctx):
         # the acceptance checks and the benchmark's sample count read them
         for entry in CATALOGUE:
-            for rep in entry.run(ctx) if entry.kind != "oracle" else []:
+            for rep in entry.run(ctx):
                 assert isinstance(rep.params["order"], int), rep.claim_id
                 assert rep.params["ring"] in ("exact", str(ctx.c_scan.ring)), rep.claim_id
+
+    def test_repeated_and_vacuous_rows(self):
+        # the golden suite's 63 reports hold 54 distinct non-trivial checks:
+        # eq-2-1-k0 compares D[4,3](C) with itself, and eight ids repeat a
+        # row that another id checks with the same lhs, rhs, modulus, ring
+        # and order. A new repeat or self-comparison fails here
+        path = Path(__file__).resolve().parent / "data" / "suite-200-10000-2.json"
+        claims = json.loads(path.read_text(encoding="utf-8"))["claims"]
+        groups = defaultdict(list)
+        for claim in claims:
+            p = claim["params"]
+            if "lhs" in p:  # eq 2-3's named rows keep theirs under "rows"
+                key = (p["lhs"], p["rhs"], p.get("modulus"), p["ring"], p["order"])
+                groups[key].append(claim["id"])
+        vacuous = {i for (lhs, rhs, *_), ids in groups.items() if lhs == rhs for i in ids}
+        repeated = {frozenset(ids) for ids in groups.values() if len(ids) > 1}
+        assert vacuous == {"eq-2-1-k0"}
+        assert repeated == {frozenset(ids) for ids in (
+            ("eq-1-2", "eq-1-6-k0"), ("eq-1-3", "eq-1-7-k0"), ("eq-1-4", "eq-1-8-k0"),
+            ("eq-1-5", "eq-1-7-k1", "eq-2-22"), ("eq-2-21", "eq-1-6-k1"),
+            ("eq-2-23", "eq-1-8-k1"), ("eq-2-19", "eq-2-1-k1"))}
+        distinct = len(claims) - sum(len(ids) - 1 for ids in repeated) - len(vacuous)
+        assert (len(claims), distinct) == (63, 54)
 
     def test_catalogue_ids_unique(self):
         ids = [e.claim_id for e in CATALOGUE]
@@ -634,10 +659,10 @@ class TestCatalogue:
         assert kinds.count("progression") == 7
         assert kinds.count("family") == 4
         assert kinds.count("relation") == 4
-        assert kinds.count("oracle") == 4
+        # 11 identity rows, eq 2-3 and the four oracle rows
+        assert kinds.count("exact") == 16
         for kind in kinds:
-            assert kind in ("exact", "progression", "relation", "family",
-                            "oracle") or kind.startswith("mod-")
+            assert kind in ("exact", "progression", "relation", "family") or kind.startswith("mod-")
 
     def test_scan_mutation_is_detected(self, ctx):
         bad = ctx.c_scan + monomial(ctx.c_scan.ring, ctx.c_scan.order, 12)
@@ -657,19 +682,20 @@ class TestCatalogue:
         assert by_id["eq-2-2"].status == "fail"
         assert by_id["eq-2-2"].witness["n"] == 7
         assert by_id["oracle-c-limit"].status == "fail"
-        assert by_id["oracle-c-limit"].witness == {"n": 7, "value": 39,
-                                                   "expected": 38}
+        assert by_id["oracle-c-limit"].witness == {"n": 7, "lhs": 39, "rhs": 38}
         assert by_id["eq-1-2"].status == "pass"
 
     def test_exact_mutation_at_oracle_window_edge(self, ctx):
-        # q^ORACLE_LIMIT is the last coefficient the oracle entries compare
-        bad = ctx.c_exact + monomial(EXACT, ctx.c_exact.order, ORACLE_LIMIT)
-        [rep] = {e.claim_id: e for e in CATALOGUE}["oracle-c-limit"].run(
-            dataclasses.replace(ctx, c_exact=bad))
-        assert rep.status == "fail"
+        # q^ORACLE_LIMIT is the last coefficient the oracle rows compare
+        entry = {e.claim_id: e for e in CATALOGUE}["oracle-c-limit"]
+        bump = [entry.run(dataclasses.replace(
+            ctx, c_exact=ctx.c_exact + monomial(EXACT, ctx.c_exact.order, n)))[0]
+            for n in (ORACLE_LIMIT, ORACLE_LIMIT + 1)]
+        assert [rep.status for rep in bump] == ["fail", "pass"]
         want = count_c_limit(ORACLE_LIMIT)
-        assert rep.witness == {"n": ORACLE_LIMIT, "value": want + 1,
-                               "expected": want}
+        assert bump[0].witness == {"n": ORACLE_LIMIT, "lhs": want + 1, "rhs": want}
+        assert bump[1].params == {"order": ORACLE_LIMIT + 1, "ring": "exact",
+                                  "lhs": "C", "rhs": "oracle"}
 
     @pytest.mark.parametrize("field", ["b_exact", "omega_exact", "f3_exact"])
     def test_mock_theta_mutation_is_detected(self, ctx, field):
@@ -811,12 +837,12 @@ class TestScan:
 class TestSuiteContext:
     def test_orders_cover_every_extraction(self, ctx):
         # each exact seed is as long as the deepest exact row reads it, eq
-        # 2-3's two rows among them; only the oracle sets a floor (C to
-        # ORACLE_LIMIT). The congruence rows read C in c_scan's ring
-        n = {"identity": 80, "congruence": 40}
-        want = {parse("C"): ORACLE_LIMIT + 1, parse("B(q)"): 0, parse("omega(q)"): 0,
-                parse("f3(q)"): 0}
-        for _, _, lhs, rhs, modulus, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values()):
+        # 2-3's two rows and the oracle rows (C to ORACLE_LIMIT) among them.
+        # The congruence rows read C in c_scan's ring
+        n = {"identity": 80, "congruence": 40, "oracle": ORACLE_LIMIT + 1}
+        want = {parse("C"): 0, parse("B(q)"): 0, parse("omega(q)"): 0, parse("f3(q)"): 0}
+        for _, _, lhs, rhs, modulus, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(),
+                                               *ORACLE_ROWS):
             for src in (lhs, rhs) if modulus is None else ():
                 for leaf, depth in reads(parse(src), n[order]).items():
                     if leaf in want:

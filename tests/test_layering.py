@@ -2,9 +2,10 @@
 
 Each module imports only from the modules below it, in the order
 series -> mock_theta -> qexpr -> catalogue -> cli; `__init__`
-and `__main__` sit above them all. The enumeration oracle referees the
-series builders, so it imports no other qcong module, and the tests'
-plain-list references import neither qcong nor numpy.
+and `__main__` sit above them all. Above qexpr, every series, the
+enumeration counts too, is read as a qexpr leaf. The enumeration oracle
+referees the series builders, so it imports no other qcong module, and the
+tests' plain-list references import neither qcong nor numpy.
 """
 
 import ast
@@ -48,6 +49,13 @@ def test_oracle_imports_no_qcong_module():
     assert _qcong_imports("oracle") == set()
 
 
+@pytest.mark.parametrize("module", ["catalogue", "cli"])
+def test_builders_are_reached_through_qexpr_leaves(module):
+    # the catalogue and the command read every series, the enumeration
+    # counts included, as a qexpr leaf, never from its builder's module
+    assert not _qcong_imports(module) & {"mock_theta", "oracle"}
+
+
 def test_reference_kit_imports_no_qcong_module_nor_numpy():
     # tests/reference.py judges the kernels, so it shares no code with them
     tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
@@ -62,7 +70,7 @@ def test_reference_kit_imports_no_qcong_module_nor_numpy():
 
 def test_the_reader_sees_relative_imports():
     # guards the tests above against a reader that finds nothing
-    assert _qcong_imports("catalogue") >= {"mock_theta", "qexpr", "series"}
+    assert _qcong_imports("catalogue") >= {"qexpr", "series"}
     assert _qcong_imports("series") == set()
 
 

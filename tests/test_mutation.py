@@ -16,12 +16,13 @@ from collections import Counter
 import pytest
 
 from qcong import EXACT, check_row, evaluate
-from qcong.catalogue import CLAIM_ROWS, EQ_2_3_ROWS, SCAN_ROWS, _SEEDS
+from qcong.catalogue import CLAIM_ROWS, EQ_2_3_ROWS, ORACLE_ROWS, SCAN_ROWS, _SEEDS
 from qcong.qexpr import parse, reads, to_source
 from test_engine import family_rows
 
 # (id, lhs, rhs, modulus, depth) of every row the suite checks at k <= 2
-ROWS = ([(row[0], *row[2:]) for row in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS)]
+ROWS = ([(row[0], *row[2:]) for row in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS,
+                                         *ORACLE_ROWS)]
         + [(*row, "scan") for row in family_rows(2)])
 
 # (id, lhs, rhs) of the mutants that pass at the published orders, each a
@@ -111,7 +112,7 @@ def published(flagship):
 
 def test_every_mutant_is_checked(published):
     statuses = Counter(rep.status for _, rep in published)
-    assert statuses == {"fail": 843, "pass": 14}
+    assert statuses == {"fail": 853, "pass": 14}
 
 
 def test_survivors_are_true(published):
@@ -128,9 +129,14 @@ def test_survivors_are_true(published):
 
 
 def test_killed_mutants_fail_early(published):
-    late = [(claim_id, rep.params, rep.witness) for claim_id, rep in published
+    # all but two: c_3 and c_4 first differ at n = 7 (a blue 6 over a blue
+    # 1), past a quarter of the oracle rows' fixed order 26, so the k = 3
+    # oracle row's mutants to k = 4 fail there
+    late = [(claim_id, rep.params["lhs"], rep.params["rhs"], rep.witness["n"])
+            for claim_id, rep in published
             if rep.status == "fail" and not rep.witness["n"] < rep.params["order"] / 4]
-    assert late == []
+    assert late == [("oracle-ck-3", "Ck[4]", "oraclek[3]", 7),
+                    ("oracle-ck-3", "Ck[3]", "oraclek[4]", 7)]
 
 
 def test_suite_seeds_leave_seven_mutants_unchecked(flagship):

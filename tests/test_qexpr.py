@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcong import (EXACT, MOD64, NonUnitError, RingMismatchError, count_ck, euler_fm,
-                   mod2pow, mul, omega_series, substitute_power)
+from qcong import (EXACT, MOD64, NonUnitError, RingMismatchError, Series, count_c_limit,
+                   count_ck, euler_fm, mod2pow, mul, omega_series, substitute_power)
 from qcong import b_eulerian, f3_series, pentagonal_series
 from qcong import pochhammer_fin, pochhammer_inf, series_c, series_ck
 from qcong.catalogue import CLAIM_ROWS
@@ -35,8 +35,15 @@ from qcong.series import dissect, monomial
 
 EQ_2_2_RHS = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 # what a parse error lists where an atom may start
-ATOM_EXPECTED = ("integer", "q", "C", "Ck", "f", "appell", "f3", "omega", "B",
-                 "pochinf", "pochfin", "D", "(", "-")
+ATOM_EXPECTED = ("integer", "q", "C", "Ck", "oracle", "oraclek", "f", "appell", "f3",
+                 "omega", "B", "pochinf", "pochfin", "D", "(", "-")
+
+
+def every_atom(src, offset, got, name=None):
+    """A parse error case whose message lists ATOM_EXPECTED, with an id that
+    does not: a new atom changes the message, not the test's id."""
+    return pytest.param(src, offset, f"{got}; expected one of: " + ", ".join(ATOM_EXPECTED),
+                        id=f"{name or src}-{offset}-{got}; expected every atom")
 
 
 class TestParse:
@@ -112,7 +119,7 @@ class TestParse:
         ("D[2,", 4, "got end of input; expected one of: integer"),
         ("D[2,1", 5, "got end of input; expected one of: ]"),
         ("D[2,1]", 6, "got end of input; expected one of: ("),
-        ("D[2,1](", 7, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        every_atom("D[2,1](", 7, "got end of input"),
         ("D[2,1](C", 8, "got end of input; expected one of: )"),
         ("D[0,0](C)", 0, "dissection needs m >= 1 and r >= 0, got m=0, r=0"),
         ("D[2,-1](C)", 4, "got '-'; expected one of: integer"),
@@ -146,11 +153,12 @@ class TestParse:
         ("pochinf[-1,2", 12, "got end of input; expected one of: ,"),
         ("pochfin[1,1,1,-1]", 14, "got '-'; expected one of: integer"),
         ("Ck[0]", 0, "Ck[k] needs k >= 1"),
-        ("foo", 0, "unknown name 'foo'; expected one of: " + ", ".join(ATOM_EXPECTED)),
-        ("", 0, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
-        ("  ", 2, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
-        ("2+", 2, "got end of input; expected one of: " + ", ".join(ATOM_EXPECTED)),
-        ("()", 1, "got ')'; expected one of: " + ", ".join(ATOM_EXPECTED)),
+        every_atom("foo", 0, "unknown name 'foo'"),
+        every_atom("", 0, "got end of input", name="empty"),
+        every_atom("  ", 2, "got end of input", name="spaces"),
+        every_atom("2+", 2, "got end of input"),
+        every_atom("()", 1, "got ')'"),
+        ("oraclek[0]", 0, "k must be >= 1"),
         ("2 2", 2, "trailing input starting at '2'; expected one of: end of input"),
         ("2 $ 3", 2, "unexpected character '$'"),
         ("q\u2003é", 2, "unexpected character 'é'"),  # a Unicode space is skipped
@@ -232,6 +240,10 @@ ATOM_EXAMPLES = {
     "q": ("q", Atom("q"), lambda n, ring: monomial(ring, n, 1)),
     "C": ("C", Atom("C"), series_c),
     "Ck": ("Ck[2]", Atom("Ck", (2,)), lambda n, ring: series_ck(2, n, ring)),
+    "oracle": ("oracle", Atom("oracle"),
+               lambda n, ring: Series(ring, [count_c_limit(i) for i in range(n)])),
+    "oraclek": ("oraclek[2]", Atom("oraclek", (2,)),
+                lambda n, ring: Series(ring, [count_ck(2, i) for i in range(n)])),
     "f": ("f[3]", Atom("f", (3,)), lambda n, ring: pentagonal_series(3, n, ring)),
     "appell": ("appell[2]", Atom("appell", (2,)), lambda n, ring: appell_sum(2, n, ring)),
     "f3": ("f3(q)", Atom("f3", (1, 1)), f3_series),
@@ -292,8 +304,9 @@ class TestAtomTable:
 
 # the lowest legal value of each integer field of each atom, in the order of
 # its shape; an argument +-q^k is two fields, its sign and its power k
-FIELD_FLOORS = {"Ck": (1,), "f": (1,), "appell": (1,), "f3": (-1, 1), "omega": (-1, 1),
-                "B": (-1, 1), "pochinf": (-1, 1, 1), "pochfin": (-1, 1, 1, 0), "D": (1, 0)}
+FIELD_FLOORS = {"Ck": (1,), "oraclek": (1,), "f": (1,), "appell": (1,), "f3": (-1, 1),
+                "omega": (-1, 1), "B": (-1, 1), "pochinf": (-1, 1, 1), "pochfin": (-1, 1, 1, 0),
+                "D": (1, 0)}
 
 
 def field_count(name):
