@@ -4,20 +4,20 @@ them, and the suite runner.
 
 Each entry names its check type (exact | mod-M | progression | relation |
 family) so coverage can be audited by reading the table top to bottom.
-Every claim is a row of two `qcong.qexpr` sources (eq 2-3 is three, named),
-checked by `check_row` where `SuiteContext.placement` puts it: a congruence
-in the scan series' ring (mod 2^8, `series.narrowest_ring` of every row's
-modulus), an identity (the oracle rows' too) in the exact ring, and eq
-2-3's `c_scan` row, eq 2-2, in the scan ring. `check_row` reads its verdict
-from `verify_congruent`, the one rule that turns two series into a verdict
-and a witness, which `qcong verify` calls directly.
+Every claim is a row of two `qcong.qexpr` sources (eq 2-3 is three, named)
+and a tier, checked by `check_row` where `SuiteContext.placement` looks its
+tier up in `_TIERS`: the tier, not the row's modulus, picks the ring (exact,
+or the scan series' mod 2^8, `series.narrowest_ring` of every modulus), the
+memo and the order. `check_row` reads its verdict from `verify_congruent`,
+the one rule that turns two series into a verdict and a witness, which
+`qcong verify` calls directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 from .qexpr import QExpr, Sub, evaluate, parse, reach, reads, to_source
 from .series import RingMismatchError, Series, first_incongruence, narrowest_ring
@@ -54,6 +54,17 @@ _C = parse("C")
 _SEEDS = {_C: "c_exact", parse("B(q)"): "b_exact",
           parse("omega(q)"): "omega_exact", parse("f3(q)"): "f3_exact"}
 
+# tier: (seeds {leaf: context field}, whose ring it checks in; memo field;
+# order from the context's (n_identity, n_congruence), None: as deep as seeds allow)
+_TIERS = {
+    "identity": (_SEEDS, "memo", lambda i, c: i),
+    "identity-half": (_SEEDS, "memo", lambda i, c: c),
+    "oracle": (_SEEDS, "memo", lambda i, c: ORACLE_LIMIT + 1),
+    "congruence": ({_C: "c_scan"}, "scan_memo", lambda i, c: c),
+    "cross": ({_C: "c_scan"}, "scan_memo", lambda i, c: 8 * c),  # as deep as D[8,r] reads C
+    "scan": ({_C: "c_scan"}, "scan_memo", lambda i, c: None),
+}
+
 
 @dataclass(frozen=True)
 class SuiteContext:
@@ -74,46 +85,37 @@ class SuiteContext:
                        default_factory=dict)
     scan_memo: dict = field(init=False, repr=False, compare=False,
                             default_factory=dict)
-    n_oracle: ClassVar[int] = ORACLE_LIMIT + 1  # whatever the suite's orders
 
     def __post_init__(self):
-        self.memo.update(self.placement(None, "identity")[0])
-        self.scan_memo[_C] = self.c_scan
+        self.memo.update(self.placement("identity")[0])
+        self.scan_memo.update(self.placement("scan")[0])
 
-    def placement(self, modulus: Optional[int],
-                  depth: str) -> tuple[dict, Optional[int], dict]:
-        """`check_row`'s (seeds, n, memo) for a row mod `modulus` at `depth`:
-        a congruence in c_scan's ring, an identity (modulus None) exactly;
-        at n_identity, n_congruence, n_oracle or, at "scan", as deep as
-        seeds allow; at "cross", any row in c_scan's ring to 8 *
-        n_congruence, where D[8,r] of the congruence rows reads C."""
-        if depth == "cross":
-            return {_C: self.c_scan}, 8 * self.n_congruence, self.scan_memo
-        n = None if depth == "scan" else getattr(self, f"n_{depth}")
-        if modulus is None:
-            return ({leaf: getattr(self, name) for leaf, name in _SEEDS.items()},
-                    n, self.memo)
-        return {_C: self.c_scan}, n, self.scan_memo
+    def placement(self, tier: str) -> tuple[dict, Optional[int], dict]:
+        """`check_row`'s (seeds, n, memo) for a row of `tier` (`_TIERS`)."""
+        seeds, memo, order = _TIERS[tier]
+        return ({leaf: getattr(self, name) for leaf, name in seeds.items()},
+                order(self.n_identity, self.n_congruence), getattr(self, memo))
 
 
 def build_suite_context(n_identity: int = 400, n_scan: int = 40000,
                         k_max: int = 2, timings: Optional[dict] = None) -> SuiteContext:
     """Build every shared series as `evaluate` of its leaf: each exact one as
-    long as the deepest identity row reads it (`qexpr.reads`) at its depth,
-    and the scan series C to n_scan in the narrowest ring that resolves
-    every row's modulus (`series.narrowest_ring`: mod 2^8 for the
+    long as the deepest row of an exact tier reads it (`qexpr.reads`) at the
+    tier's order, and the scan series C to n_scan in the narrowest ring that
+    resolves every row's modulus (`series.narrowest_ring`: mod 2^8 for the
     catalogue's 2 to 32); a dict as `timings` gets the seconds of the exact
     vs the scan series."""
     if k_max < 0:
         raise ValueError(f"kmax must be >= 0, got {k_max}")
     n_congruence = max(2, n_identity // 2)
     orders = dict.fromkeys(_SEEDS.values(), 1)
-    depth = {"identity": n_identity, "congruence": n_congruence, "oracle": SuiteContext.n_oracle}
     rows = (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS, *ORACLE_ROWS)
-    for _, _, lhs, rhs, _, order in (row for row in rows if row[4] is None):
-        for leaf, n in reads(Sub(parse(lhs), parse(rhs)), depth[order]).items():
-            if leaf in _SEEDS:
-                orders[_SEEDS[leaf]] = max(orders[_SEEDS[leaf]], n)
+    for _, _, lhs, rhs, _, tier in rows:
+        seeds, _, order = _TIERS[tier]
+        n = order(n_identity, n_congruence)
+        for leaf, k in reads(Sub(parse(lhs), parse(rhs)), n).items() if seeds is _SEEDS else ():
+            if leaf in seeds:
+                orders[seeds[leaf]] = max(orders[seeds[leaf]], k)
     t0 = perf_counter()
     built = {name: evaluate(leaf, orders[name]) for leaf, name in _SEEDS.items()}
     t1 = perf_counter()
@@ -222,19 +224,22 @@ def check_row(sides: tuple[QExpr, QExpr], modulus: Optional[int], seeds: dict,
 
 
 def _row_entry(claim_id: str, paper_eq: str, *row, **rows) -> CatalogueEntry:
-    """`check_row` of one row (lhs, rhs, modulus, depth), or of several named
-    rows, each where the context's `placement` puts it, in one report: the
-    first row that does not pass, its witness naming it (`series`), else a
-    pass, with the first row's order and ring and every row's params under
-    `rows`. A scan row is a progression when its right side is 0."""
+    """`check_row` of one row (lhs, rhs, modulus, tier), or of several named
+    rows, each where the context's `placement` puts its tier, in one report:
+    the first row that does not pass, its witness naming it (`series`), else
+    a pass, with the first row's order and ring and every row's params under
+    `rows`. A scan row is a progression when its right side is 0. A tier not
+    in `_TIERS` raises ValueError here, when the entry is built."""
     rows = rows or {None: row}
-    parsed = {name: ((parse(lhs), parse(rhs)), modulus, depth)
-              for name, (lhs, rhs, modulus, depth) in rows.items()}
+    if unknown := {row[-1] for row in rows.values()} - _TIERS.keys():
+        raise ValueError(f"{claim_id}: unknown tier {', '.join(sorted(unknown))}; "
+                         f"expected one of {', '.join(_TIERS)}")
+    parsed = {name: ((parse(lhs), parse(rhs)), modulus, tier)
+              for name, (lhs, rhs, modulus, tier) in rows.items()}
 
     def run(ctx: SuiteContext) -> list[ClaimReport]:
-        reports = {name: check_row(sides, modulus, *ctx.placement(modulus, depth),
-                                   claim_id, paper_eq)
-                   for name, (sides, modulus, depth) in parsed.items()}
+        reports = {name: check_row(sides, modulus, *ctx.placement(tier), claim_id, paper_eq)
+                   for name, (sides, modulus, tier) in parsed.items()}
         if None in reports:
             return [reports[None]]
         first = next(iter(reports.values())).params
@@ -245,25 +250,26 @@ def _row_entry(claim_id: str, paper_eq: str, *row, **rows) -> CatalogueEntry:
                 witness = dict(rep.witness or {}, series=name)
                 return [ClaimReport(claim_id, paper_eq, rep.status, params, witness)]
         return [ClaimReport(claim_id, paper_eq, "pass", params)]
-    _, rhs_src, modulus, depth = next(iter(rows.values()))
-    if depth == "scan":
+    _, rhs_src, modulus, tier = next(iter(rows.values()))
+    if tier == "scan":
         kind = "progression" if rhs_src == "0" else "relation"
     else:
         kind = "exact" if modulus is None else f"mod-{modulus}"
     return CatalogueEntry(claim_id, kind, run)
 
 
-# Shared right-hand sides: the 2-dissections of 1/f1^2 (eq 2-6) and f1^2
-# (eq 2-7), and the 2-dissection of 1/f1^4 (eq 2-14).
+# Shared right-hand sides: eq 2-2's C from the Eulerian B and omega (eq 2-3's
+# c_scan row), the 2-dissections of 1/f1^2 (eq 2-6) and f1^2 (eq 2-7), and the
+# 2-dissection of 1/f1^4 (eq 2-14).
+_EQ_2_2 = "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)"
 _INV_F1_SQ = "f[8]^5/(f[2]^5*f[16]^2) + 2*q*f[4]^2*f[16]^2/(f[2]^5*f[8])"
 _F1_SQ = "f[2]*f[8]^5/(f[4]^2*f[16]^2) - 2*q*f[2]*f[16]^2/f[8]"
 _INV_F1_4 = "f[4]^14/(f[2]^14*f[8]^4) + 4*q*f[4]^2*f[8]^4/f[2]^10"
 
-# (id, paper eq, lhs, rhs, modulus or None for exact equality, order).
+# (id, paper eq, lhs, rhs, modulus or None for exact equality, tier).
 # Displays with 1/2 coefficients (2-5, 2-8) are doubled on both sides.
 CLAIM_ROWS: tuple[tuple[str, str, str, str, Optional[int], str], ...] = (
-    ("eq-2-2", "2-2", "C",
-     "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)", None, "identity"),
+    ("eq-2-2", "2-2", "C", _EQ_2_2, None, "identity"),
     ("eq-2-4", "2-4", "f3(q^8) - 2*q*omega(-q) - 2*q^3*omega(-q^4)",
      "f[1]^2*f[4]^8/(f[2]^5*f[8]^4)", None, "identity"),
     ("eq-2-5", "2-5", "2*C",
@@ -277,7 +283,7 @@ CLAIM_ROWS: tuple[tuple[str, str, str, str, Optional[int], str], ...] = (
     ("eq-2-9", "2-9", "D[2,1](C)",
      "2*f[2]*f[4]^5/(f[1]^4*f[8]^2)*D[2,0](B(q))"
      " - 4*q*f[2]^3*f[8]^2/(f[1]^4*f[4])*D[2,1](B(q)) + q*omega(-q^2)"
-     " - f[2]^8*f[8]^2/(f[1]^4*f[4]^5)", None, "congruence"),
+     " - f[2]^8*f[8]^2/(f[1]^4*f[4]^5)", None, "identity-half"),
     ("eq-2-10", "2-10", "D[2,0](B(q))", "f[2]^5/f[1]^4", None, "identity"),
     ("eq-wang-parity", "wang", "B(q)", "f[8]^2/f[4]", 2, "congruence"),
     ("eq-2-11", "2-11", "D[2,1](B(q))", "0", 2, "congruence"),
@@ -307,10 +313,12 @@ CLAIM_ROWS: tuple[tuple[str, str, str, str, Optional[int], str], ...] = (
     ("eq-a-2", "a-2", "D[4,1](B(q))", "2*f[2]^8/f[1]^7", None, "identity"),
 )
 
-# eq 2-3 by series: B and omega in Appell-Lerch form, sharing f[2]^-1 (memo)
+# eq 2-3 by series: B and omega in Appell-Lerch form, sharing f[2]^-1 (memo),
+# and c_scan against eq 2-2's sides in its own ring
 EQ_2_3_ROWS = {
     "B": ("eq-2-3", "2-3", "B(q)", "f[4]*(f[2]^-1)^2*appell[2]", None, "identity"),
     "omega": ("eq-2-3", "2-3", "omega(q)", "appell[3]*f[2]^-1", None, "identity"),
+    "c_scan": ("eq-2-3", "2-3", "C", _EQ_2_2, None, "cross"),
 }
 
 
@@ -354,9 +362,8 @@ CATALOGUE: tuple[CatalogueEntry, ...] = (
     *(_row_entry(*row) for row in SCAN_ROWS[4:]),
     # supporting identities (exact ring) and congruences (scan ring)
     *(_row_entry(*row) for row in CLAIM_ROWS),
-    # eq 2-3's two rows, and c_scan against eq 2-2's sides in its own ring
-    _row_entry("eq-2-3", "2-3", **{name: row[2:] for name, row in EQ_2_3_ROWS.items()},
-               c_scan=next((*row[2:4], None, "cross") for row in CLAIM_ROWS if row[0] == "eq-2-2")),
+    # eq 2-3's three rows
+    _row_entry("eq-2-3", "2-3", **{name: row[2:] for name, row in EQ_2_3_ROWS.items()}),
     # ground truth: series coefficients against direct enumeration
     *(_row_entry(*row) for row in ORACLE_ROWS),
 )
@@ -366,14 +373,9 @@ def run_catalogue(ctx: SuiteContext) -> list[ClaimReport]:
     return [report for entry in CATALOGUE for report in entry.run(ctx)]
 
 
-def suite_json(reports: list[ClaimReport], n_identity: int, n_scan: int,
-               k_max: int) -> dict:
-    return {
-        "order_identity": n_identity,
-        "order_scan": n_scan,
-        "k_max": k_max,
-        "claims": [r.to_json_dict() for r in reports],
-    }
+def suite_json(reports: list[ClaimReport], ctx: SuiteContext) -> dict:
+    return {"order_identity": ctx.n_identity, "order_scan": ctx.n_scan,
+            "k_max": ctx.k_max, "claims": [r.to_json_dict() for r in reports]}
 
 
 def all_passed(reports: list[ClaimReport]) -> bool:

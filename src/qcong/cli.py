@@ -149,9 +149,7 @@ def _cmd_suite(args) -> int:
         print(f"{len(reports)} claims: {counts['pass']} pass, "
               f"{counts['fail']} fail, {counts['order-too-small']} order-too-small")
         if report_file is not None:
-            doc = suite_json(reports, args.order_identity, args.order_scan,
-                             args.kmax)
-            json.dump(doc, report_file, indent=2)
+            json.dump(suite_json(reports, ctx), report_file, indent=2)
             report_file.write("\n")
     return 0 if all_passed(reports) else 1
 

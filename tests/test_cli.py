@@ -221,11 +221,13 @@ class TestVerify:
         assert capsys.readouterr().out.split()[0] == want
 
     def test_eq_2_3_by_hand(self, capsys):
-        # eq 2-3's rows, exactly and mod 2^64 past the FFT crossover, and the
-        # textbook forms, which the rows rewrite to share f[2]^-1
+        # eq 2-3's rows, exactly and mod 2^64 past the FFT crossover (where C
+        # is eq 2-2's Appell form, as in c_scan), and the textbook forms,
+        # which the rows rewrite to share f[2]^-1
         rows = [row[2:4] for row in EQ_2_3_ROWS.values()]
         assert rows == [("B(q)", "f[4]*(f[2]^-1)^2*appell[2]"),
-                        ("omega(q)", "appell[3]*f[2]^-1")]
+                        ("omega(q)", "appell[3]*f[2]^-1"),
+                        ("C", "2*q*f[2]*f[4]/f[1]^2*B(-q) - q*omega(-q)")]
         for lhs, rhs in rows:
             assert main(["verify", lhs, rhs, "--order", "400"]) == 0
             assert main(["verify", lhs, rhs, "--order", "20000", "--ring",
@@ -233,7 +235,7 @@ class TestVerify:
         for lhs, rhs in [("B(q)", "f[4]/f[2]^2*appell[2]"),
                          ("omega(q)", "appell[3]/f[2]")]:
             assert main(["verify", lhs, rhs, "--order", "400"]) == 0
-        assert capsys.readouterr().out.split() == ["pass"] * 6
+        assert capsys.readouterr().out.split() == ["pass"] * 8
         # omega's form with B's quadratic is wrong from q^4 on
         assert main(["verify", "omega(q)", "appell[2]/f[2]", "--order", "400"]) == 1
         out = capsys.readouterr().out

@@ -52,7 +52,7 @@ from qcong import (
 )
 from qcong.catalogue import (CLAIM_ROWS, EQ_2_3_ROWS, FAMILY_ROWS,
                              ORACLE_LIMIT, ORACLE_ROWS, SCAN_ROWS, _family_entry,
-                             all_passed, suite_json)
+                             _row_entry, all_passed, suite_json)
 from qcong.cli import main
 from qcong import qexpr
 import qcong.series
@@ -664,6 +664,16 @@ class TestCatalogue:
         for kind in kinds:
             assert kind in ("exact", "progression", "relation", "family") or kind.startswith("mod-")
 
+    def test_a_misspelt_tier_fails_when_the_entry_is_built(self):
+        # at import, not when the row runs, where the CLI would not catch it
+        with pytest.raises(ValueError, match="^x: unknown tier identiy; expected one of "
+                                             "identity, identity-half, "):
+            _row_entry("x", "x", "C", "C", None, "identiy")
+        with pytest.raises(ValueError, match="^eq-2-3: unknown tier crosss;"):
+            _row_entry("eq-2-3", "2-3", B=("C", "C", None, "identity"),
+                       c_scan=("C", "C", None, "crosss"))
+        assert _row_entry("x", "x", "C", "C", None, "identity-half").kind == "exact"
+
     def test_scan_mutation_is_detected(self, ctx):
         bad = ctx.c_scan + monomial(ctx.c_scan.ring, ctx.c_scan.order, 12)
         reports = run_catalogue(dataclasses.replace(ctx, c_scan=bad))
@@ -733,9 +743,10 @@ class TestCatalogue:
 
     def test_suite_json_schema(self, ctx):
         reports = run_catalogue(ctx)
-        doc = suite_json(reports, **{k: SMALL[k] for k in
-                                     ("n_identity", "n_scan", "k_max")})
-        assert set(doc) == {"order_identity", "order_scan", "k_max", "claims"}
+        doc = suite_json(reports, ctx)
+        assert list(doc) == ["order_identity", "order_scan", "k_max", "claims"]
+        assert (doc["order_identity"], doc["order_scan"], doc["k_max"]) == (
+            SMALL["n_identity"], SMALL["n_scan"], SMALL["k_max"])
         assert len(doc["claims"]) == len(reports)
         for claim in doc["claims"]:
             assert {"id", "paper_eq", "status", "params"} <= set(claim)
@@ -836,16 +847,16 @@ class TestScan:
 
 class TestSuiteContext:
     def test_orders_cover_every_extraction(self, ctx):
-        # each exact seed is as long as the deepest exact row reads it, eq
-        # 2-3's two rows and the oracle rows (C to ORACLE_LIMIT) among them.
-        # The congruence rows read C in c_scan's ring
-        n = {"identity": 80, "congruence": 40, "oracle": ORACLE_LIMIT + 1}
+        # each exact seed is as long as the deepest row placed in the exact
+        # ring reads it, eq 2-3's B and omega rows and the oracle rows (C to
+        # ORACLE_LIMIT) among them. The congruence rows and eq 2-3's c_scan
+        # row read C in c_scan's ring
         want = {parse("C"): 0, parse("B(q)"): 0, parse("omega(q)"): 0, parse("f3(q)"): 0}
-        for _, _, lhs, rhs, modulus, order in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(),
-                                               *ORACLE_ROWS):
-            for src in (lhs, rhs) if modulus is None else ():
-                for leaf, depth in reads(parse(src), n[order]).items():
-                    if leaf in want:
+        for _, _, lhs, rhs, _, tier in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *ORACLE_ROWS):
+            seeds, n, _ = ctx.placement(tier)
+            for src in (lhs, rhs):
+                for leaf, depth in reads(parse(src), n).items():
+                    if leaf in seeds and seeds[leaf].ring == EXACT:
                         want[leaf] = max(want[leaf], depth)
         assert ctx.c_exact.order == want[parse("C")] == 80
         assert ctx.b_exact.order == want[parse("B(q)")] == 318
@@ -889,8 +900,8 @@ def _b_readers(ctx) -> set:
     """The rows whose sides read the exact B where ctx places them."""
     b = parse("B(q)")
     out = set()
-    for claim_id, _, lhs, rhs, modulus, depth in CLAIM_ROWS:
-        seeds, n, _ = ctx.placement(modulus, depth)
+    for claim_id, _, lhs, rhs, _, tier in CLAIM_ROWS:
+        seeds, n, _ = ctx.placement(tier)
         if seeds.get(b) is ctx.b_exact and any(b in reads(parse(src), n)
                                                for src in (lhs, rhs)):
             out.add(claim_id)
@@ -918,8 +929,8 @@ def assert_reads_is_exact(e, n, ring=EXACT):
 class TestSharedMemo:
     @pytest.mark.parametrize("row", CLAIM_ROWS, ids=lambda row: row[0])
     def test_reads_is_exact(self, ctx, row):
-        _, _, lhs, rhs, _, order = row
-        n = getattr(ctx, f"n_{order}")
+        _, _, lhs, rhs, _, tier = row
+        _, n, _ = ctx.placement(tier)
         for e in (parse(lhs), parse(rhs)):
             assert_reads_is_exact(e, n)
 
@@ -1032,9 +1043,12 @@ class TestEq23:
         assert list(rows) == ["B", "omega", "c_scan"]
         assert (eq_2_3.params["order"], eq_2_3.params["ring"]) == (ctx.n_identity, "exact")
         assert rows["B"]["rhs"] == to_source(parse(EQ_2_3_ROWS["B"][3]))
+        # the c_scan row is eq 2-2's, read in c_scan's ring at the cross tier
+        eq_2_2 = next(row[2:] for row in CLAIM_ROWS if row[0] == "eq-2-2")
+        assert EQ_2_3_ROWS["c_scan"][2:] == (*eq_2_2[:3], "cross")
         assert rows["c_scan"] == {
             "order": 8 * ctx.n_congruence, "ring": str(ctx.c_scan.ring), "lhs": "C",
-            "rhs": to_source(parse(next(row[3] for row in CLAIM_ROWS if row[0] == "eq-2-2")))}
+            "rhs": to_source(parse(eq_2_2[1]))}
 
 
 class TestRingRule:
@@ -1074,8 +1088,8 @@ class TestRingRule:
         assert (ctx.c_exact.order, ctx.c_scan.order) == (400, 40000)
         moduli = [row[4] for row in (*CLAIM_ROWS, *SCAN_ROWS) if row[4] is not None]
         assert all(ctx.c_scan.ring.resolves(m) for m in moduli + [row[2] for row in FAMILY_ROWS])
-        for claim_id, _, lhs, rhs, modulus, depth in CLAIM_ROWS:
-            seeds, n, memo = ctx.placement(modulus, depth)
+        for claim_id, _, lhs, rhs, modulus, tier in CLAIM_ROWS:
+            seeds, n, memo = ctx.placement(tier)
             if modulus is None:
                 assert memo is ctx.memo and seeds[parse("C")] is ctx.c_exact
                 continue
@@ -1089,6 +1103,20 @@ class TestRingRule:
             for rep in reports:
                 if "modulus" in rep.params:
                     assert rep.params["ring"] == ring, rep.claim_id
+
+    def test_every_row_without_a_modulus_is_exact(self, flagship_reports):
+        # the tier picks the ring: an identity placed in c_scan's ring would
+        # become a check mod 2^8. Eq 2-3's c_scan row is the one that is
+        checked = []
+        for reports, _ in flagship_reports.values():
+            for rep in reports:
+                for name, params in rep.params.get("rows", {None: rep.params}).items():
+                    if "modulus" not in params:
+                        checked.append((rep.claim_id, name, params["ring"]))
+        assert {(claim_id, name) for claim_id, name, ring in checked
+                if ring != "exact"} == {("eq-2-3", "c_scan")}
+        assert len(checked) == sum(row[4] is None for row in
+                                   (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *ORACLE_ROWS))
 
 
 @st.composite

@@ -5,8 +5,8 @@ index, an exponent, a coefficient, D's m or r, an argument's sign or power.
 The walker reads `dataclasses.fields` and each int of an atom's args, so a
 new atom is covered with no edit. Every mutant of every row the suite
 checks (the families at k <= 2) runs through `check_row` where
-`SuiteContext.placement` puts its row, at the published orders, with exact
-seeds as deep as the mutants read, so none is left unchecked.
+`SuiteContext.placement` puts its row's tier, at the published orders, with
+exact seeds as deep as the mutants read, so none is left unchecked.
 The mutants that pass are true statements, each listed with its reason.
 """
 
@@ -20,7 +20,7 @@ from qcong.catalogue import CLAIM_ROWS, EQ_2_3_ROWS, ORACLE_ROWS, SCAN_ROWS, _SE
 from qcong.qexpr import parse, reads, to_source
 from test_engine import family_rows
 
-# (id, lhs, rhs, modulus, depth) of every row the suite checks at k <= 2
+# (id, lhs, rhs, modulus, tier) of every row the suite checks at k <= 2
 ROWS = ([(row[0], *row[2:]) for row in (*CLAIM_ROWS, *EQ_2_3_ROWS.values(), *SCAN_ROWS,
                                          *ORACLE_ROWS)]
         + [(*row, "scan") for row in family_rows(2)])
@@ -67,13 +67,13 @@ def mutants(e):
 
 
 def row_mutants():
-    """(id, sides, modulus, depth) of every mutant of every row."""
-    for claim_id, lhs, rhs, modulus, depth in ROWS:
+    """(id, sides, modulus, tier) of every mutant of every row."""
+    for claim_id, lhs, rhs, modulus, tier in ROWS:
         left, right = parse(lhs), parse(rhs)
         for e in mutants(left):
-            yield claim_id, (e, right), modulus, depth
+            yield claim_id, (e, right), modulus, tier
         for e in mutants(right):
-            yield claim_id, (left, e), modulus, depth
+            yield claim_id, (left, e), modulus, tier
 
 
 def seed_depths(ctx, mutated):
@@ -81,8 +81,8 @@ def seed_depths(ctx, mutated):
     ctx places each row; a mutant read as deep as its seeds allow, or
     in c_scan's ring, sizes none."""
     depths = dict.fromkeys(_SEEDS, 1)
-    for _, sides, modulus, depth in mutated:
-        seeds, n, _ = ctx.placement(modulus, depth)
+    for _, sides, _, tier in mutated:
+        seeds, n, _ = ctx.placement(tier)
         for e in sides if n is not None else ():
             for leaf, k in reads(e, n).items():
                 if leaf in seeds and seeds[leaf].ring == EXACT:
@@ -96,8 +96,8 @@ def sweep(ctx):
     mutated = list(row_mutants())
     deep = dataclasses.replace(ctx, **{_SEEDS[leaf]: evaluate(leaf, n) for leaf, n
                                        in seed_depths(ctx, mutated).items()})
-    return [(claim_id, check_row(sides, modulus, *deep.placement(modulus, depth)))
-            for claim_id, sides, modulus, depth in mutated]
+    return [(claim_id, check_row(sides, modulus, *deep.placement(tier)))
+            for claim_id, sides, modulus, tier in mutated]
 
 
 def survivors(swept):
@@ -112,7 +112,7 @@ def published(flagship):
 
 def test_every_mutant_is_checked(published):
     statuses = Counter(rep.status for _, rep in published)
-    assert statuses == {"fail": 853, "pass": 14}
+    assert statuses == {"fail": 864, "pass": 14}
 
 
 def test_survivors_are_true(published):
@@ -146,8 +146,8 @@ def test_suite_seeds_leave_seven_mutants_unchecked(flagship):
     # of the congruence rows read C in c_scan, 40000 long
     ctx = flagship[0]
     too_short = Counter()
-    for claim_id, sides, modulus, depth in row_mutants():
-        seeds, n, _ = ctx.placement(modulus, depth)
+    for claim_id, sides, _, tier in row_mutants():
+        seeds, n, _ = ctx.placement(tier)
         for e in sides if n is not None else ():
             for leaf, k in reads(e, n).items():
                 if leaf in seeds and k > seeds[leaf].order:
